@@ -15,11 +15,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .decompose import decompose
-from .homological import _hom_system, _reps_on_common_grid, hom_basis, refine_morphism
+from .homological import (_morphism_system, _overlap_morphism_matrix,
+                          _reps_on_common_grid, hom_basis, refine_morphism)
 from .intervals import BarMultiset, Interval, is_finite
-from .linalg import Matrix, QQ, rank, solve_linear_system
+from .linalg import QQ, rank, solve_linear_system
 from .orientation import Orientation, segment_index
-from .tamerep import RepMorphism, TameRep, from_bars
+from .tamerep import RepMorphism, TameRep, from_bars, identity_morphism
 
 EXISTS = "exists"
 PROVEN_NONEXISTENT = "proven_nonexistent"
@@ -52,23 +53,13 @@ def _strictly_inside_segment(o: Orientation, a: Fraction, b: Fraction) -> Option
 
 def _realize_sequence(o: Orientation, left: Interval, middle: list[Interval],
                       right: Interval, field) -> ARSequence:
-    packs = _reps_on_common_grid(o, [[left], middle, [right]], field)
-    (lrep, lslots), (mrep, mslots), (rrep, rslots) = packs
+    lpack, mpack, rpack = _reps_on_common_grid(o, [[left], middle, [right]], field)
     one = field.one()
     f_pairs = {(0, 0): one, (0, 1): one}
     g_pairs = {(0, 0): one, (1, 0): field.neg(one)}
-    f = _overlap_blocks(lrep, lslots, mrep, mslots, f_pairs, field)
-    g = _overlap_blocks(mrep, mslots, rrep, rslots, g_pairs, field)
+    f = _overlap_morphism_matrix(lpack, mpack, f_pairs, field)
+    g = _overlap_morphism_matrix(mpack, rpack, g_pairs, field)
     return ARSequence(left, middle, right, f, g)
-
-
-def _overlap_blocks(dom, dom_slots, cod, cod_slots, pairs, field):
-    mats = []
-    z = field.zero()
-    for c in range(dom.ncells):
-        rows = [[pairs.get((ci, ri), z) for ci in dom_slots[c]] for ri in cod_slots[c]]
-        mats.append(Matrix(field, len(cod_slots[c]), len(dom_slots[c]), rows))
-    return RepMorphism(dom, cod, mats)
 
 
 def ar_ending_at(o: Orientation, w: Interval, field=QQ) -> ARAnswer:
@@ -121,56 +112,25 @@ def ar_starting_at(o: Orientation, u: Interval, field=QQ) -> ARAnswer:
 # ---------------------------------------------------------------------------
 # verification
 
+def _solvable(v: TameRep, w: TameRep, fixed) -> bool:
+    """Is there a morphism h: v -> w meeting the fixed cellwise equations
+    L h_c R = C of _morphism_system?"""
+    system, rhs, _ = _morphism_system(v, w, fixed)
+    sol, _ = solve_linear_system(system, rhs)
+    return sol is not None
+
+
 def _exists_lift(g: RepMorphism, phi: RepMorphism) -> bool:
     """Is there h: phi.dom -> g.dom with g o h = phi?  All three live on one
     grid already."""
-    x, m = phi.dom, g.dom
-    field = x.field
-    hom_sys, offsets = _hom_system(x, m)
-    rows = hom_sys.copy_rows()
-    rhs = [field.zero()] * len(rows)
-    total = hom_sys.ncols
-    for c in range(x.ncells):
-        gc = g.mats[c]
-        for r in range(g.cod.dims[c]):
-            for s in range(x.dims[c]):
-                row = [field.zero()] * total
-                for t in range(m.dims[c]):
-                    coef = gc.rows[r][t]
-                    if coef != field.zero():
-                        row[offsets[c] + t * x.dims[c] + s] = coef
-                rows.append(row)
-                rhs.append(phi.mats[c].rows[r][s])
-    sol, _ = solve_linear_system(Matrix(field, len(rows), total, rows), rhs)
-    return sol is not None
+    return _solvable(phi.dom, g.dom, [(c, gc, None, pc) for c, (gc, pc)
+                                      in enumerate(zip(g.mats, phi.mats))])
 
 
 def _exists_colift(f: RepMorphism, psi: RepMorphism) -> bool:
     """Is there h: f.cod -> psi.cod with h o f = psi?"""
-    m, y = f.cod, psi.cod
-    field = m.field
-    hom_sys, offsets = _hom_system(m, y)
-    rows = hom_sys.copy_rows()
-    rhs = [field.zero()] * len(rows)
-    total = hom_sys.ncols
-    for c in range(m.ncells):
-        fc = f.mats[c]
-        for r in range(y.dims[c]):
-            for s in range(f.dom.dims[c]):
-                row = [field.zero()] * total
-                for t in range(m.dims[c]):
-                    coef = fc.rows[t][s]
-                    if coef != field.zero():
-                        row[offsets[c] + r * m.dims[c] + t] = coef
-                rows.append(row)
-                rhs.append(psi.mats[c].rows[r][s])
-    sol, _ = solve_linear_system(Matrix(field, len(rows), total, rows), rhs)
-    return sol is not None
-
-
-def _identity_morphism_on(v: TameRep) -> RepMorphism:
-    return RepMorphism(v, v, [Matrix.identity(v.field, d) for d in v.dims],
-                       validate=False)
+    return _solvable(f.cod, psi.cod, [(c, None, fc, pc) for c, (fc, pc)
+                                      in enumerate(zip(f.mats, psi.mats))])
 
 
 def verify_almost_split(seq: ARSequence, probes: Sequence[Interval] = ()) -> bool:
@@ -193,9 +153,9 @@ def verify_almost_split(seq: ARSequence, probes: Sequence[Interval] = ()) -> boo
     if not g.compose(f).is_zero():
         return False
     # not split
-    if _exists_colift(f, _identity_morphism_on(lrep)):
+    if _exists_colift(f, identity_morphism(lrep)):
         return False
-    if _exists_lift(g, _identity_morphism_on(rrep)):
+    if _exists_lift(g, identity_morphism(rrep)):
         return False
     # indecomposable ends
     if decompose(lrep).total() != 1 or decompose(rrep).total() != 1:
@@ -203,15 +163,14 @@ def verify_almost_split(seq: ARSequence, probes: Sequence[Interval] = ()) -> boo
     # factorization of probe maps
     o = lrep.orientation
     for x_iv in probes:
+        xrep = from_bars(o, BarMultiset([(x_iv, 1)]), field)
         if x_iv != seq.right:
-            xrep = from_bars(o, BarMultiset([(x_iv, 1)]), field)
             for phi in hom_basis(xrep, rrep):
                 phi2, g2 = _align_probe(phi, g)
                 if not _exists_lift(g2, phi2):
                     return False
         if x_iv != seq.left:
-            yrep = from_bars(o, BarMultiset([(x_iv, 1)]), field)
-            for psi in hom_basis(lrep, yrep):
+            for psi in hom_basis(lrep, xrep):
                 psi2, f2 = _align_probe(psi, f)
                 if not _exists_colift(f2, psi2):
                     return False

@@ -4,9 +4,6 @@ All commands are deterministic: the same inputs and flags produce byte
 identical output.  Exit codes: 0 success, 2 malformed input, 3 internal
 invariant violation (a computed value contradicting a structural bound,
 which is always a bug worth a report).
-
-The environment variable AQUIVER_THREADS is accepted for compatibility
-with batch harnesses and has no effect on output bytes.
 """
 
 from __future__ import annotations
@@ -17,16 +14,13 @@ from fractions import Fraction
 
 import click
 
-from .ar import (ARAnswer, EXISTS, OUT_OF_PAPER_SCOPE, PROVEN_NONEXISTENT,
-                 ar_ending_at, ar_starting_at)
+from .ar import EXISTS, PROVEN_NONEXISTENT, ar_ending_at, ar_starting_at
 from .decompose import InternalInvariantError, decompose
 from .homological import (ProjectiveLabel, ext_dim, hom_dim, proj_presentation,
                           projectives_table, realize_projective)
-from .intervals import Interval, format_extreal
-from .jsonio import (SchemaError, Document, document_to_json, field_to_json,
-                     parse_document, parse_field, parse_interval,
-                     parse_orientation_file, tame_to_json)
-from .orientation import orientation_to_json
+from .intervals import format_extreal
+from .jsonio import (SchemaError, Document, document_to_json, parse_document,
+                     parse_field, parse_interval, parse_orientation_file)
 from .tamerep import scramble as scramble_rep
 
 

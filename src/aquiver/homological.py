@@ -23,8 +23,8 @@ from .orientation import (Orientation, Segment, down_set, down_set_limit,
                           reverse, segment_index, segments_touching, up_set)
 from .tamerep import (DOWN, RepMorphism, TameRep, cell_of_point,
                       cell_representative, common_grid, cells_to_interval,
-                      from_bars, kernel_rep, refine, rep_from_interval_list,
-                      zero_rep)
+                      from_bars, junction_cells, kernel_rep, refine,
+                      rep_from_interval_list, zero_rep)
 
 POINT = "point"
 OPEN_RIGHT = "open_right"   # the "x < a" half of the down-set at a
@@ -43,12 +43,7 @@ class ProjectiveLabel:
             raise ValueError("half-open forms need a finite point")
 
     def __str__(self):
-        s = format_extreal(self.a)
-        if self.form == POINT:
-            return f"P_{s}"
-        if self.form == OPEN_RIGHT:
-            return f"P_{s})"
-        return f"P_({s}"
+        return _format_label("P", self.form, format_extreal(self.a))
 
 
 @dataclass(frozen=True)
@@ -57,12 +52,17 @@ class InjectiveLabel:
     a: ExtReal
 
     def __str__(self):
-        s = format_extreal(self.a)
-        if self.form == POINT:
-            return f"I_{s}"
-        if self.form == OPEN_RIGHT:
-            return f"I_{s})"
-        return f"I_({s}"
+        return _format_label("I", self.form, format_extreal(self.a))
+
+
+def _format_label(kind: str, form: str, s: str) -> str:
+    """Label text of the point, open-right or open-left form at s; kind is
+    "P" for projectives and "I" for injectives."""
+    if form == POINT:
+        return f"{kind}_{s}"
+    if form == OPEN_RIGHT:
+        return f"{kind}_{s})"
+    return f"{kind}_({s}"
 
 
 def realize_projective(o: Orientation, label: ProjectiveLabel) -> Optional[Interval]:
@@ -120,45 +120,57 @@ def classify_injective(o: Orientation, iv: Interval) -> Optional[InjectiveLabel]
 # ---------------------------------------------------------------------------
 # Hom spaces
 
-def _hom_system(v: TameRep, w: TameRep) -> tuple[Matrix, list[int]]:
-    """Constraint matrix of the commuting-square equations; unknowns are the
-    entries of the cellwise matrices dom(x) -> cod(x), cell by cell."""
+def _morphism_system(v: TameRep, w: TameRep, fixed=()) -> tuple[Matrix, list, list[int]]:
+    """Equations on cellwise matrices X_c: v_c -> w_c.  First the commuting
+    square at every junction, then L X_c R = C for each (c, L, R, C) in
+    fixed, where one of L, R is None and stands for the identity.  The
+    unknowns are the entries of X_0, X_1, ... row by row; returns the
+    matrix, the right-hand side and the offset of each X_c."""
     field = v.field
+    z = field.zero()
     offsets = []
     total = 0
     for c in range(v.ncells):
         offsets.append(total)
         total += w.dims[c] * v.dims[c]
-    rows = []
-    z = field.zero()
+
+    def term(row, c, left, right, r, s, negate=False):
+        # (left X_c)[r][s] = sum_t left[r][t] X_c[t][s];
+        # (X_c right)[r][s] = sum_t X_c[r][t] right[t][s]
+        n = v.dims[c]
+        if right is None:
+            base, stride, coefs = offsets[c] + s, n, left.rows[r]
+        else:
+            base, stride, coefs = offsets[c] + r * n, 1, [x[s] for x in right.rows]
+        for t, coef in enumerate(coefs):
+            if coef != z:
+                row[base + t * stride] = field.neg(coef) if negate else coef
+
+    rows, rhs = [], []
     for j in range(len(v.maps)):
-        d = v.dirs[j]
-        src, tgt = (j + 1, j) if d == DOWN else (j, j + 1)
-        vm, wm = v.maps[j], w.maps[j]
-        for rr in range(w.dims[tgt]):
-            for cc in range(v.dims[src]):
+        src, tgt = junction_cells(v.dirs[j], j)
+        for r in range(w.dims[tgt]):
+            for s in range(v.dims[src]):
                 row = [z] * total
-                # (f_tgt @ vm)[rr][cc]
-                for s in range(v.dims[tgt]):
-                    coef = vm.rows[s][cc]
-                    if coef != z:
-                        row[offsets[tgt] + rr * v.dims[tgt] + s] = field.add(
-                            row[offsets[tgt] + rr * v.dims[tgt] + s], coef)
-                # -(wm @ f_src)[rr][cc]
-                for s in range(w.dims[src]):
-                    coef = wm.rows[rr][s]
-                    if coef != z:
-                        idx = offsets[src] + s * v.dims[src] + cc
-                        row[idx] = field.sub(row[idx], coef)
+                term(row, tgt, None, v.maps[j], r, s)
+                term(row, src, w.maps[j], None, r, s, negate=True)
                 rows.append(row)
-    return Matrix(field, len(rows), total, rows), offsets
+                rhs.append(z)
+    for c, left, right, target in fixed:
+        for r in range(target.nrows):
+            for s in range(target.ncols):
+                row = [z] * total
+                term(row, c, left, right, r, s)
+                rows.append(row)
+                rhs.append(target.rows[r][s])
+    return Matrix(field, len(rows), total, rows), rhs, offsets
 
 
 def hom_basis(v: TameRep, w: TameRep) -> list[RepMorphism]:
     """A basis of the space of morphisms v -> w (inputs are refined to a
     common grid first)."""
     v, w = common_grid(v, w)
-    system, offsets = _hom_system(v, w)
+    system, _, offsets = _morphism_system(v, w)
     ker = kernel_basis(system)
     out = []
     for col in ker.columns():
@@ -177,7 +189,7 @@ def hom_space_dim(v: TameRep, w: TameRep) -> int:
     if v.orientation != w.orientation:
         raise ValueError("orientation mismatch")
     v, w = common_grid(v, w)
-    system, _ = _hom_system(v, w)
+    system, _, _ = _morphism_system(v, w)
     return system.ncols - rank(system)
 
 
@@ -310,14 +322,6 @@ class ProjPresentation:
     p0: list[ProjectiveLabel]
     realized: RepMorphism  # injective, cokernel is the presented summand
 
-    def p1_supports(self) -> list[Interval]:
-        return [s for s in (realize_projective(self.realized.dom.orientation, l)
-                            for l in self.p1)]
-
-    def p0_supports(self) -> list[Interval]:
-        return [s for s in (realize_projective(self.realized.dom.orientation, l)
-                            for l in self.p0)]
-
 
 def _label_position(label: ProjectiveLabel):
     if label.a == NEG_INF:
@@ -403,7 +407,7 @@ def _reps_on_common_grid(o: Orientation, groups: Sequence[Sequence[Interval]], f
             for ivs in groups]
 
 
-def _overlap_morphism_matrix(o, dom_pack, cod_pack, pairs, field):
+def _overlap_morphism_matrix(dom_pack, cod_pack, pairs, field):
     """Block matrices of the summand-wise truncation maps with the given
     coefficients; pairs maps (dom summand index, cod summand index) to a
     scalar."""
@@ -452,7 +456,7 @@ def proj_presentation(o: Orientation, iv: Interval, field=QQ) -> ProjPresentatio
             if chain[right][2] == 0:
                 pairs[(i, chain[right][3])] = field.neg(one)
                 break
-    realized = _overlap_morphism_matrix(o, dom_pack, cod_pack, pairs, field)
+    realized = _overlap_morphism_matrix(dom_pack, cod_pack, pairs, field)
     for c in range(realized.dom.ncells):
         if rank(realized.mats[c]) < realized.dom.dims[c]:
             raise InternalInvariantError("presentation map is not injective cellwise")
@@ -523,15 +527,6 @@ def _symbolic_interval(iv: Interval, t0: Fraction, letter: str) -> str:
     return f"{lb}{lo_s}, {hi_s}{rb}"
 
 
-def _symbolic_label(label: ProjectiveLabel, t0: Fraction, letter: str) -> str:
-    s = letter if label.a == t0 else format_extreal(label.a)
-    if label.form == POINT:
-        return f"P_{s}"
-    if label.form == OPEN_RIGHT:
-        return f"P_{s})"
-    return f"P_({s}"
-
-
 def projectives_table(o: Orientation, window: Optional[tuple] = None) -> list[tuple[str, str, object]]:
     """All indecomposable projective forms: one row per critical-point label
     and one symbolic row per family over each open segment.  Returns
@@ -584,6 +579,6 @@ def projectives_table(o: Orientation, window: Optional[tuple] = None) -> list[tu
             sup = realize_projective(o, lab)
             if sup is not None:
                 rows.append((_symbolic_interval(sup, t0, letter),
-                             _symbolic_label(lab, t0, letter), sup))
+                             _format_label("P", form, letter), sup))
     rows.sort(key=lambda r: r[2].sort_key())
     return rows

@@ -14,7 +14,7 @@ from .intervals import BarMultiset, Interval, format_extreal, parse_extreal
 from .linalg import Matrix, PrimeField, QQ
 from .orientation import (Orientation, orientation_from_json,
                           orientation_to_json)
-from .tamerep import DOWN, TameRep, UP, junction_dir, num_cells
+from .tamerep import DOWN, TameRep, UP, num_cells
 
 
 class SchemaError(ValueError):

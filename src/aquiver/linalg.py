@@ -367,15 +367,6 @@ class SpanTracker:
     def try_add(self, vec: Sequence) -> bool:
         return _reduce_against(self.field, self._ech, vec) is not None
 
-    def contains(self, vec: Sequence) -> bool:
-        z = self.field.zero()
-        v = list(vec)
-        for piv, row in self._ech:
-            if v[piv] != z:
-                c = v[piv]
-                v = [self.field.sub(a, self.field.mul(c, b)) for a, b in zip(v, row)]
-        return all(a == z for a in v)
-
     @property
     def dim(self) -> int:
         return len(self._ech)

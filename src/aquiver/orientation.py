@@ -86,14 +86,6 @@ class Orientation:
         return f"A_R({inner})"
 
 
-def increasing_at(o: Orientation, x) -> bool:
-    """True when the order agrees with <= on the segment around non-critical x."""
-    x = Fraction(x)
-    if o.is_critical(x):
-        raise ValueError("direction at a critical point depends on the side")
-    return _increasing_interior(o, x)
-
-
 def increasing_on_side(o: Orientation, c, side: Literal["left", "right"]) -> bool:
     """Segment direction immediately left/right of a grid point c."""
     c = Fraction(c)
@@ -204,12 +196,6 @@ def down_set_limit(o: Orientation, end: ExtReal) -> Optional[Interval]:
             return None
         return Interval(seg.lo, POS_INF, is_finite(seg.lo), False)
     raise ValueError("end must be +inf or -inf")
-
-
-def end_is_below(o: Orientation, end: ExtReal) -> bool:
-    """True when points near the infinite end precede the rest of their
-    segment (the end plays the sink role)."""
-    return down_set_limit(o, end) is not None
 
 
 def reverse(o: Orientation) -> Orientation:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .intervals import (BarMultiset, ExtReal, Interval, NEG_INF, POS_INF,
                         is_finite)
@@ -111,6 +111,11 @@ def junction_dir(o: Orientation, grid: Sequence[Fraction], j: int) -> str:
     return DOWN if increasing_on_side(o, c, side) else UP
 
 
+def junction_cells(d: str, j: int) -> tuple[int, int]:
+    """(source cell, target cell) of the map at junction j in direction d."""
+    return (j + 1, j) if d == DOWN else (j, j + 1)
+
+
 # ---------------------------------------------------------------------------
 # the representation type
 
@@ -165,12 +170,6 @@ class TameRep:
 
     def total_dim(self) -> int:
         return sum(self.dims)
-
-    def support_hull(self) -> Optional[Interval]:
-        nz = [i for i, d in enumerate(self.dims) if d > 0]
-        if not nz:
-            return None
-        return cells_to_interval(self.grid, nz[0], nz[-1])
 
     def __eq__(self, other):
         return (isinstance(other, TameRep)
@@ -234,7 +233,7 @@ def rep_from_interval_list(o: Orientation, ivs: Sequence[Interval], field=QQ,
     maps, dirs = [], []
     for j in range(2 * len(grid)):
         d = junction_dir(o, grid, j)
-        src, tgt = (j + 1, j) if d == DOWN else (j, j + 1)
+        src, tgt = junction_cells(d, j)
         rows = []
         for r_iv in slots[tgt]:
             rows.append([one if c_iv == r_iv else zero for c_iv in slots[src]])
@@ -330,8 +329,7 @@ def restrict(v: TameRep, j_iv: Interval) -> TameRep:
     dims = [d if k else 0 for d, k in zip(w.dims, keep)]
     maps = []
     for j in range(len(w.maps)):
-        d = w.dirs[j]
-        src, tgt = (j + 1, j) if d == DOWN else (j, j + 1)
+        src, tgt = junction_cells(w.dirs[j], j)
         if keep[src] and keep[tgt]:
             maps.append(w.maps[j])
         else:
@@ -347,8 +345,7 @@ def conjugate(v: TameRep, cell_mats: Sequence[Matrix]) -> TameRep:
     invs = [invert(g) for g in cell_mats]
     maps = []
     for j in range(len(v.maps)):
-        d = v.dirs[j]
-        src, tgt = (j + 1, j) if d == DOWN else (j, j + 1)
+        src, tgt = junction_cells(v.dirs[j], j)
         maps.append(cell_mats[tgt].matmul(v.maps[j]).matmul(invs[src]))
     return TameRep(v.orientation, v.field, v.grid, v.dims, maps, v.dirs)
 
@@ -388,8 +385,7 @@ class RepMorphism:
 
     def commutes(self) -> bool:
         for j in range(len(self.dom.maps)):
-            d = self.dom.dirs[j]
-            src, tgt = (j + 1, j) if d == DOWN else (j, j + 1)
+            src, tgt = junction_cells(self.dom.dirs[j], j)
             lhs = self.mats[tgt].matmul(self.dom.maps[j])
             rhs = self.cod.maps[j].matmul(self.mats[src])
             if lhs != rhs:
@@ -419,11 +415,6 @@ def identity_morphism(v: TameRep) -> RepMorphism:
     return RepMorphism(v, v, [Matrix.identity(v.field, d) for d in v.dims], validate=False)
 
 
-def zero_morphism(dom: TameRep, cod: TameRep) -> RepMorphism:
-    mats = [Matrix.zero(dom.field, cod.dims[c], dom.dims[c]) for c in range(dom.ncells)]
-    return RepMorphism(dom, cod, mats, validate=False)
-
-
 def _subrep_from_embeddings(parent: TameRep, embeds: list[Matrix]) -> TameRep:
     """Build the representation carried by cellwise subspaces (columns of
     embeds) that are closed under the junction maps."""
@@ -431,8 +422,7 @@ def _subrep_from_embeddings(parent: TameRep, embeds: list[Matrix]) -> TameRep:
     dims = [e.ncols for e in embeds]
     maps = []
     for j in range(len(parent.maps)):
-        d = parent.dirs[j]
-        src, tgt = (j + 1, j) if d == DOWN else (j, j + 1)
+        src, tgt = junction_cells(parent.dirs[j], j)
         pushed = parent.maps[j].matmul(embeds[src])
         x = solve_matrix(embeds[tgt], pushed)
         if x is None:
@@ -480,8 +470,7 @@ def cokernel_rep(f: RepMorphism) -> tuple[TameRep, list[Matrix]]:
         dims.append(q)
     maps = []
     for j in range(len(cod.maps)):
-        d = cod.dirs[j]
-        src, tgt = (j + 1, j) if d == DOWN else (j, j + 1)
+        src, tgt = junction_cells(cod.dirs[j], j)
         # induced map on quotients: lift, push through, project
         proj_src = projs[src]
         # lift: pseudo-inverse via solving proj_src * L = I on the chosen complement

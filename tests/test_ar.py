@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_orientation
+from conftest import random_bars, random_orientation
 from aquiver.ar import (ARAnswer, EXISTS, OUT_OF_PAPER_SCOPE,
-                        PROVEN_NONEXISTENT, _realize_sequence, ar_ending_at,
-                        ar_starting_at, standard_probes, verify_almost_split)
+                        PROVEN_NONEXISTENT, _exists_colift, _exists_lift,
+                        _realize_sequence, ar_ending_at, ar_starting_at,
+                        standard_probes, verify_almost_split)
+from aquiver.homological import hom_basis
 from aquiver.intervals import Interval, NEG_INF, POS_INF
-from aquiver.linalg import QQ
+from aquiver.linalg import Matrix, PrimeField, QQ
 from aquiver.orientation import Orientation, segment_index
+from aquiver.tamerep import (RepMorphism, from_bars, identity_morphism, refine,
+                             scramble)
 
 ZIGZAG = Orientation.make([(0, "sink"), (1, "source")])
 EMPTY_DESC = Orientation.make([], "descending")
@@ -110,3 +114,60 @@ def test_random_orientations_existence(rng):
         ans = ar_ending_at(o, w)
         assert ans.status == EXISTS
         assert verify_almost_split(ans.sequence, standard_probes(o, ans.sequence, 12))
+
+
+# ---------------------------------------------------------------------------
+# lift / colift existence
+
+def _three_reps(rng, o, field):
+    """Three scrambled representations refined onto one grid."""
+    reps = [scramble(from_bars(o, random_bars(rng, max_bars=3, max_mult=2), field), s)
+            for s in range(3)]
+    pts = set().union(*(r.grid for r in reps))
+    return [refine(r, pts) for r in reps]
+
+
+def _random_morphism(rng, v, w):
+    """A random combination of the hom_basis of v -> w."""
+    field = v.field
+    mats = [Matrix.zero(field, w.dims[c], v.dims[c]) for c in range(v.ncells)]
+    for phi in hom_basis(v, w):
+        k = field.from_int(rng.randint(-2, 2))
+        mats = [m.add(p.scale(k)) for m, p in zip(mats, phi.mats)]
+    return RepMorphism(v, w, mats)
+
+
+def _zero_morphism(v, w):
+    return RepMorphism(v, w, [Matrix.zero(v.field, w.dims[c], v.dims[c])
+                              for c in range(v.ncells)])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_composites_lift_and_colift(rng, field):
+    nonzero = 0
+    for _ in range(12):
+        x, m, y = _three_reps(rng, random_orientation(rng, max_criticals=2), field)
+        g = _random_morphism(rng, m, y)
+        h = _random_morphism(rng, x, m)
+        phi = g.compose(h)
+        assert _exists_lift(g, phi)
+        f = _random_morphism(rng, x, m)
+        k = _random_morphism(rng, m, y)
+        psi = k.compose(f)
+        assert _exists_colift(f, psi)
+        nonzero += (not phi.is_zero()) + (not psi.is_zero())
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_nonzero_map_does_not_factor_through_zero(rng, field):
+    checked = 0
+    for _ in range(12):
+        x, m, y = _three_reps(rng, random_orientation(rng, max_criticals=2), field)
+        if not y.is_zero():
+            assert not _exists_lift(_zero_morphism(m, y), identity_morphism(y))
+            checked += 1
+        if not x.is_zero():
+            assert not _exists_colift(_zero_morphism(x, m), identity_morphism(x))
+            checked += 1
+    assert checked > 0

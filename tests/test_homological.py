@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import interval_in_segment, random_bars, random_interval, random_orientation
+from oracle import end_basis
 from aquiver.decompose import InternalInvariantError, decompose
 from aquiver.homological import (FiltrationReport, InjectiveLabel, OPEN_LEFT,
                                  OPEN_RIGHT, POINT, ProjectiveLabel,
@@ -14,7 +15,7 @@ from aquiver.homological import (FiltrationReport, InjectiveLabel, OPEN_LEFT,
                                  proj_presentation, projectives_table,
                                  realize_projective, refine_morphism)
 from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF
-from aquiver.linalg import QQ, Matrix, rank
+from aquiver.linalg import QQ, Matrix, PrimeField, rank
 from aquiver.orientation import (Orientation, down_set, leq, reverse,
                                  segment_index, up_set)
 from aquiver.tamerep import (RepMorphism, cokernel_rep, direct_sum, from_bars,
@@ -67,6 +68,14 @@ def test_hom_space_dim_additivity(rng):
         expect = sum(m1 * m2 * hom_dim(o, i1, i2)
                      for i1, m1 in b1 for i2, m2 in b2)
         assert hom_space_dim(v, w) == expect
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_hom_space_dim_matches_oracle_end_basis(rng, field):
+    for seed in range(8):
+        o = random_orientation(rng)
+        v = scramble(from_bars(o, random_bars(rng, max_bars=3, max_mult=2), field), seed)
+        assert hom_space_dim(v, v) == len(end_basis(v))
 
 
 def test_hom_against_zero():

@@ -1,0 +1,52 @@
+"""Every function and class defined in the library is used somewhere.
+
+A name counts as used when it appears as a token in src/aquiver or tests
+at least once more than it is defined.  Dunder methods are called by the
+interpreter, and click commands are reached through the command group, so
+both are exempt.
+"""
+
+import ast
+import io
+import tokenize
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "aquiver"
+
+
+def _is_click_command(node) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group")
+               for d in node.decorator_list)
+
+
+def _definitions() -> Counter:
+    defs = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if _is_click_command(node):
+                    continue
+                defs[name] += 1
+    return defs
+
+
+def _name_tokens() -> Counter:
+    tokens = Counter()
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+        src = path.read_text(encoding="utf-8")
+        for tok in tokenize.generate_tokens(io.StringIO(src).readline):
+            if tok.type == tokenize.NAME:
+                tokens[tok.string] += 1
+    return tokens
+
+
+def test_every_library_function_and_class_has_a_use():
+    tokens = _name_tokens()
+    dead = sorted(name for name, n in _definitions().items() if tokens[name] <= n)
+    assert not dead, f"defined in src/aquiver but never used: {', '.join(dead)}"
