@@ -151,7 +151,7 @@ def indecomposable_direct(v: TameRep) -> bool:
     if nz[-1] - nz[0] + 1 != len(nz):
         return False
     for j in range(nz[0], nz[-1]):
-        if v.maps[j].rows[0][0] == v.field.zero():
+        if not v.maps[j].rows[0][0]:
             return False
     return True
 

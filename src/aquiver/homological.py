@@ -143,7 +143,7 @@ def _morphism_system(v: TameRep, w: TameRep, fixed=()) -> tuple[Matrix, list, li
         else:
             base, stride, coefs = offsets[c] + r * n, 1, [x[s] for x in right.rows]
         for t, coef in enumerate(coefs):
-            if coef != z:
+            if coef:
                 row[base + t * stride] = field.neg(coef) if negate else coef
 
     rows, rhs = [], []

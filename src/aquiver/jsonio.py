@@ -21,6 +21,12 @@ class SchemaError(ValueError):
     """Malformed input document."""
 
 
+# What parsing numbers and nested JSON values raises on malformed input,
+# besides KeyError/TypeError/ValueError: Fraction("1/0") raises
+# ZeroDivisionError, int(inf) and Fraction(inf) raise OverflowError.
+_MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
+
+
 def parse_field(obj) -> object:
     if obj is None:
         return QQ
@@ -29,7 +35,10 @@ def parse_field(obj) -> object:
             return QQ
         m = re.fullmatch(r"Fp:(\d+)", obj)
         if m:
-            return PrimeField(int(m.group(1)))
+            try:
+                return PrimeField(int(m.group(1)))
+            except ValueError as e:
+                raise SchemaError(f"bad prime field: {e}")
         raise SchemaError(f"unknown field {obj!r} (use Q or Fp:<p>)")
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("field must be {\"kind\":\"Q\"} or {\"kind\":\"Fp\",\"p\":...}")
@@ -38,7 +47,7 @@ def parse_field(obj) -> object:
     if obj["kind"] == "Fp":
         try:
             return PrimeField(int(obj["p"]))
-        except (KeyError, ValueError) as e:
+        except _MALFORMED as e:
             raise SchemaError(f"bad prime field: {e}")
     raise SchemaError(f"unknown field kind {obj['kind']!r}")
 
@@ -66,7 +75,7 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
         grid = [Fraction(s) for s in obj["grid"]]
         dims = [int(d) for d in obj["dims"]]
         maps_json = obj["maps"]
-    except (KeyError, TypeError, ValueError) as e:
+    except _MALFORMED as e:
         raise SchemaError(f"bad tame object: {e}")
     if len(dims) != num_cells(grid):
         raise SchemaError(f"tame object needs {num_cells(grid)} dims for {len(grid)} grid points")
@@ -84,7 +93,7 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
             raise SchemaError(f"map {j}: entries must be {nrows}x{ncols}")
         try:
             rows = [[field.parse(x) for x in r] for r in entries]
-        except ValueError as e:
+        except _MALFORMED as e:
             raise SchemaError(f"map {j}: {e}")
         maps.append(Matrix(field, nrows, ncols, rows))
         dirs.append(d)
@@ -117,10 +126,7 @@ def parse_document(text: str) -> Document:
         raise SchemaError("document must be a JSON object")
     if "orientation" not in obj:
         raise SchemaError("document needs an \"orientation\"")
-    try:
-        o = orientation_from_json(obj["orientation"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"bad orientation: {e}")
+    o = _parse_orientation(obj["orientation"])
     field = parse_field(obj.get("field"))
     has_bars = "bars" in obj
     has_tame = "tame" in obj
@@ -130,7 +136,7 @@ def parse_document(text: str) -> Document:
     if has_bars:
         try:
             doc.bars = BarMultiset.from_json(obj["bars"])
-        except (KeyError, TypeError, ValueError) as e:
+        except _MALFORMED as e:
             raise SchemaError(f"bad bars: {e}")
     elif has_tame:
         doc.tame = tame_from_json(o, obj["tame"], field)
@@ -149,9 +155,15 @@ def parse_orientation_file(text: str) -> Orientation:
         raise SchemaError("orientation file must be a JSON object")
     if "orientation" in obj:
         obj = obj["orientation"]
+    return _parse_orientation(obj)
+
+
+def _parse_orientation(obj) -> Orientation:
+    if not isinstance(obj, dict):
+        raise SchemaError("orientation must be a JSON object")
     try:
         return orientation_from_json(obj)
-    except (KeyError, TypeError, ValueError) as e:
+    except _MALFORMED as e:
         raise SchemaError(f"bad orientation: {e}")
 
 
@@ -177,7 +189,7 @@ def parse_interval(text: str) -> Interval:
         return Interval(lo, hi, lb == "[", rb == "]")
     except SchemaError:
         raise
-    except ValueError as e:
+    except _MALFORMED as e:
         raise SchemaError(f"cannot parse interval {text!r}: {e}")
 
 

@@ -2,8 +2,14 @@
 
 Everything here is bit-exact: rationals are ``fractions.Fraction`` and
 prime-field elements are ints in ``range(p)``.  No floating point enters
-anywhere.  Matrices are small (desk scale), so plain row-list Gaussian
-elimination is the right tool.
+anywhere.  Matrices are dense row lists; the scalar arithmetic of
+elimination and products runs inside one row operation per field,
+``field.axpy(dst, c, pairs)``, which adds c times a sparse row, given as
+its nonzero (column, value) pairs, to a dense row.  Elimination collects
+each pivot row's nonzero pairs once, so every other row touches only those
+columns; products collect the nonzero pairs of the right factor's rows.
+Zero tests are truthiness tests: a Fraction or an int is falsy exactly at
+zero.
 """
 
 from __future__ import annotations
@@ -41,6 +47,11 @@ class RationalField:
     def inv(self, a):
         return 1 / a
 
+    def axpy(self, dst, c, pairs):
+        """dst[j] += c * b for each (j, b) in pairs."""
+        for j, b in pairs:
+            dst[j] += c * b
+
     def parse(self, s: str):
         return Fraction(s)
 
@@ -59,13 +70,47 @@ class RationalField:
         return "QQ"
 
 
+# Miller-Rabin with the first twelve primes as bases is exact below
+# 318665857834031151167461, the least strong pseudoprime to all twelve
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_PRIME = 318665857834031151167460
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= n <= MAX_PRIME."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """F_p for a prime p; scalars are ints reduced mod p."""
+    """F_p for a prime p <= MAX_PRIME; scalars are ints reduced mod p."""
 
     kind = "Fp"
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p > MAX_PRIME:
+            raise ValueError(f"prime too large: p must be at most {MAX_PRIME}")
+        if not _is_prime(p):
             raise ValueError(f"not a prime: {p}")
         self.p = p
 
@@ -94,6 +139,12 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
+
+    def axpy(self, dst, c, pairs):
+        """dst[j] = (dst[j] + c * b) mod p for each (j, b) in pairs."""
+        p = self.p
+        for j, b in pairs:
+            dst[j] = (dst[j] + c * b) % p
 
     def parse(self, s: str):
         return int(s) % self.p
@@ -167,17 +218,13 @@ class Matrix:
             raise ValueError("shape mismatch in matmul")
         f = self.field
         z = f.zero()
+        other_pairs = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
         out = []
-        for i in range(self.nrows):
-            arow = self.rows[i]
-            orow = []
-            for j in range(other.ncols):
-                acc = z
-                for k in range(self.ncols):
-                    a = arow[k]
-                    if a != z:
-                        acc = f.add(acc, f.mul(a, other.rows[k][j]))
-                orow.append(acc)
+        for arow in self.rows:
+            orow = [z] * other.ncols
+            for k, a in enumerate(arow):
+                if a:
+                    f.axpy(orow, a, other_pairs[k])
             out.append(orow)
         return Matrix(f, self.nrows, other.ncols, out)
 
@@ -185,14 +232,10 @@ class Matrix:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         f = self.field
-        z = f.zero()
-        out = []
-        for row in self.rows:
-            acc = z
-            for a, x in zip(row, vec):
-                if a != z and x != z:
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
+        out = [f.zero()] * self.nrows
+        for k, x in enumerate(vec):
+            if x:
+                f.axpy(out, x, [(i, row[k]) for i, row in enumerate(self.rows) if row[k]])
         return out
 
     def add(self, other: "Matrix") -> "Matrix":
@@ -206,8 +249,7 @@ class Matrix:
         return Matrix(f, self.nrows, self.ncols, [[f.mul(c, a) for a in r] for r in self.rows])
 
     def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(a == z for r in self.rows for a in r)
+        return not any(any(r) for r in self.rows)
 
     def copy_rows(self) -> list:
         return [list(r) for r in self.rows]
@@ -221,43 +263,37 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}, {self.rows!r})"
 
 
+def _to_unit(field, row: list, lead: int, pairs: list) -> list:
+    """Scale row in place so that row[lead] becomes one; pairs are its
+    nonzero (index, value) pairs, and the scaled pairs are returned."""
+    one = field.one()
+    if row[lead] == one:
+        return pairs
+    # row += (1/row[lead] - 1) * row
+    field.axpy(row, field.sub(field.inv(row[lead]), one), pairs)
+    return [(j, row[j]) for j, _ in pairs]
+
+
 def _row_echelon(field, rows: list) -> tuple[list, list]:
     """In-place reduction to reduced row echelon form; returns
-    (rows, pivot column list).  Skips zero entries aggressively, since the
-    commuting-square systems this feeds on are sparse."""
-    z = field.zero()
-    one = field.one()
-    mul, sub, inv_ = field.mul, field.sub, field.inv
+    (rows, pivot column list).  Each pivot row's nonzero entries are
+    collected once, so eliminating it from another row costs one row
+    operation over those entries only."""
+    neg, axpy = field.neg, field.axpy
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != z:
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         row_r = rows[r]
-        if row_r[c] != one:
-            inv = inv_(row_r[c])
-            for idx in range(c, ncols):
-                if row_r[idx] != z:
-                    row_r[idx] = mul(inv, row_r[idx])
-        for i in range(nrows):
-            if i == r:
-                continue
-            factor = rows[i][c]
-            if factor == z:
-                continue
-            row_i = rows[i]
-            for idx in range(c, ncols):
-                b = row_r[idx]
-                if b != z:
-                    row_i[idx] = sub(row_i[idx], mul(factor, b))
+        pairs = _to_unit(field, row_r, c, [(j, b) for j in range(c, ncols) if (b := row_r[j])])
+        for row in [row for row in rows if row[c]]:
+            if row is not row_r:
+                axpy(row, neg(row[c]), pairs)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -275,7 +311,8 @@ def kernel_basis(m: Matrix) -> Matrix:
     f = m.field
     rows, pivots = _row_echelon(f, m.copy_rows())
     z, o = f.zero(), f.one()
-    free = [c for c in range(m.ncols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(m.ncols) if c not in pivot_set]
     cols = []
     for fc in free:
         vec = [z] * m.ncols
@@ -333,28 +370,27 @@ def column_space_basis(m: Matrix) -> Matrix:
     ech: list = []
     for j in range(m.ncols):
         col = m.column(j)
-        if _reduce_against(f, ech, col) is not None:
+        if _reduce_against(f, ech, col):
             keep.append(col)
     return Matrix.from_columns(f, m.nrows, keep)
 
 
-def _reduce_against(field, ech: list, vec: Sequence) -> Optional[list]:
-    """Reduce vec against an echelon list of (pivot index, row); if a nonzero
-    residual remains, insert it and return it, else return None."""
-    z = field.zero()
+def _reduce_against(field, ech: list, vec: Sequence) -> bool:
+    """Reduce vec against an echelon list of (pivot index, nonzero pairs of
+    a row with a one at the pivot); if a nonzero residual remains, insert
+    it and return True, else return False."""
     v = list(vec)
-    for piv, row in ech:
-        if v[piv] != z:
-            c = v[piv]
-            v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
-    for i, a in enumerate(v):
-        if a != z:
-            inv = field.inv(a)
-            v = [field.mul(inv, x) for x in v]
-            ech.append((i, v))
-            ech.sort(key=lambda t: t[0])
-            return v
-    return None
+    for piv, pairs in ech:
+        c = v[piv]
+        if c:
+            field.axpy(v, field.neg(c), pairs)
+    pairs = [(j, a) for j, a in enumerate(v) if a]
+    if not pairs:
+        return False
+    lead = pairs[0][0]
+    ech.append((lead, _to_unit(field, v, lead, pairs)))
+    ech.sort(key=lambda t: t[0])
+    return True
 
 
 class SpanTracker:
@@ -365,7 +401,7 @@ class SpanTracker:
         self._ech: list = []
 
     def try_add(self, vec: Sequence) -> bool:
-        return _reduce_against(self.field, self._ech, vec) is not None
+        return _reduce_against(self.field, self._ech, vec)
 
     @property
     def dim(self) -> int:
@@ -387,30 +423,18 @@ def bottom_column_echelon(field, cols: list) -> list[int]:
 
     Columns must be independent.  Used to refine a flag against a subspace.
     """
-    z = field.zero()
-    used: dict[int, int] = {}
+    used: dict[int, list] = {}  # pivot row -> nonzero pairs of its column
     pivots = [-1] * len(cols)
-    for j in range(len(cols)):
-        col = cols[j]
+    for j, col in enumerate(cols):
         while True:
-            low = -1
-            for i in range(len(col) - 1, -1, -1):
-                if col[i] != z:
-                    low = i
-                    break
+            low = next((i for i in range(len(col) - 1, -1, -1) if col[i]), -1)
             if low == -1:
                 raise ValueError("dependent columns in bottom_column_echelon")
             if low not in used:
-                inv = field.inv(col[low])
-                if col[low] != field.one():
-                    col = [field.mul(inv, a) for a in col]
-                cols[j] = col
-                used[low] = j
+                used[low] = _to_unit(field, col, low, [(i, a) for i, a in enumerate(col) if a])
                 pivots[j] = low
                 break
-            other = cols[used[low]]
-            c = col[low]
-            col = [field.sub(a, field.mul(c, b)) for a, b in zip(col, other)]
+            field.axpy(col, field.neg(col[low]), used[low])
     return pivots
 
 
@@ -430,7 +454,7 @@ def random_invertible(field, n: int, rng) -> Matrix:
         j = rng.randrange(n)
         if op == 0 and i != j:
             c = rng.choice(coeffs)
-            rows[i] = [field.add(a, field.mul(c, b)) for a, b in zip(rows[i], rows[j])]
+            field.axpy(rows[i], c, [(k, b) for k, b in enumerate(rows[j]) if b])
         elif op == 1 and i != j:
             rows[i], rows[j] = rows[j], rows[i]
         else:

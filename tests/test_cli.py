@@ -158,3 +158,58 @@ def test_byte_determinism_across_runs(runner, tmp_path):
     f = _write(tmp_path, "doc.json", BARS_DOC)
     outs = {runner.invoke(main, ["decompose", f, "--json"]).output for _ in range(3)}
     assert len(outs) == 1
+
+
+def _assert_clean_exit_2(res):
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: ")
+    assert res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr and "Traceback" not in res.stdout
+
+
+@pytest.mark.parametrize("spec", ["Fp:1", "Fp:4", "Fp:561", "Fp:" + str(10**24),
+                                  "Fp:" + str(10**400 + 1)],
+                         ids=["1", "4", "561", "1e24", "1e400+1"])
+def test_bad_prime_field_exits_2(runner, tmp_path, spec):
+    f = _write(tmp_path, "o.json", EMPTY_ORIENTATION)
+    _assert_clean_exit_2(runner.invoke(main, ["hom", f, "[0,1)", "[0,1)", "--field", spec]))
+
+
+def test_large_prime_field_accepted(runner, tmp_path):
+    f = _write(tmp_path, "o.json", EMPTY_ORIENTATION)
+    res = runner.invoke(main, ["hom", f, "[0,1)", "[0,1)", "--field", f"Fp:{2**61 - 1}"])
+    assert res.exit_code == 0
+
+
+@pytest.mark.parametrize("args", [["hom", "[0,1/0)", "[0,1)"], ["hom", "[0,1)", "(1/0,2]"],
+                                  ["present", "{-inf}"], ["present", "{+inf}"],
+                                  ["present", "{1/0}"]])
+def test_bad_interval_literal_exits_2(runner, tmp_path, args):
+    f = _write(tmp_path, "o.json", EMPTY_ORIENTATION)
+    _assert_clean_exit_2(runner.invoke(main, [args[0], f] + args[1:]))
+
+
+@pytest.mark.parametrize("orientation", [[1], "descending", 3, None])
+def test_orientation_not_an_object_exits_2(runner, tmp_path, orientation):
+    f = _write(tmp_path, "o.json", {"orientation": orientation})
+    _assert_clean_exit_2(runner.invoke(main, ["hom", f, "[0,1)", "[0,1)"]))
+    d = _write(tmp_path, "d.json", {"orientation": orientation, "bars": []})
+    _assert_clean_exit_2(runner.invoke(main, ["decompose", d]))
+
+
+@pytest.mark.parametrize("doc", [
+    {"orientation": EMPTY_ORIENTATION, "field": {"kind": "Fp", "p": None}, "bars": []},
+    {"orientation": EMPTY_ORIENTATION, "field": {"kind": "Fp", "p": 4}, "bars": []},
+    {"orientation": {"criticals": [{"pos": "1/0", "kind": "sink"}]}, "bars": []},
+    {"orientation": EMPTY_ORIENTATION,
+     "bars": [{"lo": "0", "lo_closed": True, "hi": "1/0", "hi_closed": False, "mult": 1}]},
+    {"orientation": EMPTY_ORIENTATION,
+     "tame": {"grid": ["1/0"], "dims": [0, 0, 0], "maps": []}},
+    {"orientation": EMPTY_ORIENTATION,
+     "tame": {"grid": ["0"], "dims": [1, 1, 1],
+              "maps": [{"dir": "down", "entries": [["1/0"]]},
+                       {"dir": "down", "entries": [["1"]]}]}},
+], ids=["p-null", "p-composite", "critical-1/0", "bar-1/0", "grid-1/0", "entry-1/0"])
+def test_malformed_numbers_in_documents_exit_2(runner, tmp_path, doc):
+    f = _write(tmp_path, "d.json", doc)
+    _assert_clean_exit_2(runner.invoke(main, ["decompose", f]))

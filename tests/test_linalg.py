@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from aquiver.linalg import (Matrix, PrimeField, QQ, bottom_column_echelon,
-                            column_space_basis, invert, kernel_basis,
-                            random_invertible, rank, solve_linear_system,
-                            solve_matrix)
+from aquiver.linalg import (MAX_PRIME, Matrix, PrimeField, QQ, _row_echelon,
+                            bottom_column_echelon, column_space_basis, invert,
+                            kernel_basis, random_invertible, rank,
+                            solve_linear_system, solve_matrix)
 
 F5 = PrimeField(5)
 
@@ -88,8 +88,229 @@ def test_prime_field_rejects_composites():
         PrimeField(6)
 
 
+def test_prime_field_miller_rabin():
+    for p in (2, 3, 7919, 2**61 - 1, 2**64 - 59):
+        assert PrimeField(p).p == p
+    # 561 is a Carmichael number; 3825123056546413051 is a strong
+    # pseudoprime to every prime base up to 31, caught only by base 37
+    for n in (0, 1, 4, 561, 3825123056546413051, MAX_PRIME):
+        with pytest.raises(ValueError, match="not a prime"):
+            PrimeField(n)
+    # the first strong pseudoprime to all twelve bases, and beyond
+    for n in (MAX_PRIME + 1, 10**24, 10**400 + 1):
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(n)
+
+
+def test_prime_field_matches_sieve():
+    n = 3000
+    sieve = [True] * n
+    sieve[0] = sieve[1] = False
+    for i in range(2, n):
+        if sieve[i]:
+            for j in range(i * i, n, i):
+                sieve[j] = False
+    for k in range(n):
+        try:
+            PrimeField(k)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == sieve[k], k
+
+
 def test_exactness_no_floats():
     a = mat([[1, 3], [2, 7]])
     sol, _ = solve_linear_system(a, [Fraction(1, 3), Fraction(2, 5)])
     assert all(isinstance(x, Fraction) for x in sol)
     assert a.apply(sol) == [Fraction(1, 3), Fraction(2, 5)]
+
+
+# ---------------------------------------------------------------------------
+# Parity with a textbook Gauss-Jordan elimination.  The reference below uses
+# only the scalar field operations and nothing from linalg except Matrix.
+
+PARITY_FIELDS = [QQ, PrimeField(2), F5, PrimeField(7919)]
+PARITY_IDS = ["Q", "F2", "F5", "F7919"]
+
+
+def textbook_rref(field, rows):
+    rows = [list(r) for r in rows]
+    z = field.zero()
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if rows[i][c] != z:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, a) for a in rows[r]]
+        for i in range(nrows):
+            factor = rows[i][c]
+            if i != r and factor != z:
+                rows[i] = [field.sub(a, field.mul(factor, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def naive_matmul(field, a, b, ncols):
+    """a times b, where b has ncols columns."""
+    return [[_naive_dot(field, arow, [brow[j] for brow in b]) for j in range(ncols)]
+            for arow in a]
+
+
+def _naive_dot(field, xs, ys):
+    acc = field.zero()
+    for x, y in zip(xs, ys):
+        acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
+def _random_scalar(field, rng):
+    if field.kind == "Q":
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return field.from_int(rng.randrange(field.p))
+
+
+def _random_sparse(field, rng, nrows, ncols):
+    """Sparse rows, some of them combinations of earlier rows, so that the
+    rank is often below both dimensions."""
+    density = rng.choice((0.0, 0.05, 0.15, 0.4))
+    z = field.zero()
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.25:
+            c1, c2 = _random_scalar(field, rng), _random_scalar(field, rng)
+            r1, r2 = rng.choice(rows), rng.choice(rows)
+            rows.append([field.add(field.mul(c1, a), field.mul(c2, b)) for a, b in zip(r1, r2)])
+        else:
+            rows.append([_random_scalar(field, rng) if rng.random() < density else z
+                         for _ in range(ncols)])
+    return Matrix(field, nrows, ncols, rows)
+
+
+def _parity_cases(field, seed, count=16):
+    rng = random.Random(seed)
+    yield rng, Matrix.zero(field, 6, 9)
+    shapes = [(0, 0), (0, 7), (7, 0), (5, 5)]
+    shapes += [(rng.randint(1, 40), rng.randint(1, 60)) for _ in range(count - len(shapes))]
+    for nrows, ncols in shapes:
+        yield rng, _random_sparse(field, rng, nrows, ncols)
+
+
+def _assert_exact(field, values):
+    for x in values:
+        if field.kind == "Q":
+            assert isinstance(x, Fraction)
+        else:
+            assert type(x) is int and 0 <= x < field.p
+
+
+@pytest.mark.parametrize("field", PARITY_FIELDS, ids=PARITY_IDS)
+def test_row_echelon_matches_textbook(field):
+    for _, m in _parity_cases(field, 11):
+        want_rows, want_pivots = textbook_rref(field, m.rows)
+        got_rows, got_pivots = _row_echelon(field, m.copy_rows())
+        assert got_pivots == want_pivots
+        assert got_rows == want_rows
+        _assert_exact(field, [x for r in got_rows for x in r])
+        assert rank(m) == len(want_pivots)
+        assert column_space_basis(m).ncols == len(want_pivots)
+
+
+@pytest.mark.parametrize("field", PARITY_FIELDS, ids=PARITY_IDS)
+def test_kernel_basis_matches_textbook(field):
+    z, o = field.zero(), field.one()
+    for _, m in _parity_cases(field, 12):
+        ref, pivots = textbook_rref(field, m.rows)
+        want = []
+        for fc in [c for c in range(m.ncols) if c not in pivots]:
+            vec = [z] * m.ncols
+            vec[fc] = o
+            for r, pc in enumerate(pivots):
+                vec[pc] = field.neg(ref[r][fc])
+            want.append(vec)
+        k = kernel_basis(m)
+        assert k.nrows == m.ncols and k.columns() == want
+        _assert_exact(field, [x for col in k.columns() for x in col])
+        prod = naive_matmul(field, m.rows, k.rows, k.ncols)
+        assert all(x == z for r in prod for x in r)
+
+
+@pytest.mark.parametrize("field", PARITY_FIELDS, ids=PARITY_IDS)
+def test_solvers_match_textbook(field):
+    z = field.zero()
+    for rng, m in _parity_cases(field, 13):
+        k = rng.randint(1, 3)
+        if rng.random() < 0.5 and m.ncols:
+            # consistent right-hand sides, in the column space
+            xs = [[_random_scalar(field, rng) for _ in range(k)] for _ in range(m.ncols)]
+            b = naive_matmul(field, m.rows, xs, k)
+        else:
+            b = [[_random_scalar(field, rng) for _ in range(k)] for _ in range(m.nrows)]
+        ref, pivots = textbook_rref(field, [row + brow for row, brow in zip(m.rows, b)])
+        consistent = all(pc < m.ncols for pc in pivots)
+        want = [[z] * k for _ in range(m.ncols)]
+        for r, pc in enumerate(pivots):
+            if pc < m.ncols:
+                want[pc] = ref[r][m.ncols:]
+        # solve_matrix: every column at once
+        got = solve_matrix(m, Matrix(field, m.nrows, k, b))
+        if consistent:
+            assert got.rows == want
+            _assert_exact(field, [x for r in got.rows for x in r])
+        else:
+            assert got is None
+        # solve_linear_system: the first column alone
+        sol, nullity = solve_linear_system(m, [brow[0] for brow in b])
+        col_ref, col_pivots = textbook_rref(field, [row + [brow[0]] for row, brow in zip(m.rows, b)])
+        assert nullity == m.ncols - len([pc for pc in col_pivots if pc < m.ncols])
+        if m.ncols in col_pivots:
+            assert sol is None
+        else:
+            if consistent:
+                assert sol == [r[0] for r in want]
+            _assert_exact(field, sol)
+            assert m.apply(sol) == [brow[0] for brow in b]
+
+
+@pytest.mark.parametrize("field", PARITY_FIELDS, ids=PARITY_IDS)
+def test_matmul_and_apply_match_naive(field):
+    for rng, a in _parity_cases(field, 14):
+        n = rng.randint(0, 30)
+        b = _random_sparse(field, rng, a.ncols, n)
+        got = a.matmul(b)
+        assert (got.nrows, got.ncols) == (a.nrows, n)
+        assert got.rows == naive_matmul(field, a.rows, b.rows, n)
+        _assert_exact(field, [x for r in got.rows for x in r])
+        vec = [_random_scalar(field, rng) if rng.random() < 0.5 else field.zero()
+               for _ in range(a.ncols)]
+        out = a.apply(vec)
+        assert out == [_naive_dot(field, row, vec) for row in a.rows]
+        _assert_exact(field, out)
+
+
+@pytest.mark.parametrize("field", PARITY_FIELDS, ids=PARITY_IDS)
+def test_bottom_column_echelon_spans_and_pivots(field):
+    rng = random.Random(15)
+    for _ in range(20):
+        n = rng.randint(1, 12)
+        g = random_invertible(field, n, rng)
+        cols = [g.column(j) for j in rng.sample(range(n), rng.randint(1, n))]
+        before = Matrix.from_columns(field, n, cols)
+        pivots = bottom_column_echelon(field, cols)
+        assert len(set(pivots)) == len(cols)
+        for col, piv in zip(cols, pivots):
+            assert col[piv] == field.one()
+            assert all(col[i] == field.zero() for i in range(piv + 1, n))
+        _assert_exact(field, [x for col in cols for x in col])
+        # same span: the echelonized columns solve against the originals
+        assert solve_matrix(before, Matrix.from_columns(field, n, cols)) is not None
