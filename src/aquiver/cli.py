@@ -15,12 +15,13 @@ from fractions import Fraction
 import click
 
 from .ar import EXISTS, PROVEN_NONEXISTENT, ar_ending_at, ar_starting_at
-from .decompose import InternalInvariantError, decompose
+from .decompose import decompose
 from .homological import (ProjectiveLabel, ext_dim, hom_dim, proj_presentation,
                           projectives_table, realize_projective)
 from .intervals import format_extreal
-from .jsonio import (SchemaError, Document, document_to_json, parse_document,
-                     parse_field, parse_interval, parse_orientation_file)
+from .jsonio import (_MALFORMED, SchemaError, Document, document_to_json,
+                     parse_document, parse_field, parse_interval,
+                     parse_orientation_file)
 from .tamerep import scramble as scramble_rep
 
 
@@ -44,7 +45,7 @@ def _guard(fn):
         except SchemaError as e:
             click.echo(f"error: {e}", err=True)
             sys.exit(2)
-        except InternalInvariantError as e:
+        except AssertionError as e:  # InternalInvariantError is one too
             click.echo(f"internal invariant violated: {e}", err=True)
             sys.exit(3)
     wrapped.__name__ = fn.__name__
@@ -182,8 +183,10 @@ def cmd_projectives(orientation_file, window, as_json):
         try:
             lo_s, hi_s = window.split(":")
             win = (Fraction(lo_s), Fraction(hi_s))
-        except ValueError as e:
+        except _MALFORMED as e:
             raise SchemaError(f"bad window {window!r}: {e}")
+        if win[0] > win[1]:
+            raise SchemaError(f"bad window {window!r}: lo exceeds hi")
     rows = projectives_table(o, win)
     if as_json:
         _echo_json({"projectives": [{"support": s, "label": l} for s, l, _ in rows]})

@@ -21,10 +21,9 @@ from .intervals import (BarMultiset, ExtReal, Interval, NEG_INF, POS_INF,
 from .linalg import Matrix, QQ, kernel_basis, rank
 from .orientation import (Orientation, Segment, down_set, down_set_limit,
                           reverse, segment_index, segments_touching, up_set)
-from .tamerep import (DOWN, RepMorphism, TameRep, cell_of_point,
-                      cell_representative, common_grid, cells_to_interval,
-                      from_bars, junction_cells, kernel_rep, refine,
-                      rep_from_interval_list, zero_rep)
+from .tamerep import (DOWN, RepMorphism, TameRep, cell_of_point, common_grid,
+                      cells_to_interval, from_bars, junction_cells, kernel_rep,
+                      refine, refined_cells, rep_from_interval_list, zero_rep)
 
 POINT = "point"
 OPEN_RIGHT = "open_right"   # the "x < a" half of the down-set at a
@@ -474,10 +473,7 @@ def _flatten_morphism(f: RepMorphism) -> list:
 def refine_morphism(f: RepMorphism, points) -> RepMorphism:
     dom = refine(f.dom, points)
     cod = refine(f.cod, points)
-    mats = []
-    for c in range(dom.ncells):
-        rep_pt = cell_representative(dom.grid, c)
-        mats.append(f.mats[cell_of_point(f.dom.grid, rep_pt)])
+    mats = [f.mats[c] for c in refined_cells(f.dom.grid, dom.grid)]
     return RepMorphism(dom, cod, mats, validate=False)
 
 

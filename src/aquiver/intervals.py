@@ -24,6 +24,8 @@ def is_finite(x: ExtReal) -> bool:
 
 
 def parse_extreal(s: str) -> ExtReal:
+    if not isinstance(s, str):
+        raise TypeError(f"expected a string such as \"1/2\" or \"-inf\", got {s!r}")
     s = s.strip()
     if s in ("-inf", "-oo"):
         return NEG_INF

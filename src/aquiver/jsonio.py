@@ -27,6 +27,34 @@ class SchemaError(ValueError):
 _MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
 
 
+def _integer(x) -> int:
+    """int(x), refusing booleans and the non-integral floats int() truncates."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"{json.dumps(x)} is not an integer")
+    return int(x)
+
+
+def _load(text: str):
+    """json.loads, refusing true/false anywhere but an interval's closedness
+    flags: elsewhere Python would read them as the numbers 1 and 0."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"line {e.lineno} column {e.colno}: {e.msg}")
+    todo = [(None, obj)]
+    while todo:
+        key, x = todo.pop()
+        if isinstance(x, bool):
+            if key not in ("lo_closed", "hi_closed"):
+                raise SchemaError(f"{json.dumps(x)} where a number or string belongs"
+                                  + (f" (in {key!r})" if key else ""))
+        elif isinstance(x, dict):
+            todo.extend(x.items())
+        elif isinstance(x, list):
+            todo.extend((key, y) for y in x)
+    return obj
+
+
 def parse_field(obj) -> object:
     if obj is None:
         return QQ
@@ -46,7 +74,7 @@ def parse_field(obj) -> object:
         return QQ
     if obj["kind"] == "Fp":
         try:
-            return PrimeField(int(obj["p"]))
+            return PrimeField(_integer(obj["p"]))
         except _MALFORMED as e:
             raise SchemaError(f"bad prime field: {e}")
     raise SchemaError(f"unknown field kind {obj['kind']!r}")
@@ -73,7 +101,7 @@ def tame_to_json(v: TameRep) -> dict:
 def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
     try:
         grid = [Fraction(s) for s in obj["grid"]]
-        dims = [int(d) for d in obj["dims"]]
+        dims = [_integer(d) for d in obj["dims"]]
         maps_json = obj["maps"]
     except _MALFORMED as e:
         raise SchemaError(f"bad tame object: {e}")
@@ -81,6 +109,11 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
         raise SchemaError(f"tame object needs {num_cells(grid)} dims for {len(grid)} grid points")
     if len(maps_json) != 2 * len(grid):
         raise SchemaError(f"tame object needs {2 * len(grid)} maps")
+    if field == QQ:
+        parse = field.parse
+    else:
+        def parse(x):  # an F_p entry is an integer, never truncated
+            return field.parse(_integer(x))
     maps, dirs = [], []
     for j, mj in enumerate(maps_json):
         d = mj.get("dir")
@@ -92,7 +125,7 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
         if len(entries) != nrows or any(len(r) != ncols for r in entries):
             raise SchemaError(f"map {j}: entries must be {nrows}x{ncols}")
         try:
-            rows = [[field.parse(x) for x in r] for r in entries]
+            rows = [[parse(x) for x in r] for r in entries]
         except _MALFORMED as e:
             raise SchemaError(f"map {j}: {e}")
         maps.append(Matrix(field, nrows, ncols, rows))
@@ -118,10 +151,7 @@ class Document:
 
 
 def parse_document(text: str) -> Document:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"line {e.lineno} column {e.colno}: {e.msg}")
+    obj = _load(text)
     if not isinstance(obj, dict):
         raise SchemaError("document must be a JSON object")
     if "orientation" not in obj:
@@ -147,10 +177,7 @@ def parse_document(text: str) -> Document:
 
 def parse_orientation_file(text: str) -> Orientation:
     """Accept either a bare orientation object or a document containing one."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"line {e.lineno} column {e.colno}: {e.msg}")
+    obj = _load(text)
     if not isinstance(obj, dict):
         raise SchemaError("orientation file must be a JSON object")
     if "orientation" in obj:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Literal, Optional
 
@@ -69,12 +70,12 @@ class Orientation:
     def positions(self) -> list[Fraction]:
         return [p for p, _ in self.criticals]
 
+    @cached_property
+    def _kinds(self) -> dict[Fraction, Kind]:
+        return dict(self.criticals)
+
     def kind_at(self, x) -> Optional[Kind]:
-        x = Fraction(x)
-        for p, k in self.criticals:
-            if p == x:
-                return k
-        return None
+        return self._kinds.get(Fraction(x))
 
     def is_critical(self, x) -> bool:
         return self.kind_at(x) is not None

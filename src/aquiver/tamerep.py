@@ -20,7 +20,7 @@ from .intervals import (BarMultiset, ExtReal, Interval, NEG_INF, POS_INF,
                         is_finite)
 from .linalg import (Matrix, QQ, SpanTracker, column_space_basis, invert,
                      kernel_basis, random_invertible, solve_matrix)
-from .orientation import Orientation, increasing_on_side, reverse
+from .orientation import SINK, SOURCE, Orientation, reverse
 
 DOWN = "down"
 UP = "up"
@@ -103,12 +103,49 @@ def cells_to_interval(grid: Sequence[Fraction], b: int, d: int) -> Interval:
     return Interval(lo, hi, lo_closed, hi_closed)
 
 
-def junction_dir(o: Orientation, grid: Sequence[Fraction], j: int) -> str:
-    """Direction of the junction between cells j and j+1: "down" when the
-    order increases there (maps run toward smaller reals)."""
-    c = grid[j // 2]
-    side = "left" if j % 2 == 0 else "right"
-    return DOWN if increasing_on_side(o, c, side) else UP
+def junction_dirs(o: Orientation, grid: Sequence[Fraction]) -> list[str]:
+    """Direction of every junction of a strictly increasing grid, in one
+    merge walk over the grid and the critical points.  Junction j lies
+    between cells j and j+1; it is "down" when the order increases there
+    (maps run toward smaller reals).  At a critical point the left junction
+    is "down" iff the point is a source and the right one iff it is a sink;
+    elsewhere both follow the nearest critical point to the left (to the
+    right when there is none), or ``empty_direction`` without any."""
+    crit = o.criticals
+    n = len(crit)
+    if n:
+        before = DOWN if crit[0][1] == SOURCE else UP
+    else:
+        before = DOWN if o.empty_direction == "descending" else UP
+    dirs = []
+    i = 0  # number of critical points <= the current grid point
+    for c in grid:
+        while i < n and crit[i][0] <= c:
+            i += 1
+        if i and crit[i - 1][0] == c:
+            k = crit[i - 1][1]
+            dirs += (DOWN if k == SOURCE else UP, DOWN if k == SINK else UP)
+        else:
+            d = (DOWN if crit[i - 1][1] == SINK else UP) if i else before
+            dirs += (d, d)
+    return dirs
+
+
+def refined_cells(old: Sequence[Fraction], new: Sequence[Fraction]) -> list[int]:
+    """For each cell of the sorted grid ``new``, which contains the sorted
+    grid ``old``, the cell of ``old`` that contains it; one walk over
+    ``new``."""
+    where = {g: i for i, g in enumerate(old)}
+    cells = [0]
+    k = 0  # the open cell of old that the walk is in
+    for p in new:
+        i = where.get(p)
+        if i is None:
+            cells += (k, k)
+        else:
+            k = 2 * i + 2
+            cells += (k - 1, k)
+    return cells
 
 
 def junction_cells(d: str, j: int) -> tuple[int, int]:
@@ -126,7 +163,7 @@ class TameRep:
                  validate: bool = True):
         self.orientation = orientation
         self.field = field
-        self.grid = tuple(Fraction(g) for g in grid)
+        self.grid = tuple(g if type(g) is Fraction else Fraction(g) for g in grid)
         self.dims = tuple(int(d) for d in dims)
         self.maps = tuple(maps)
         self.dirs = tuple(dirs)
@@ -144,11 +181,12 @@ class TameRep:
         if len(self.maps) != 2 * len(g) or len(self.dirs) != 2 * len(g):
             raise ValueError("need 2m junction maps")
         if g:
+            on_grid = set(g)
             for p, _ in self.orientation.criticals:
-                if g[0] <= p <= g[-1] and p not in g:
+                if g[0] <= p <= g[-1] and p not in on_grid:
                     raise ValueError(f"critical point {p} inside the hull is missing from the grid")
-        for j, (mat, d) in enumerate(zip(self.maps, self.dirs)):
-            want = junction_dir(self.orientation, g, j)
+        wants = junction_dirs(self.orientation, g)
+        for j, (mat, d, want) in enumerate(zip(self.maps, self.dirs, wants)):
             if d != want:
                 raise ValueError(f"junction {j} direction {d!r} contradicts the orientation ({want!r})")
             lo, hi = self.dims[j], self.dims[j + 1]
@@ -187,20 +225,18 @@ def zero_rep(o: Orientation, field=QQ, grid: Sequence = ()) -> TameRep:
     grid = sorted(Fraction(g) for g in grid)
     grid = _close_under_criticals(o, grid)
     dims = [0] * num_cells(grid)
-    maps, dirs = [], []
-    for j in range(2 * len(grid)):
-        d = junction_dir(o, grid, j)
-        maps.append(Matrix.zero(field, 0, 0))
-        dirs.append(d)
+    dirs = junction_dirs(o, grid)
+    maps = [Matrix.zero(field, 0, 0) for _ in dirs]
     return TameRep(o, field, grid, dims, maps, dirs)
 
 
 def _close_under_criticals(o: Orientation, grid: list[Fraction]) -> list[Fraction]:
     if not grid:
         return grid
-    extra = [p for p, _ in o.criticals if grid[0] <= p <= grid[-1] and p not in grid]
+    on_grid = set(grid)
+    extra = [p for p, _ in o.criticals if grid[0] <= p <= grid[-1] and p not in on_grid]
     if extra:
-        grid = sorted(set(grid) | set(extra))
+        grid = sorted(on_grid.union(extra))
     return grid
 
 
@@ -219,9 +255,8 @@ def rep_from_interval_list(o: Orientation, ivs: Sequence[Interval], field=QQ,
         hi_h = max([iv.hi for iv in ivs] + list(pts), default=NEG_INF)
         for p, _ in o.criticals:
             if lo_h <= p <= hi_h:
-                pts.add(p)
+                pts.add(p)  # so the grid is closed under critical points
     grid = sorted(pts)
-    grid = _close_under_criticals(o, grid)
     n = num_cells(grid)
     ranges = [interval_to_cells(grid, iv) for iv in ivs]
     slots: list[list[int]] = [[] for _ in range(n)]
@@ -230,15 +265,14 @@ def rep_from_interval_list(o: Orientation, ivs: Sequence[Interval], field=QQ,
             slots[c].append(idx)
     dims = [len(s) for s in slots]
     one, zero = field.one(), field.zero()
-    maps, dirs = [], []
-    for j in range(2 * len(grid)):
-        d = junction_dir(o, grid, j)
+    dirs = junction_dirs(o, grid)
+    maps = []
+    for j, d in enumerate(dirs):
         src, tgt = junction_cells(d, j)
         rows = []
         for r_iv in slots[tgt]:
             rows.append([one if c_iv == r_iv else zero for c_iv in slots[src]])
         maps.append(Matrix(field, dims[tgt], dims[src], rows))
-        dirs.append(d)
     return TameRep(o, field, grid, dims, maps, dirs), slots
 
 
@@ -254,28 +288,20 @@ def refine(v: TameRep, points: Iterable) -> TameRep:
     the representation is unchanged as a representation."""
     pts = sorted(set(v.grid) | {Fraction(p) for p in points})
     pts = _close_under_criticals(v.orientation, pts)
-    if tuple(pts) == v.grid:
+    if len(pts) == len(v.grid):  # pts contains v.grid
         return v
-    o, field = v.orientation, v.field
-    old_grid = v.grid
-    dims = []
-    for c in range(num_cells(pts)):
-        rep_pt = cell_representative(pts, c)
-        dims.append(v.dims[cell_of_point(old_grid, rep_pt)])
-    maps, dirs = [], []
-    for j in range(2 * len(pts)):
-        p = pts[j // 2]
-        side_left = j % 2 == 0
-        d = junction_dir(o, pts, j)
-        if p in old_grid:
-            og = old_grid.index(p)
-            old_j = 2 * og + (0 if side_left else 1)
-            maps.append(v.maps[old_j])
+    cells = refined_cells(v.grid, pts)
+    dims = [v.dims[c] for c in cells]
+    maps = []
+    for t in range(len(pts)):
+        c = cells[2 * t + 1]
+        if c % 2:
+            # an old grid point keeps the maps at both of its junctions
+            maps += v.maps[c - 1:c + 1]
         else:
-            k = v.dims[cell_of_point(old_grid, p)]
-            maps.append(Matrix.identity(field, k))
-        dirs.append(d)
-    return TameRep(o, field, pts, dims, maps, dirs)
+            # a new point inside old cell c: identities on either side
+            maps += (Matrix.identity(v.field, v.dims[c]), Matrix.identity(v.field, v.dims[c]))
+    return TameRep(v.orientation, v.field, pts, dims, maps, junction_dirs(v.orientation, pts))
 
 
 def common_grid(a: TameRep, b: TameRep) -> tuple[TameRep, TameRep]:

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from aquiver.intervals import BarMultiset
 from aquiver.linalg import Matrix, PrimeField, kernel_basis
-from aquiver.orientation import Orientation
-from aquiver.tamerep import (DOWN, RepMorphism, TameRep, cells_to_interval,
-                             image_rep, junction_dir, kernel_rep)
+from aquiver.orientation import Orientation, increasing_on_side
+from aquiver.tamerep import (DOWN, UP, RepMorphism, TameRep, cells_to_interval,
+                             image_rep, kernel_rep)
 
 F2 = PrimeField(2)
 
@@ -143,6 +143,13 @@ def _orientations_over(grid: list[Fraction]) -> list[Orientation]:
     return out
 
 
+def _junction_direction(o: Orientation, grid, j: int) -> str:
+    """Direction of junction j, read off the segment on its side of the
+    grid point."""
+    side = "left" if j % 2 == 0 else "right"
+    return DOWN if increasing_on_side(o, grid[j // 2], side) else UP
+
+
 def _all_matrices(field, nrows: int, ncols: int):
     if nrows * ncols == 0:
         yield Matrix(field, nrows, ncols, [[] for _ in range(nrows)])
@@ -161,7 +168,7 @@ def enumerate_f2_instances(budget: int, max_grid: int = 3, max_dim: int = 2):
     for ngrid in range(1, max_grid + 1):
         grid = [Fraction(i) for i in range(ngrid)]
         for o in _orientations_over(grid):
-            dirs = [junction_dir(o, grid, j) for j in range(2 * ngrid)]
+            dirs = [_junction_direction(o, grid, j) for j in range(2 * ngrid)]
             ncell = 2 * ngrid + 1
             for dims in itertools.product(range(max_dim + 1), repeat=ncell):
                 shapes = []

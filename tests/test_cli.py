@@ -4,7 +4,9 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from aquiver import cli
 from aquiver.cli import main
+from aquiver.decompose import InternalInvariantError
 
 HERE = os.path.dirname(__file__)
 
@@ -213,3 +215,81 @@ def test_orientation_not_an_object_exits_2(runner, tmp_path, orientation):
 def test_malformed_numbers_in_documents_exit_2(runner, tmp_path, doc):
     f = _write(tmp_path, "d.json", doc)
     _assert_clean_exit_2(runner.invoke(main, ["decompose", f]))
+
+
+def _two_cell_tame(grid, e1, e2, field=None):
+    """A tame document on a two-point grid, one-dimensional on [grid[0], grid[1]]."""
+    doc = {"orientation": EMPTY_ORIENTATION,
+           "tame": {"grid": grid, "dims": [0, 1, 1, 1, 0],
+                    "maps": [{"dir": "down", "entries": []},
+                             {"dir": "down", "entries": [[e1]]},
+                             {"dir": "down", "entries": [[e2]]},
+                             {"dir": "down", "entries": [[]]}]}}
+    if field is not None:
+        doc["field"] = field
+    return doc
+
+
+def test_two_cell_tame_document_is_valid(runner, tmp_path):
+    f = _write(tmp_path, "d.json", _two_cell_tame(["0", "1"], "1", "1", {"kind": "Fp", "p": 5}))
+    res = runner.invoke(main, ["decompose", f])
+    assert res.exit_code == 0 and res.output == "[0, 1]\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"orientation": EMPTY_ORIENTATION, "field": {"kind": "Fp", "p": 5.5}, "bars": []},
+    {"orientation": EMPTY_ORIENTATION, "field": {"kind": "Fp", "p": True}, "bars": []},
+    _two_cell_tame(["0", "1"], True, "1"),
+    _two_cell_tame(["0", "1"], "1", False),
+    _two_cell_tame(["0", "1"], 2.5, 1, {"kind": "Fp", "p": 5}),
+    _two_cell_tame(["0", True], "1", "1"),
+    {"orientation": {"criticals": [{"pos": True, "kind": "sink"}]}, "bars": []},
+    {"orientation": EMPTY_ORIENTATION,
+     "bars": [{"lo": "0", "lo_closed": True, "hi": "1", "hi_closed": False, "mult": True}]},
+    {"orientation": EMPTY_ORIENTATION,
+     "bars": [{"lo": 0, "lo_closed": True, "hi": "1", "hi_closed": False, "mult": 1}]},
+    {**_two_cell_tame(["0", "1"], "1", "1"),
+     "tame": {**_two_cell_tame(["0", "1"], "1", "1")["tame"], "dims": [0, 1, 1, 1.5, 0]}},
+], ids=["p-5.5", "p-true", "entry-true", "entry-false", "Fp-entry-2.5", "grid-true",
+        "critical-true", "mult-true", "bar-number", "dim-1.5"])
+def test_coerced_numbers_in_documents_exit_2(runner, tmp_path, doc):
+    f = _write(tmp_path, "d.json", doc)
+    _assert_clean_exit_2(runner.invoke(main, ["decompose", f]))
+
+
+def test_boolean_in_orientation_file_exits_2(runner, tmp_path):
+    f = _write(tmp_path, "o.json", {"criticals": [{"pos": False, "kind": "sink"}]})
+    _assert_clean_exit_2(runner.invoke(main, ["hom", f, "[0,1)", "[0,1)"]))
+
+
+def test_unsorted_grid_reported_as_such(runner, tmp_path):
+    f = _write(tmp_path, "d.json", _two_cell_tame(["1", "0"], "1", "1"))
+    res = runner.invoke(main, ["decompose", f])
+    _assert_clean_exit_2(res)
+    assert "grid must be strictly increasing" in res.stderr
+
+
+@pytest.mark.parametrize("window", ["1:0", "1:1/0", "1/0:1", "0:1:2", "x:1"])
+def test_bad_projectives_window_exits_2(runner, tmp_path, window):
+    f = _write(tmp_path, "o.json", EMPTY_ORIENTATION)
+    _assert_clean_exit_2(runner.invoke(main, ["projectives", f, "--window", window]))
+
+
+def test_equal_window_ends_accepted(runner, tmp_path):
+    f = _write(tmp_path, "o.json", ZIGZAG_ORIENTATION)
+    res = runner.invoke(main, ["projectives", f, "--window", "1:1"])
+    assert res.exit_code == 0 and "P_1" in res.output
+
+
+@pytest.mark.parametrize("error", [AssertionError("cell 3: rank 2 > 1"),
+                                   InternalInvariantError("Ext dimension 2 outside {0,1}")],
+                         ids=["assertion", "invariant"])
+def test_library_assertion_exits_3(runner, tmp_path, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli, "hom_dim", broken)
+    f = _write(tmp_path, "o.json", EMPTY_ORIENTATION)
+    res = runner.invoke(main, ["hom", f, "[0,1)", "[0,1)"])
+    assert res.exit_code == 3
+    assert res.stderr == f"internal invariant violated: {error}\n"
+    assert res.exception is None or isinstance(res.exception, SystemExit)

@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_bars, random_orientation
+from conftest import POSITIONS, random_bars, random_orientation
 from aquiver.decompose import decompose, iso
+from aquiver.homological import refine_morphism
 from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF
-from aquiver.linalg import Matrix, PrimeField, QQ
-from aquiver.orientation import Orientation
-from aquiver.tamerep import (RepMorphism, TameRep, cell_of_point, conjugate,
-                             cokernel_rep, direct_sum, dual, from_bars,
-                             image_rep, kernel_rep, refine, restrict,
+from aquiver.linalg import Matrix, PrimeField, QQ, random_invertible
+from aquiver.orientation import Orientation, increasing_on_side
+from aquiver.tamerep import (DOWN, UP, RepMorphism, TameRep, cell_of_point,
+                             cell_representative, conjugate, cokernel_rep,
+                             direct_sum, dual, from_bars, image_rep,
+                             junction_dirs, kernel_rep, refine, restrict,
                              scramble, zero_rep)
 
 EMPTY_DESC = Orientation.make([], "descending")
@@ -211,3 +213,93 @@ def test_json_roundtrip_tame():
     j = tame_to_json(v)
     v2 = tame_from_json(EMPTY_DESC, j, QQ)
     assert v2 == v
+
+
+# ---------------------------------------------------------------------------
+# grid geometry against per-junction and per-cell references
+
+def _reference_dirs(o, grid):
+    """One increasing_on_side lookup per junction."""
+    return [DOWN if increasing_on_side(o, grid[j // 2], "left" if j % 2 == 0 else "right") else UP
+            for j in range(2 * len(grid))]
+
+
+# critical positions, the points between them, and points past both ends
+GRID_POOL = POSITIONS + [Fraction(s) for s in ("-5", "-7/4", "1/4", "11/4", "4", "9")]
+
+
+def test_junction_dirs_matches_per_junction_reference():
+    rng = random.Random(4104)
+    seen = set()
+    orientations = [Orientation.make([], "descending"), Orientation.make([], "ascending")]
+    orientations += [random_orientation(rng) for _ in range(300)]
+    for o in orientations:
+        grids = [[], sorted(rng.sample(GRID_POOL, rng.randint(1, 9))),
+                 sorted(set(o.positions) | set(rng.sample(GRID_POOL, 3)))]
+        for grid in grids:
+            assert junction_dirs(o, grid) == _reference_dirs(o, grid), (o, grid)
+        seen.add((len(o.criticals), o.empty_direction))
+    assert {k for k, _ in seen} == {0, 1, 2, 3, 4}
+    assert (0, "ascending") in seen and (0, "descending") in seen
+
+
+def _reference_refine(v, points):
+    """refine by locating a representative of every new cell in the old grid."""
+    grid = sorted(set(v.grid) | {Fraction(p) for p in points})
+    if grid:
+        grid = sorted(set(grid) | {p for p, _ in v.orientation.criticals
+                                   if grid[0] <= p <= grid[-1]})
+    dims = [v.dims[cell_of_point(v.grid, cell_representative(grid, c))]
+            for c in range(2 * len(grid) + 1)]
+    maps = []
+    for j in range(2 * len(grid)):
+        p = grid[j // 2]
+        if p in v.grid:
+            maps.append(v.maps[2 * v.grid.index(p) + j % 2])
+        else:
+            maps.append(Matrix.identity(v.field, v.dims[cell_of_point(v.grid, p)]))
+    return tuple(grid), tuple(dims), tuple(maps), tuple(_reference_dirs(v.orientation, grid))
+
+
+def _insertions(rng, v):
+    """Points already on the grid, outside its hull, inside it, and points
+    just past a critical point, which pull that critical point in."""
+    pts = rng.sample(v.grid, min(len(v.grid), rng.randint(0, 2)))
+    pts += rng.sample(GRID_POOL, rng.randint(0, 3))
+    if v.grid and rng.random() < 0.5:
+        pts.append(v.grid[0] - rng.randint(1, 3))
+        pts.append(v.grid[-1] + Fraction(rng.randint(1, 7), 2))
+    for p in v.orientation.positions:
+        if rng.random() < 0.4:
+            pts.append(p + rng.choice((-1, 1)) * Fraction(1, 3))
+    return pts
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_refine_and_refine_morphism_match_cell_reference(field):
+    rng = random.Random(777 if field == QQ else 778)
+    pulled_in = outside = 0
+    for trial in range(150):
+        o = random_orientation(rng)
+        if trial % 25 == 0:
+            v = zero_rep(o, field)
+        else:
+            v = scramble(from_bars(o, random_bars(rng, max_bars=4, max_mult=2), field), trial)
+        pts = _insertions(rng, v)
+        w = refine(v, pts)
+        grid, dims, maps, dirs = _reference_refine(v, pts)
+        assert (w.grid, w.dims, w.maps, w.dirs) == (grid, dims, maps, dirs)
+        if v.grid and any(not v.grid[0] <= p <= v.grid[-1] for p in pts):
+            outside += 1
+        if set(w.grid) - set(v.grid) - {Fraction(p) for p in pts}:
+            pulled_in += 1
+
+        mats = [random_invertible(field, d, rng) for d in v.dims]
+        f = RepMorphism(v, conjugate(v, mats), mats)
+        g = refine_morphism(f, pts)
+        assert g.dom.grid == g.cod.grid == grid
+        assert g.cod == refine(f.cod, pts)
+        assert g.mats == [f.mats[cell_of_point(v.grid, cell_representative(grid, c))]
+                          for c in range(2 * len(grid) + 1)]
+        assert g.commutes()
+    assert outside > 20 and pulled_in > 5
