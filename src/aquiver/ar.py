@@ -90,23 +90,13 @@ def ar_ending_at(o: Orientation, w: Interval, field=QQ) -> ARAnswer:
 
 
 def ar_starting_at(o: Orientation, u: Interval, field=QQ) -> ARAnswer:
-    """The almost-split sequence with left end the summand on u."""
-    if u.is_point():
-        a = Fraction(u.lo)
-        if o.is_critical(a):
-            return ARAnswer(OUT_OF_PAPER_SCOPE)
-        return ARAnswer(PROVEN_NONEXISTENT)
-    if not (is_finite(u.lo) and is_finite(u.hi)):
-        return ARAnswer(OUT_OF_PAPER_SCOPE)
-    a, b = Fraction(u.lo), Fraction(u.hi)
-    inc = _strictly_inside_segment(o, a, b)
-    if inc is None:
-        return ARAnswer(OUT_OF_PAPER_SCOPE)
-    if inc and u.lo_closed and not u.hi_closed:
-        return ar_ending_at(o, Interval(a, b, False, True), field)
-    if not inc and not u.lo_closed and u.hi_closed:
-        return ar_ending_at(o, Interval(a, b, True, False), field)
-    return ARAnswer(OUT_OF_PAPER_SCOPE)
+    """The almost-split sequence with left end the summand on u.  Both
+    families have ends on the same a < b with both closedness flags
+    flipped, so this is ar_ending_at at the flipped interval; a point or an
+    unbounded interval gets the same answer at either end."""
+    if u.is_point() or not (is_finite(u.lo) and is_finite(u.hi)):
+        return ar_ending_at(o, u, field)
+    return ar_ending_at(o, Interval(u.lo, u.hi, not u.lo_closed, not u.hi_closed), field)
 
 
 # ---------------------------------------------------------------------------

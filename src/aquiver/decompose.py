@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .intervals import BarMultiset, Interval
-from .linalg import (Matrix, SpanTracker, bottom_column_echelon, kernel_basis,
-                     column_space_basis, solve_matrix)
+from .linalg import (Matrix, bottom_column_echelon, column_space_basis,
+                     kernel_basis, solve_matrix, unit_complement)
 from .tamerep import DOWN, TameRep, cells_to_interval
 
 
@@ -104,15 +104,9 @@ def _step(field, blocks, mat, fwd, sub, d_here, d_next, j):
                 new_blocks.append(_Block(b.birth, survivors[bi]))
     # newborns: cokernel directions (forward) / kernel directions (backward)
     if fwd:
-        tr = SpanTracker(field)
-        for b in new_blocks:
-            for vec in b.vectors:
-                tr.try_add(vec)
-        born = []
-        for i in range(d_next):
-            e = [field.one() if k == i else field.zero() for k in range(d_next)]
-            if tr.try_add(e):
-                born.append(e)
+        alive = [vec for b in new_blocks for vec in b.vectors]
+        units = Matrix.identity(field, d_next).columns()
+        born = [units[i] for i in unit_complement(field, alive, d_next)]
         if born:
             new_blocks.append(_Block(j + 1, born))
     else:

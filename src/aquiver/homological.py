@@ -20,7 +20,7 @@ from .intervals import (BarMultiset, ExtReal, Interval, NEG_INF, POS_INF,
                         format_extreal, intersect, is_finite)
 from .linalg import Matrix, QQ, kernel_basis, rank
 from .orientation import (Orientation, Segment, down_set, down_set_limit,
-                          reverse, segment_index, segments_touching, up_set)
+                          reverse, up_set)
 from .tamerep import (DOWN, RepMorphism, TameRep, cell_of_point, common_grid,
                       cells_to_interval, from_bars, junction_cells, kernel_rep,
                       refine, refined_cells, rep_from_interval_list, zero_rep)
@@ -245,19 +245,9 @@ def injective_composites_criterion(v: TameRep) -> bool:
 
 
 def _segment_of_hull(o: Orientation, hull: Interval) -> Segment:
-    probe = None
-    if is_finite(hull.lo) and is_finite(hull.hi) and hull.lo != hull.hi:
-        probe = (Fraction(hull.lo) + Fraction(hull.hi)) / 2
-    elif is_finite(hull.lo):
-        probe = Fraction(hull.lo) + (1 if hull.hi == POS_INF else 0)
-    elif is_finite(hull.hi):
-        probe = Fraction(hull.hi) - 1
-    else:
-        probe = Fraction(0)
-    if o.is_critical(probe):
-        segs = segments_touching(o, probe)
-        return segs[1] if hull.hi > probe else segs[0]
-    return segment_index(o, probe)
+    """The first segment that contains the hull (the left one for a point
+    hull at a critical point)."""
+    return next(s for s in o.segments if s.lo <= hull.lo and hull.hi <= s.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -549,16 +539,8 @@ def projectives_table(o: Orientation, window: Optional[tuple] = None) -> list[tu
             sup = realize_projective(o, lab)
             if sup is not None:
                 rows.append((str(sup), str(lab), sup))
-    pos = o.positions
-    bounds: list[tuple[ExtReal, ExtReal]] = []
-    if pos:
-        bounds.append((NEG_INF, pos[0]))
-        for x, y in zip(pos, pos[1:]):
-            bounds.append((x, y))
-        bounds.append((pos[-1], POS_INF))
-    else:
-        bounds.append((NEG_INF, POS_INF))
-    for si, (lo, hi) in enumerate(bounds):
+    for si, seg in enumerate(o.segments):
+        lo, hi = seg.lo, seg.hi
         letter = _LETTERS[si % len(_LETTERS)]
         if is_finite(lo) and is_finite(hi):
             t0 = (Fraction(lo) + Fraction(hi)) / 2

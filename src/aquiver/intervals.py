@@ -111,12 +111,11 @@ class Interval:
 
     @staticmethod
     def from_json(obj: dict) -> "Interval":
-        return Interval(
-            parse_extreal(obj["lo"]),
-            parse_extreal(obj["hi"]),
-            bool(obj["lo_closed"]),
-            bool(obj["hi_closed"]),
-        )
+        for key in ("lo_closed", "hi_closed"):
+            if not isinstance(obj[key], bool):
+                raise TypeError(f"{key} must be true or false")
+        return Interval(parse_extreal(obj["lo"]), parse_extreal(obj["hi"]),
+                        obj["lo_closed"], obj["hi_closed"])
 
 
 def intersect(a: Interval, b: Interval) -> Interval | None:
@@ -214,4 +213,5 @@ class BarMultiset:
 
     @staticmethod
     def from_json(arr: list[dict]) -> "BarMultiset":
-        return BarMultiset((Interval.from_json(d), int(d.get("mult", 1))) for d in arr)
+        from .jsonio import _integer  # jsonio imports this module
+        return BarMultiset((Interval.from_json(d), _integer(d.get("mult", 1))) for d in arr)

@@ -8,8 +8,9 @@ elimination and products runs inside one row operation per field,
 its nonzero (column, value) pairs, to a dense row.  Elimination collects
 each pivot row's nonzero pairs once, so every other row touches only those
 columns; products collect the nonzero pairs of the right factor's rows.
-Zero tests are truthiness tests: a Fraction or an int is falsy exactly at
-zero.
+``_row_echelon`` is the one elimination routine: ``column_space_basis``
+and ``unit_complement`` are read off its pivot columns.  Zero tests are
+truthiness tests: a Fraction or an int is falsy exactly at zero.
 """
 
 from __future__ import annotations
@@ -364,48 +365,24 @@ def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
 
 
 def column_space_basis(m: Matrix) -> Matrix:
-    """Columns form a basis of the column space (a subset of m's columns)."""
-    f = m.field
-    keep = []
-    ech: list = []
-    for j in range(m.ncols):
-        col = m.column(j)
-        if _reduce_against(f, ech, col):
-            keep.append(col)
-    return Matrix.from_columns(f, m.nrows, keep)
+    """Columns form a basis of the column space: m's columns at the pivots
+    of its reduced row echelon form, which are the columns a greedy left to
+    right scan keeps."""
+    _, pivots = _row_echelon(m.field, m.copy_rows())
+    return Matrix.from_columns(m.field, m.nrows, [m.column(j) for j in pivots])
 
 
-def _reduce_against(field, ech: list, vec: Sequence) -> bool:
-    """Reduce vec against an echelon list of (pivot index, nonzero pairs of
-    a row with a one at the pivot); if a nonzero residual remains, insert
-    it and return True, else return False."""
-    v = list(vec)
-    for piv, pairs in ech:
-        c = v[piv]
-        if c:
-            field.axpy(v, field.neg(c), pairs)
-    pairs = [(j, a) for j, a in enumerate(v) if a]
-    if not pairs:
-        return False
-    lead = pairs[0][0]
-    ech.append((lead, _to_unit(field, v, lead, pairs)))
-    ech.sort(key=lambda t: t[0])
-    return True
-
-
-class SpanTracker:
-    """Incremental independence oracle over a fixed ambient dimension."""
-
-    def __init__(self, field):
-        self.field = field
-        self._ech: list = []
-
-    def try_add(self, vec: Sequence) -> bool:
-        return _reduce_against(self.field, self._ech, vec)
-
-    @property
-    def dim(self) -> int:
-        return len(self._ech)
+def unit_complement(field, cols: Sequence[Sequence], d: int) -> list[int]:
+    """Indices i of the unit vectors e_i that a greedy scan of cols, then
+    e_0, ..., e_{d-1}, keeps: those completing a basis of the span of cols
+    to the whole d-dimensional space.  Those are the pivots at or past
+    len(cols) of the reduced [cols | I_d], less len(cols).  The scan skips
+    e_i exactly when some vector of the span has its last nonzero entry at
+    i, and those last entries are the pivots of the reduced cols with their
+    coordinates reversed, which spares eliminating the identity block."""
+    _, pivots = _row_echelon(field, [list(reversed(col)) for col in cols])
+    last = {d - 1 - p for p in pivots}
+    return [i for i in range(d) if i not in last]
 
 
 def invert(m: Matrix) -> Matrix:

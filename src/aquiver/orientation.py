@@ -66,9 +66,20 @@ class Orientation:
     def make(criticals, empty_direction="descending") -> "Orientation":
         return Orientation(tuple((Fraction(p), k) for p, k in criticals), empty_direction)
 
-    @property
-    def positions(self) -> list[Fraction]:
-        return [p for p, _ in self.criticals]
+    @cached_property
+    def positions(self) -> tuple[Fraction, ...]:
+        return tuple(p for p, _ in self.criticals)
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        """The len(criticals) + 1 closed segments, left to right.  A segment
+        increases when its left end is a sink or its right end a source."""
+        if not self.criticals:
+            return (Segment(NEG_INF, POS_INF, self.empty_direction == "descending"),)
+        crit = self.criticals
+        first = Segment(NEG_INF, crit[0][0], crit[0][1] == SOURCE)
+        ends = self.positions[1:] + (POS_INF,)
+        return (first,) + tuple(Segment(p, hi, k == SINK) for (p, k), hi in zip(crit, ends))
 
     @cached_property
     def _kinds(self) -> dict[Fraction, Kind]:
@@ -87,70 +98,32 @@ class Orientation:
         return f"A_R({inner})"
 
 
-def increasing_on_side(o: Orientation, c, side: Literal["left", "right"]) -> bool:
-    """Segment direction immediately left/right of a grid point c."""
-    c = Fraction(c)
-    k = o.kind_at(c)
-    if k is None:
-        return _increasing_interior(o, c)
-    if side == "left":
-        return k == SOURCE  # source at the segment's right end
-    return k == SINK  # sink at the segment's left end
-
-
-def _increasing_interior(o: Orientation, x: Fraction) -> bool:
-    pos = o.positions
-    i = bisect_right(pos, x)
-    if i > 0:
-        return o.criticals[i - 1][1] == SINK
-    if i < len(pos):
-        return o.criticals[i][1] == SOURCE
-    return o.empty_direction == "descending"
-
-
 def leq(o: Orientation, x, y) -> bool:
     """The induced partial order: x precedes y."""
     x, y = Fraction(x), Fraction(y)
     if x == y:
         return True
     a, b = (x, y) if x < y else (y, x)
-    pos = o.positions
-    lo_i = bisect_right(pos, a)
-    hi_i = bisect_left(pos, b)
-    if lo_i < hi_i:
+    i = bisect_right(o.positions, a)
+    if i < bisect_left(o.positions, b):
         return False  # a critical point lies strictly between
-    inc = _increasing_interior(o, (a + b) / 2)
+    inc = o.segments[i].increasing
     return inc if x < y else not inc
 
 
 def segment_index(o: Orientation, x) -> Segment:
     """The closed segment containing x.  At a critical point the segment on
     the right is reported; use segments_touching for both."""
-    x = Fraction(x)
-    pos = o.positions
-    i = bisect_right(pos, x)
-    lo: ExtReal = pos[i - 1] if i > 0 else NEG_INF
-    hi: ExtReal = pos[i] if i < len(pos) else POS_INF
-    if i > 0 and pos[i - 1] == x:
-        lo = x
-        hi = pos[i] if i < len(pos) else POS_INF
-        inc = increasing_on_side(o, x, "right")
-    else:
-        inc = _increasing_interior(o, x)
-    return Segment(lo, hi, inc)
+    return o.segments[bisect_right(o.positions, Fraction(x))]
 
 
 def segments_touching(o: Orientation, x) -> list[Segment]:
     """Both segments when x is critical (left first), else the single one."""
     x = Fraction(x)
-    if not o.is_critical(x):
-        return [segment_index(o, x)]
-    pos = o.positions
-    i = pos.index(x)
-    left = Segment(pos[i - 1] if i > 0 else NEG_INF, x, increasing_on_side(o, x, "left"))
-    right = Segment(x, pos[i + 1] if i + 1 < len(pos) else POS_INF,
-                    increasing_on_side(o, x, "right"))
-    return [left, right]
+    i = bisect_right(o.positions, x)
+    if i and o.positions[i - 1] == x:
+        return list(o.segments[i - 1:i + 1])
+    return [o.segments[i]]
 
 
 def down_set(o: Orientation, a) -> Interval:
@@ -181,18 +154,12 @@ def down_set_limit(o: Orientation, end: ExtReal) -> Optional[Interval]:
     end, i.e. the down-sets grow without bound in that direction.
     """
     if end == NEG_INF:
-        if o.criticals:
-            seg = Segment(NEG_INF, o.positions[0], increasing_on_side(o, o.positions[0], "left"))
-        else:
-            seg = segment_index(o, 0)
+        seg = o.segments[0]
         if seg.increasing:
             return None  # down_set shrinks to nothing toward -inf
         return Interval(NEG_INF, seg.hi, False, is_finite(seg.hi))
     if end == POS_INF:
-        if o.criticals:
-            seg = Segment(o.positions[-1], POS_INF, increasing_on_side(o, o.positions[-1], "right"))
-        else:
-            seg = segment_index(o, 0)
+        seg = o.segments[-1]
         if not seg.increasing:
             return None
         return Interval(seg.lo, POS_INF, is_finite(seg.lo), False)

@@ -16,11 +16,10 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .intervals import (BarMultiset, ExtReal, Interval, NEG_INF, POS_INF,
-                        is_finite)
-from .linalg import (Matrix, QQ, SpanTracker, column_space_basis, invert,
-                     kernel_basis, random_invertible, solve_matrix)
-from .orientation import SINK, SOURCE, Orientation, reverse
+from .intervals import BarMultiset, Interval, NEG_INF, POS_INF, is_finite
+from .linalg import (Matrix, QQ, column_space_basis, invert, kernel_basis,
+                     random_invertible, solve_matrix, unit_complement)
+from .orientation import Orientation, reverse
 
 DOWN = "down"
 UP = "up"
@@ -39,15 +38,6 @@ def cell_of_point(grid: Sequence[Fraction], x) -> int:
     if i > 0 and grid[i - 1] == x:
         return 2 * i - 1
     return 2 * i
-
-
-def cell_extent(grid: Sequence[Fraction], idx: int) -> Interval:
-    m = len(grid)
-    if idx % 2 == 1:
-        return Interval.point(grid[(idx - 1) // 2])
-    lo: ExtReal = grid[idx // 2 - 1] if idx > 0 else NEG_INF
-    hi: ExtReal = grid[idx // 2] if idx < 2 * m else POS_INF
-    return Interval(lo, hi, False, False)
 
 
 def cell_representative(grid: Sequence[Fraction], idx: int) -> Fraction:
@@ -105,29 +95,19 @@ def cells_to_interval(grid: Sequence[Fraction], b: int, d: int) -> Interval:
 
 def junction_dirs(o: Orientation, grid: Sequence[Fraction]) -> list[str]:
     """Direction of every junction of a strictly increasing grid, in one
-    merge walk over the grid and the critical points.  Junction j lies
-    between cells j and j+1; it is "down" when the order increases there
-    (maps run toward smaller reals).  At a critical point the left junction
-    is "down" iff the point is a source and the right one iff it is a sink;
-    elsewhere both follow the nearest critical point to the left (to the
-    right when there is none), or ``empty_direction`` without any."""
-    crit = o.criticals
-    n = len(crit)
-    if n:
-        before = DOWN if crit[0][1] == SOURCE else UP
-    else:
-        before = DOWN if o.empty_direction == "descending" else UP
+    walk over the grid and ``o.segments``.  Junction j lies between cells j
+    and j+1; it is "down" when its segment increases (maps run toward
+    smaller reals).  The two junctions of a critical grid point lie in the
+    segments on either side of it; the two of any other point lie in the
+    segment that contains it."""
+    pos, segs = o.positions, o.segments
     dirs = []
     i = 0  # number of critical points <= the current grid point
     for c in grid:
-        while i < n and crit[i][0] <= c:
+        while i < len(pos) and pos[i] <= c:
             i += 1
-        if i and crit[i - 1][0] == c:
-            k = crit[i - 1][1]
-            dirs += (DOWN if k == SOURCE else UP, DOWN if k == SINK else UP)
-        else:
-            d = (DOWN if crit[i - 1][1] == SINK else UP) if i else before
-            dirs += (d, d)
+        left = segs[i - 1] if i and pos[i - 1] == c else segs[i]
+        dirs += (DOWN if left.increasing else UP, DOWN if segs[i].increasing else UP)
     return dirs
 
 
@@ -346,7 +326,7 @@ def restrict(v: TameRep, j_iv: Interval) -> TameRep:
     w = refine(v, pts)
     keep = []
     for c in range(w.ncells):
-        ext = cell_extent(w.grid, c)
+        ext = cells_to_interval(w.grid, c, c)
         if ext.is_point():
             keep.append(j_iv.contains(ext.lo))
         else:
@@ -469,42 +449,26 @@ def image_rep(f: RepMorphism) -> tuple[TameRep, list[Matrix]]:
 
 def cokernel_rep(f: RepMorphism) -> tuple[TameRep, list[Matrix]]:
     """Quotient of cod by the image; returns the quotient representation and
-    the cellwise projection matrices."""
+    the cellwise projection matrices.  Each cell's quotient basis is the
+    images of the unit vectors that complete a basis of the image."""
     field = f.dom.field
     cod = f.cod
     projs = []
-    dims = []
+    lifts = []
     for c in range(cod.ncells):
         d = cod.dims[c]
-        im = column_space_basis(f.mats[c])
-        cols = im.columns()
-        basis = list(cols)
-        tr = SpanTracker(field)
-        for col in cols:
-            tr.try_add(col)
-        unit_idx = []
-        for i in range(d):
-            e = [field.one() if k == i else field.zero() for k in range(d)]
-            if tr.try_add(e):
-                basis.append(e)
-                unit_idx.append(i)
-        b_mat = Matrix.from_columns(field, d, basis)
-        inv_b = invert(b_mat) if d else Matrix(field, 0, 0, [])
-        q = len(unit_idx)
-        proj = Matrix(field, q, d, inv_b.rows[im.ncols:]) if d else Matrix(field, 0, 0, [])
-        projs.append(proj)
-        dims.append(q)
+        cols = column_space_basis(f.mats[c]).columns()
+        units = Matrix.identity(field, d).columns()
+        units = [units[i] for i in unit_complement(field, cols, d)]
+        inv_b = invert(Matrix.from_columns(field, d, cols + units))
+        projs.append(Matrix(field, len(units), d, inv_b.rows[len(cols):]))
+        lifts.append(Matrix.from_columns(field, d, units))
+    # induced map on quotients: lift by the unit vectors, push through,
+    # project; any other lift differs by an image vector, which the
+    # junction map keeps in the image and the projection kills
     maps = []
     for j in range(len(cod.maps)):
         src, tgt = junction_cells(cod.dirs[j], j)
-        # induced map on quotients: lift, push through, project
-        proj_src = projs[src]
-        # lift: pseudo-inverse via solving proj_src * L = I on the chosen complement
-        if proj_src.nrows:
-            lift = solve_matrix(proj_src, Matrix.identity(field, proj_src.nrows))
-            if lift is None:
-                raise AssertionError("projection is onto by construction")
-        else:
-            lift = Matrix.zero(field, cod.dims[src], 0)
-        maps.append(projs[tgt].matmul(cod.maps[j]).matmul(lift))
+        maps.append(projs[tgt].matmul(cod.maps[j]).matmul(lifts[src]))
+    dims = [p.nrows for p in projs]
     return TameRep(cod.orientation, field, cod.grid, dims, maps, cod.dirs), projs

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from aquiver.intervals import BarMultiset
 from aquiver.linalg import Matrix, PrimeField, kernel_basis
-from aquiver.orientation import Orientation, increasing_on_side
+from aquiver.orientation import Orientation
 from aquiver.tamerep import (DOWN, UP, RepMorphism, TameRep, cells_to_interval,
                              image_rep, kernel_rep)
 
@@ -143,11 +143,29 @@ def _orientations_over(grid: list[Fraction]) -> list[Orientation]:
     return out
 
 
+def increasing_beside(o: Orientation, x, side: str) -> bool:
+    """Does the order increase on the stretch just left ("left") or just
+    right of x?  Read from the raw critical points alone: the stretch
+    increases when the nearest critical point behind it is a sink, or,
+    with none behind it, when the nearest one ahead is a source."""
+    if side == "left":
+        behind = [k for p, k in o.criticals if p < x]
+        ahead = [k for p, k in o.criticals if p >= x]
+    else:
+        behind = [k for p, k in o.criticals if p <= x]
+        ahead = [k for p, k in o.criticals if p > x]
+    if behind:
+        return behind[-1] == "sink"
+    if ahead:
+        return ahead[0] == "source"
+    return o.empty_direction == "descending"
+
+
 def _junction_direction(o: Orientation, grid, j: int) -> str:
-    """Direction of junction j, read off the segment on its side of the
+    """Direction of junction j, read off the stretch on its side of the
     grid point."""
     side = "left" if j % 2 == 0 else "right"
-    return DOWN if increasing_on_side(o, grid[j // 2], side) else UP
+    return DOWN if increasing_beside(o, grid[j // 2], side) else UP
 
 
 def _all_matrices(field, nrows: int, ncols: int):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_bars, random_orientation
+from conftest import interval_in_segment, random_bars, random_interval, random_orientation
 from aquiver.ar import (ARAnswer, EXISTS, OUT_OF_PAPER_SCOPE,
                         PROVEN_NONEXISTENT, _exists_colift, _exists_lift,
                         _realize_sequence, ar_ending_at, ar_starting_at,
@@ -68,6 +68,30 @@ def test_starting_matches_ending():
     assert ans.sequence.left == u
     back = ar_ending_at(ZIGZAG, ans.sequence.right)
     assert back.sequence.left == u
+
+
+def _ends(seq):
+    return seq.left, seq.middle, seq.right
+
+
+def test_starting_at_the_left_end_finds_the_same_sequence():
+    rng = random.Random(3131)
+    found = 0
+    for _ in range(60):
+        o = random_orientation(rng, max_criticals=3)
+        for _ in range(5):
+            for iv in (random_interval(rng), interval_in_segment(rng, o)):
+                ending, starting = ar_ending_at(o, iv), ar_starting_at(o, iv)
+                if ending.status == EXISTS:
+                    found += 1
+                    again = ar_starting_at(o, ending.sequence.left)
+                    assert again.status == EXISTS
+                    assert _ends(again.sequence) == _ends(ending.sequence), (o, iv)
+                if starting.status == EXISTS:
+                    assert starting.sequence.left == iv
+                    back = ar_ending_at(o, starting.sequence.right)
+                    assert _ends(back.sequence) == _ends(starting.sequence), (o, iv)
+    assert found >= 50
 
 
 def test_composition_is_zero_and_exact():

@@ -250,8 +250,17 @@ def test_two_cell_tame_document_is_valid(runner, tmp_path):
      "bars": [{"lo": 0, "lo_closed": True, "hi": "1", "hi_closed": False, "mult": 1}]},
     {**_two_cell_tame(["0", "1"], "1", "1"),
      "tame": {**_two_cell_tame(["0", "1"], "1", "1")["tame"], "dims": [0, 1, 1, 1.5, 0]}},
+    {"orientation": EMPTY_ORIENTATION,
+     "bars": [{"lo": "0", "lo_closed": True, "hi": "1", "hi_closed": False, "mult": 2.5}]},
+    {"orientation": EMPTY_ORIENTATION,
+     "bars": [{"lo": "0", "lo_closed": "false", "hi": "1", "hi_closed": False}]},
+    {"orientation": EMPTY_ORIENTATION,
+     "bars": [{"lo": "0", "lo_closed": True, "hi": "1", "hi_closed": None}]},
+    {"orientation": EMPTY_ORIENTATION,
+     "bars": [{"lo": "0", "lo_closed": 0, "hi": "1", "hi_closed": False}]},
 ], ids=["p-5.5", "p-true", "entry-true", "entry-false", "Fp-entry-2.5", "grid-true",
-        "critical-true", "mult-true", "bar-number", "dim-1.5"])
+        "critical-true", "mult-true", "bar-number", "dim-1.5", "mult-2.5",
+        "closed-string", "closed-null", "closed-0"])
 def test_coerced_numbers_in_documents_exit_2(runner, tmp_path, doc):
     f = _write(tmp_path, "d.json", doc)
     _assert_clean_exit_2(runner.invoke(main, ["decompose", f]))

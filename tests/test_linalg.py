@@ -6,7 +6,7 @@ import pytest
 from aquiver.linalg import (MAX_PRIME, Matrix, PrimeField, QQ, _row_echelon,
                             bottom_column_echelon, column_space_basis, invert,
                             kernel_basis, random_invertible, rank,
-                            solve_linear_system, solve_matrix)
+                            solve_linear_system, solve_matrix, unit_complement)
 
 F5 = PrimeField(5)
 
@@ -223,7 +223,9 @@ def test_row_echelon_matches_textbook(field):
         assert got_rows == want_rows
         _assert_exact(field, [x for r in got_rows for x in r])
         assert rank(m) == len(want_pivots)
-        assert column_space_basis(m).ncols == len(want_pivots)
+        basis = column_space_basis(m)
+        assert basis.nrows == m.nrows
+        assert basis.columns() == [m.column(j) for j in want_pivots]
 
 
 @pytest.mark.parametrize("field", PARITY_FIELDS, ids=PARITY_IDS)
@@ -314,3 +316,32 @@ def test_bottom_column_echelon_spans_and_pivots(field):
         _assert_exact(field, [x for col in cols for x in col])
         # same span: the echelonized columns solve against the originals
         assert solve_matrix(before, Matrix.from_columns(field, n, cols)) is not None
+
+
+def _greedy_keeps(field, vectors):
+    """Indices of the vectors a left to right scan keeps: each one that
+    raises the rank of those kept before it, by textbook_rref."""
+    kept = []
+    for i, vec in enumerate(vectors):
+        cand = [vectors[k] for k in kept] + [vec]
+        if len(textbook_rref(field, cand)[1]) == len(cand):
+            kept.append(i)
+    return kept
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), F5], ids=["Q", "F2", "F5"])
+def test_unit_complement_matches_greedy_scan(field):
+    rng = random.Random(16)
+    shapes = [(0, 0), (0, 3), (4, 0), (3, 3)]
+    shapes += [(rng.randint(1, 8), rng.randint(1, 10)) for _ in range(36)]
+    for d, n in shapes:
+        cols = _random_sparse(field, rng, n, d).rows  # n columns of length d
+        units = Matrix.identity(field, d).columns()
+        want = [i - n for i in _greedy_keeps(field, cols + units) if i >= n]
+        got = unit_complement(field, cols, d)
+        assert got == want, (d, cols)
+        # the same indices as the pivots past the cols of reduced [cols | I_d]
+        stacked = [[col[i] for col in cols] + units[i] for i in range(d)]
+        assert got == [p - n for p in textbook_rref(field, stacked)[1] if p >= n]
+        # the kept unit vectors complete a basis
+        assert rank(Matrix.from_columns(field, d, cols + [units[i] for i in got])) == d

@@ -3,7 +3,8 @@
 A name counts as used when it appears as a token in src/aquiver or tests
 at least once more than it is defined.  Dunder methods are called by the
 interpreter, and click commands are reached through the command group, so
-both are exempt.
+both are exempt.  Every name a library module imports at top level is
+read in that module, except in __init__.py, which re-exports.
 """
 
 import ast
@@ -50,3 +51,23 @@ def test_every_library_function_and_class_has_a_use():
     tokens = _name_tokens()
     dead = sorted(name for name, n in _definitions().items() if tokens[name] <= n)
     assert not dead, f"defined in src/aquiver but never used: {', '.join(dead)}"
+
+
+def _unused_imports(tree) -> list[str]:
+    """Names bound by the module's top-level imports that no expression in
+    the module reads; ``from __future__`` imports are directives."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_unused_module_level_imports():
+    unused = [f"{path.name}: {name}"
+              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+              for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not unused, f"imported but never used: {', '.join(unused)}"

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aquiver.intervals import Interval, NEG_INF, POS_INF
-from aquiver.orientation import (Orientation, down_set, down_set_limit, leq,
-                                 reparameterize, reverse, segment_index,
+from oracle import increasing_beside
+from aquiver.homological import projectives_table
+from aquiver.intervals import Interval, NEG_INF, POS_INF, format_extreal, is_finite
+from aquiver.orientation import (Orientation, Segment, down_set, down_set_limit,
+                                 leq, reparameterize, reverse, segment_index,
                                  segments_touching, up_set)
+from aquiver.tamerep import DOWN, UP, junction_dirs
 
 ZIGZAG = Orientation.make([(0, "sink"), (1, "source")])
 EMPTY_DESC = Orientation.make([], "descending")
@@ -175,3 +178,86 @@ def test_validation():
         Orientation.make([(0, "left")])
     with pytest.raises(ValueError):
         Orientation.make([], "sideways")
+
+
+# ---------------------------------------------------------------------------
+# Parity of every direction rule with the oracle's, which reads the raw
+# critical points and no library orientation helper.
+
+def _reference_table(o: Orientation) -> list[tuple[str, str]]:
+    """(support, label) rows of the projectives table, from the raw rule:
+    P at an infinite end is nonzero when the end stretch runs toward it,
+    P at a sink is the point, P at a source spans both neighbouring
+    stretches, and each stretch has a family at a generic point a."""
+    crit = o.criticals
+    pos = [p for p, _ in crit]
+    los, his = [NEG_INF] + pos, pos + [POS_INF]
+    rows = []
+    if not increasing_beside(o, his[0] if pos else 0, "left"):
+        rows.append((str(Interval(NEG_INF, his[0], False, is_finite(his[0]))), "P_-inf"))
+    if increasing_beside(o, los[-1] if pos else 0, "right"):
+        rows.append((str(Interval(los[-1], POS_INF, is_finite(los[-1]), False)), "P_+inf"))
+    for i, (p, kind) in enumerate(crit):
+        s = format_extreal(p)
+        if kind == "sink":
+            rows.append(("{%s}" % s, f"P_{s}"))
+            continue
+        lo, hi = los[i], his[i + 1]
+        rows.append((str(Interval(lo, hi, is_finite(lo), is_finite(hi))), f"P_{s}"))
+        rows.append((str(Interval(lo, p, is_finite(lo), False)), f"P_{s})"))
+        rows.append((str(Interval(p, hi, False, is_finite(hi))), f"P_({s}"))
+    for letter, lo, hi in zip("abcde", los, his):
+        lo_s, hi_s = format_extreal(lo), format_extreal(hi)
+        if increasing_beside(o, hi if is_finite(hi) else lo if is_finite(lo) else 0,
+                             "left" if is_finite(hi) else "right"):
+            lb = "[" if is_finite(lo) else "("
+            rows += [(f"{lb}{lo_s}, {letter}]", f"P_{letter}"),
+                     (f"{lb}{lo_s}, {letter})", f"P_{letter})")]
+        else:
+            rb = "]" if is_finite(hi) else ")"
+            rows += [(f"[{letter}, {hi_s}{rb}", f"P_{letter}"),
+                     (f"({letter}, {hi_s}{rb}", f"P_({letter}")]
+    return sorted(rows)
+
+
+def test_direction_rules_match_raw_critical_points():
+    rng = random.Random(5150)
+    orientations = [Orientation.make([], "descending"), Orientation.make([], "ascending")]
+    orientations += [_random_orientation(rng) for _ in range(300)]
+    assert {len(o.criticals) for o in orientations} == {0, 1, 2, 3, 4}
+    q = Fraction(1, 4)
+    for o in orientations:
+        pos = list(o.positions)
+        # on, just beside and between the critical points, and beyond both ends
+        points = sorted({Fraction(0)} | set(pos) | {p + d for p in pos for d in (-q, q)}
+                        | {(a + b) / 2 for a, b in zip(pos, pos[1:])}
+                        | {min(pos, default=0) - 3, max(pos, default=0) + 3})
+        for x in points:
+            left, right = increasing_beside(o, x, "left"), increasing_beside(o, x, "right")
+            lo = max((p for p in pos if p <= x), default=NEG_INF)
+            hi = min((p for p in pos if p > x), default=POS_INF)
+            assert segment_index(o, x) == Segment(lo, hi, right), (o, x)
+            if x in pos:
+                left_lo = max((p for p in pos if p < x), default=NEG_INF)
+                want = [Segment(left_lo, x, left), Segment(x, hi, right)]
+            else:
+                assert left == right
+                want = [Segment(lo, hi, right)]
+            assert segments_touching(o, x) == want, (o, x)
+            for y in points:
+                a, b = min(x, y), max(x, y)
+                inc = increasing_beside(o, a, "right")
+                want = x == y or (not any(a < p < b for p in pos) and inc == (x < y))
+                assert leq(o, x, y) == want, (o, x, y)
+        first = increasing_beside(o, pos[0] if pos else 0, "left")
+        last = increasing_beside(o, pos[-1] if pos else 0, "right")
+        head = pos[0] if pos else POS_INF
+        tail = pos[-1] if pos else NEG_INF
+        assert down_set_limit(o, NEG_INF) == (
+            None if first else Interval(NEG_INF, head, False, is_finite(head)))
+        assert down_set_limit(o, POS_INF) == (
+            Interval(tail, POS_INF, is_finite(tail), False) if last else None)
+        assert junction_dirs(o, points) == [
+            DOWN if increasing_beside(o, points[j // 2], "left" if j % 2 == 0 else "right")
+            else UP for j in range(2 * len(points))]
+        assert sorted(r[:2] for r in projectives_table(o)) == _reference_table(o), o

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import POSITIONS, random_bars, random_orientation
+from oracle import increasing_beside
 from aquiver.decompose import decompose, iso
 from aquiver.homological import refine_morphism
 from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF
 from aquiver.linalg import Matrix, PrimeField, QQ, random_invertible
-from aquiver.orientation import Orientation, increasing_on_side
+from aquiver.orientation import Orientation
 from aquiver.tamerep import (DOWN, UP, RepMorphism, TameRep, cell_of_point,
                              cell_representative, conjugate, cokernel_rep,
                              direct_sum, dual, from_bars, image_rep,
@@ -219,8 +220,8 @@ def test_json_roundtrip_tame():
 # grid geometry against per-junction and per-cell references
 
 def _reference_dirs(o, grid):
-    """One increasing_on_side lookup per junction."""
-    return [DOWN if increasing_on_side(o, grid[j // 2], "left" if j % 2 == 0 else "right") else UP
+    """One oracle direction lookup per junction."""
+    return [DOWN if increasing_beside(o, grid[j // 2], "left" if j % 2 == 0 else "right") else UP
             for j in range(2 * len(grid))]
 
 
