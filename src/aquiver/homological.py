@@ -1,11 +1,15 @@
 """Hom and Ext spaces, projective/injective classification, image
 filtrations, and minimal projective presentations.
 
-Hom spaces are computed by discretizing to a common grid and solving the
-commuting-square equations exactly; no closed-form endpoint rule is
-assumed.  Presentations follow the generator/relation recipe for interval
-summands: generators sit at interior sources and at the ends of the
-interval, relations at interior sinks and at the overshoots of the
+Hom spaces between representations are computed by discretizing to a
+common grid and solving the commuting-square equations exactly.  Between
+interval summands no system is needed: a morphism M_I -> M_J is one
+scalar on I n J, and only the two junctions at the ends of I n J can
+force it to vanish (hom_dim).  The category is hereditary, so Ext^1
+between interval summands follows from the minimal presentation and
+Yoneda (ext_dim).  Presentations follow the generator/relation recipe
+for interval summands: generators sit at interior sources and at the ends
+of the interval, relations at interior sinks and at the overshoots of the
 generators, realized with a fixed alternating +-1 scheme.
 """
 
@@ -16,14 +20,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .decompose import InternalInvariantError, decompose
-from .intervals import (BarMultiset, ExtReal, Interval, NEG_INF, POS_INF,
-                        format_extreal, intersect, is_finite)
+from .intervals import (ExtReal, Interval, NEG_INF, POS_INF, format_extreal,
+                        intersect, is_finite)
 from .linalg import Matrix, QQ, kernel_basis, rank
 from .orientation import (Orientation, Segment, down_set, down_set_limit,
                           reverse, up_set)
-from .tamerep import (DOWN, RepMorphism, TameRep, cell_of_point, common_grid,
-                      cells_to_interval, from_bars, junction_cells, kernel_rep,
-                      refine, refined_cells, rep_from_interval_list, zero_rep)
+from .tamerep import (DOWN, UP, RepMorphism, TameRep, cell_of_point,
+                      cells_to_interval, common_grid, interval_to_cells,
+                      junction_cells, junction_dirs, kernel_rep,
+                      rep_from_interval_list, zero_rep)
 
 POINT = "point"
 OPEN_RIGHT = "open_right"   # the "x < a" half of the down-set at a
@@ -119,12 +124,10 @@ def classify_injective(o: Orientation, iv: Interval) -> Optional[InjectiveLabel]
 # ---------------------------------------------------------------------------
 # Hom spaces
 
-def _morphism_system(v: TameRep, w: TameRep, fixed=()) -> tuple[Matrix, list, list[int]]:
-    """Equations on cellwise matrices X_c: v_c -> w_c.  First the commuting
-    square at every junction, then L X_c R = C for each (c, L, R, C) in
-    fixed, where one of L, R is None and stands for the identity.  The
-    unknowns are the entries of X_0, X_1, ... row by row; returns the
-    matrix, the right-hand side and the offset of each X_c."""
+def _morphism_system(v: TameRep, w: TameRep) -> tuple[Matrix, list[int]]:
+    """The commuting-square equations at every junction on cellwise
+    matrices X_c: v_c -> w_c.  The unknowns are the entries of X_0, X_1,
+    ... row by row; returns the matrix and the offset of each X_c."""
     field = v.field
     z = field.zero()
     offsets = []
@@ -145,7 +148,7 @@ def _morphism_system(v: TameRep, w: TameRep, fixed=()) -> tuple[Matrix, list, li
             if coef:
                 row[base + t * stride] = field.neg(coef) if negate else coef
 
-    rows, rhs = [], []
+    rows = []
     for j in range(len(v.maps)):
         src, tgt = junction_cells(v.dirs[j], j)
         for r in range(w.dims[tgt]):
@@ -154,22 +157,14 @@ def _morphism_system(v: TameRep, w: TameRep, fixed=()) -> tuple[Matrix, list, li
                 term(row, tgt, None, v.maps[j], r, s)
                 term(row, src, w.maps[j], None, r, s, negate=True)
                 rows.append(row)
-                rhs.append(z)
-    for c, left, right, target in fixed:
-        for r in range(target.nrows):
-            for s in range(target.ncols):
-                row = [z] * total
-                term(row, c, left, right, r, s)
-                rows.append(row)
-                rhs.append(target.rows[r][s])
-    return Matrix(field, len(rows), total, rows), rhs, offsets
+    return Matrix(field, len(rows), total, rows), offsets
 
 
 def hom_basis(v: TameRep, w: TameRep) -> list[RepMorphism]:
     """A basis of the space of morphisms v -> w (inputs are refined to a
     common grid first)."""
     v, w = common_grid(v, w)
-    system, _, offsets = _morphism_system(v, w)
+    system, offsets = _morphism_system(v, w)
     ker = kernel_basis(system)
     out = []
     for col in ker.columns():
@@ -188,18 +183,29 @@ def hom_space_dim(v: TameRep, w: TameRep) -> int:
     if v.orientation != w.orientation:
         raise ValueError("orientation mismatch")
     v, w = common_grid(v, w)
-    system, _, _ = _morphism_system(v, w)
+    system, _ = _morphism_system(v, w)
     return system.ncols - rank(system)
 
 
 def hom_dim(o: Orientation, i_iv: Interval, j_iv: Interval, field=QQ) -> int:
-    v = from_bars(o, BarMultiset([(i_iv, 1)]), field)
-    w = from_bars(o, BarMultiset([(j_iv, 1)]), field)
-    d = hom_space_dim(v, w)
-    if d > 1:
-        raise InternalInvariantError(
-            f"Hom dimension {d} > 1 between interval summands {i_iv}, {j_iv}")
-    return d
+    """dim Hom(M_I, M_J), 0 or 1 over every field.  On the cells of the
+    grid of I's and J's finite endpoints, a morphism is one scalar on
+    K = I n J: the junction maps inside K are identities on both sides.
+    The only commuting squares that touch it are the junctions at K's
+    ends, and such a square forces the scalar to 0 when the map runs from
+    a cell of I outside K into K, or from K into a cell of J outside K."""
+    grid = sorted({Fraction(e) for iv in (i_iv, j_iv) for e in (iv.lo, iv.hi)
+                   if is_finite(e)})
+    (i0, i1), (j0, j1) = interval_to_cells(grid, i_iv), interval_to_cells(grid, j_iv)
+    k0, k1 = max(i0, j0), min(i1, j1)
+    if k0 > k1:
+        return 0
+    dirs = junction_dirs(o, grid)
+    if k0 > 0 and (i0 < k0 if dirs[k0 - 1] == UP else j0 < k0):
+        return 0
+    if k1 < len(dirs) and (i1 > k1 if dirs[k1] == DOWN else j1 > k1):
+        return 0
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -452,34 +458,33 @@ def proj_presentation(o: Orientation, iv: Interval, field=QQ) -> ProjPresentatio
     return ProjPresentation(p1, p0, realized)
 
 
-def _flatten_morphism(f: RepMorphism) -> list:
-    out = []
-    for m in f.mats:
-        for row in m.rows:
-            out.extend(row)
-    return out
-
-
-def refine_morphism(f: RepMorphism, points) -> RepMorphism:
-    dom = refine(f.dom, points)
-    cod = refine(f.cod, points)
-    mats = [f.mats[c] for c in refined_cells(f.dom.grid, dom.grid)]
-    return RepMorphism(dom, cod, mats, validate=False)
+def _hom_from_projective(label: ProjectiveLabel, w: Interval) -> int:
+    """dim Hom(P, M_W) for the nonzero projective P named by label, by
+    Yoneda: the dimension of M_W at the label's point, just left of it,
+    just right of it, or at an infinite end."""
+    a = label.a
+    if a == NEG_INF:
+        return int(w.lo == NEG_INF)
+    if a == POS_INF:
+        return int(w.hi == POS_INF)
+    if label.form == POINT:
+        return int(w.contains(a))
+    if label.form == OPEN_RIGHT:
+        return int(w.lo < a <= w.hi)
+    return int(w.lo <= a < w.hi)
 
 
 def ext_dim(o: Orientation, v_iv: Interval, w_iv: Interval, field=QQ) -> int:
-    """dim Ext^1 between the interval summands, via the presentation of the
-    first argument."""
-    pres = proj_presentation(o, v_iv, field)
-    wrep = from_bars(o, BarMultiset([(w_iv, 1)]), field)
-    pts = set(wrep.grid) | set(pres.realized.dom.grid)
-    inc = refine_morphism(pres.realized, pts)
-    w2 = refine(wrep, inc.dom.grid)
-    h1 = hom_space_dim(inc.dom, w2)
-    basis0 = hom_basis(inc.cod, w2)
-    stacked = [_flatten_morphism(phi.compose(inc)) for phi in basis0]
-    r = rank(Matrix.from_rows(field, stacked)) if stacked else 0
-    ext = h1 - r
+    """dim Ext^1(M_V, M_W), 0 or 1 over every field.  A projective V gives
+    0.  Otherwise V has the minimal presentation 0 -> P1 -> P0 -> M_V -> 0
+    and the category is hereditary, so
+    0 -> Hom(V, W) -> Hom(P0, W) -> Hom(P1, W) -> Ext^1(V, W) -> 0
+    is exact and Ext^1 is its alternating sum of dimensions."""
+    if classify_projective(o, v_iv) is not None:
+        return 0
+    p1, p0 = _presentation_labels(o, v_iv)
+    ext = (hom_dim(o, v_iv, w_iv) - sum(_hom_from_projective(l, w_iv) for l in p0)
+           + sum(_hom_from_projective(l, w_iv) for l in p1))
     if ext not in (0, 1):
         raise InternalInvariantError(f"Ext dimension {ext} outside {{0,1}}")
     return ext

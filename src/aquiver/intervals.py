@@ -111,6 +111,9 @@ class Interval:
 
     @staticmethod
     def from_json(obj: dict) -> "Interval":
+        for key in ("lo", "hi", "lo_closed", "hi_closed"):
+            if key not in obj:
+                raise ValueError(f"missing key {key!r}")
         for key in ("lo_closed", "hi_closed"):
             if not isinstance(obj[key], bool):
                 raise TypeError(f"{key} must be true or false")

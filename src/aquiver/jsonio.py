@@ -28,8 +28,11 @@ _MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
 
 
 def _integer(x) -> int:
-    """int(x), refusing booleans and the non-integral floats int() truncates."""
-    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+    """int(x), refusing booleans, the non-integral floats int() truncates,
+    and strings other than ASCII digits with an optional sign (int() also
+    reads "1_0" as 10, " 3 " as 3 and other scripts' digits)."""
+    if (isinstance(x, bool) or (isinstance(x, float) and not x.is_integer())
+            or (isinstance(x, str) and not re.fullmatch(r"[+-]?[0-9]+", x))):
         raise ValueError(f"{json.dumps(x)} is not an integer")
     return int(x)
 

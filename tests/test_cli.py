@@ -258,12 +258,35 @@ def test_two_cell_tame_document_is_valid(runner, tmp_path):
      "bars": [{"lo": "0", "lo_closed": True, "hi": "1", "hi_closed": None}]},
     {"orientation": EMPTY_ORIENTATION,
      "bars": [{"lo": "0", "lo_closed": 0, "hi": "1", "hi_closed": False}]},
+    {"orientation": EMPTY_ORIENTATION,
+     "bars": [{"lo": "0", "lo_closed": True, "hi": "1", "hi_closed": False, "mult": "1_0"}]},
+    {"orientation": EMPTY_ORIENTATION, "field": {"kind": "Fp", "p": "1_1"}, "bars": []},
+    _two_cell_tame(["0", "1"], " 3 ", "1", {"kind": "Fp", "p": 5}),
+    {"orientation": EMPTY_ORIENTATION,
+     "bars": [{"lo": "0", "lo_closed": True, "hi": "1", "hi_closed": False, "mult": "\u0663"}]},
 ], ids=["p-5.5", "p-true", "entry-true", "entry-false", "Fp-entry-2.5", "grid-true",
         "critical-true", "mult-true", "bar-number", "dim-1.5", "mult-2.5",
-        "closed-string", "closed-null", "closed-0"])
+        "closed-string", "closed-null", "closed-0", "mult-underscore", "p-underscore",
+        "Fp-entry-spaces", "mult-arabic-indic-digit"])
 def test_coerced_numbers_in_documents_exit_2(runner, tmp_path, doc):
     f = _write(tmp_path, "d.json", doc)
     _assert_clean_exit_2(runner.invoke(main, ["decompose", f]))
+
+
+def test_signed_integer_strings_are_Fp_entries(runner, tmp_path):
+    f = _write(tmp_path, "d.json", _two_cell_tame(["0", "1"], "3", "-1", {"kind": "Fp", "p": 5}))
+    res = runner.invoke(main, ["decompose", f])
+    assert res.exit_code == 0 and res.output == "[0, 1]\n"
+
+
+@pytest.mark.parametrize("key", ["lo", "hi", "lo_closed", "hi_closed"])
+def test_bar_without_a_key_names_it(runner, tmp_path, key):
+    bar = {"lo": "0", "lo_closed": True, "hi": "1", "hi_closed": False}
+    del bar[key]
+    f = _write(tmp_path, "d.json", {"orientation": EMPTY_ORIENTATION, "bars": [bar]})
+    res = runner.invoke(main, ["decompose", f])
+    _assert_clean_exit_2(res)
+    assert f"missing key '{key}'" in res.stderr
 
 
 def test_boolean_in_orientation_file_exits_2(runner, tmp_path):

@@ -13,7 +13,8 @@ from aquiver.homological import (FiltrationReport, InjectiveLabel, OPEN_LEFT,
                                  image_filtration, injective_composites_criterion,
                                  is_projective_rep, kernel_of_projective_map,
                                  proj_presentation, projectives_table,
-                                 realize_projective, refine_morphism)
+                                 realize_projective)
+from aquiver.ar import EXISTS, ar_ending_at
 from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF
 from aquiver.linalg import QQ, Matrix, PrimeField, rank
 from aquiver.orientation import (Orientation, down_set, leq, reverse,
@@ -56,6 +57,75 @@ def test_hom_self_is_one(rng):
         o = random_orientation(rng)
         iv = random_interval(rng)
         assert hom_dim(o, iv, iv) == 1
+
+
+def _random_pair(rng, o):
+    """Two intervals: random ones (points, infinite ends, ends on critical
+    points), ones inside one segment, and I = J."""
+    i_iv = random_interval(rng) if rng.random() < 0.7 else interval_in_segment(rng, o)
+    if rng.random() < 0.1:
+        return i_iv, i_iv
+    return i_iv, random_interval(rng) if rng.random() < 0.7 else interval_in_segment(rng, o)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_hom_dim_matches_dense_commuting_squares(field):
+    # the closed form against the dense system of hom_space_dim
+    rng = random.Random(4141 if field == QQ else 4142)
+    seen = {"ascending": 0, "descending": 0, "point": 0, "infinite": 0,
+            "end_on_critical": 0, "equal": 0, 0: 0, 1: 0}
+    for _ in range(2500):
+        o = random_orientation(rng)
+        i_iv, j_iv = _random_pair(rng, o)
+        d = hom_space_dim(one_bar(o, i_iv, field), one_bar(o, j_iv, field))
+        assert d <= 1
+        assert hom_dim(o, i_iv, j_iv, field) == d, (o, i_iv, j_iv)
+        ends = [e for iv in (i_iv, j_iv) for e in (iv.lo, iv.hi)]
+        seen[d] += 1
+        if not o.criticals:
+            seen[o.empty_direction] += 1
+        seen["point"] += i_iv.is_point() or j_iv.is_point()
+        seen["infinite"] += NEG_INF in ends or POS_INF in ends
+        seen["end_on_critical"] += any(o.is_critical(e) for e in ends if e not in (NEG_INF, POS_INF))
+        seen["equal"] += i_iv == j_iv
+    assert min(seen.values()) >= 100, seen
+
+
+def test_hom_and_ext_duality(rng):
+    # reversing the orientation swaps the arguments of Hom and Ext
+    ext_one = 0
+    for _ in range(2000):
+        o = random_orientation(rng)
+        v_iv, w_iv = _random_pair(rng, o)
+        assert hom_dim(o, v_iv, w_iv) == hom_dim(reverse(o), w_iv, v_iv)
+        e = ext_dim(o, v_iv, w_iv)
+        assert e == ext_dim(reverse(o), w_iv, v_iv), (o, v_iv, w_iv)
+        ext_one += e
+    assert ext_one >= 100
+
+
+def test_ext_into_injective_vanishes(rng):
+    injectives = 0
+    for _ in range(3000):
+        o = random_orientation(rng)
+        v_iv, w_iv = _random_pair(rng, o)
+        if classify_injective(o, w_iv) is not None:
+            assert ext_dim(o, v_iv, w_iv) == 0, (o, v_iv, w_iv)
+            injectives += 1
+    assert injectives >= 200
+
+
+def test_almost_split_sequences_do_not_split(rng):
+    # an almost-split sequence 0 -> L -> M -> R -> 0 is a nonzero class
+    # in Ext^1(R, L)
+    found = 0
+    for _ in range(400):
+        o = random_orientation(rng, max_criticals=3)
+        ans = ar_ending_at(o, interval_in_segment(rng, o))
+        if ans.status == EXISTS:
+            assert ext_dim(o, ans.sequence.right, ans.sequence.left) == 1
+            found += 1
+    assert found >= 50
 
 
 def test_hom_space_dim_additivity(rng):

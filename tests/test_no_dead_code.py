@@ -4,10 +4,13 @@ A name counts as used when it appears as a token in src/aquiver or tests
 at least once more than it is defined.  Dunder methods are called by the
 interpreter, and click commands are reached through the command group, so
 both are exempt.  Every name a library module imports at top level is
-read in that module, except in __init__.py, which re-exports.
+read in that module, except in __init__.py, which re-exports.  Every name
+the benchmark's tracer wraps exists.
 """
 
 import ast
+import importlib
+import importlib.util
 import io
 import tokenize
 from collections import Counter
@@ -71,3 +74,19 @@ def test_no_unused_module_level_imports():
               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
               for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
     assert not unused, f"imported but never used: {', '.join(unused)}"
+
+
+def test_every_traced_name_resolves():
+    # bench/tracing.py patches these names by module and attribute path;
+    # a missing one would fail only a traced benchmark run
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for mod_name, attr, _ in tracing.TARGETS:
+        obj = importlib.import_module(f"aquiver.{mod_name}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{mod_name}.{attr}")
+    assert not missing, f"traced by bench/tracing.py but missing: {', '.join(missing)}"
