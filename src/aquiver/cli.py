@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 
 import click
 
@@ -18,7 +17,7 @@ from .ar import EXISTS, PROVEN_NONEXISTENT, ar_ending_at, ar_starting_at
 from .decompose import decompose
 from .homological import (ProjectiveLabel, ext_dim, hom_dim, proj_presentation,
                           projectives_table, realize_projective)
-from .intervals import format_extreal
+from .intervals import format_extreal, parse_rational
 from .jsonio import (_MALFORMED, SchemaError, Document, document_to_json,
                      parse_document, parse_field, parse_interval,
                      parse_orientation_file)
@@ -182,7 +181,7 @@ def cmd_projectives(orientation_file, window, as_json):
     if window is not None:
         try:
             lo_s, hi_s = window.split(":")
-            win = (Fraction(lo_s), Fraction(hi_s))
+            win = (parse_rational(lo_s), parse_rational(hi_s))
         except _MALFORMED as e:
             raise SchemaError(f"bad window {window!r}: {e}")
         if win[0] > win[1]:

@@ -1,16 +1,17 @@
 """Hom and Ext spaces, projective/injective classification, image
 filtrations, and minimal projective presentations.
 
-Hom spaces between representations are computed by discretizing to a
-common grid and solving the commuting-square equations exactly.  Between
-interval summands no system is needed: a morphism M_I -> M_J is one
-scalar on I n J, and only the two junctions at the ends of I n J can
-force it to vanish (hom_dim).  The category is hereditary, so Ext^1
-between interval summands follows from the minimal presentation and
-Yoneda (ext_dim).  Presentations follow the generator/relation recipe
-for interval summands: generators sit at interior sources and at the ends
-of the interval, relations at interior sinks and at the overshoots of the
-generators, realized with a fixed alternating +-1 scheme.
+Between interval summands no system is needed: a morphism M_I -> M_J is
+one scalar on I n J, and only the two junctions at the ends of I n J can
+force it to vanish (hom_dim).  Hom between representations is bilinear
+over their barcodes (hom_space_dim); hom_basis still discretizes to a
+common grid and solves the commuting-square equations exactly.  The
+category is hereditary, so Ext^1 between interval summands follows from
+the minimal presentation and Yoneda (ext_dim).  Presentations follow the
+generator/relation recipe for interval summands: generators sit at
+interior sources and at the ends of the interval, relations at interior
+sinks and at the overshoots of the generators, realized with a fixed
+alternating +-1 scheme.
 """
 
 from __future__ import annotations
@@ -180,11 +181,20 @@ def hom_basis(v: TameRep, w: TameRep) -> list[RepMorphism]:
 
 
 def hom_space_dim(v: TameRep, w: TameRep) -> int:
+    """dim Hom(v, w).  Hom is bilinear over direct sums, so with
+    v = sum m_I M_I and w = sum n_J M_J it is sum m_I n_J hom(I, J) over
+    the two barcodes.  The answer therefore rests on decompose: each side
+    is decomposed once, on its own grid, and each distinct pair of bars
+    costs one hom_dim."""
     if v.orientation != w.orientation:
         raise ValueError("orientation mismatch")
-    v, w = common_grid(v, w)
-    system, _ = _morphism_system(v, w)
-    return system.ncols - rank(system)
+    if v.field != w.field:
+        raise ValueError("field mismatch")
+    o, field = v.orientation, v.field
+    v_bars = decompose(v).items()
+    w_bars = v_bars if w is v else decompose(w).items()
+    return sum(m * n * hom_dim(o, i_iv, j_iv, field)
+               for i_iv, m in v_bars for j_iv, n in w_bars)
 
 
 def hom_dim(o: Orientation, i_iv: Interval, j_iv: Interval, field=QQ) -> int:

@@ -8,6 +8,8 @@ and closed.  Infinite ends are always open.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
@@ -20,18 +22,49 @@ POS_INF: ExtReal = inf
 
 
 def is_finite(x: ExtReal) -> bool:
-    return x != NEG_INF and x != POS_INF
+    # Only a float can be infinite; the type test spares a Fraction the
+    # slow Fraction-against-float comparison.
+    return type(x) is not float or (x != NEG_INF and x != POS_INF)
+
+
+_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?").fullmatch
+_DECIMAL = re.compile(r"[+-]?([0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE]([+-]?[0-9]+))?").fullmatch
+# CPython's default limit on the digits of an int read from or written to
+# a string; int() already enforces it on "p" and "p/q".
+_MAX_DIGITS = 4300
+
+
+def parse_rational(x) -> Fraction:
+    """The exact rational an input value spells: a JSON integer (never a
+    bool), or a string "p", "p/q" or a decimal such as "-0.25" or "1e-3"
+    in ASCII digits.  Fraction() alone would also take floats (0.1 is a
+    binary fraction), "1_0", surrounding spaces and other scripts' digits;
+    those raise ValueError here, and so does a decimal whose digits and
+    exponent add up to more than the value could be printed with."""
+    if type(x) is int:
+        return Fraction(x)
+    if type(x) is str:
+        m = _RATIO(x)
+        if m:
+            num, den = m.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        m = _DECIMAL(x)
+        if m:
+            mantissa, exp = m.groups()
+            if len(mantissa) + abs(int(exp or 0)) > _MAX_DIGITS:
+                raise ValueError(f"a decimal of more than {_MAX_DIGITS} digits")
+            return Fraction(x)
+    raise ValueError(f"{json.dumps(x)} is not a rational")
 
 
 def parse_extreal(s: str) -> ExtReal:
     if not isinstance(s, str):
         raise TypeError(f"expected a string such as \"1/2\" or \"-inf\", got {s!r}")
-    s = s.strip()
     if s in ("-inf", "-oo"):
         return NEG_INF
     if s in ("+inf", "inf", "+oo"):
         return POS_INF
-    return Fraction(s)
+    return parse_rational(s)
 
 
 def format_extreal(x: ExtReal) -> str:

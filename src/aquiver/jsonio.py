@@ -7,10 +7,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .intervals import BarMultiset, Interval, format_extreal, parse_extreal
+from .intervals import (BarMultiset, Interval, format_extreal, parse_extreal,
+                        parse_rational)
 from .linalg import Matrix, PrimeField, QQ
 from .orientation import (Orientation, orientation_from_json,
                           orientation_to_json)
@@ -22,8 +22,9 @@ class SchemaError(ValueError):
 
 
 # What parsing numbers and nested JSON values raises on malformed input,
-# besides KeyError/TypeError/ValueError: Fraction("1/0") raises
-# ZeroDivisionError, int(inf) and Fraction(inf) raise OverflowError.
+# besides KeyError/TypeError/ValueError: a zero denominator ("1/0") raises
+# ZeroDivisionError, and the point interval "{-inf}" raises OverflowError
+# from Fraction(-inf).
 _MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
 
 
@@ -44,6 +45,10 @@ def _load(text: str):
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"line {e.lineno} column {e.colno}: {e.msg}")
+    except ValueError as e:  # an integer of more than 4300 digits
+        raise SchemaError(str(e))
+    except RecursionError:
+        raise SchemaError("JSON nested too deeply")
     todo = [(None, obj)]
     while todo:
         key, x = todo.pop()
@@ -103,7 +108,7 @@ def tame_to_json(v: TameRep) -> dict:
 
 def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
     try:
-        grid = [Fraction(s) for s in obj["grid"]]
+        grid = [parse_rational(s) for s in obj["grid"]]
         dims = [_integer(d) for d in obj["dims"]]
         maps_json = obj["maps"]
     except _MALFORMED as e:
@@ -113,10 +118,10 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
     if len(maps_json) != 2 * len(grid):
         raise SchemaError(f"tame object needs {2 * len(grid)} maps")
     if field == QQ:
-        parse = field.parse
+        parse = parse_rational
     else:
         def parse(x):  # an F_p entry is an integer, never truncated
-            return field.parse(_integer(x))
+            return field.from_int(_integer(x))
     maps, dirs = [], []
     for j, mj in enumerate(maps_json):
         d = mj.get("dir")

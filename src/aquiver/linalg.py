@@ -53,9 +53,6 @@ class RationalField:
         for j, b in pairs:
             dst[j] += c * b
 
-    def parse(self, s: str):
-        return Fraction(s)
-
     def format(self, a) -> str:
         if a.denominator == 1:
             return str(a.numerator)
@@ -146,9 +143,6 @@ class PrimeField:
         p = self.p
         for j, b in pairs:
             dst[j] = (dst[j] + c * b) % p
-
-    def parse(self, s: str):
-        return int(s) % self.p
 
     def format(self, a) -> str:
         return str(a % self.p)

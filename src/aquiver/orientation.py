@@ -20,7 +20,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Literal, Optional
 
-from .intervals import ExtReal, Interval, NEG_INF, POS_INF, format_extreal, is_finite
+from .intervals import (ExtReal, Interval, NEG_INF, POS_INF, format_extreal,
+                        is_finite, parse_rational)
 
 Kind = Literal["sink", "source"]
 
@@ -204,5 +205,5 @@ def orientation_to_json(o: Orientation) -> dict:
 
 
 def orientation_from_json(obj: dict) -> Orientation:
-    crit = [(Fraction(c["pos"]), c["kind"]) for c in obj.get("criticals", [])]
+    crit = [(parse_rational(c["pos"]), c["kind"]) for c in obj.get("criticals", [])]
     return Orientation.make(crit, obj.get("empty_direction", "descending"))

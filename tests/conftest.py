@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from aquiver.homological import _morphism_system
 from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF
+from aquiver.linalg import rank
 from aquiver.orientation import Orientation
+from aquiver.tamerep import common_grid
 
 POSITIONS = [Fraction(s) for s in
              ("-2", "-3/2", "-1", "-1/2", "0", "1/2", "1", "3/2", "2", "5/2", "3")]
@@ -60,6 +63,15 @@ def interval_in_segment(rng: random.Random, o: Orientation) -> Interval:
     a = lo_ref + width * Fraction(rng.randint(1, 3), 8)
     b = lo_ref + width * Fraction(rng.randint(5, 7), 8)
     return Interval(a, b, rng.random() < 0.5, rng.random() < 0.5)
+
+
+def dense_hom_space_dim(v, w) -> int:
+    """dim Hom(v, w) as the nullity of the commuting-square system on a
+    common grid: the reference hom_space_dim is checked against, since
+    hom_space_dim itself reads the answer off decompose and hom_dim."""
+    v, w = common_grid(v, w)
+    system, _ = _morphism_system(v, w)
+    return system.ncols - rank(system)
 
 
 @pytest.fixture

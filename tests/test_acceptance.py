@@ -12,13 +12,14 @@ from fractions import Fraction
 
 from click.testing import CliRunner
 
-from conftest import interval_in_segment, random_bars, random_interval, random_orientation
+from conftest import (dense_hom_space_dim, interval_in_segment, random_bars,
+                      random_interval, random_orientation)
 from oracle import enumerate_f2_instances, oracle_decompose
 from aquiver.ar import EXISTS, PROVEN_NONEXISTENT, ar_ending_at, standard_probes, verify_almost_split
 from aquiver.cli import main as cli_main
 from aquiver.decompose import decompose, iso
 from aquiver.homological import (ProjectiveLabel, OPEN_LEFT, OPEN_RIGHT, POINT,
-                                 ext_dim, hom_basis, hom_dim, hom_space_dim,
+                                 ext_dim, hom_basis, hom_dim,
                                  injective_composites_criterion,
                                  is_projective_rep, kernel_of_projective_map,
                                  proj_presentation, realize_projective)
@@ -67,7 +68,7 @@ def test_criterion_3_hom_bound():
         j_iv = random_interval(rng)
         v = from_bars(o, BarMultiset([(i_iv, 1)]))
         w = from_bars(o, BarMultiset([(j_iv, 1)]))
-        d = hom_space_dim(v, w)
+        d = dense_hom_space_dim(v, w)
         assert d in (0, 1), f"hom dim {d} at instance {i}"
         assert hom_dim(o, i_iv, i_iv) == 1
     _report(3, "500 hom dimensions in {0,1}; identity endomorphism always present")
@@ -96,8 +97,8 @@ def test_criterion_4_ext_bound_and_presentation():
                 f"dimension count fails at {x}"
         wrep = from_bars(o, BarMultiset([(w_iv, 1)]))
         h = hom_dim(o, v_iv, w_iv)
-        h0 = hom_space_dim(f.cod, wrep)
-        h1 = hom_space_dim(f.dom, wrep)
+        h0 = dense_hom_space_dim(f.cod, wrep)
+        h1 = dense_hom_space_dim(f.dom, wrep)
         assert h - e == h0 - h1, "Euler pairing identity fails"
     _report(4, "300 ext dimensions in {0,1}; presentations exact at 20 probes each; "
                "Euler pairing exact")

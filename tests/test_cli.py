@@ -273,6 +273,62 @@ def test_coerced_numbers_in_documents_exit_2(runner, tmp_path, doc):
     _assert_clean_exit_2(runner.invoke(main, ["decompose", f]))
 
 
+def _bar(lo, hi):
+    return {"orientation": EMPTY_ORIENTATION,
+            "bars": [{"lo": lo, "lo_closed": True, "hi": hi, "hi_closed": False}]}
+
+
+@pytest.mark.parametrize("doc", [
+    _bar("0", "1_0"),
+    _bar("0", " 3 "),
+    _bar("0", "\u0663"),
+    _two_cell_tame(["0", "1"], 0.1, "1"),
+    _two_cell_tame(["0", "1"], " 3 ", "1"),
+    _two_cell_tame(["0", 0.5], "1", "1"),
+    _two_cell_tame(["0", "1_0"], "1", "1"),
+    {"orientation": {"criticals": [{"pos": 0.1, "kind": "sink"}]}, "bars": []},
+    {"orientation": {"criticals": [{"pos": "1/2/3", "kind": "sink"}]}, "bars": []},
+], ids=["bar-underscore", "bar-spaces", "bar-arabic-indic-digit", "Q-entry-0.1",
+        "Q-entry-spaces", "grid-0.5", "grid-underscore", "critical-0.1", "critical-1/2/3"])
+def test_inexact_rationals_in_documents_exit_2(runner, tmp_path, doc):
+    # Fraction() would read each of these: "1_0" as 10, " 3 " as 3, the
+    # float 0.1 as 3602879701896397/36028797018963968
+    f = _write(tmp_path, "d.json", doc)
+    _assert_clean_exit_2(runner.invoke(main, ["decompose", f]))
+    _assert_clean_exit_2(runner.invoke(main, ["scramble", f, "--seed", "1"]))
+
+
+@pytest.mark.parametrize("args", [["hom", "[0,1_0)", "[0,1)"], ["projectives", "--window", "0:1_0"],
+                                  ["projectives", "--window", " 0:1"]],
+                         ids=["interval-underscore", "window-underscore", "window-space"])
+def test_inexact_rationals_in_arguments_exit_2(runner, tmp_path, args):
+    f = _write(tmp_path, "o.json", ZIGZAG_ORIENTATION)
+    _assert_clean_exit_2(runner.invoke(main, args[:1] + [f] + args[1:]))
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(_bar("0", "1e5000")),
+    json.dumps(_bar("0", "1" * 4400)),
+    '{"orientation": {"criticals": [{"pos": %s, "kind": "sink"}]}, "bars": []}' % ("1" * 5000),
+    "[" * 100000 + "]" * 100000,
+], ids=["decimal-exponent", "long-integer-string", "long-json-integer", "deep-nesting"])
+def test_oversized_input_exits_2(runner, tmp_path, text):
+    p = tmp_path / "d.json"
+    p.write_text(text)
+    _assert_clean_exit_2(runner.invoke(main, ["decompose", str(p)]))
+
+
+def test_integer_and_decimal_rationals_are_exact(runner, tmp_path):
+    doc = {"orientation": {"criticals": [{"pos": 3, "kind": "sink"}]},
+           "bars": [{"lo": "-0.5", "lo_closed": True, "hi": "1.25e1", "hi_closed": False},
+                    {"lo": "+.5", "lo_closed": True, "hi": "3/6", "hi_closed": True}]}
+    res = runner.invoke(main, ["decompose", _write(tmp_path, "d.json", doc)])
+    assert res.exit_code == 0 and res.output == "[-1/2, 25/2)\n{1/2}\n"
+    f = _write(tmp_path, "t.json", _two_cell_tame([0, "1/2"], 2, "-0.5"))
+    res = runner.invoke(main, ["scramble", f, "--seed", "0"])
+    assert res.exit_code == 0 and json.loads(res.output)["tame"]["grid"] == ["0", "1/2"]
+
+
 def test_signed_integer_strings_are_Fp_entries(runner, tmp_path):
     f = _write(tmp_path, "d.json", _two_cell_tame(["0", "1"], "3", "-1", {"kind": "Fp", "p": 5}))
     res = runner.invoke(main, ["decompose", f])

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import interval_in_segment, random_bars, random_interval, random_orientation
+from conftest import (dense_hom_space_dim, interval_in_segment, random_bars,
+                      random_interval, random_orientation)
 from oracle import end_basis
 from aquiver.decompose import InternalInvariantError, decompose
 from aquiver.homological import (FiltrationReport, InjectiveLabel, OPEN_LEFT,
@@ -70,14 +71,14 @@ def _random_pair(rng, o):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
 def test_hom_dim_matches_dense_commuting_squares(field):
-    # the closed form against the dense system of hom_space_dim
+    # the closed form against the dense commuting-square system
     rng = random.Random(4141 if field == QQ else 4142)
     seen = {"ascending": 0, "descending": 0, "point": 0, "infinite": 0,
             "end_on_critical": 0, "equal": 0, 0: 0, 1: 0}
     for _ in range(2500):
         o = random_orientation(rng)
         i_iv, j_iv = _random_pair(rng, o)
-        d = hom_space_dim(one_bar(o, i_iv, field), one_bar(o, j_iv, field))
+        d = dense_hom_space_dim(one_bar(o, i_iv, field), one_bar(o, j_iv, field))
         assert d <= 1
         assert hom_dim(o, i_iv, j_iv, field) == d, (o, i_iv, j_iv)
         ends = [e for iv in (i_iv, j_iv) for e in (iv.lo, iv.hi)]
@@ -137,7 +138,7 @@ def test_hom_space_dim_additivity(rng):
         w = scramble(from_bars(o, b2), 2)
         expect = sum(m1 * m2 * hom_dim(o, i1, i2)
                      for i1, m1 in b1 for i2, m2 in b2)
-        assert hom_space_dim(v, w) == expect
+        assert dense_hom_space_dim(v, w) == expect
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
@@ -146,6 +147,67 @@ def test_hom_space_dim_matches_oracle_end_basis(rng, field):
         o = random_orientation(rng)
         v = scramble(from_bars(o, random_bars(rng, max_bars=3, max_mult=2), field), seed)
         assert hom_space_dim(v, v) == len(end_basis(v))
+
+
+F2, F5 = PrimeField(2), PrimeField(5)
+LINE = Orientation.make([(1, "sink"), (5, "source"), (9, "sink"),
+                         (13, "source"), (17, "sink")])
+HALVES = [Fraction(k, 2) for k in range(-4, 7)]
+
+
+def _scrambled(rng, o, field, seed):
+    """A scrambled multi-bar representation, or now and then a zero one
+    (on the empty grid or on a grid of its own)."""
+    r = rng.random()
+    if r < 0.06:
+        return zero_rep(o, field)
+    if r < 0.12:
+        return zero_rep(o, field, rng.sample(HALVES, 2))
+    return scramble(from_bars(o, random_bars(rng, max_bars=4, max_mult=2), field), seed)
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F2], ids=["Q", "F5", "F2"])
+def test_hom_space_dim_matches_dense_system(field):
+    # the barcode route against the nullity of the commuting-square system
+    rng = random.Random({QQ: 7101, F5: 7102, F2: 7103}[field])
+    seen = {"zero": 0, "same": 0, 0: 0, 1: 0, 2: 0, 3: 0, 4: 0, "hom>1": 0}
+    for i in range(110):
+        o = random_orientation(rng)
+        v = _scrambled(rng, o, field, 2 * i)
+        w = v if rng.random() < 0.15 else _scrambled(rng, o, field, 2 * i + 1)
+        d = hom_space_dim(v, w)
+        assert d == dense_hom_space_dim(v, w), (o, v.grid, w.grid)
+        seen[len(o.criticals)] += 1
+        seen["zero"] += not any(v.dims) or not any(w.dims)
+        seen["same"] += w is v
+        seen["hom>1"] += d > 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_hom_space_dim_thirty_bars_each_side():
+    # a size the dense system cannot reach in a test run: 30 + 30 bars
+    rng = random.Random(3030)
+
+    def bars30():
+        out = []
+        for _ in range(30):
+            lo, hi = sorted(rng.sample(range(20), 2))
+            out.append((Interval.make(lo, hi, rng.random() < 0.5, rng.random() < 0.5), 1))
+        return BarMultiset(out)
+
+    b1, b2 = bars30(), bars30()
+    v = scramble(from_bars(LINE, b1, F5), 1)
+    w = scramble(from_bars(LINE, b2, F5), 2)
+    expect = sum(m1 * m2 * hom_dim(LINE, i1, i2)
+                 for i1, m1 in b1 for i2, m2 in b2)
+    assert expect > 0
+    assert hom_space_dim(v, w) == expect
+
+
+def test_hom_field_mismatch():
+    iv = Interval.make(0, 1, True, True)
+    with pytest.raises(ValueError, match="field mismatch"):
+        hom_space_dim(one_bar(EMPTY_DESC, iv, QQ), one_bar(EMPTY_DESC, iv, F5))
 
 
 def test_hom_against_zero():
@@ -407,8 +469,8 @@ def test_euler_pairing(rng):
         wrep = one_bar(o, w_iv)
         h = hom_dim(o, v_iv, w_iv)
         e = ext_dim(o, v_iv, w_iv)
-        h0 = hom_space_dim(pres.realized.cod, wrep)
-        h1 = hom_space_dim(pres.realized.dom, wrep)
+        h0 = dense_hom_space_dim(pres.realized.cod, wrep)
+        h1 = dense_hom_space_dim(pres.realized.dom, wrep)
         assert h - e == h0 - h1
 
 
