@@ -191,10 +191,9 @@ def hom_space_dim(v: TameRep, w: TameRep) -> int:
     if v.field != w.field:
         raise ValueError("field mismatch")
     o, field = v.orientation, v.field
-    v_bars = decompose(v).items()
-    w_bars = v_bars if w is v else decompose(w).items()
+    w_bars = decompose(w).items()
     return sum(m * n * hom_dim(o, i_iv, j_iv, field)
-               for i_iv, m in v_bars for j_iv, n in w_bars)
+               for i_iv, m in decompose(v).items() for j_iv, n in w_bars)
 
 
 def hom_dim(o: Orientation, i_iv: Interval, j_iv: Interval, field=QQ) -> int:

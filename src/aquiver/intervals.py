@@ -40,7 +40,9 @@ def parse_rational(x) -> Fraction:
     in ASCII digits.  Fraction() alone would also take floats (0.1 is a
     binary fraction), "1_0", surrounding spaces and other scripts' digits;
     those raise ValueError here, and so does a decimal whose digits and
-    exponent add up to more than the value could be printed with."""
+    exponent add up to more than int() reads from a string (_MAX_DIGITS).
+    The limit is on the input value only: arithmetic can still grow an
+    accepted entry past what str() prints (see ROADMAP item 6)."""
     if type(x) is int:
         return Fraction(x)
     if type(x) is str:

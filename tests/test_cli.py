@@ -318,6 +318,23 @@ def test_oversized_input_exits_2(runner, tmp_path, text):
     _assert_clean_exit_2(runner.invoke(main, ["decompose", str(p)]))
 
 
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="the 4300-digit limit is checked on input, not on scrambled output")
+def test_scrambled_entry_past_the_digit_limit(runner, tmp_path):
+    # A 4300-digit Q entry is accepted; scramble's row operations on a
+    # two-dimensional cell grow it to 4301 digits, which str() refuses.
+    doc = {"orientation": EMPTY_ORIENTATION,
+           "tame": {"grid": ["0", "1"], "dims": [0, 2, 2, 2, 0],
+                    "maps": [{"dir": "down", "entries": []},
+                             {"dir": "down", "entries": [["9" * 4300, "0"], ["0", "1"]]},
+                             {"dir": "down", "entries": [["1", "0"], ["0", "1"]]},
+                             {"dir": "down", "entries": [[], []]}]}}
+    res = runner.invoke(main, ["scramble", _write(tmp_path, "d.json", doc), "--seed", "0"])
+    if res.exception is not None and not isinstance(res.exception, SystemExit):
+        raise res.exception
+    assert res.exit_code in (0, 2)
+
+
 def test_integer_and_decimal_rationals_are_exact(runner, tmp_path):
     doc = {"orientation": {"criticals": [{"pos": 3, "kind": "sink"}]},
            "bars": [{"lo": "-0.5", "lo_closed": True, "hi": "1.25e1", "hi_closed": False},

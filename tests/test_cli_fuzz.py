@@ -3,7 +3,10 @@ or field string reaches the CLI, it exits 0, 2 or 3 and never with a
 traceback.
 
 Sizes stay small on purpose: a valid document with a large multiplicity or
-dimension is a large computation, not a malformed input.  Every test is
+dimension is a large computation, not a malformed input.  The one input
+known to end in a traceback, an accepted 4300-digit entry that scramble
+grows past the digit limit, is not generated here; it is the xfail case
+tests/test_cli.py::test_scrambled_entry_past_the_digit_limit.  Every test is
 derandomized, so a run is deterministic and its cost bounded.
 """
 
