@@ -15,11 +15,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .decompose import decompose
-from .homological import _overlap_morphism_matrix, _reps_on_common_grid, hom_dim
+from .homological import _overlap_morphism_matrix, hom_dim
 from .intervals import Interval, is_finite
 from .linalg import QQ, rank
 from .orientation import Orientation, segment_index
-from .tamerep import RepMorphism
+from .tamerep import RepMorphism, reps_on_common_grid
 
 EXISTS = "exists"
 PROVEN_NONEXISTENT = "proven_nonexistent"
@@ -52,7 +52,7 @@ def _strictly_inside_segment(o: Orientation, a: Fraction, b: Fraction) -> Option
 
 def _realize_sequence(o: Orientation, left: Interval, middle: list[Interval],
                       right: Interval, field) -> ARSequence:
-    lpack, mpack, rpack = _reps_on_common_grid(o, [[left], middle, [right]], field)
+    lpack, mpack, rpack = reps_on_common_grid(o, [[left], middle, [right]], field)
     one = field.one()
     f_pairs = {(0, 0): one, (0, 1): one}
     g_pairs = {(0, 0): one, (1, 0): field.neg(one)}

@@ -242,8 +242,12 @@ def cmd_scramble(file, seed, field_spec):
     doc = parse_document(_read(file))
     doc.field = _pick_field(field_spec, doc)
     v = scramble_rep(doc.rep(), seed)
-    out = Document(doc.orientation, v.field, tame=v)
-    _echo_json(document_to_json(out))
+    try:
+        out = document_to_json(Document(doc.orientation, v.field, tame=v))
+    except ValueError:  # str() refuses an entry the change of basis grew too long
+        raise SchemaError(f"a scrambled entry is longer than the "
+                          f"{sys.get_int_max_str_digits()}-digit limit on printed integers")
+    _echo_json(out)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Hom and Ext spaces, projective/injective classification, image
 filtrations, and minimal projective presentations.
 
-Between interval summands no system is needed: a morphism M_I -> M_J is
-one scalar on I n J, and only the two junctions at the ends of I n J can
-force it to vanish (hom_dim).  Hom between representations is bilinear
-over their barcodes (hom_space_dim); hom_basis still discretizes to a
-common grid and solves the commuting-square equations exactly.  The
+Between interval summands neither a system nor a grid is needed: a
+morphism M_I -> M_J is one scalar on K = I n J, and only the junction
+just outside each end of K can force it to vanish, depending on which way
+the orientation runs there (hom_dim).  Hom between representations is
+bilinear over their barcodes (hom_space_dim); hom_basis still discretizes
+to a common grid and solves the commuting-square equations exactly.  The
 category is hereditary, so Ext^1 between interval summands follows from
 the minimal presentation and Yoneda (ext_dim).  Presentations follow the
 generator/relation recipe for interval summands: generators sit at
@@ -16,9 +17,10 @@ alternating +-1 scheme.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .decompose import InternalInvariantError, decompose
 from .intervals import (ExtReal, Interval, NEG_INF, POS_INF, format_extreal,
@@ -26,10 +28,9 @@ from .intervals import (ExtReal, Interval, NEG_INF, POS_INF, format_extreal,
 from .linalg import Matrix, QQ, kernel_basis, rank
 from .orientation import (Orientation, Segment, down_set, down_set_limit,
                           reverse, up_set)
-from .tamerep import (DOWN, UP, RepMorphism, TameRep, cell_of_point,
-                      cells_to_interval, common_grid, interval_to_cells,
-                      junction_cells, junction_dirs, kernel_rep,
-                      rep_from_interval_list, zero_rep)
+from .tamerep import (DOWN, RepMorphism, TameRep, cell_of_point,
+                      cells_to_interval, common_grid, junction_cells,
+                      kernel_rep, reps_on_common_grid, zero_rep)
 
 POINT = "point"
 OPEN_RIGHT = "open_right"   # the "x < a" half of the down-set at a
@@ -197,23 +198,27 @@ def hom_space_dim(v: TameRep, w: TameRep) -> int:
 
 
 def hom_dim(o: Orientation, i_iv: Interval, j_iv: Interval, field=QQ) -> int:
-    """dim Hom(M_I, M_J), 0 or 1 over every field.  On the cells of the
-    grid of I's and J's finite endpoints, a morphism is one scalar on
-    K = I n J: the junction maps inside K are identities on both sides.
-    The only commuting squares that touch it are the junctions at K's
-    ends, and such a square forces the scalar to 0 when the map runs from
-    a cell of I outside K into K, or from K into a cell of J outside K."""
-    grid = sorted({Fraction(e) for iv in (i_iv, j_iv) for e in (iv.lo, iv.hi)
-                   if is_finite(e)})
-    (i0, i1), (j0, j1) = interval_to_cells(grid, i_iv), interval_to_cells(grid, j_iv)
-    k0, k1 = max(i0, j0), min(i1, j1)
-    if k0 > k1:
+    """dim Hom(M_I, M_J), 0 or 1 over every field.  A morphism is one
+    scalar on K = I n J.  The junction just outside a finite end of K
+    forces it to 0 when its map runs from I outside K into K, or from K
+    into J outside K.  Below K that junction lies in the stretch just left
+    of K.lo if K contains K.lo, else just right of it; an increasing
+    stretch runs maps toward smaller reals, out of K, so then J must not
+    reach below K, and otherwise I must not.  Above K mirrors this."""
+    k = intersect(i_iv, j_iv)
+    if k is None:
         return 0
-    dirs = junction_dirs(o, grid)
-    if k0 > 0 and (i0 < k0 if dirs[k0 - 1] == UP else j0 < k0):
-        return 0
-    if k1 < len(dirs) and (i1 > k1 if dirs[k1] == DOWN else j1 > k1):
-        return 0
+    pos, segs = o.positions, o.segments
+    if is_finite(k.lo):
+        below = segs[(bisect_left if k.lo_closed else bisect_right)(pos, k.lo)]
+        out = j_iv if below.increasing else i_iv
+        if (out.lo, out.lo_closed) != (k.lo, k.lo_closed):
+            return 0
+    if is_finite(k.hi):
+        above = segs[(bisect_right if k.hi_closed else bisect_left)(pos, k.hi)]
+        out = i_iv if above.increasing else j_iv
+        if (out.hi, out.hi_closed) != (k.hi, k.hi_closed):
+            return 0
     return 1
 
 
@@ -393,24 +398,6 @@ def _presentation_labels(o: Orientation, iv: Interval) -> tuple[list, list]:
     return p1, p0
 
 
-def _reps_on_common_grid(o: Orientation, groups: Sequence[Sequence[Interval]], field):
-    pts: set[Fraction] = set()
-    lo_h: ExtReal = POS_INF
-    hi_h: ExtReal = NEG_INF
-    for ivs in groups:
-        for s in ivs:
-            lo_h = min(lo_h, s.lo)
-            hi_h = max(hi_h, s.hi)
-            for e in (s.lo, s.hi):
-                if is_finite(e):
-                    pts.add(Fraction(e))
-    for p, _ in o.criticals:
-        if lo_h <= p <= hi_h:
-            pts.add(p)
-    return [rep_from_interval_list(o, list(ivs), field, extra_points=pts)
-            for ivs in groups]
-
-
 def _overlap_morphism_matrix(dom_pack, cod_pack, pairs, field):
     """Block matrices of the summand-wise truncation maps with the given
     coefficients; pairs maps (dom summand index, cod summand index) to a
@@ -434,7 +421,7 @@ def proj_presentation(o: Orientation, iv: Interval, field=QQ) -> ProjPresentatio
     iv: an injective map between sums of projectives whose cokernel is it."""
     label = classify_projective(o, iv)
     if label is not None:
-        (cod, _), = _reps_on_common_grid(o, [[iv]], field)
+        (cod, _), = reps_on_common_grid(o, [[iv]], field)
         dom = zero_rep(o, field, cod.grid)
         mats = [Matrix.zero(field, cod.dims[c], 0) for c in range(cod.ncells)]
         realized = RepMorphism(dom, cod, mats, validate=False)
@@ -442,7 +429,7 @@ def proj_presentation(o: Orientation, iv: Interval, field=QQ) -> ProjPresentatio
     p1, p0 = _presentation_labels(o, iv)
     p1_sup = [realize_projective(o, l) for l in p1]
     p0_sup = [realize_projective(o, l) for l in p0]
-    dom_pack, cod_pack = _reps_on_common_grid(o, [p1_sup, p0_sup], field)
+    dom_pack, cod_pack = reps_on_common_grid(o, [p1_sup, p0_sup], field)
     chain = sorted(
         [(lab, _label_position(lab), 1, i) for i, lab in enumerate(p1)]
         + [(lab, _label_position(lab), 0, i) for i, lab in enumerate(p0)],

@@ -59,6 +59,16 @@ def parse_rational(x) -> Fraction:
     raise ValueError(f"{json.dumps(x)} is not a rational")
 
 
+def parse_integer(x) -> int:
+    """int(x), refusing booleans, the non-integral floats int() truncates,
+    and strings other than ASCII digits with an optional sign (int() also
+    reads "1_0" as 10, " 3 " as 3 and other scripts' digits)."""
+    if (isinstance(x, bool) or (isinstance(x, float) and not x.is_integer())
+            or (isinstance(x, str) and not re.fullmatch(r"[+-]?[0-9]+", x))):
+        raise ValueError(f"{json.dumps(x)} is not an integer")
+    return int(x)
+
+
 def parse_extreal(s: str) -> ExtReal:
     if not isinstance(s, str):
         raise TypeError(f"expected a string such as \"1/2\" or \"-inf\", got {s!r}")
@@ -251,5 +261,4 @@ class BarMultiset:
 
     @staticmethod
     def from_json(arr: list[dict]) -> "BarMultiset":
-        from .jsonio import _integer  # jsonio imports this module
-        return BarMultiset((Interval.from_json(d), _integer(d.get("mult", 1))) for d in arr)
+        return BarMultiset((Interval.from_json(d), parse_integer(d.get("mult", 1))) for d in arr)

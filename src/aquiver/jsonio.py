@@ -10,11 +10,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .intervals import (BarMultiset, Interval, format_extreal, parse_extreal,
-                        parse_rational)
+                        parse_integer, parse_rational)
 from .linalg import Matrix, PrimeField, QQ
 from .orientation import (Orientation, orientation_from_json,
                           orientation_to_json)
-from .tamerep import DOWN, TameRep, UP, num_cells
+from .tamerep import DOWN, TameRep, UP, junction_dirs, num_cells
 
 
 class SchemaError(ValueError):
@@ -26,16 +26,6 @@ class SchemaError(ValueError):
 # ZeroDivisionError, and the point interval "{-inf}" raises OverflowError
 # from Fraction(-inf).
 _MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
-
-
-def _integer(x) -> int:
-    """int(x), refusing booleans, the non-integral floats int() truncates,
-    and strings other than ASCII digits with an optional sign (int() also
-    reads "1_0" as 10, " 3 " as 3 and other scripts' digits)."""
-    if (isinstance(x, bool) or (isinstance(x, float) and not x.is_integer())
-            or (isinstance(x, str) and not re.fullmatch(r"[+-]?[0-9]+", x))):
-        raise ValueError(f"{json.dumps(x)} is not an integer")
-    return int(x)
 
 
 def _load(text: str):
@@ -82,7 +72,7 @@ def parse_field(obj) -> object:
         return QQ
     if obj["kind"] == "Fp":
         try:
-            return PrimeField(_integer(obj["p"]))
+            return PrimeField(parse_integer(obj["p"]))
         except _MALFORMED as e:
             raise SchemaError(f"bad prime field: {e}")
     raise SchemaError(f"unknown field kind {obj['kind']!r}")
@@ -109,7 +99,7 @@ def tame_to_json(v: TameRep) -> dict:
 def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
     try:
         grid = [parse_rational(s) for s in obj["grid"]]
-        dims = [_integer(d) for d in obj["dims"]]
+        dims = [parse_integer(d) for d in obj["dims"]]
         maps_json = obj["maps"]
     except _MALFORMED as e:
         raise SchemaError(f"bad tame object: {e}")
@@ -121,8 +111,12 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
         parse = parse_rational
     else:
         def parse(x):  # an F_p entry is an integer, never truncated
-            return field.from_int(_integer(x))
-    maps, dirs = [], []
+            return field.from_int(parse_integer(x))
+    # The orientation fixes every "dir".  A map against it is transposed to
+    # the orientation's shape (unless a dimension is negative), so that
+    # TameRep's checks of the grid and dims still report first.
+    wants = junction_dirs(o, grid)
+    maps, against = [], []
     for j, mj in enumerate(maps_json):
         d = mj.get("dir")
         if d not in (DOWN, UP):
@@ -136,12 +130,19 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
             rows = [[parse(x) for x in r] for r in entries]
         except _MALFORMED as e:
             raise SchemaError(f"map {j}: {e}")
-        maps.append(Matrix(field, nrows, ncols, rows))
-        dirs.append(d)
+        m = Matrix(field, nrows, ncols, rows)
+        if d != wants[j]:
+            against.append(f"junction {j} direction {d!r} contradicts the orientation ({wants[j]!r})")
+            if ncols >= 0:
+                m = m.transpose()
+        maps.append(m)
     try:
-        return TameRep(o, field, grid, dims, maps, dirs)
+        v = TameRep(o, field, grid, dims, maps)
     except ValueError as e:
         raise SchemaError(str(e))
+    if against:
+        raise SchemaError(against[0])
+    return v
 
 
 @dataclass

@@ -3,10 +3,11 @@
 A grid c_1 < ... < c_m cuts the line into 2m+1 cells
 (-inf,c_1), {c_1}, (c_1,c_2), ..., {c_m}, (c_m,+inf).  A representation
 stores one dimension per cell and one exact matrix per junction between
-adjacent cells; the junction direction is forced by the orientation
-("down" points toward the lower cell index).  Transition maps inside a
-cell are identities, so the whole object is a finite zigzag of vector
-spaces.
+adjacent cells.  A junction's direction ("down" points toward the lower
+cell index) is not stored input: the orientation forces it, and a
+representation derives it from its orientation and grid (junction_dirs).
+Transition maps inside a cell are identities, so the whole object is a
+finite zigzag of vector spaces.
 """
 
 from __future__ import annotations
@@ -139,16 +140,14 @@ def junction_cells(d: str, j: int) -> tuple[int, int]:
 class TameRep:
     __slots__ = ("orientation", "field", "grid", "dims", "maps", "dirs")
 
-    def __init__(self, orientation: Orientation, field, grid, dims, maps, dirs,
-                 validate: bool = True):
+    def __init__(self, orientation: Orientation, field, grid, dims, maps):
         self.orientation = orientation
         self.field = field
         self.grid = tuple(g if type(g) is Fraction else Fraction(g) for g in grid)
         self.dims = tuple(int(d) for d in dims)
         self.maps = tuple(maps)
-        self.dirs = tuple(dirs)
-        if validate:
-            self._validate()
+        self.dirs = tuple(junction_dirs(orientation, self.grid))
+        self._validate()
 
     def _validate(self):
         g = self.grid
@@ -158,17 +157,14 @@ class TameRep:
             raise ValueError("dims length must be 2m+1")
         if any(d < 0 for d in self.dims):
             raise ValueError("negative dimension")
-        if len(self.maps) != 2 * len(g) or len(self.dirs) != 2 * len(g):
+        if len(self.maps) != 2 * len(g):
             raise ValueError("need 2m junction maps")
         if g:
             on_grid = set(g)
             for p, _ in self.orientation.criticals:
                 if g[0] <= p <= g[-1] and p not in on_grid:
                     raise ValueError(f"critical point {p} inside the hull is missing from the grid")
-        wants = junction_dirs(self.orientation, g)
-        for j, (mat, d, want) in enumerate(zip(self.maps, self.dirs, wants)):
-            if d != want:
-                raise ValueError(f"junction {j} direction {d!r} contradicts the orientation ({want!r})")
+        for j, (mat, d) in enumerate(zip(self.maps, self.dirs)):
             lo, hi = self.dims[j], self.dims[j + 1]
             shape = (lo, hi) if d == DOWN else (hi, lo)
             if (mat.nrows, mat.ncols) != shape:
@@ -205,9 +201,8 @@ def zero_rep(o: Orientation, field=QQ, grid: Sequence = ()) -> TameRep:
     grid = sorted(Fraction(g) for g in grid)
     grid = _close_under_criticals(o, grid)
     dims = [0] * num_cells(grid)
-    dirs = junction_dirs(o, grid)
-    maps = [Matrix.zero(field, 0, 0) for _ in dirs]
-    return TameRep(o, field, grid, dims, maps, dirs)
+    maps = [Matrix.zero(field, 0, 0) for _ in range(2 * len(grid))]
+    return TameRep(o, field, grid, dims, maps)
 
 
 def _close_under_criticals(o: Orientation, grid: list[Fraction]) -> list[Fraction]:
@@ -220,46 +215,43 @@ def _close_under_criticals(o: Orientation, grid: list[Fraction]) -> list[Fractio
     return grid
 
 
-def rep_from_interval_list(o: Orientation, ivs: Sequence[Interval], field=QQ,
-                           extra_points: Iterable = ()) -> tuple[TameRep, list[list[int]]]:
-    """Direct sum of the one-dimensional representations supported on the
-    given intervals, with identity transitions.  Returns the representation
-    and, per cell, the list of interval indices occupying its slots."""
-    pts = set(Fraction(p) for p in extra_points)
-    for iv in ivs:
-        for e in (iv.lo, iv.hi):
-            if is_finite(e):
-                pts.add(Fraction(e))
-    if ivs or pts:
-        lo_h = min([iv.lo for iv in ivs] + list(pts), default=POS_INF)
-        hi_h = max([iv.hi for iv in ivs] + list(pts), default=NEG_INF)
-        for p, _ in o.criticals:
-            if lo_h <= p <= hi_h:
-                pts.add(p)  # so the grid is closed under critical points
+def reps_on_common_grid(o: Orientation, groups: Sequence[Sequence[Interval]],
+                        field=QQ) -> list[tuple[TameRep, list[list[int]]]]:
+    """For each group of intervals, the direct sum of the one-dimensional
+    representations supported on them, with identity transitions.  Every
+    group gets the same grid: the finite endpoints of all the intervals
+    plus each critical point inside the hull of all of them.  Returns, per
+    group, the representation and, per cell, the list of the group's
+    interval indices occupying its slots."""
+    family = [iv for group in groups for iv in group]
+    pts = {Fraction(e) for iv in family for e in (iv.lo, iv.hi) if is_finite(e)}
+    if family:
+        lo_h, hi_h = min(iv.lo for iv in family), max(iv.hi for iv in family)
+        pts.update(p for p in o.positions if lo_h <= p <= hi_h)
     grid = sorted(pts)
-    n = num_cells(grid)
-    ranges = [interval_to_cells(grid, iv) for iv in ivs]
-    slots: list[list[int]] = [[] for _ in range(n)]
-    for idx, (a, b) in enumerate(ranges):
-        for c in range(a, b + 1):
-            slots[c].append(idx)
-    dims = [len(s) for s in slots]
-    one, zero = field.one(), field.zero()
     dirs = junction_dirs(o, grid)
-    maps = []
-    for j, d in enumerate(dirs):
-        src, tgt = junction_cells(d, j)
-        rows = []
-        for r_iv in slots[tgt]:
-            rows.append([one if c_iv == r_iv else zero for c_iv in slots[src]])
-        maps.append(Matrix(field, dims[tgt], dims[src], rows))
-    return TameRep(o, field, grid, dims, maps, dirs), slots
+    one, zero = field.one(), field.zero()
+    out = []
+    for group in groups:
+        slots: list[list[int]] = [[] for _ in range(num_cells(grid))]
+        for idx, iv in enumerate(group):
+            a, b = interval_to_cells(grid, iv)
+            for c in range(a, b + 1):
+                slots[c].append(idx)
+        dims = [len(s) for s in slots]
+        maps = []
+        for j, d in enumerate(dirs):
+            src, tgt = junction_cells(d, j)
+            rows = [[one if c_iv == r_iv else zero for c_iv in slots[src]] for r_iv in slots[tgt]]
+            maps.append(Matrix(field, dims[tgt], dims[src], rows))
+        out.append((TameRep(o, field, grid, dims, maps), slots))
+    return out
 
 
 def from_bars(o: Orientation, bars: BarMultiset, field=QQ) -> TameRep:
     """The canonical representation of a barcode: one slot per bar copy, in
     canonical bar order."""
-    rep, _ = rep_from_interval_list(o, bars.intervals(), field)
+    (rep, _), = reps_on_common_grid(o, [bars.intervals()], field)
     return rep
 
 
@@ -281,7 +273,7 @@ def refine(v: TameRep, points: Iterable) -> TameRep:
         else:
             # a new point inside old cell c: identities on either side
             maps += (Matrix.identity(v.field, v.dims[c]), Matrix.identity(v.field, v.dims[c]))
-    return TameRep(v.orientation, v.field, pts, dims, maps, junction_dirs(v.orientation, pts))
+    return TameRep(v.orientation, v.field, pts, dims, maps)
 
 
 def common_grid(a: TameRep, b: TameRep) -> tuple[TameRep, TameRep]:
@@ -307,16 +299,14 @@ def direct_sum(a: TameRep, b: TameRep) -> TameRep:
         for r in range(mb.nrows):
             rows.append([z] * ma.ncols + list(mb.rows[r]))
         maps.append(Matrix(field, ma.nrows + mb.nrows, ma.ncols + mb.ncols, rows))
-    return TameRep(a.orientation, field, a.grid, dims, maps, a.dirs)
+    return TameRep(a.orientation, field, a.grid, dims, maps)
 
 
 def dual(v: TameRep) -> TameRep:
-    """Same spaces over the reversed orientation; every map is transposed and
-    flips direction."""
-    o2 = reverse(v.orientation)
+    """Same spaces over the reversed orientation, where every junction runs
+    the other way; every map is transposed."""
     maps = [m.transpose() for m in v.maps]
-    dirs = [UP if d == DOWN else DOWN for d in v.dirs]
-    return TameRep(o2, v.field, v.grid, v.dims, maps, dirs)
+    return TameRep(reverse(v.orientation), v.field, v.grid, v.dims, maps)
 
 
 def restrict(v: TameRep, j_iv: Interval) -> TameRep:
@@ -340,7 +330,7 @@ def restrict(v: TameRep, j_iv: Interval) -> TameRep:
             maps.append(w.maps[j])
         else:
             maps.append(Matrix.zero(w.field, dims[tgt], dims[src]))
-    return TameRep(w.orientation, w.field, w.grid, dims, maps, w.dirs)
+    return TameRep(w.orientation, w.field, w.grid, dims, maps)
 
 
 def conjugate(v: TameRep, cell_mats: Sequence[Matrix]) -> TameRep:
@@ -353,7 +343,7 @@ def conjugate(v: TameRep, cell_mats: Sequence[Matrix]) -> TameRep:
     for j in range(len(v.maps)):
         src, tgt = junction_cells(v.dirs[j], j)
         maps.append(cell_mats[tgt].matmul(v.maps[j]).matmul(invs[src]))
-    return TameRep(v.orientation, v.field, v.grid, v.dims, maps, v.dirs)
+    return TameRep(v.orientation, v.field, v.grid, v.dims, maps)
 
 
 def scramble(v: TameRep, seed: int) -> TameRep:
@@ -434,7 +424,7 @@ def _subrep_from_embeddings(parent: TameRep, embeds: list[Matrix]) -> TameRep:
         if x is None:
             raise ValueError("subspaces are not closed under the maps")
         maps.append(x)
-    return TameRep(parent.orientation, field, parent.grid, dims, maps, parent.dirs)
+    return TameRep(parent.orientation, field, parent.grid, dims, maps)
 
 
 def kernel_rep(f: RepMorphism) -> tuple[TameRep, list[Matrix]]:
@@ -471,4 +461,4 @@ def cokernel_rep(f: RepMorphism) -> tuple[TameRep, list[Matrix]]:
         src, tgt = junction_cells(cod.dirs[j], j)
         maps.append(projs[tgt].matmul(cod.maps[j]).matmul(lifts[src]))
     dims = [p.nrows for p in projs]
-    return TameRep(cod.orientation, field, cod.grid, dims, maps, cod.dirs), projs
+    return TameRep(cod.orientation, field, cod.grid, dims, maps), projs

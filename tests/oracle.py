@@ -195,7 +195,7 @@ def enumerate_f2_instances(budget: int, max_grid: int = 3, max_dim: int = 2):
                     shapes.append((lo, hi) if d == DOWN else (hi, lo))
                 pools = [list(_all_matrices(F2, nr, nc)) for nr, nc in shapes]
                 for mats in itertools.product(*pools):
-                    yield TameRep(o, F2, grid, dims, list(mats), dirs)
+                    yield TameRep(o, F2, grid, dims, list(mats))
                     count += 1
                     if count >= budget:
                         return

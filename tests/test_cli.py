@@ -318,8 +318,6 @@ def test_oversized_input_exits_2(runner, tmp_path, text):
     _assert_clean_exit_2(runner.invoke(main, ["decompose", str(p)]))
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="the 4300-digit limit is checked on input, not on scrambled output")
 def test_scrambled_entry_past_the_digit_limit(runner, tmp_path):
     # A 4300-digit Q entry is accepted; scramble's row operations on a
     # two-dimensional cell grow it to 4301 digits, which str() refuses.
@@ -330,9 +328,8 @@ def test_scrambled_entry_past_the_digit_limit(runner, tmp_path):
                              {"dir": "down", "entries": [["1", "0"], ["0", "1"]]},
                              {"dir": "down", "entries": [[], []]}]}}
     res = runner.invoke(main, ["scramble", _write(tmp_path, "d.json", doc), "--seed", "0"])
-    if res.exception is not None and not isinstance(res.exception, SystemExit):
-        raise res.exception
-    assert res.exit_code in (0, 2)
+    _assert_clean_exit_2(res)
+    assert "4300-digit limit" in res.stderr
 
 
 def test_integer_and_decimal_rationals_are_exact(runner, tmp_path):
@@ -372,6 +369,24 @@ def test_unsorted_grid_reported_as_such(runner, tmp_path):
     res = runner.invoke(main, ["decompose", f])
     _assert_clean_exit_2(res)
     assert "grid must be strictly increasing" in res.stderr
+
+
+@pytest.mark.parametrize("dims, up_entries, down_entries",
+                         [([1, 1, 1], [["1"]], [["1"]]), ([1, 2, 0], [["1"], ["0"]], [[], []])],
+                         ids=["1x1", "2x1"])
+def test_direction_against_the_orientation_exits_2(runner, tmp_path, dims, up_entries,
+                                                   down_entries):
+    # On the descending line every junction points down.  An "up" map is
+    # refused with the same message whether its shape is square or is the
+    # transpose of the shape the orientation asks for.
+    doc = {"orientation": EMPTY_ORIENTATION,
+           "tame": {"grid": ["0"], "dims": dims,
+                    "maps": [{"dir": "up", "entries": up_entries},
+                             {"dir": "down", "entries": down_entries}]}}
+    res = runner.invoke(main, ["decompose", _write(tmp_path, "d.json", doc)])
+    _assert_clean_exit_2(res)
+    assert res.stderr == ("error: junction 0 direction 'up' contradicts "
+                          "the orientation ('down')\n")
 
 
 @pytest.mark.parametrize("window", ["1:0", "1:1/0", "1/0:1", "0:1:2", "x:1"])

@@ -55,7 +55,7 @@ def test_zero_middle_map_splits_into_two_bars():
     o = EMPTY_DESC
     grid = [Fraction(0)]
     maps = [Matrix.zero(QQ, 1, 1), Matrix.identity(QQ, 1)]
-    v = TameRep(o, QQ, grid, [1, 1, 1], maps, ["down", "down"])
+    v = TameRep(o, QQ, grid, [1, 1, 1], maps)
     got = decompose(v)
     assert got.total() == 2
     assert not is_indecomposable(v)

@@ -21,7 +21,7 @@ from aquiver.linalg import QQ, Matrix, PrimeField, rank
 from aquiver.orientation import (Orientation, down_set, leq, reverse,
                                  segment_index, up_set)
 from aquiver.tamerep import (RepMorphism, cokernel_rep, direct_sum, from_bars,
-                             refine, rep_from_interval_list, scramble, zero_rep)
+                             refine, scramble, zero_rep)
 
 EMPTY_DESC = Orientation.make([], "descending")
 ZIGZAG = Orientation.make([(0, "sink"), (1, "source")])

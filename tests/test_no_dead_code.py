@@ -3,9 +3,12 @@
 A name counts as used when it appears as a token in src/aquiver or tests
 at least once more than it is defined.  Dunder methods are called by the
 interpreter, and click commands are reached through the command group, so
-both are exempt.  Every name a library module imports at top level is
-read in that module, except in __init__.py, which re-exports.  Every name
-the benchmark's tracer wraps exists.
+both are exempt.  A name counts as used by the library when it appears so
+in src/aquiver outside __init__.py; every defined name is, or is exported
+in aquiver.__all__, or is one of the few that only tests call, each listed
+with a test that needs it.  Every name a library module imports at top
+level is read in that module, except in __init__.py, which re-exports.
+Every name the benchmark's tracer wraps exists.
 """
 
 import ast
@@ -40,9 +43,9 @@ def _definitions() -> Counter:
     return defs
 
 
-def _name_tokens() -> Counter:
+def _name_tokens(paths) -> Counter:
     tokens = Counter()
-    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+    for path in paths:
         src = path.read_text(encoding="utf-8")
         for tok in tokenize.generate_tokens(io.StringIO(src).readline):
             if tok.type == tokenize.NAME:
@@ -51,9 +54,35 @@ def _name_tokens() -> Counter:
 
 
 def test_every_library_function_and_class_has_a_use():
-    tokens = _name_tokens()
+    tokens = _name_tokens(sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")))
     dead = sorted(name for name, n in _definitions().items() if tokens[name] <= n)
     assert not dead, f"defined in src/aquiver but never used: {', '.join(dead)}"
+
+
+# Library names that no library code calls, with a test that needs each.
+TEST_ONLY = {
+    "cell_representative": "test_tamerep.py::test_refine_and_refine_morphism_match_cell_reference",
+    "cokernel_rep": "test_homological.py::test_presentation_random",
+    "dim_at": "test_tamerep.py::test_from_bars_overlap_count",
+    "from_rows": "test_linalg.py::test_rank_examples",
+    "hom_basis": "test_ar.py::test_count_matches_rank_of_induced_hom_maps",
+    "image_rep": "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",
+    "power": "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",
+    "scale": "test_acceptance.py::test_criterion_9_hereditary_kernels",
+    "solve_linear_system": "test_linalg.py::test_solve_examples; bench/tracing.py wraps it",
+    "total_dim": "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",
+}
+
+
+def test_every_library_name_has_a_library_use():
+    import aquiver
+    lib = _name_tokens(p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py")
+    defs = _definitions()
+    test_only = sorted(name for name, n in defs.items()
+                       if lib[name] <= n and name not in aquiver.__all__)
+    assert test_only == sorted(TEST_ONLY), (
+        f"only tests call: {', '.join(sorted(set(test_only) - set(TEST_ONLY)))}; "
+        f"listed but used by the library or gone: {', '.join(sorted(set(TEST_ONLY) - set(test_only)))}")
 
 
 def _unused_imports(tree) -> list[str]:

@@ -12,8 +12,8 @@ from aquiver.orientation import Orientation
 from aquiver.tamerep import (DOWN, UP, RepMorphism, TameRep, cell_of_point,
                              cell_representative, conjugate, cokernel_rep,
                              direct_sum, dual, from_bars, image_rep,
-                             junction_dirs, kernel_rep, refine, restrict,
-                             scramble, zero_rep)
+                             junction_dirs, kernel_rep, refine,
+                             reps_on_common_grid, restrict, scramble, zero_rep)
 
 EMPTY_DESC = Orientation.make([], "descending")
 ZIGZAG = Orientation.make([(0, "sink"), (1, "source")])
@@ -30,6 +30,21 @@ def test_from_bars_single_closed_bar():
     assert v.dirs == ("down",) * 4
     inner = [m for m in v.maps if m.nrows == 1 and m.ncols == 1]
     assert all(m.rows[0][0] == 1 for m in inner)
+
+
+def test_reps_on_common_grid_spans_every_group():
+    # The critical points 0 and 1 lie below every finite endpoint.  Only the
+    # first group reaches -inf, yet both groups must get them: the grid is
+    # closed under the criticals inside the hull of the whole family.
+    reach = Interval.make(NEG_INF, 2, False, True)
+    bounded = Interval.make(3, 4, True, False)
+    (a, a_slots), (b, b_slots), (z, z_slots) = reps_on_common_grid(ZIGZAG, [[reach], [bounded], []])
+    assert a.grid == b.grid == z.grid == (0, 1, 2, 3, 4)
+    assert a.dirs == b.dirs == z.dirs == tuple(junction_dirs(ZIGZAG, a.grid))
+    assert decompose(a) == bars((reach, 1)) and decompose(b) == bars((bounded, 1))
+    assert a_slots == [[0]] * 6 + [[]] * 5 and b_slots == [[]] * 7 + [[0]] * 2 + [[]] * 2
+    assert z.is_zero() and z_slots == [[]] * 11
+    assert reps_on_common_grid(ZIGZAG, []) == []
 
 
 def test_from_bars_empty():
@@ -55,14 +70,7 @@ def test_validation_rejects_missing_critical():
     with pytest.raises(ValueError, match="missing from the grid"):
         TameRep(ZIGZAG, QQ, [Fraction(-1), Fraction(2)], [0, 1, 1, 1, 0],
                 [Matrix.zero(QQ, 0, 1), Matrix.zero(QQ, 1, 1),
-                 Matrix.zero(QQ, 1, 1), Matrix.zero(QQ, 0, 1)],
-                ["up", "down", "down", "down"])
-
-
-def test_validation_rejects_wrong_direction():
-    with pytest.raises(ValueError, match="direction"):
-        TameRep(EMPTY_DESC, QQ, [Fraction(0)], [1, 1, 1],
-                [Matrix.identity(QQ, 1), Matrix.identity(QQ, 1)], ["up", "down"])
+                 Matrix.zero(QQ, 1, 1), Matrix.zero(QQ, 0, 1)])
 
 
 def test_dim_at_zero_rep():
