@@ -104,9 +104,10 @@ class Interval:
                 raise ValueError("degenerate infinite interval")
             if not (self.lo_closed and self.hi_closed):
                 raise ValueError("a point interval must be closed on both sides")
-        if self.lo == NEG_INF and self.lo_closed:
+        # the type tests spare a Fraction end the comparison with a float
+        if self.lo_closed and type(self.lo) is float and self.lo == NEG_INF:
             raise ValueError("-inf endpoint must be open")
-        if self.hi == POS_INF and self.hi_closed:
+        if self.hi_closed and type(self.hi) is float and self.hi == POS_INF:
             raise ValueError("+inf endpoint must be open")
 
     @staticmethod
@@ -115,8 +116,8 @@ class Interval:
 
     @staticmethod
     def make(lo, hi, lo_closed: bool, hi_closed: bool) -> "Interval":
-        lo = lo if lo in (NEG_INF, POS_INF) else Fraction(lo)
-        hi = hi if hi in (NEG_INF, POS_INF) else Fraction(hi)
+        lo = Fraction(lo) if is_finite(lo) else lo
+        hi = Fraction(hi) if is_finite(hi) else hi
         return Interval(lo, hi, lo_closed, hi_closed)
 
     def is_point(self) -> bool:

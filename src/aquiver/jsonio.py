@@ -14,7 +14,8 @@ from .intervals import (BarMultiset, Interval, format_extreal, parse_extreal,
 from .linalg import Matrix, PrimeField, QQ
 from .orientation import (Orientation, orientation_from_json,
                           orientation_to_json)
-from .tamerep import DOWN, TameRep, UP, junction_dirs, num_cells
+from .tamerep import (DOWN, TameRep, UP, check_grid_and_dims, junction_dirs,
+                      num_cells)
 
 
 class SchemaError(ValueError):
@@ -112,9 +113,14 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
     else:
         def parse(x):  # an F_p entry is an integer, never truncated
             return field.from_int(parse_integer(x))
-    # The orientation fixes every "dir".  A map against it is transposed to
-    # the orientation's shape (unless a dimension is negative), so that
-    # TameRep's checks of the grid and dims still report first.
+    # The grid and dims are checked before any map's shape, in TameRep's
+    # order.  The orientation fixes every "dir"; a map against it is
+    # transposed to the orientation's shape, so that TameRep's remaining
+    # checks still report first.
+    try:
+        check_grid_and_dims(grid, dims)
+    except ValueError as e:
+        raise SchemaError(str(e))
     wants = junction_dirs(o, grid)
     maps, against = [], []
     for j, mj in enumerate(maps_json):
@@ -133,8 +139,7 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
         m = Matrix(field, nrows, ncols, rows)
         if d != wants[j]:
             against.append(f"junction {j} direction {d!r} contradicts the orientation ({wants[j]!r})")
-            if ncols >= 0:
-                m = m.transpose()
+            m = m.transpose()
         maps.append(m)
     try:
         v = TameRep(o, field, grid, dims, maps)

@@ -2,20 +2,24 @@
 
 Everything here is bit-exact: rationals are ``fractions.Fraction`` and
 prime-field elements are ints in ``range(p)``.  No floating point enters
-anywhere.  Matrices are dense row lists; the scalar arithmetic of
-elimination and products runs inside one row operation per field,
-``field.axpy(dst, c, pairs)``, which adds c times a sparse row, given as
-its nonzero (column, value) pairs, to a dense row.  Elimination collects
-each pivot row's nonzero pairs once, so every other row touches only those
-columns; products collect the nonzero pairs of the right factor's rows.
-``_row_echelon`` is the one elimination routine: ``column_space_basis``
-and ``unit_complement`` are read off its pivot columns.  Zero tests are
-truthiness tests: a Fraction or an int is falsy exactly at zero.
+anywhere.  Matrices are dense row lists.  ``_row_echelon`` is the one
+elimination routine: ``column_space_basis`` and ``unit_complement`` are
+read off its pivot columns.  Over Q it runs on integer rows, each scaled
+to a primitive row of Python ints, and converts the pivot rows back to
+Fractions only at the end, which spares a gcd per scalar operation.  The
+other arithmetic (elimination over F_p, products, ``bottom_column_echelon``)
+runs inside one row operation per field, ``field.axpy(dst, c, pairs)``,
+which adds c times a sparse row, given as its nonzero (column, value)
+pairs, to a dense row.  Elimination over F_p collects each pivot row's
+nonzero pairs once, so every other row touches only those columns;
+products collect the nonzero pairs of the right factor's rows.  Zero tests
+are truthiness tests: a Fraction or an int is falsy exactly at zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 
@@ -270,10 +274,13 @@ def _to_unit(field, row: list, lead: int, pairs: list) -> list:
 
 
 def _row_echelon(field, rows: list) -> tuple[list, list]:
-    """In-place reduction to reduced row echelon form; returns
-    (rows, pivot column list).  Each pivot row's nonzero entries are
-    collected once, so eliminating it from another row costs one row
-    operation over those entries only."""
+    """Reduced row echelon form of rows (which it may change); returns
+    (rows, pivot column list).  Over F_p each pivot row's nonzero entries
+    are collected once, so eliminating it from another row costs one row
+    operation over those entries only.  Over Q the work runs on integer
+    rows (``_integer_rref``)."""
+    if field.kind == "Q":
+        return _integer_rref(rows)
     neg, axpy = field.neg, field.axpy
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -294,6 +301,55 @@ def _row_echelon(field, rows: list) -> tuple[list, list]:
         if r == nrows:
             break
     return rows, pivots
+
+
+_ZERO = Fraction(0)
+
+
+def _integer_rref(rows: list) -> tuple[list, list]:
+    """``_row_echelon`` over Q without a Fraction in the loop.  Each row is
+    scaled to a primitive integer row (one with content gcd 1); eliminating
+    with pivot p replaces a row by p' * row - a' * pivot_row, where
+    p' / a' is p / a in lowest terms, and divides it by its content.  The
+    pivot rows are divided by their pivots, back into Fractions, at the
+    end.  The reduced form is unique, so it equals the Fraction one."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    ints = []
+    for row in rows:
+        dens = [x.denominator for x in row]
+        den = lcm(*dens)
+        if den == 1:
+            irow = [x.numerator for x in row]
+        else:
+            irow = [x.numerator * (den // d) for x, d in zip(row, dens)]
+        g = gcd(*irow)
+        ints.append([x // g for x in irow] if g > 1 else irow)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if ints[i][c]), None)
+        if pr is None:
+            continue
+        ints[r], ints[pr] = ints[pr], ints[r]
+        prow = ints[r]
+        p = prow[c]
+        for i, row in enumerate(ints):
+            a = row[c]
+            if a and i != r:
+                g = gcd(p, a)
+                pg, ag = p // g, a // g
+                row = [pg * x - ag * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                ints[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    out = [[Fraction(x, row[c]) if x else _ZERO for x in row]
+           for row, c in zip(ints, pivots)]
+    out.extend([_ZERO] * ncols for _ in range(nrows - r))
+    return out, pivots
 
 
 def rank(m: Matrix) -> int:

@@ -134,6 +134,17 @@ def junction_cells(d: str, j: int) -> tuple[int, int]:
     return (j + 1, j) if d == DOWN else (j, j + 1)
 
 
+def check_grid_and_dims(grid, dims) -> None:
+    """Raise ValueError unless grid strictly increases and dims are one
+    nonnegative dimension per cell of it."""
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly increasing")
+    if len(dims) != num_cells(grid):
+        raise ValueError("dims length must be 2m+1")
+    if any(d < 0 for d in dims):
+        raise ValueError("negative dimension")
+
+
 # ---------------------------------------------------------------------------
 # the representation type
 
@@ -151,12 +162,7 @@ class TameRep:
 
     def _validate(self):
         g = self.grid
-        if any(b <= a for a, b in zip(g, g[1:])):
-            raise ValueError("grid must be strictly increasing")
-        if len(self.dims) != num_cells(g):
-            raise ValueError("dims length must be 2m+1")
-        if any(d < 0 for d in self.dims):
-            raise ValueError("negative dimension")
+        check_grid_and_dims(g, self.dims)
         if len(self.maps) != 2 * len(g):
             raise ValueError("need 2m junction maps")
         if g:

@@ -371,6 +371,25 @@ def test_unsorted_grid_reported_as_such(runner, tmp_path):
     assert "grid must be strictly increasing" in res.stderr
 
 
+@pytest.mark.parametrize("command", [["decompose"], ["scramble", "--seed", "1"]],
+                         ids=["decompose", "scramble"])
+@pytest.mark.parametrize("grid, dims, message",
+                         [(["0"], [0, -1, 0], "negative dimension"),
+                          (["0"], [-1, 0, 0], "negative dimension"),
+                          (["0", "1"], [0, 1, -2, 1, 0], "negative dimension"),
+                          (["1", "0"], [0, -1, 0, 0, 0], "grid must be strictly increasing")],
+                         ids=["middle", "first", "wide", "unsorted-grid"])
+def test_negative_dimension_exits_2(runner, tmp_path, command, grid, dims, message):
+    # Two empty "down" maps per grid point: their shapes would be -1x0 or
+    # 0x-1, and the dimension (or the grid before it) is reported instead.
+    doc = {"orientation": EMPTY_ORIENTATION,
+           "tame": {"grid": grid, "dims": dims,
+                    "maps": [{"dir": "down", "entries": []} for _ in range(2 * len(grid))]}}
+    res = runner.invoke(main, [command[0], _write(tmp_path, "d.json", doc), *command[1:]])
+    _assert_clean_exit_2(res)
+    assert res.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("dims, up_entries, down_entries",
                          [([1, 1, 1], [["1"]], [["1"]]), ([1, 2, 0], [["1"], ["0"]], [[], []])],
                          ids=["1x1", "2x1"])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -228,28 +229,55 @@ def test_row_echelon_matches_textbook(field):
         assert basis.columns() == [m.column(j) for j in want_pivots]
 
 
+def _textbook_kernel(field, m):
+    """The kernel basis read off textbook_rref: one column per free column."""
+    z, o = field.zero(), field.one()
+    ref, pivots = textbook_rref(field, m.rows)
+    want = []
+    for fc in [c for c in range(m.ncols) if c not in pivots]:
+        vec = [z] * m.ncols
+        vec[fc] = o
+        for r, pc in enumerate(pivots):
+            vec[pc] = field.neg(ref[r][fc])
+        want.append(vec)
+    return want
+
+
+def _check_kernel_basis(field, m, want):
+    k = kernel_basis(m)
+    assert k.nrows == m.ncols and k.columns() == want
+    _assert_exact(field, [x for col in k.columns() for x in col])
+    prod = naive_matmul(field, m.rows, k.rows, k.ncols)
+    assert all(x == field.zero() for r in prod for x in r)
+
+
 @pytest.mark.parametrize("field", PARITY_FIELDS, ids=PARITY_IDS)
 def test_kernel_basis_matches_textbook(field):
-    z, o = field.zero(), field.one()
     for _, m in _parity_cases(field, 12):
-        ref, pivots = textbook_rref(field, m.rows)
-        want = []
-        for fc in [c for c in range(m.ncols) if c not in pivots]:
-            vec = [z] * m.ncols
-            vec[fc] = o
-            for r, pc in enumerate(pivots):
-                vec[pc] = field.neg(ref[r][fc])
-            want.append(vec)
-        k = kernel_basis(m)
-        assert k.nrows == m.ncols and k.columns() == want
-        _assert_exact(field, [x for col in k.columns() for x in col])
-        prod = naive_matmul(field, m.rows, k.rows, k.ncols)
-        assert all(x == z for r in prod for x in r)
+        _check_kernel_basis(field, m, _textbook_kernel(field, m))
+
+
+def _check_solve_matrix(field, m, b, k, ref_rows=None):
+    """solve_matrix(m, b), where b has k columns, against textbook_rref of
+    [m | b] (of [ref_rows | b] when m's rows are given as plain ints);
+    returns the expected solution, or None when some column of b is
+    inconsistent."""
+    ref, pivots = textbook_rref(field, [row + brow for row, brow in
+                                        zip(ref_rows or m.rows, b)])
+    got = solve_matrix(m, Matrix(field, m.nrows, k, b))
+    if any(pc >= m.ncols for pc in pivots):
+        assert got is None
+        return None
+    want = [[field.zero()] * k for _ in range(m.ncols)]
+    for r, pc in enumerate(pivots):
+        want[pc] = ref[r][m.ncols:]
+    assert got.rows == want
+    _assert_exact(field, [x for r in got.rows for x in r])
+    return want
 
 
 @pytest.mark.parametrize("field", PARITY_FIELDS, ids=PARITY_IDS)
 def test_solvers_match_textbook(field):
-    z = field.zero()
     for rng, m in _parity_cases(field, 13):
         k = rng.randint(1, 3)
         if rng.random() < 0.5 and m.ncols:
@@ -258,19 +286,7 @@ def test_solvers_match_textbook(field):
             b = naive_matmul(field, m.rows, xs, k)
         else:
             b = [[_random_scalar(field, rng) for _ in range(k)] for _ in range(m.nrows)]
-        ref, pivots = textbook_rref(field, [row + brow for row, brow in zip(m.rows, b)])
-        consistent = all(pc < m.ncols for pc in pivots)
-        want = [[z] * k for _ in range(m.ncols)]
-        for r, pc in enumerate(pivots):
-            if pc < m.ncols:
-                want[pc] = ref[r][m.ncols:]
-        # solve_matrix: every column at once
-        got = solve_matrix(m, Matrix(field, m.nrows, k, b))
-        if consistent:
-            assert got.rows == want
-            _assert_exact(field, [x for r in got.rows for x in r])
-        else:
-            assert got is None
+        want = _check_solve_matrix(field, m, b, k)
         # solve_linear_system: the first column alone
         sol, nullity = solve_linear_system(m, [brow[0] for brow in b])
         col_ref, col_pivots = textbook_rref(field, [row + [brow[0]] for row, brow in zip(m.rows, b)])
@@ -278,7 +294,7 @@ def test_solvers_match_textbook(field):
         if m.ncols in col_pivots:
             assert sol is None
         else:
-            if consistent:
+            if want is not None:
                 assert sol == [r[0] for r in want]
             _assert_exact(field, sol)
             assert m.apply(sol) == [brow[0] for brow in b]
@@ -345,3 +361,101 @@ def test_unit_complement_matches_greedy_scan(field):
         assert got == [p - n for p in textbook_rref(field, stacked)[1] if p >= n]
         # the kept unit vectors complete a basis
         assert rank(Matrix.from_columns(field, d, cols + [units[i] for i in got])) == d
+
+
+# ---------------------------------------------------------------------------
+# Q parity with wide rationals.  Elimination over Q runs on integer rows, so
+# these cases reach it with numerators of 30 to 40 digits over denominators
+# up to 10**9, negative pivots, rank-deficient matrices with all-zero rows,
+# and rows given as plain ints.
+
+def _wide_scalar(rng):
+    num = rng.randrange(10**29, 10**40) * rng.choice((-1, 1))
+    return Fraction(num, rng.randint(1, 10**9))
+
+
+def _wide_cases(seed, count=14):
+    rng = random.Random(seed)
+    z = Fraction(0)
+    # negative pivots, a zero row and a dependent row: rank 2 of 4 rows
+    big = Fraction(-10**35 + 7, 999_999_937)
+    yield rng, Matrix.from_rows(QQ, [[big, 3 * big, z], [z] * 3,
+                                     [-2 * big, -6 * big, z], [z, z, big / 11]])
+    for _ in range(count - 1):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+        rows = []
+        for _ in range(nrows):
+            roll = rng.random()
+            if roll < 0.15:
+                rows.append([z] * ncols)
+            elif rows and roll < 0.45:
+                c1, c2 = _wide_scalar(rng), _wide_scalar(rng)
+                r1, r2 = rng.choice(rows), rng.choice(rows)
+                rows.append([c1 * a + c2 * b for a, b in zip(r1, r2)])
+            else:
+                rows.append([_wide_scalar(rng) if rng.random() < 0.7 else z
+                             for _ in range(ncols)])
+        yield rng, Matrix(QQ, nrows, ncols, rows)
+
+
+def _int_rows(m):
+    """m's rows, each scaled by a nonzero integer to plain ints."""
+    out = []
+    for row in m.rows:
+        scale = 1
+        for x in row:
+            scale = scale * x.denominator // gcd(scale, x.denominator)
+        out.append([int(x * scale) for x in row])
+    return out
+
+
+def _given_and_reference(m):
+    """(m, m) and (m with plain int rows, the same rows as Fractions)."""
+    ints = _int_rows(m)
+    assert all(type(x) is int for row in ints for x in row)
+    return [(m, m), (Matrix(QQ, m.nrows, m.ncols, ints),
+                     Matrix.from_rows(QQ, [[Fraction(x) for x in r] for r in ints]))]
+
+
+def test_q_wide_row_echelon_and_kernel():
+    cases = list(_wide_cases(21))
+    assert any(m.rows[r][c] < 0 for _, m in cases
+               for r, c in enumerate(textbook_rref(QQ, m.rows)[1]))
+    assert any(not any(row) for _, m in cases for row in m.rows)
+    for _, m in cases:
+        for given, ref in _given_and_reference(m):
+            want_rows, want_pivots = textbook_rref(QQ, ref.rows)
+            got_rows, got_pivots = _row_echelon(QQ, given.copy_rows())
+            assert (got_rows, got_pivots) == (want_rows, want_pivots)
+            _assert_exact(QQ, [x for r in got_rows for x in r])
+            _check_kernel_basis(QQ, given, _textbook_kernel(QQ, ref))
+
+
+def test_q_wide_solvers_invert_and_unit_complement():
+    for rng, m in _wide_cases(22):
+        for given, ref in _given_and_reference(m):
+            k = rng.randint(1, 3)
+            xs = [[_wide_scalar(rng) for _ in range(k)] for _ in range(m.ncols)]
+            b = naive_matmul(QQ, ref.rows, xs, k)
+            assert _check_solve_matrix(QQ, given, b, k, ref.rows) is not None
+            b = [[_wide_scalar(rng) for _ in range(k)] for _ in range(m.nrows)]
+            _check_solve_matrix(QQ, given, b, k, ref.rows)
+            # unit_complement of the rows, as columns of length ncols
+            d, n = m.ncols, m.nrows
+            units = Matrix.identity(QQ, d).columns()
+            stacked = [[col[i] for col in ref.rows] + units[i] for i in range(d)]
+            want = [p - n for p in textbook_rref(QQ, stacked)[1] if p >= n]
+            assert unit_complement(QQ, given.rows, d) == want
+        # invert a square invertible matrix of wide entries, given both ways
+        n = rng.randint(1, 6)
+        while True:
+            a = Matrix(QQ, n, n, [[_wide_scalar(rng) for _ in range(n)] for _ in range(n)])
+            if len(textbook_rref(QQ, a.rows)[1]) == n:
+                break
+        ident = Matrix.identity(QQ, n).rows
+        for given, ref in _given_and_reference(a):
+            got = invert(given)
+            want = textbook_rref(QQ, [row + irow for row, irow in zip(ref.rows, ident)])[0]
+            assert got.rows == [r[n:] for r in want]
+            _assert_exact(QQ, [x for r in got.rows for x in r])
+            assert naive_matmul(QQ, given.rows, got.rows, n) == ident
