@@ -14,8 +14,7 @@ from .intervals import (BarMultiset, Interval, format_extreal, parse_extreal,
 from .linalg import Matrix, PrimeField, QQ
 from .orientation import (Orientation, orientation_from_json,
                           orientation_to_json)
-from .tamerep import (DOWN, TameRep, UP, check_grid_and_dims, junction_dirs,
-                      num_cells)
+from .tamerep import DOWN, TameRep, UP, check_grid_and_dims, junction_dirs
 
 
 class SchemaError(ValueError):
@@ -104,8 +103,15 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
         maps_json = obj["maps"]
     except _MALFORMED as e:
         raise SchemaError(f"bad tame object: {e}")
-    if len(dims) != num_cells(grid):
-        raise SchemaError(f"tame object needs {num_cells(grid)} dims for {len(grid)} grid points")
+    # The grid and dims are checked first, in TameRep's order (grid order,
+    # dims count, signs), then the maps count and each map's shape.  The
+    # orientation fixes every "dir"; a map against it is transposed to the
+    # orientation's shape, so that TameRep's remaining checks still report
+    # first.
+    try:
+        check_grid_and_dims(grid, dims)
+    except ValueError as e:
+        raise SchemaError(str(e))
     if len(maps_json) != 2 * len(grid):
         raise SchemaError(f"tame object needs {2 * len(grid)} maps")
     if field == QQ:
@@ -113,14 +119,6 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
     else:
         def parse(x):  # an F_p entry is an integer, never truncated
             return field.from_int(parse_integer(x))
-    # The grid and dims are checked before any map's shape, in TameRep's
-    # order.  The orientation fixes every "dir"; a map against it is
-    # transposed to the orientation's shape, so that TameRep's remaining
-    # checks still report first.
-    try:
-        check_grid_and_dims(grid, dims)
-    except ValueError as e:
-        raise SchemaError(str(e))
     wants = junction_dirs(o, grid)
     maps, against = [], []
     for j, mj in enumerate(maps_json):

@@ -465,26 +465,78 @@ def bottom_column_echelon(field, cols: list) -> list[int]:
     return pivots
 
 
-def random_invertible(field, n: int, rng) -> Matrix:
-    """Seeded random invertible matrix built from elementary operations, so
-    entries stay small and the result is exactly invertible."""
-    rows = Matrix.identity(field, n).copy_rows()
+# the kinds of elementary row operation: row_i += c * row_k, swap rows i
+# and k, row_i *= c
+_ADD, _SWAP, _SCALE = 0, 1, 2
+
+
+def random_elementary_ops(field, n: int, rng) -> list[tuple]:
+    """2n+2 seeded elementary row operations on n rows, each (op, i, k, c):
+    additions with c in {+-1, +-2} over Q and any unit over F_p, swaps, and
+    scalings by +-1 over Q and by any unit over F_p.  The one definition of
+    the draw behind ``random_invertible`` and ``tamerep.scramble``; n = 0
+    draws nothing."""
     if n == 0:
-        return Matrix(field, 0, 0, [])
+        return []
     if field.kind == "Q":
         coeffs = [Fraction(c) for c in (-2, -1, 1, 2)]
+        units = [Fraction(-1), Fraction(1)]
     else:
-        coeffs = [field.from_int(c) for c in range(1, field.p)]
+        coeffs = units = [field.from_int(c) for c in range(1, field.p)]
+    ops = []
     for _ in range(2 * n + 2):
         op = rng.randrange(3)
         i = rng.randrange(n)
-        j = rng.randrange(n)
-        if op == 0 and i != j:
-            c = rng.choice(coeffs)
-            field.axpy(rows[i], c, [(k, b) for k, b in enumerate(rows[j]) if b])
-        elif op == 1 and i != j:
-            rows[i], rows[j] = rows[j], rows[i]
+        k = rng.randrange(n)
+        if op == _ADD and i != k:
+            ops.append((_ADD, i, k, rng.choice(coeffs)))
+        elif op == _SWAP and i != k:
+            ops.append((_SWAP, i, k, None))
         else:
-            c = rng.choice(coeffs) if field.kind != "Q" else Fraction(rng.choice((-1, 1)))
-            rows[i] = [field.mul(c, a) for a in rows[i]]
+            ops.append((_SCALE, i, i, rng.choice(units)))
+    return ops
+
+
+def apply_row_ops(field, rows: list, ops) -> None:
+    """Apply ops in order to rows, in place: rows becomes P @ rows, where P
+    is the product of the operations, which is never formed."""
+    mul = field.mul
+    for op, i, k, c in ops:
+        if op == _ADD:
+            field.axpy(rows[i], c, [(j, b) for j, b in enumerate(rows[k]) if b])
+        elif op == _SWAP:
+            rows[i], rows[k] = rows[k], rows[i]
+        else:
+            rows[i] = [mul(c, a) if a else a for a in rows[i]]
+
+
+def apply_inverse_column_ops(field, rows: list, ops) -> None:
+    """Undo ops in order as column operations on rows, in place: rows
+    becomes rows @ P^-1, where P is the product of the operations.  P^-1 is
+    the inverses of the operations in the reverse order, so on the right
+    they act in the original order: col_k -= c * col_i, the swap, and
+    col_i *= 1/c."""
+    add, mul = field.add, field.mul
+    for op, i, k, c in ops:
+        if op == _ADD:
+            c = field.neg(c)
+            for row in rows:
+                if row[i]:
+                    row[k] = add(row[k], mul(c, row[i]))
+        elif op == _SWAP:
+            for row in rows:
+                row[i], row[k] = row[k], row[i]
+        else:
+            c = field.inv(c)
+            for row in rows:
+                if row[i]:
+                    row[i] = mul(c, row[i])
+
+
+def random_invertible(field, n: int, rng) -> Matrix:
+    """Seeded random invertible matrix: the operations of
+    ``random_elementary_ops`` applied to the rows of the identity, so
+    entries stay small and the result is exactly invertible."""
+    rows = Matrix.identity(field, n).copy_rows()
+    apply_row_ops(field, rows, random_elementary_ops(field, n, rng))
     return Matrix(field, n, n, rows)

@@ -18,8 +18,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .intervals import BarMultiset, Interval, NEG_INF, POS_INF, is_finite
-from .linalg import (Matrix, QQ, column_space_basis, invert, kernel_basis,
-                     random_invertible, solve_matrix, unit_complement)
+from .linalg import (Matrix, QQ, apply_inverse_column_ops, apply_row_ops,
+                     column_space_basis, invert, kernel_basis,
+                     random_elementary_ops, solve_matrix, unit_complement)
 from .orientation import Orientation, reverse
 
 DOWN = "down"
@@ -140,7 +141,7 @@ def check_grid_and_dims(grid, dims) -> None:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     if len(dims) != num_cells(grid):
-        raise ValueError("dims length must be 2m+1")
+        raise ValueError(f"tame object needs {num_cells(grid)} dims for {len(grid)} grid points")
     if any(d < 0 for d in dims):
         raise ValueError("negative dimension")
 
@@ -354,10 +355,23 @@ def conjugate(v: TameRep, cell_mats: Sequence[Matrix]) -> TameRep:
 
 def scramble(v: TameRep, seed: int) -> TameRep:
     """Seeded random change of basis at every cell: a reproducible isomorphic
-    copy with no distinguished slot structure left."""
+    copy with no distinguished slot structure left.  The result is
+    ``conjugate(v, [random_invertible(v.field, d, rng) for d in v.dims])``
+    with ``rng = random.Random(seed)``, but each cell's P is applied as its
+    elementary operations, never formed: a junction map M becomes
+    P_tgt M P_src^-1 by P_tgt's operations on M's rows, then P_src's
+    inverse operations on its columns."""
     rng = random.Random(seed)
-    mats = [random_invertible(v.field, d, rng) for d in v.dims]
-    return conjugate(v, mats)
+    field = v.field
+    ops = [random_elementary_ops(field, d, rng) for d in v.dims]
+    maps = []
+    for j, m in enumerate(v.maps):
+        src, tgt = junction_cells(v.dirs[j], j)
+        rows = m.copy_rows()
+        apply_row_ops(field, rows, ops[tgt])
+        apply_inverse_column_ops(field, rows, ops[src])
+        maps.append(Matrix(field, m.nrows, m.ncols, rows))
+    return TameRep(v.orientation, field, v.grid, v.dims, maps)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,7 @@ TEST_ONLY = {
     "hom_basis": "test_ar.py::test_count_matches_rank_of_induced_hom_maps",
     "image_rep": "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",
     "power": "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",
+    "random_invertible": "test_tamerep.py::test_scramble_equals_conjugate_by_random_invertible",
     "scale": "test_acceptance.py::test_criterion_9_hereditary_kernels",
     "solve_linear_system": "test_linalg.py::test_solve_examples; bench/tracing.py wraps it",
     "total_dim": "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",

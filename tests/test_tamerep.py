@@ -5,14 +5,15 @@ import pytest
 
 from conftest import POSITIONS, random_bars, random_orientation
 from oracle import increasing_beside
+from aquiver import tamerep
 from aquiver.decompose import decompose, iso
 from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF
-from aquiver.linalg import Matrix, PrimeField, QQ
+from aquiver.linalg import Matrix, PrimeField, QQ, random_invertible
 from aquiver.orientation import Orientation
 from aquiver.tamerep import (DOWN, UP, RepMorphism, TameRep, cell_of_point,
                              cell_representative, conjugate, cokernel_rep,
                              direct_sum, dual, from_bars, image_rep,
-                             junction_dirs, kernel_rep, refine,
+                             junction_cells, junction_dirs, kernel_rep, refine,
                              reps_on_common_grid, restrict, scramble, zero_rep)
 
 EMPTY_DESC = Orientation.make([], "descending")
@@ -164,6 +165,62 @@ def test_scramble_over_prime_field():
     b = bars((Interval.make(0, 1, True, True), 2))
     v = from_bars(EMPTY_DESC, b, F5)
     assert decompose(scramble(v, 3)) == b
+
+
+def _random_entry(rng, field):
+    if field == QQ:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    return rng.randrange(field.p)
+
+
+def _random_maps_rep(rng, field):
+    """Cells of dimension 0 to 3 on a random orientation, with random maps;
+    over Q most entries are not integers."""
+    o = random_orientation(rng)
+    grid = sorted(set(o.positions) | set(rng.sample(POSITIONS, rng.randint(0, 3))))
+    dims = [rng.randint(0, 3) for _ in range(2 * len(grid) + 1)]
+    maps = []
+    for j, d in enumerate(junction_dirs(o, grid)):
+        src, tgt = junction_cells(d, j)
+        rows = [[_random_entry(rng, field) for _ in range(dims[src])] for _ in range(dims[tgt])]
+        maps.append(Matrix(field, dims[tgt], dims[src], rows))
+    return TameRep(o, field, grid, dims, maps)
+
+
+def _parity_reps(field, rng):
+    reps = [zero_rep(EMPTY_DESC, field), TameRep(EMPTY_DESC, field, [], [2], []),
+            scramble(scramble(from_bars(ZIGZAG, bars((Interval.make(-1, 2, True, False), 2),
+                                                     (Interval.point(1), 1)), field), 4), 5)]
+    return reps + [_random_maps_rep(rng, field) for _ in range(40)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=["Q", "F2", "F5"])
+def test_scramble_equals_conjugate_by_random_invertible(field):
+    # scramble applies each cell's elementary operations without forming P;
+    # the result must be conjugation by the P that random_invertible forms
+    # from the same draw of the same rng
+    reps = _parity_reps(field, random.Random(4242))
+    seen_dims = set()
+    for seed, v in enumerate(reps):
+        rng = random.Random(seed)
+        want = conjugate(v, [random_invertible(field, d, rng) for d in v.dims])
+        assert scramble(v, seed) == want
+        seen_dims.update(v.dims)
+    assert {0, 1, 2, 3} <= seen_dims
+    if field == QQ:
+        assert any(x.denominator > 1 for v in reps for m in v.maps for r in m.rows for x in r)
+
+
+def test_scramble_forms_no_product_or_inverse(monkeypatch):
+    reps = _parity_reps(QQ, random.Random(7)) + _parity_reps(PrimeField(5), random.Random(8))
+    want = [scramble(v, 3) for v in reps]
+
+    def refuse(*args):
+        raise AssertionError("scramble formed a matrix product or an inverse")
+
+    monkeypatch.setattr(tamerep, "invert", refuse)
+    monkeypatch.setattr(Matrix, "matmul", refuse)
+    assert [scramble(v, 3) for v in reps] == want
 
 
 def test_morphism_validation():
