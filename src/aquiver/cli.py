@@ -53,7 +53,9 @@ def _guard(fn):
 
 
 field_option = click.option("--field", "field_spec", default=None,
-                            help="Coefficient field: Q or Fp:<p> [default: Q, or the document's field].")
+                            help="Coefficient field: Q or Fp:<p> [default: Q, or the document's field]. "
+                                 "A tame document keeps the field its maps were read over: "
+                                 "any other exits 2.")
 json_option = click.option("--json", "as_json", is_flag=True,
                            help="Machine-readable JSON instead of the pretty listing.")
 
@@ -64,6 +66,18 @@ def _pick_field(field_spec, doc=None):
     if doc is not None:
         return doc.field
     return parse_field("Q")
+
+
+def _document_rep(doc, field_spec):
+    """The document's representation over --field.  A bars document is built
+    over it; a tame document was parsed over its own field, which --field
+    may only repeat."""
+    field = _pick_field(field_spec, doc)
+    if doc.tame is not None and field != doc.field:
+        name = "Q" if doc.field.kind == "Q" else f"Fp:{doc.field.p}"
+        raise SchemaError(f"--field {field_spec} differs from the tame document's field {name}")
+    doc.field = field
+    return doc.rep()
 
 
 @click.group()
@@ -79,8 +93,7 @@ def main():
 def cmd_decompose(file, field_spec, as_json):
     """Decompose the representation in FILE into its interval summands."""
     doc = parse_document(_read(file))
-    doc.field = _pick_field(field_spec, doc)
-    bars = decompose(doc.rep())
+    bars = decompose(_document_rep(doc, field_spec))
     if as_json:
         _echo_json({"bars": bars.to_json()})
     else:
@@ -240,8 +253,7 @@ def cmd_scramble(file, seed, field_spec):
     """Emit an isomorphic copy of FILE's representation under a seeded
     random change of basis, as a tame JSON document."""
     doc = parse_document(_read(file))
-    doc.field = _pick_field(field_spec, doc)
-    v = scramble_rep(doc.rep(), seed)
+    v = scramble_rep(_document_rep(doc, field_spec), seed)
     try:
         out = document_to_json(Document(doc.orientation, v.field, tame=v))
     except ValueError:  # str() refuses an entry the change of basis grew too long

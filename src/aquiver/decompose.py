@@ -5,23 +5,28 @@ cell.  The decomposer sweeps the cells left to right carrying a list of
 "alive" bars, each owning a line of the current cell, kept in blocks
 ordered by the one-directional hom order between one-sided interval
 summands: a block born at a forward junction is maximal among the bars
-alive at its birth, one born at a backward junction is minimal.  At every
-junction the current lines are re-chosen compatibly with both that block
-flag and the kernel (forward) or image (backward) of the junction map;
-lines falling in the kernel / outside the image die, the rest push
-forward or pull back, and the cokernel / kernel of the map starts a new
-block.  The block discipline is exactly what makes the re-mixing of lines
-legal, so the multiset of (birth, death) cell ranges that falls out is
-the barcode.
+alive at its birth, one born at a backward junction is minimal.  The alive
+lines, in block order, are the columns of a basis A of the cell, and each
+junction map M is read in those coordinates by one column reduction
+(``bottom_column_echelon``), in which a line absorbs only earlier lines,
+the moves the block order allows.  Forward, the columns of MA: a line whose
+column reduces to zero dies, the others push forward as their images, and
+the unit vectors at no column's pivot row start a new last block.
+Backward, the columns [e_k ; B e_k] with B = A^-1 M from one solve: a
+column whose pivot lies in B's part keeps that line alive, with its
+e-part as a preimage, and the lines no column reaches die; the e-parts of
+the columns with no pivot in B's part span ker M and start a new first
+block.  The multiset of (birth, death) cell ranges that falls out is the
+barcode, whatever bases the reduction picks: the incremental
+compatible-basis form of zigzag persistence (Carlsson and de Silva, 2010).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .intervals import BarMultiset, Interval
-from .linalg import (Matrix, bottom_column_echelon, column_space_basis,
-                     kernel_basis, solve_matrix, unit_complement)
+from .linalg import Matrix, bottom_column_echelon, solve_matrix
 from .tamerep import DOWN, TameRep, cells_to_interval
 
 
@@ -32,7 +37,7 @@ class InternalInvariantError(AssertionError):
 @dataclass
 class _Block:
     birth: int
-    vectors: list = dc_field(default_factory=list)  # columns in current cell coords
+    vectors: list  # columns in current cell coords
 
 
 def _cell_bars(v: TameRep) -> list[tuple[int, int]]:
@@ -45,75 +50,48 @@ def _cell_bars(v: TameRep) -> list[tuple[int, int]]:
     if d0:
         blocks.append(_Block(0, Matrix.identity(field, d0).columns()))
     for j in range(n - 1):
-        fwd = v.dirs[j] != DOWN
-        mat = v.maps[j]
-        d_here, d_next = v.dims[j], v.dims[j + 1]
-        if fwd:
-            sub = kernel_basis(mat)  # dying directions
-        else:
-            sub = column_space_basis(mat)  # surviving directions
-        blocks, newly_dead = _step(field, blocks, mat, fwd, sub, d_here, d_next, j)
-        dead.extend(newly_dead)
+        blocks = _step(field, blocks, v.maps[j], v.dirs[j] != DOWN, j, dead)
     last = n - 1
     for b in blocks:
         dead.extend((b.birth, last) for _ in b.vectors)
     return dead
 
 
-def _step(field, blocks, mat, fwd, sub, d_here, d_next, j):
-    """Process one junction; returns (new blocks, dead bars)."""
-    dead = []
-    new_blocks: list[_Block] = []
-    if d_here:
-        alive_cols = [vec for b in blocks for vec in b.vectors]
-        alive_mat = Matrix.from_columns(field, d_here, alive_cols)
-        # coordinates of the distinguished subspace in the alive basis,
-        # bottom-echelonized so each column owns its lowest nonzero row
-        coords_mat = solve_matrix(alive_mat, sub)
-        if coords_mat is None:
-            raise InternalInvariantError("alive vectors stopped spanning the cell")
-        coords = coords_mat.columns()
-        pivots = bottom_column_echelon(field, coords) if coords else []
-        in_sub = {piv: alive_mat.apply(col) for col, piv in zip(coords, pivots)}
-        row_block = []
-        for bi, b in enumerate(blocks):
-            row_block.extend([bi] * len(b.vectors))
-        # classify lines; survivors keep their block (hom-order level)
-        surviving: list[tuple[int, list]] = []
-        for r in range(d_here):
-            flagged = r in in_sub
-            vec = in_sub[r] if flagged else alive_cols[r]
-            dies = flagged if fwd else not flagged
-            if dies:
-                dead.append((blocks[row_block[r]].birth, j))
-            else:
-                surviving.append((row_block[r], vec))
-        if fwd:
-            pushed = [mat.apply(vec) for _, vec in surviving]
-        else:
-            rhs = Matrix.from_columns(field, d_here, [vec for _, vec in surviving])
-            pre = solve_matrix(mat, rhs)
-            if pre is None:
-                raise InternalInvariantError("image vector lost its preimage")
-            pushed = pre.columns()
-        survivors: dict[int, list] = {}
-        for (bi, _), nxt in zip(surviving, pushed):
-            survivors.setdefault(bi, []).append(nxt)
-        for bi, b in enumerate(blocks):
-            if bi in survivors:
-                new_blocks.append(_Block(b.birth, survivors[bi]))
-    # newborns: cokernel directions (forward) / kernel directions (backward)
+def _step(field, blocks, mat, fwd, j, dead):
+    """Process junction j: append the bars that die there to dead and
+    return the blocks alive in cell j + 1."""
+    d_here, d_next = (mat.ncols, mat.nrows) if fwd else (mat.nrows, mat.ncols)
+    owners = [bi for bi, b in enumerate(blocks) for _ in b.vectors]  # block of each line
+    alive = Matrix.from_columns(field, d_here, [vec for b in blocks for vec in b.vectors])
+    units = Matrix.identity(field, d_next).columns()
     if fwd:
-        alive = [vec for b in new_blocks for vec in b.vectors]
-        units = Matrix.identity(field, d_next).columns()
-        born = [units[i] for i in unit_complement(field, alive, d_next)]
-        if born:
-            new_blocks.append(_Block(j + 1, born))
+        images = mat.matmul(alive).columns()
+        lows = bottom_column_echelon(field, [list(col) for col in images])
+        # surviving line -> its vector in cell j + 1
+        nxt = {r: images[r] for r, low in enumerate(lows) if low != -1}
+        taken = set(lows)
+        born = [units[i] for i in range(d_next) if i not in taken]
     else:
-        ker = kernel_basis(mat).columns()
-        if ker:
-            new_blocks.insert(0, _Block(j + 1, ker))
-    return new_blocks, dead
+        coords = solve_matrix(alive, mat)
+        if coords is None:
+            raise InternalInvariantError("alive vectors stopped spanning the cell")
+        cols = [e + b for e, b in zip(units, coords.columns())]
+        nxt, born = {}, []
+        for col, low in zip(cols, bottom_column_echelon(field, cols)):
+            if low >= d_next:
+                nxt[low - d_next] = col[:d_next]
+            else:
+                born.append(col[:d_next])
+    survivors: dict[int, list] = {}  # block index -> its surviving vectors
+    for r, bi in enumerate(owners):
+        if r in nxt:
+            survivors.setdefault(bi, []).append(nxt[r])
+        else:
+            dead.append((blocks[bi].birth, j))
+    new_blocks = [_Block(blocks[bi].birth, vecs) for bi, vecs in survivors.items()]
+    if born:
+        new_blocks.insert(len(new_blocks) if fwd else 0, _Block(j + 1, born))
+    return new_blocks
 
 
 def decompose(v: TameRep) -> BarMultiset:

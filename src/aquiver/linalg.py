@@ -3,17 +3,20 @@
 Everything here is bit-exact: rationals are ``fractions.Fraction`` and
 prime-field elements are ints in ``range(p)``.  No floating point enters
 anywhere.  Matrices are dense row lists.  ``_row_echelon`` is the one
-elimination routine: ``column_space_basis`` and ``unit_complement`` are
-read off its pivot columns.  Over Q it runs on integer rows, each scaled
-to a primitive row of Python ints, and converts the pivot rows back to
-Fractions only at the end, which spares a gcd per scalar operation.  The
-other arithmetic (elimination over F_p, products, ``bottom_column_echelon``)
-runs inside one row operation per field, ``field.axpy(dst, c, pairs)``,
-which adds c times a sparse row, given as its nonzero (column, value)
-pairs, to a dense row.  Elimination over F_p collects each pivot row's
-nonzero pairs once, so every other row touches only those columns;
-products collect the nonzero pairs of the right factor's rows.  Zero tests
-are truthiness tests: a Fraction or an int is falsy exactly at zero.
+elimination routine behind every rank, kernel, solve, column-space basis
+and unit-vector completion; ``bottom_column_echelon``, the decomposition
+sweep's column reduction, is the one other.  Over Q both run on integer
+vectors, each scaled to a primitive vector of Python ints (``_primitive``)
+and eliminated by cross-multiplying and dividing by the content gcd
+(``_eliminate``); they convert back to Fractions only at the end, which
+spares a gcd per scalar operation.  The other arithmetic (elimination over
+F_p, products) runs inside one row operation per field,
+``field.axpy(dst, c, pairs)``, which adds c times a sparse row, given as
+its nonzero (column, value) pairs, to a dense row.  Elimination over F_p
+collects each pivot row's nonzero pairs once, so every other row touches
+only those columns; products collect the nonzero pairs of the right
+factor's rows.  Zero tests are truthiness tests: a Fraction or an int is
+falsy exactly at zero.
 """
 
 from __future__ import annotations
@@ -227,16 +230,6 @@ class Matrix:
             out.append(orow)
         return Matrix(f, self.nrows, other.ncols, out)
 
-    def apply(self, vec: Sequence) -> list:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        f = self.field
-        out = [f.zero()] * self.nrows
-        for k, x in enumerate(vec):
-            if x:
-                f.axpy(out, x, [(i, row[k]) for i, row in enumerate(self.rows) if row[k]])
-        return out
-
     def add(self, other: "Matrix") -> "Matrix":
         f = self.field
         return Matrix(f, self.nrows, self.ncols,
@@ -306,6 +299,30 @@ def _row_echelon(field, rows: list) -> tuple[list, list]:
 _ZERO = Fraction(0)
 
 
+def _primitive(row: list) -> list:
+    """row (Fractions or ints) scaled by a nonzero rational to a primitive
+    integer row, one of Python ints with content gcd 1 (or all zero)."""
+    dens = [x.denominator for x in row]
+    den = lcm(*dens)
+    if den == 1:
+        irow = [x.numerator for x in row]
+    else:
+        irow = [x.numerator * (den // d) for x, d in zip(row, dens)]
+    g = gcd(*irow)
+    return [x // g for x in irow] if g > 1 else irow
+
+
+def _eliminate(row: list, prow: list, a: int, p: int) -> list:
+    """The primitive integer row p' * row - a' * prow, where p' / a' is
+    p / a in lowest terms: row less a / p times prow, up to a nonzero
+    scalar, so that an entry where row holds a and prow holds p becomes 0."""
+    g = gcd(p, a)
+    pg, ag = p // g, a // g
+    row = [pg * x - ag * y for x, y in zip(row, prow)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _integer_rref(rows: list) -> tuple[list, list]:
     """``_row_echelon`` over Q without a Fraction in the loop.  Each row is
     scaled to a primitive integer row (one with content gcd 1); eliminating
@@ -315,16 +332,7 @@ def _integer_rref(rows: list) -> tuple[list, list]:
     end.  The reduced form is unique, so it equals the Fraction one."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    ints = []
-    for row in rows:
-        dens = [x.denominator for x in row]
-        den = lcm(*dens)
-        if den == 1:
-            irow = [x.numerator for x in row]
-        else:
-            irow = [x.numerator * (den // d) for x, d in zip(row, dens)]
-        g = gcd(*irow)
-        ints.append([x // g for x in irow] if g > 1 else irow)
+    ints = [_primitive(row) for row in rows]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -337,11 +345,7 @@ def _integer_rref(rows: list) -> tuple[list, list]:
         for i, row in enumerate(ints):
             a = row[c]
             if a and i != r:
-                g = gcd(p, a)
-                pg, ag = p // g, a // g
-                row = [pg * x - ag * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                ints[i] = [x // g for x in row] if g > 1 else row
+                ints[i] = _eliminate(row, prow, a, p)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -444,24 +448,48 @@ def invert(m: Matrix) -> Matrix:
     return out
 
 
-def bottom_column_echelon(field, cols: list) -> list[int]:
-    """Column-reduce (in place) so each column has a distinct lowest nonzero
-    row; returns the list of those pivot rows (parallel to cols).
+def _last_nonzero(col: list) -> int:
+    return next((i for i in range(len(col) - 1, -1, -1) if col[i]), -1)
 
-    Columns must be independent.  Used to refine a flag against a subspace.
-    """
+
+def bottom_column_echelon(field, cols: list) -> list[int]:
+    """Column-reduce (in place), left to right, so that each column has a
+    distinct lowest nonzero row, there equal to one; returns the list of
+    those pivot rows (parallel to cols).  A column in the span of the
+    earlier ones reduces to zero and gets pivot -1.  Over Q the columns are
+    reduced as primitive integer columns (``_primitive``, ``_eliminate``)
+    and divided by their pivots, back into Fractions, at the end; each
+    integer column is a nonzero multiple of the Fraction one, so the result
+    is the same."""
+    if field.kind == "Q":
+        return _integer_bottom_echelon(cols)
     used: dict[int, list] = {}  # pivot row -> nonzero pairs of its column
     pivots = [-1] * len(cols)
     for j, col in enumerate(cols):
-        while True:
-            low = next((i for i in range(len(col) - 1, -1, -1) if col[i]), -1)
-            if low == -1:
-                raise ValueError("dependent columns in bottom_column_echelon")
+        while (low := _last_nonzero(col)) != -1:
             if low not in used:
                 used[low] = _to_unit(field, col, low, [(i, a) for i, a in enumerate(col) if a])
                 pivots[j] = low
                 break
             field.axpy(col, field.neg(col[low]), used[low])
+    return pivots
+
+
+def _integer_bottom_echelon(cols: list) -> list[int]:
+    """``bottom_column_echelon`` over Q without a Fraction in the loop."""
+    used: dict[int, list] = {}  # pivot row -> its primitive integer column
+    pivots = [-1] * len(cols)
+    for j, col in enumerate(cols):
+        icol = _primitive(col)
+        p = 1
+        while (low := _last_nonzero(icol)) != -1:
+            if low not in used:
+                used[low] = icol
+                pivots[j], p = low, icol[low]
+                break
+            prow = used[low]
+            icol = _eliminate(icol, prow, icol[low], prow[low])
+        col[:] = [Fraction(x, p) if x else _ZERO for x in icol]
     return pivots
 
 
@@ -481,19 +509,22 @@ def random_elementary_ops(field, n: int, rng) -> list[tuple]:
     if field.kind == "Q":
         coeffs = [Fraction(c) for c in (-2, -1, 1, 2)]
         units = [Fraction(-1), Fraction(1)]
+        coeff, unit = (lambda: rng.choice(coeffs)), (lambda: rng.choice(units))
     else:
-        coeffs = units = [field.from_int(c) for c in range(1, field.p)]
+        # a unit drawn as 1 + randbelow(p - 1), as rng.choice over the
+        # list of all p - 1 units would, without building that list
+        coeff = unit = lambda: field.from_int(rng.randrange(1, field.p))
     ops = []
     for _ in range(2 * n + 2):
         op = rng.randrange(3)
         i = rng.randrange(n)
         k = rng.randrange(n)
         if op == _ADD and i != k:
-            ops.append((_ADD, i, k, rng.choice(coeffs)))
+            ops.append((_ADD, i, k, coeff()))
         elif op == _SWAP and i != k:
             ops.append((_SWAP, i, k, None))
         else:
-            ops.append((_SCALE, i, i, rng.choice(units)))
+            ops.append((_SCALE, i, i, unit()))
     return ops
 
 

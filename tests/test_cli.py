@@ -254,6 +254,27 @@ def test_two_cell_tame_document_is_valid(runner, tmp_path):
     assert res.exit_code == 0 and res.output == "[0, 1]\n"
 
 
+@pytest.mark.parametrize("command", [["decompose"], ["scramble", "--seed", "11"]],
+                         ids=["decompose", "scramble"])
+def test_field_other_than_a_tame_documents_exits_2(runner, tmp_path, command):
+    # a tame document's maps are parsed over its own field, which --field
+    # may repeat but not change; a bars document takes the override
+    f = _write(tmp_path, "d.json", _two_cell_tame(["0", "1/2"], "1/2", "-3/7"))
+    res = runner.invoke(main, [command[0], f, *command[1:], "--field", "Fp:5"])
+    _assert_clean_exit_2(res)
+    assert res.stderr == "error: --field Fp:5 differs from the tame document's field Q\n"
+    same = runner.invoke(main, [command[0], f, *command[1:], "--field", "Q"])
+    assert same.exit_code == 0
+    assert same.output == runner.invoke(main, [command[0], f, *command[1:]]).output
+    f5 = _write(tmp_path, "d5.json", _two_cell_tame(["0", "1"], "2", "3", {"kind": "Fp", "p": 5}))
+    res = runner.invoke(main, [command[0], f5, *command[1:], "--field", "Q"])
+    _assert_clean_exit_2(res)
+    assert res.stderr == "error: --field Q differs from the tame document's field Fp:5\n"
+    bars = _write(tmp_path, "bars.json", BARS_DOC)
+    res = runner.invoke(main, [command[0], bars, *command[1:], "--field", "Fp:5"])
+    assert res.exit_code == 0
+
+
 @pytest.mark.parametrize("doc", [
     {"orientation": EMPTY_ORIENTATION, "field": {"kind": "Fp", "p": 5.5}, "bars": []},
     {"orientation": EMPTY_ORIENTATION, "field": {"kind": "Fp", "p": True}, "bars": []},

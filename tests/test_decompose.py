@@ -5,13 +5,16 @@ import pytest
 
 from conftest import random_bars, random_orientation
 from oracle import enumerate_f2_instances, oracle_decompose
-from aquiver.decompose import (InternalInvariantError, decompose,
+from sweep_reference import reference_cell_bars
+from aquiver import linalg
+from aquiver.decompose import (InternalInvariantError, _cell_bars, decompose,
                                indecomposable_direct, is_indecomposable, iso,
                                multiplicity)
 from aquiver.intervals import BarMultiset, Interval
 from aquiver.linalg import Matrix, PrimeField, QQ
 from aquiver.orientation import Orientation
-from aquiver.tamerep import TameRep, direct_sum, dual, from_bars, scramble, zero_rep
+from aquiver.tamerep import (DOWN, TameRep, direct_sum, dual, from_bars, scramble,
+                             zero_rep)
 
 EMPTY_DESC = Orientation.make([], "descending")
 F5 = PrimeField(5)
@@ -146,3 +149,57 @@ def test_conservation_of_dimension(rng):
             x = cell_representative(v.grid, c)
             covering = sum(m for iv, m in got if iv.contains(x))
             assert covering == v.dims[c]
+
+
+def _scaled_maps(v, rng):
+    """v with each junction map scaled by its own random rational in
+    (-1, 1): isomorphic to v, since a zigzag is a tree quiver, and with
+    non-integral entries."""
+    maps = [m.scale(Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(31, 60)))
+            for m in v.maps]
+    return TameRep(v.orientation, v.field, v.grid, v.dims, maps)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), F5], ids=["Q", "F2", "F5"])
+def test_sweep_matches_reference_sweep(field):
+    rng = random.Random(2024)
+    fractional = 0
+    for i in range(150):
+        o = random_orientation(rng)
+        b = random_bars(rng)
+        v = scramble(from_bars(o, b, field), 700 + i)
+        if field is QQ:
+            v = _scaled_maps(v, rng)
+            fractional += any(x.denominator > 1 for m in v.maps for row in m.rows for x in row)
+        assert sorted(_cell_bars(v)) == sorted(reference_cell_bars(v))
+        assert decompose(v) == b
+    assert field is not QQ or fractional >= 120
+
+
+def test_sweep_eliminates_once_per_backward_junction_only(monkeypatch):
+    # forward junctions are read off one product and one column reduction,
+    # backward ones off one solve and one column reduction; _row_echelon
+    # runs only inside the solve
+    rng = random.Random(55)
+    cases = []
+    for i in range(30):
+        o = random_orientation(rng)
+        v = scramble(from_bars(o, random_bars(rng)), 900 + i)
+        cases.append((v, sum(d == DOWN for d in v.dirs)))
+    ascending = Orientation.make([], "ascending")
+    all_forward = scramble(from_bars(ascending, random_bars(rng, max_bars=8)), 3)
+    assert all_forward.dirs and DOWN not in all_forward.dirs
+    cases.append((all_forward, 0))
+    real = linalg._row_echelon
+    calls = []
+
+    def counting(field, rows):
+        calls.append(len(rows))
+        return real(field, rows)
+
+    monkeypatch.setattr(linalg, "_row_echelon", counting)
+    for v, backward in cases:
+        calls.clear()
+        decompose(v)
+        assert len(calls) <= backward
+    assert any(backward for _, backward in cases)

@@ -16,6 +16,11 @@ def mat(rows, field=QQ):
     return Matrix.from_rows(field, [[field.from_int(x) for x in r] for r in rows])
 
 
+def column(field, vec):
+    """vec as a one-column matrix."""
+    return Matrix.from_columns(field, len(vec), [vec])
+
+
 def test_rank_examples():
     assert rank(Matrix.identity(QQ, 3)) == 3
     assert rank(Matrix.zero(QQ, 2, 5)) == 0
@@ -124,7 +129,7 @@ def test_exactness_no_floats():
     a = mat([[1, 3], [2, 7]])
     sol, _ = solve_linear_system(a, [Fraction(1, 3), Fraction(2, 5)])
     assert all(isinstance(x, Fraction) for x in sol)
-    assert a.apply(sol) == [Fraction(1, 3), Fraction(2, 5)]
+    assert a.matmul(column(QQ, sol)).column(0) == [Fraction(1, 3), Fraction(2, 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +302,7 @@ def test_solvers_match_textbook(field):
             if want is not None:
                 assert sol == [r[0] for r in want]
             _assert_exact(field, sol)
-            assert m.apply(sol) == [brow[0] for brow in b]
+            assert m.matmul(column(field, sol)).column(0) == [brow[0] for brow in b]
 
 
 @pytest.mark.parametrize("field", PARITY_FIELDS, ids=PARITY_IDS)
@@ -311,7 +316,7 @@ def test_matmul_and_apply_match_naive(field):
         _assert_exact(field, [x for r in got.rows for x in r])
         vec = [_random_scalar(field, rng) if rng.random() < 0.5 else field.zero()
                for _ in range(a.ncols)]
-        out = a.apply(vec)
+        out = a.matmul(column(field, vec)).column(0)
         assert out == [_naive_dot(field, row, vec) for row in a.rows]
         _assert_exact(field, out)
 
@@ -361,6 +366,32 @@ def test_unit_complement_matches_greedy_scan(field):
         assert got == [p - n for p in textbook_rref(field, stacked)[1] if p >= n]
         # the kept unit vectors complete a basis
         assert rank(Matrix.from_columns(field, d, cols + [units[i] for i in got])) == d
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), F5], ids=["Q", "F2", "F5"])
+def test_bottom_column_echelon_dependent_columns(field):
+    rng = random.Random(17)
+    dependent = 0
+    for _ in range(40):
+        d, n = rng.randint(1, 8), rng.randint(1, 10)
+        given = _random_sparse(field, rng, n, d).rows  # n columns of length d
+        cols = [list(col) for col in given]
+        pivots = bottom_column_echelon(field, cols)
+        kept = [j for j, piv in enumerate(pivots) if piv != -1]
+        assert kept == _greedy_keeps(field, given)
+        assert len({pivots[j] for j in kept}) == len(kept)
+        dependent += len(given) - len(kept)
+        for col, piv in zip(cols, pivots):
+            if piv == -1:
+                assert all(x == field.zero() for x in col)
+            else:
+                assert col[piv] == field.one()
+                assert all(col[i] == field.zero() for i in range(piv + 1, d))
+        _assert_exact(field, [x for col in cols for x in col])
+        # the kept columns span what the given ones span
+        assert rank(Matrix.from_columns(field, d, given)) == len(kept)
+        assert rank(Matrix.from_columns(field, d, given + [cols[j] for j in kept])) == len(kept)
+    assert dependent >= 40
 
 
 # ---------------------------------------------------------------------------
@@ -459,3 +490,37 @@ def test_q_wide_solvers_invert_and_unit_complement():
             assert got.rows == [r[n:] for r in want]
             _assert_exact(QQ, [x for r in got.rows for x in r])
             assert naive_matmul(QQ, given.rows, got.rows, n) == ident
+
+
+def _fraction_bottom_echelon(cols):
+    """bottom_column_echelon over Q on Fractions: while a column's lowest
+    nonzero entry sits at an earlier column's pivot, subtract that many of
+    the earlier (unit-pivot) column; then scale to a unit pivot.  A column
+    that reduces to zero gets pivot -1."""
+    used = {}
+    pivots = []
+    for col in cols:
+        while (low := max((i for i, x in enumerate(col) if x), default=-1)) in used:
+            c = col[low]
+            col[:] = [x - c * y for x, y in zip(col, used[low])]
+        if low != -1:
+            inv = 1 / col[low]
+            col[:] = [x * inv for x in col]
+            used[low] = col
+        pivots.append(low)
+    return pivots
+
+
+def test_q_bottom_column_echelon_matches_fraction_elimination():
+    cases = [m for _, m in _wide_cases(23)] + [m for _, m in _parity_cases(QQ, 24)]
+    dependent = 0
+    for m in cases:
+        for given, ref in _given_and_reference(m):
+            cols = given.copy_rows()  # the rows, as columns of length ncols
+            want = ref.copy_rows()
+            want_pivots = _fraction_bottom_echelon(want)
+            assert bottom_column_echelon(QQ, cols) == want_pivots
+            assert cols == want
+            _assert_exact(QQ, [x for col in cols for x in col])
+            dependent += want_pivots.count(-1)
+    assert dependent

@@ -1,5 +1,10 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +13,8 @@ from oracle import increasing_beside
 from aquiver import tamerep
 from aquiver.decompose import decompose, iso
 from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF
-from aquiver.linalg import Matrix, PrimeField, QQ, random_invertible
+from aquiver.linalg import (Matrix, PrimeField, QQ, random_elementary_ops,
+                            random_invertible)
 from aquiver.orientation import Orientation
 from aquiver.tamerep import (DOWN, UP, RepMorphism, TameRep, cell_of_point,
                              cell_representative, conjugate, cokernel_rep,
@@ -16,6 +22,7 @@ from aquiver.tamerep import (DOWN, UP, RepMorphism, TameRep, cell_of_point,
                              junction_cells, junction_dirs, kernel_rep, refine,
                              reps_on_common_grid, restrict, scramble, zero_rep)
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 EMPTY_DESC = Orientation.make([], "descending")
 ZIGZAG = Orientation.make([(0, "sink"), (1, "source")])
 
@@ -221,6 +228,57 @@ def test_scramble_forms_no_product_or_inverse(monkeypatch):
     monkeypatch.setattr(tamerep, "invert", refuse)
     monkeypatch.setattr(Matrix, "matmul", refuse)
     assert [scramble(v, 3) for v in reps] == want
+
+
+def _listed_unit_ops(field, n, rng):
+    """random_elementary_ops over F_p as first written: both scalars drawn
+    by rng.choice over the list of all p - 1 units."""
+    units = [field.from_int(c) for c in range(1, field.p)]
+    ops = []
+    for _ in range(2 * n + 2 if n else 0):
+        op, i, k = rng.randrange(3), rng.randrange(n), rng.randrange(n)
+        if op == 0 and i != k:
+            ops.append((0, i, k, rng.choice(units)))
+        elif op == 1 and i != k:
+            ops.append((1, i, k, None))
+        else:
+            ops.append((2, i, i, rng.choice(units)))
+    return ops
+
+
+@pytest.mark.parametrize("p", [2, 7, 1009])
+def test_unit_draw_consumes_the_rng_as_a_choice_over_all_units(p):
+    field = PrimeField(p)
+    for seed in range(20):
+        n = seed % 6
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        assert (random_elementary_ops(field, n, got_rng)
+                == _listed_unit_ops(field, n, want_rng))
+        assert got_rng.random() == want_rng.random()
+
+
+def test_scramble_over_a_large_prime_builds_no_list_of_units():
+    # over F_(2^61 - 1) a list of all units would need exabytes; the child
+    # runs under an address-space limit set on it alone
+    code = (
+        "from aquiver.decompose import decompose\n"
+        "from aquiver.intervals import BarMultiset, Interval\n"
+        "from aquiver.linalg import PrimeField\n"
+        "from aquiver.orientation import Orientation\n"
+        "from aquiver.tamerep import from_bars, scramble\n"
+        "b = BarMultiset([(Interval.make(0, 2, True, False), 3), (Interval.point(1), 2)])\n"
+        "v = scramble(from_bars(Orientation.make([(1, 'sink')]), b, PrimeField(2**61 - 1)), 11)\n"
+        "assert any(x > 1 for m in v.maps for row in m.rows for x in row)\n"
+        "print(decompose(v) == b)\n")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", code], env=env, preexec_fn=limit_memory,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert res.stdout == "True\n"
 
 
 def test_morphism_validation():
