@@ -42,7 +42,8 @@ def parse_rational(x) -> Fraction:
     those raise ValueError here, and so does a decimal whose digits and
     exponent add up to more than int() reads from a string (_MAX_DIGITS).
     The limit is on the input value only: arithmetic can still grow an
-    accepted entry past what str() prints (see ROADMAP item 6)."""
+    accepted entry past what str() prints, and ``aquiver scramble`` then
+    exits 2 (``cli.cmd_scramble``)."""
     if type(x) is int:
         return Fraction(x)
     if type(x) is str:

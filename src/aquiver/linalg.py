@@ -5,18 +5,19 @@ prime-field elements are ints in ``range(p)``.  No floating point enters
 anywhere.  Matrices are dense row lists.  ``_row_echelon`` is the one
 elimination routine behind every rank, kernel, solve, column-space basis
 and unit-vector completion; ``bottom_column_echelon``, the decomposition
-sweep's column reduction, is the one other.  Over Q both run on integer
-vectors, each scaled to a primitive vector of Python ints (``_primitive``)
-and eliminated by cross-multiplying and dividing by the content gcd
-(``_eliminate``); they convert back to Fractions only at the end, which
-spares a gcd per scalar operation.  The other arithmetic (elimination over
-F_p, products) runs inside one row operation per field,
+sweep's column reduction, is the one other.  Each is one loop over vectors
+of Python ints, eliminating by cross-multiplying: a vector holding a where
+the pivot vector holds p becomes a multiple of vector - (a/p) * pivot
+vector, with no division in the loop.  The field supplies three steps,
+picked once per call (``_integer_ops``): over Q a vector is scaled to a
+primitive integer vector (``_primitive``) and the content gcd is divided
+out after each elimination (``_eliminate``); over F_p the scalars are ints
+already and each elimination reduces mod p.  A finished vector is divided
+by its pivot, back into field scalars, at the end.  Products and row
+operations run inside one row operation per field,
 ``field.axpy(dst, c, pairs)``, which adds c times a sparse row, given as
-its nonzero (column, value) pairs, to a dense row.  Elimination over F_p
-collects each pivot row's nonzero pairs once, so every other row touches
-only those columns; products collect the nonzero pairs of the right
-factor's rows.  Zero tests are truthiness tests: a Fraction or an int is
-falsy exactly at zero.
+its nonzero (column, value) pairs, to a dense row.  Zero tests are
+truthiness tests: a Fraction or an int is falsy exactly at zero.
 """
 
 from __future__ import annotations
@@ -255,47 +256,6 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}, {self.rows!r})"
 
 
-def _to_unit(field, row: list, lead: int, pairs: list) -> list:
-    """Scale row in place so that row[lead] becomes one; pairs are its
-    nonzero (index, value) pairs, and the scaled pairs are returned."""
-    one = field.one()
-    if row[lead] == one:
-        return pairs
-    # row += (1/row[lead] - 1) * row
-    field.axpy(row, field.sub(field.inv(row[lead]), one), pairs)
-    return [(j, row[j]) for j, _ in pairs]
-
-
-def _row_echelon(field, rows: list) -> tuple[list, list]:
-    """Reduced row echelon form of rows (which it may change); returns
-    (rows, pivot column list).  Over F_p each pivot row's nonzero entries
-    are collected once, so eliminating it from another row costs one row
-    operation over those entries only.  Over Q the work runs on integer
-    rows (``_integer_rref``)."""
-    if field.kind == "Q":
-        return _integer_rref(rows)
-    neg, axpy = field.neg, field.axpy
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        row_r = rows[r]
-        pairs = _to_unit(field, row_r, c, [(j, b) for j in range(c, ncols) if (b := row_r[j])])
-        for row in [row for row in rows if row[c]]:
-            if row is not row_r:
-                axpy(row, neg(row[c]), pairs)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
 _ZERO = Fraction(0)
 
 
@@ -323,16 +283,46 @@ def _eliminate(row: list, prow: list, a: int, p: int) -> list:
     return [x // g for x in row] if g > 1 else row
 
 
-def _integer_rref(rows: list) -> tuple[list, list]:
-    """``_row_echelon`` over Q without a Fraction in the loop.  Each row is
-    scaled to a primitive integer row (one with content gcd 1); eliminating
-    with pivot p replaces a row by p' * row - a' * pivot_row, where
-    p' / a' is p / a in lowest terms, and divides it by its content.  The
-    pivot rows are divided by their pivots, back into Fractions, at the
-    end.  The reduced form is unique, so it equals the Fraction one."""
+def _from_primitive(row: list, pivot: int) -> list:
+    return [Fraction(x, pivot) if x else _ZERO for x in row]
+
+
+def _integer_ops(field):
+    """(to_ints, eliminate, from_ints), the field's part of the integer
+    elimination loops.  to_ints maps a row to a nonzero multiple of it with
+    int entries; eliminate(row, prow, a, p), where row holds a and prow
+    holds p != 0 at some entry, returns a nonzero multiple of row less a / p
+    times prow; from_ints(row, pivot) divides row by pivot, back into field
+    scalars.  Over Q: primitive rows, cross-multiplying with the content gcd
+    divided out, and Fractions.  Over F_p the ints in range(p) are the
+    scalars already; eliminating cross-multiplies mod p, and dividing takes
+    one inverse per row."""
+    if field.kind == "Q":
+        return _primitive, _eliminate, _from_primitive
+    q = field.p
+
+    def eliminate(row, prow, a, p):
+        return [(p * x - a * y) % q for x, y in zip(row, prow)]
+
+    def from_ints(row, pivot):
+        if pivot == 1:
+            return row
+        inv = pow(pivot, q - 2, q)
+        return [x * inv % q for x in row]
+
+    return list, eliminate, from_ints
+
+
+def _row_echelon(field, rows: list) -> tuple[list, list]:
+    """Reduced row echelon form of rows; returns (rows, pivot column list).
+    The rows are reduced as integer rows (``_integer_ops``): eliminating
+    with pivot p replaces a row holding a by a multiple of row - (a/p) *
+    pivot row, and the pivot rows are divided by their pivots at the end.
+    The reduced form is unique, so it equals the textbook one."""
+    to_ints, eliminate, from_ints = _integer_ops(field)
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    ints = [_primitive(row) for row in rows]
+    ints = [to_ints(row) for row in rows]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -345,14 +335,14 @@ def _integer_rref(rows: list) -> tuple[list, list]:
         for i, row in enumerate(ints):
             a = row[c]
             if a and i != r:
-                ints[i] = _eliminate(row, prow, a, p)
+                ints[i] = eliminate(row, prow, a, p)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    out = [[Fraction(x, row[c]) if x else _ZERO for x in row]
-           for row, c in zip(ints, pivots)]
-    out.extend([_ZERO] * ncols for _ in range(nrows - r))
+    out = [from_ints(row, row[c]) for row, c in zip(ints, pivots)]
+    z = field.zero()
+    out.extend([z] * ncols for _ in range(nrows - r))
     return out, pivots
 
 
@@ -382,20 +372,8 @@ def solve_linear_system(a: Matrix, b: Sequence) -> tuple[Optional[list], int]:
     """Solve a x = b.  Returns (one solution or None, kernel dimension)."""
     if len(b) != a.nrows:
         raise ValueError("rhs length mismatch")
-    f = a.field
-    z = f.zero()
-    aug = [row + [bv] for row, bv in zip(a.copy_rows(), b)]
-    if not aug:
-        return ([z] * a.ncols, a.ncols)
-    rows, pivots = _row_echelon(f, aug)
-    nullity = a.ncols - len([p for p in pivots if p < a.ncols])
-    for r, pc in enumerate(pivots):
-        if pc == a.ncols:
-            return (None, nullity)
-    sol = [z] * a.ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = rows[r][a.ncols]
-    return (sol, nullity)
+    x = solve_matrix(a, Matrix.from_columns(a.field, a.nrows, [b]))
+    return (None if x is None else x.column(0), a.ncols - rank(a))
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -456,31 +434,15 @@ def bottom_column_echelon(field, cols: list) -> list[int]:
     """Column-reduce (in place), left to right, so that each column has a
     distinct lowest nonzero row, there equal to one; returns the list of
     those pivot rows (parallel to cols).  A column in the span of the
-    earlier ones reduces to zero and gets pivot -1.  Over Q the columns are
-    reduced as primitive integer columns (``_primitive``, ``_eliminate``)
-    and divided by their pivots, back into Fractions, at the end; each
-    integer column is a nonzero multiple of the Fraction one, so the result
-    is the same."""
-    if field.kind == "Q":
-        return _integer_bottom_echelon(cols)
-    used: dict[int, list] = {}  # pivot row -> nonzero pairs of its column
+    earlier ones reduces to zero and gets pivot -1.  The columns are reduced
+    as integer columns (``_integer_ops``) and divided by their pivots at the
+    end; each integer column is a nonzero multiple of the column that
+    subtracting unit-pivot columns gives, so the result is that column."""
+    to_ints, eliminate, from_ints = _integer_ops(field)
+    used: dict[int, list] = {}  # pivot row -> its integer column
     pivots = [-1] * len(cols)
     for j, col in enumerate(cols):
-        while (low := _last_nonzero(col)) != -1:
-            if low not in used:
-                used[low] = _to_unit(field, col, low, [(i, a) for i, a in enumerate(col) if a])
-                pivots[j] = low
-                break
-            field.axpy(col, field.neg(col[low]), used[low])
-    return pivots
-
-
-def _integer_bottom_echelon(cols: list) -> list[int]:
-    """``bottom_column_echelon`` over Q without a Fraction in the loop."""
-    used: dict[int, list] = {}  # pivot row -> its primitive integer column
-    pivots = [-1] * len(cols)
-    for j, col in enumerate(cols):
-        icol = _primitive(col)
+        icol = to_ints(col)
         p = 1
         while (low := _last_nonzero(icol)) != -1:
             if low not in used:
@@ -488,8 +450,8 @@ def _integer_bottom_echelon(cols: list) -> list[int]:
                 pivots[j], p = low, icol[low]
                 break
             prow = used[low]
-            icol = _eliminate(icol, prow, icol[low], prow[low])
-        col[:] = [Fraction(x, p) if x else _ZERO for x in icol]
+            icol = eliminate(icol, prow, icol[low], prow[low])
+        col[:] = from_ints(icol, p)
     return pivots
 
 

@@ -136,8 +136,10 @@ def test_exactness_no_floats():
 # Parity with a textbook Gauss-Jordan elimination.  The reference below uses
 # only the scalar field operations and nothing from linalg except Matrix.
 
-PARITY_FIELDS = [QQ, PrimeField(2), F5, PrimeField(7919)]
-PARITY_IDS = ["Q", "F2", "F5", "F7919"]
+# 2**61 - 1 is a prime below MAX_PRIME: cross-multiplying during elimination
+# then gives products of about 122 bits before each reduction
+PARITY_FIELDS = [QQ, PrimeField(2), F5, PrimeField(7919), PrimeField(2**61 - 1)]
+PARITY_IDS = ["Q", "F2", "F5", "F7919", "F2^61-1"]
 
 
 def textbook_rref(field, rows):
@@ -492,23 +494,43 @@ def test_q_wide_solvers_invert_and_unit_complement():
             assert naive_matmul(QQ, given.rows, got.rows, n) == ident
 
 
-def _fraction_bottom_echelon(cols):
-    """bottom_column_echelon over Q on Fractions: while a column's lowest
+def textbook_bottom_echelon(field, cols):
+    """bottom_column_echelon in field operations: while a column's lowest
     nonzero entry sits at an earlier column's pivot, subtract that many of
     the earlier (unit-pivot) column; then scale to a unit pivot.  A column
     that reduces to zero gets pivot -1."""
+    z = field.zero()
     used = {}
     pivots = []
     for col in cols:
-        while (low := max((i for i, x in enumerate(col) if x), default=-1)) in used:
+        while (low := max((i for i, x in enumerate(col) if x != z), default=-1)) in used:
             c = col[low]
-            col[:] = [x - c * y for x, y in zip(col, used[low])]
+            col[:] = [field.sub(x, field.mul(c, y)) for x, y in zip(col, used[low])]
         if low != -1:
-            inv = 1 / col[low]
-            col[:] = [x * inv for x in col]
+            inv = field.inv(col[low])
+            col[:] = [field.mul(inv, x) for x in col]
             used[low] = col
         pivots.append(low)
     return pivots
+
+
+def _check_bottom_echelon(field, given, ref):
+    """bottom_column_echelon of given's rows, as columns of length ncols,
+    entry for entry against textbook_bottom_echelon of ref's rows; returns
+    the number of dependent columns."""
+    cols = given.copy_rows()
+    want = ref.copy_rows()
+    want_pivots = textbook_bottom_echelon(field, want)
+    assert bottom_column_echelon(field, cols) == want_pivots
+    assert cols == want
+    _assert_exact(field, [x for col in cols for x in col])
+    return want_pivots.count(-1)
+
+
+@pytest.mark.parametrize("field", PARITY_FIELDS, ids=PARITY_IDS)
+def test_bottom_column_echelon_matches_textbook(field):
+    dependent = sum(_check_bottom_echelon(field, m, m) for _, m in _parity_cases(field, 25))
+    assert dependent
 
 
 def test_q_bottom_column_echelon_matches_fraction_elimination():
@@ -516,11 +538,5 @@ def test_q_bottom_column_echelon_matches_fraction_elimination():
     dependent = 0
     for m in cases:
         for given, ref in _given_and_reference(m):
-            cols = given.copy_rows()  # the rows, as columns of length ncols
-            want = ref.copy_rows()
-            want_pivots = _fraction_bottom_echelon(want)
-            assert bottom_column_echelon(QQ, cols) == want_pivots
-            assert cols == want
-            _assert_exact(QQ, [x for col in cols for x in col])
-            dependent += want_pivots.count(-1)
+            dependent += _check_bottom_echelon(QQ, given, ref)
     assert dependent

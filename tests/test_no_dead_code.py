@@ -71,6 +71,8 @@ TEST_ONLY = {
     "random_invertible": "test_tamerep.py::test_scramble_equals_conjugate_by_random_invertible",
     "scale": "test_acceptance.py::test_criterion_9_hereditary_kernels",
     "solve_linear_system": "test_linalg.py::test_solve_examples; bench/tracing.py wraps it",
+    "sub": "test_linalg.py::test_row_echelon_matches_textbook (textbook_rref); "
+           "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",
     "total_dim": "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",
 }
 
