@@ -15,11 +15,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .decompose import decompose
-from .homological import _overlap_morphism_matrix, hom_dim
+from .homological import hom_dim
 from .intervals import Interval, is_finite
 from .linalg import QQ, rank
 from .orientation import Orientation, segment_index
-from .tamerep import RepMorphism, reps_on_common_grid
+from .tamerep import RepMorphism, overlap_morphism, reps_on_common_grid
 
 EXISTS = "exists"
 PROVEN_NONEXISTENT = "proven_nonexistent"
@@ -56,8 +56,8 @@ def _realize_sequence(o: Orientation, left: Interval, middle: list[Interval],
     one = field.one()
     f_pairs = {(0, 0): one, (0, 1): one}
     g_pairs = {(0, 0): one, (1, 0): field.neg(one)}
-    f = _overlap_morphism_matrix(lpack, mpack, f_pairs, field)
-    g = _overlap_morphism_matrix(mpack, rpack, g_pairs, field)
+    f = overlap_morphism(lpack, mpack, f_pairs)
+    g = overlap_morphism(mpack, rpack, g_pairs)
     return ARSequence(left, middle, right, f, g)
 
 

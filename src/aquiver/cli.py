@@ -18,7 +18,7 @@ from .decompose import decompose
 from .homological import (ProjectiveLabel, ext_dim, hom_dim, proj_presentation,
                           projectives_table, realize_projective)
 from .intervals import format_extreal, parse_rational
-from .jsonio import (_MALFORMED, SchemaError, Document, document_to_json,
+from .jsonio import (MALFORMED, SchemaError, Document, document_to_json,
                      parse_document, parse_field, parse_interval,
                      parse_orientation_file)
 from .tamerep import scramble as scramble_rep
@@ -195,7 +195,7 @@ def cmd_projectives(orientation_file, window, as_json):
         try:
             lo_s, hi_s = window.split(":")
             win = (parse_rational(lo_s), parse_rational(hi_s))
-        except _MALFORMED as e:
+        except MALFORMED as e:
             raise SchemaError(f"bad window {window!r}: {e}")
         if win[0] > win[1]:
             raise SchemaError(f"bad window {window!r}: lo exceeds hi")

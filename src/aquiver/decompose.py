@@ -1,29 +1,28 @@
 """Decomposition of a tame representation into interval summands.
 
 A tame representation is a finite zigzag of vector spaces, one per grid
-cell.  The decomposer sweeps the cells left to right carrying a list of
-"alive" bars, each owning a line of the current cell, kept in blocks
-ordered by the one-directional hom order between one-sided interval
-summands: a block born at a forward junction is maximal among the bars
-alive at its birth, one born at a backward junction is minimal.  The alive
-lines, in block order, are the columns of a basis A of the cell, and each
-junction map M is read in those coordinates by one column reduction
+cell.  The decomposer sweeps the cells left to right carrying one list of
+alive lines, each a (birth cell, vector) pair.  A block is a run of lines
+with one birth cell, and the list keeps the blocks in the one-directional
+hom order between one-sided interval summands: a block born at a forward
+junction is maximal among the bars alive at its birth and goes last, one
+born at a backward junction is minimal and goes first.  The alive vectors,
+in list order, are the columns of a basis A of the cell, and each junction
+map M is read in those coordinates by one column reduction
 (``bottom_column_echelon``), in which a line absorbs only earlier lines,
-the moves the block order allows.  Forward, the columns of MA: a line whose
-column reduces to zero dies, the others push forward as their images, and
-the unit vectors at no column's pivot row start a new last block.
+the moves the block order allows.  Forward, the columns of MA: a line
+whose column reduces to zero dies, the others push forward as their
+images, and the unit vectors at no column's pivot row are born last.
 Backward, the columns [e_k ; B e_k] with B = A^-1 M from one solve: a
 column whose pivot lies in B's part keeps that line alive, with its
 e-part as a preimage, and the lines no column reaches die; the e-parts of
-the columns with no pivot in B's part span ker M and start a new first
-block.  The multiset of (birth, death) cell ranges that falls out is the
-barcode, whatever bases the reduction picks: the incremental
-compatible-basis form of zigzag persistence (Carlsson and de Silva, 2010).
+the columns with no pivot in B's part span ker M and are born first.  The
+multiset of (birth, death) cell ranges that falls out is the barcode,
+whatever bases the reduction picks: the incremental compatible-basis form
+of zigzag persistence (Carlsson and de Silva, 2010).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .intervals import BarMultiset, Interval
 from .linalg import Matrix, bottom_column_echelon, solve_matrix
@@ -34,64 +33,50 @@ class InternalInvariantError(AssertionError):
     """A computation contradicted a proven structural fact; always a bug."""
 
 
-@dataclass
-class _Block:
-    birth: int
-    vectors: list  # columns in current cell coords
-
-
 def _cell_bars(v: TameRep) -> list[tuple[int, int]]:
     """The (birth_cell, death_cell) multiset of the sweep."""
-    n = v.ncells
     field = v.field
     dead: list[tuple[int, int]] = []
-    blocks: list[_Block] = []
-    d0 = v.dims[0]
-    if d0:
-        blocks.append(_Block(0, Matrix.identity(field, d0).columns()))
-    for j in range(n - 1):
-        blocks = _step(field, blocks, v.maps[j], v.dirs[j] != DOWN, j, dead)
-    last = n - 1
-    for b in blocks:
-        dead.extend((b.birth, last) for _ in b.vectors)
+    lines = [(0, vec) for vec in Matrix.identity(field, v.dims[0]).columns()]
+    for j in range(v.ncells - 1):
+        fwd = v.dirs[j] != DOWN
+        nxt, born = _step(field, [vec for _, vec in lines], v.maps[j], fwd)
+        kept = []
+        for (birth, _), vec in zip(lines, nxt):
+            if vec is None:
+                dead.append((birth, j))
+            else:
+                kept.append((birth, vec))
+        born = [(j + 1, vec) for vec in born]
+        lines = kept + born if fwd else born + kept
+    dead.extend((birth, v.ncells - 1) for birth, _ in lines)
     return dead
 
 
-def _step(field, blocks, mat, fwd, j, dead):
-    """Process junction j: append the bars that die there to dead and
-    return the blocks alive in cell j + 1."""
+def _step(field, vecs, mat, fwd):
+    """Read the junction map mat in the coordinates of the alive lines vecs:
+    each line's vector in the next cell (None where the line dies) and the
+    vectors of the lines born there."""
     d_here, d_next = (mat.ncols, mat.nrows) if fwd else (mat.nrows, mat.ncols)
-    owners = [bi for bi, b in enumerate(blocks) for _ in b.vectors]  # block of each line
-    alive = Matrix.from_columns(field, d_here, [vec for b in blocks for vec in b.vectors])
+    alive = Matrix.from_columns(field, d_here, vecs)
     units = Matrix.identity(field, d_next).columns()
     if fwd:
         images = mat.matmul(alive).columns()
         lows = bottom_column_echelon(field, [list(col) for col in images])
-        # surviving line -> its vector in cell j + 1
-        nxt = {r: images[r] for r, low in enumerate(lows) if low != -1}
         taken = set(lows)
-        born = [units[i] for i in range(d_next) if i not in taken]
-    else:
-        coords = solve_matrix(alive, mat)
-        if coords is None:
-            raise InternalInvariantError("alive vectors stopped spanning the cell")
-        cols = [e + b for e, b in zip(units, coords.columns())]
-        nxt, born = {}, []
-        for col, low in zip(cols, bottom_column_echelon(field, cols)):
-            if low >= d_next:
-                nxt[low - d_next] = col[:d_next]
-            else:
-                born.append(col[:d_next])
-    survivors: dict[int, list] = {}  # block index -> its surviving vectors
-    for r, bi in enumerate(owners):
-        if r in nxt:
-            survivors.setdefault(bi, []).append(nxt[r])
+        return ([col if low != -1 else None for col, low in zip(images, lows)],
+                [units[i] for i in range(d_next) if i not in taken])
+    coords = solve_matrix(alive, mat)
+    if coords is None:
+        raise InternalInvariantError("alive vectors stopped spanning the cell")
+    nxt, born = [None] * len(vecs), []
+    cols = [e + b for e, b in zip(units, coords.columns())]
+    for col, low in zip(cols, bottom_column_echelon(field, cols)):
+        if low >= d_next:
+            nxt[low - d_next] = col[:d_next]
         else:
-            dead.append((blocks[bi].birth, j))
-    new_blocks = [_Block(blocks[bi].birth, vecs) for bi, vecs in survivors.items()]
-    if born:
-        new_blocks.insert(len(new_blocks) if fwd else 0, _Block(j + 1, born))
-    return new_blocks
+            born.append(col[:d_next])
+    return nxt, born
 
 
 def decompose(v: TameRep) -> BarMultiset:

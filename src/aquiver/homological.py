@@ -30,7 +30,7 @@ from .orientation import (Orientation, Segment, down_set, down_set_limit,
                           reverse, up_set)
 from .tamerep import (DOWN, RepMorphism, TameRep, cell_of_point,
                       cells_to_interval, common_grid, junction_cells,
-                      kernel_rep, reps_on_common_grid, zero_rep)
+                      kernel_rep, overlap_morphism, reps_on_common_grid)
 
 POINT = "point"
 OPEN_RIGHT = "open_right"   # the "x < a" half of the down-set at a
@@ -244,24 +244,29 @@ def injective_composites_criterion(v: TameRep) -> bool:
         if hull.lo < p < hull.hi:
             raise ValueError("support spans more than one segment")
     seg = _segment_of_hull(v.orientation, hull)
-    if seg.increasing:
+    if seg.increasing:  # sink end at the left
         target = cell_of_point(v.grid, seg.lo) if is_finite(seg.lo) else 0
-        cells = list(range(target, nz[-1] + 1))
-        order = cells  # sink end at the left
+        order = list(range(target, nz[-1] + 1))
     else:
         target = (cell_of_point(v.grid, seg.hi) if is_finite(seg.hi)
                   else v.ncells - 1)
         order = list(reversed(range(nz[0], target + 1)))
-    comp = Matrix.identity(v.field, v.dims[target])
-    for idx in range(1, len(order)):
-        c, prev = order[idx], order[idx - 1]
+    return _composite_ranks(v, order) == [v.dims[c] for c in order]
+
+
+def _composite_ranks(v: TameRep, order: list[int]) -> list[int]:
+    """The rank of the composite map from each cell of order into order[0],
+    for a walk over adjacent cells whose junction maps all point back
+    toward order[0]."""
+    comp = Matrix.identity(v.field, v.dims[order[0]])
+    ranks = [v.dims[order[0]]]
+    for prev, c in zip(order, order[1:]):
         j = min(c, prev)
         if (v.dirs[j] == DOWN) != (c > prev):
             raise ValueError("junction map points away from the sink end")
         comp = comp.matmul(v.maps[j])
-        if rank(comp) < v.dims[c]:
-            return False
-    return True
+        ranks.append(rank(comp))
+    return ranks
 
 
 def _segment_of_hull(o: Orientation, hull: Interval) -> Segment:
@@ -301,14 +306,8 @@ def image_filtration(v: TameRep, seg: Segment, b) -> FiltrationReport:
         raise ValueError("b is not the order-minimal point of the support")
     order = list(range(nz[0], nz[-1] + 1))
     if not seg.increasing:
-        order = list(reversed(order))
-    comp = Matrix.identity(v.field, v.dims[target])
-    dims_out = [v.dims[target]]
-    for idx in range(1, len(order)):
-        c, prev = order[idx], order[idx - 1]
-        j = min(c, prev)
-        comp = comp.matmul(v.maps[j])
-        dims_out.append(rank(comp))
+        order.reverse()
+    dims_out = _composite_ranks(v, order)
     entries = []
     seen = set()
     for idx, d in enumerate(dims_out):
@@ -369,64 +368,30 @@ def _presentation_labels(o: Orientation, iv: Interval) -> tuple[list, list]:
         sup = realize_projective(o, label)
         return sup is not None and intersect(sup, iv) is not None
 
-    a = iv.lo
-    if a == NEG_INF:
-        keep(p0, ProjectiveLabel(POINT, NEG_INF))
-    elif not iv.lo_closed:
-        if overlaps(ProjectiveLabel(OPEN_LEFT, a)):
-            p0.append(ProjectiveLabel(OPEN_LEFT, a))
-        if intersect(up_set(o, a), iv) is not None:
-            p1.append(ProjectiveLabel(POINT, a))
-    else:
-        if overlaps(ProjectiveLabel(OPEN_LEFT, a)) or overlaps(ProjectiveLabel(OPEN_RIGHT, a)):
-            p0.append(ProjectiveLabel(POINT, a))
-        keep(p1, ProjectiveLabel(OPEN_RIGHT, a))
-
-    b = iv.hi
-    if b == POS_INF:
-        keep(p0, ProjectiveLabel(POINT, POS_INF))
-    elif not iv.hi_closed:
-        if overlaps(ProjectiveLabel(OPEN_RIGHT, b)):
-            p0.append(ProjectiveLabel(OPEN_RIGHT, b))
-        if intersect(up_set(o, b), iv) is not None:
-            p1.append(ProjectiveLabel(POINT, b))
-    else:
-        if overlaps(ProjectiveLabel(OPEN_LEFT, b)) or overlaps(ProjectiveLabel(OPEN_RIGHT, b)):
-            p0.append(ProjectiveLabel(POINT, b))
-        keep(p1, ProjectiveLabel(OPEN_LEFT, b))
-
+    # each end with its closedness and the half-open forms pointing into
+    # and out of the interval there, lo before hi
+    for end, closed, inward, outward in ((iv.lo, iv.lo_closed, OPEN_LEFT, OPEN_RIGHT),
+                                         (iv.hi, iv.hi_closed, OPEN_RIGHT, OPEN_LEFT)):
+        if not is_finite(end):
+            keep(p0, ProjectiveLabel(POINT, end))
+        elif not closed:
+            if overlaps(ProjectiveLabel(inward, end)):
+                p0.append(ProjectiveLabel(inward, end))
+            if intersect(up_set(o, end), iv) is not None:
+                p1.append(ProjectiveLabel(POINT, end))
+        else:
+            if overlaps(ProjectiveLabel(inward, end)) or overlaps(ProjectiveLabel(outward, end)):
+                p0.append(ProjectiveLabel(POINT, end))
+            keep(p1, ProjectiveLabel(outward, end))
     return p1, p0
-
-
-def _overlap_morphism_matrix(dom_pack, cod_pack, pairs, field):
-    """Block matrices of the summand-wise truncation maps with the given
-    coefficients; pairs maps (dom summand index, cod summand index) to a
-    scalar."""
-    (dom, dom_slots), (cod, cod_slots) = dom_pack, cod_pack
-    mats = []
-    z = field.zero()
-    for c in range(dom.ncells):
-        rows = []
-        for r_iv in cod_slots[c]:
-            row = []
-            for c_iv in dom_slots[c]:
-                row.append(pairs.get((c_iv, r_iv), z))
-            rows.append(row)
-        mats.append(Matrix(field, len(cod_slots[c]), len(dom_slots[c]), rows))
-    return RepMorphism(dom, cod, mats)
 
 
 def proj_presentation(o: Orientation, iv: Interval, field=QQ) -> ProjPresentation:
     """Minimal projective presentation of the interval summand supported on
-    iv: an injective map between sums of projectives whose cokernel is it."""
+    iv: an injective map between sums of projectives whose cokernel is it.
+    A projective interval is presented by its own label with P1 = 0."""
     label = classify_projective(o, iv)
-    if label is not None:
-        (cod, _), = reps_on_common_grid(o, [[iv]], field)
-        dom = zero_rep(o, field, cod.grid)
-        mats = [Matrix.zero(field, cod.dims[c], 0) for c in range(cod.ncells)]
-        realized = RepMorphism(dom, cod, mats, validate=False)
-        return ProjPresentation([], [label], realized)
-    p1, p0 = _presentation_labels(o, iv)
+    p1, p0 = ([], [label]) if label is not None else _presentation_labels(o, iv)
     p1_sup = [realize_projective(o, l) for l in p1]
     p0_sup = [realize_projective(o, l) for l in p0]
     dom_pack, cod_pack = reps_on_common_grid(o, [p1_sup, p0_sup], field)
@@ -447,7 +412,7 @@ def proj_presentation(o: Orientation, iv: Interval, field=QQ) -> ProjPresentatio
             if chain[right][2] == 0:
                 pairs[(i, chain[right][3])] = field.neg(one)
                 break
-    realized = _overlap_morphism_matrix(dom_pack, cod_pack, pairs, field)
+    realized = overlap_morphism(dom_pack, cod_pack, pairs)
     for c in range(realized.dom.ncells):
         if rank(realized.mats[c]) < realized.dom.dims[c]:
             raise InternalInvariantError("presentation map is not injective cellwise")

@@ -25,7 +25,7 @@ class SchemaError(ValueError):
 # besides KeyError/TypeError/ValueError: a zero denominator ("1/0") raises
 # ZeroDivisionError, and the point interval "{-inf}" raises OverflowError
 # from Fraction(-inf).
-_MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
+MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
 
 
 def _load(text: str):
@@ -73,7 +73,7 @@ def parse_field(obj) -> object:
     if obj["kind"] == "Fp":
         try:
             return PrimeField(parse_integer(obj["p"]))
-        except _MALFORMED as e:
+        except MALFORMED as e:
             raise SchemaError(f"bad prime field: {e}")
     raise SchemaError(f"unknown field kind {obj['kind']!r}")
 
@@ -101,15 +101,14 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
         grid = [parse_rational(s) for s in obj["grid"]]
         dims = [parse_integer(d) for d in obj["dims"]]
         maps_json = obj["maps"]
-    except _MALFORMED as e:
+    except MALFORMED as e:
         raise SchemaError(f"bad tame object: {e}")
     # The grid and dims are checked first, in TameRep's order (grid order,
-    # dims count, signs), then the maps count and each map's shape.  The
-    # orientation fixes every "dir"; a map against it is transposed to the
-    # orientation's shape, so that TameRep's remaining checks still report
-    # first.
+    # dims count, signs, criticals on the grid), then the maps count, then
+    # each map in turn: its "dir" against the orientation, its shape, its
+    # entries.
     try:
-        check_grid_and_dims(grid, dims)
+        check_grid_and_dims(o, grid, dims)
     except ValueError as e:
         raise SchemaError(str(e))
     if len(maps_json) != 2 * len(grid):
@@ -119,12 +118,13 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
     else:
         def parse(x):  # an F_p entry is an integer, never truncated
             return field.from_int(parse_integer(x))
-    wants = junction_dirs(o, grid)
-    maps, against = [], []
-    for j, mj in enumerate(maps_json):
+    maps = []
+    for j, (mj, want) in enumerate(zip(maps_json, junction_dirs(o, grid))):
         d = mj.get("dir")
         if d not in (DOWN, UP):
             raise SchemaError(f"map {j}: dir must be 'down' or 'up'")
+        if d != want:
+            raise SchemaError(f"junction {j} direction {d!r} contradicts the orientation ({want!r})")
         lo, hi = dims[j], dims[j + 1]
         nrows, ncols = (lo, hi) if d == DOWN else (hi, lo)
         entries = mj.get("entries", [])
@@ -132,20 +132,13 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
             raise SchemaError(f"map {j}: entries must be {nrows}x{ncols}")
         try:
             rows = [[parse(x) for x in r] for r in entries]
-        except _MALFORMED as e:
+        except MALFORMED as e:
             raise SchemaError(f"map {j}: {e}")
-        m = Matrix(field, nrows, ncols, rows)
-        if d != wants[j]:
-            against.append(f"junction {j} direction {d!r} contradicts the orientation ({wants[j]!r})")
-            m = m.transpose()
-        maps.append(m)
+        maps.append(Matrix(field, nrows, ncols, rows))
     try:
-        v = TameRep(o, field, grid, dims, maps)
+        return TameRep(o, field, grid, dims, maps)
     except ValueError as e:
         raise SchemaError(str(e))
-    if against:
-        raise SchemaError(against[0])
-    return v
 
 
 @dataclass
@@ -178,7 +171,7 @@ def parse_document(text: str) -> Document:
     if has_bars:
         try:
             doc.bars = BarMultiset.from_json(obj["bars"])
-        except _MALFORMED as e:
+        except MALFORMED as e:
             raise SchemaError(f"bad bars: {e}")
     elif has_tame:
         doc.tame = tame_from_json(o, obj["tame"], field)
@@ -202,7 +195,7 @@ def _parse_orientation(obj) -> Orientation:
         raise SchemaError("orientation must be a JSON object")
     try:
         return orientation_from_json(obj)
-    except _MALFORMED as e:
+    except MALFORMED as e:
         raise SchemaError(f"bad orientation: {e}")
 
 
@@ -228,7 +221,7 @@ def parse_interval(text: str) -> Interval:
         return Interval(lo, hi, lb == "[", rb == "]")
     except SchemaError:
         raise
-    except _MALFORMED as e:
+    except MALFORMED as e:
         raise SchemaError(f"cannot parse interval {text!r}: {e}")
 
 

@@ -135,15 +135,21 @@ def junction_cells(d: str, j: int) -> tuple[int, int]:
     return (j + 1, j) if d == DOWN else (j, j + 1)
 
 
-def check_grid_and_dims(grid, dims) -> None:
-    """Raise ValueError unless grid strictly increases and dims are one
-    nonnegative dimension per cell of it."""
+def check_grid_and_dims(o: Orientation, grid, dims) -> None:
+    """Raise ValueError unless grid strictly increases, dims are one
+    nonnegative dimension per cell of it, and every critical point of o
+    inside the grid's hull is a grid point."""
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     if len(dims) != num_cells(grid):
         raise ValueError(f"tame object needs {num_cells(grid)} dims for {len(grid)} grid points")
     if any(d < 0 for d in dims):
         raise ValueError("negative dimension")
+    if grid:
+        on_grid = set(grid)
+        for p, _ in o.criticals:
+            if grid[0] <= p <= grid[-1] and p not in on_grid:
+                raise ValueError(f"critical point {p} inside the hull is missing from the grid")
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +168,9 @@ class TameRep:
         self._validate()
 
     def _validate(self):
-        g = self.grid
-        check_grid_and_dims(g, self.dims)
-        if len(self.maps) != 2 * len(g):
+        check_grid_and_dims(self.orientation, self.grid, self.dims)
+        if len(self.maps) != 2 * len(self.grid):
             raise ValueError("need 2m junction maps")
-        if g:
-            on_grid = set(g)
-            for p, _ in self.orientation.criticals:
-                if g[0] <= p <= g[-1] and p not in on_grid:
-                    raise ValueError(f"critical point {p} inside the hull is missing from the grid")
         for j, (mat, d) in enumerate(zip(self.maps, self.dirs)):
             lo, hi = self.dims[j], self.dims[j + 1]
             shape = (lo, hi) if d == DOWN else (hi, lo)
@@ -255,6 +255,19 @@ def reps_on_common_grid(o: Orientation, groups: Sequence[Sequence[Interval]],
     return out
 
 
+def overlap_morphism(dom_pack, cod_pack, pairs) -> RepMorphism:
+    """The morphism between two (representation, slots) packs of
+    reps_on_common_grid that sends the dom group's interval i to the cod
+    group's interval k with the scalar pairs[(i, k)] wherever both occupy a
+    cell, and is zero elsewhere."""
+    (dom, dom_slots), (cod, cod_slots) = dom_pack, cod_pack
+    z = dom.field.zero()
+    mats = [Matrix(dom.field, len(cod_slots[c]), len(dom_slots[c]),
+                   [[pairs.get((i, k), z) for i in dom_slots[c]] for k in cod_slots[c]])
+            for c in range(dom.ncells)]
+    return RepMorphism(dom, cod, mats)
+
+
 def from_bars(o: Orientation, bars: BarMultiset, field=QQ) -> TameRep:
     """The canonical representation of a barcode: one slot per bar copy, in
     canonical bar order."""
@@ -319,16 +332,9 @@ def dual(v: TameRep) -> TameRep:
 def restrict(v: TameRep, j_iv: Interval) -> TameRep:
     """Zero outside the interval, unchanged inside; maps crossing the
     boundary become zero."""
-    pts = [e for e in (j_iv.lo, j_iv.hi) if is_finite(e)]
-    w = refine(v, pts)
-    keep = []
-    for c in range(w.ncells):
-        ext = cells_to_interval(w.grid, c, c)
-        if ext.is_point():
-            keep.append(j_iv.contains(ext.lo))
-        else:
-            inside = j_iv.lo <= ext.lo and ext.hi <= j_iv.hi
-            keep.append(inside)
+    w = refine(v, [e for e in (j_iv.lo, j_iv.hi) if is_finite(e)])
+    a, b = interval_to_cells(w.grid, j_iv)
+    keep = [a <= c <= b for c in range(w.ncells)]
     dims = [d if k else 0 for d, k in zip(w.dims, keep)]
     maps = []
     for j in range(len(w.maps)):

@@ -85,6 +85,35 @@ def test_scramble_bytes_are_pinned(runner, tmp_path, field):
     assert hashlib.sha256(res.output.encode()).hexdigest() == SCRAMBLE_SHA256[field]
 
 
+# sha256 of the concatenated `present --json` stdout over PRESENT_INTERVALS
+# on a sink-source-sink orientation.  The list holds projective down-sets
+# ((-inf,0], {0}, [0,2], [2,+inf)) and half-open projectives ([0,1), (1,2]),
+# whose presentations have no relation, next to non-projective intervals.
+PRESENT_ORIENTATION = {
+    "criticals": [{"pos": "0", "kind": "sink"}, {"pos": "1", "kind": "source"},
+                  {"pos": "2", "kind": "sink"}],
+    "empty_direction": "descending",
+}
+PRESENT_INTERVALS = ["(-inf,0]", "{0}", "[0,1)", "[0,2]", "(1,2]", "[2,+inf)", "[0,1]",
+                     "(0,1]", "{1}", "(1/2,3/2)", "[1/2,3)", "(2,+inf)", "(-inf,+inf)",
+                     "{1/2}", "(0,2)"]
+PRESENT_SHA256 = {
+    "Q": "83a11138d0e479c575a60b5b6500ba12ecfca7edc2d4f637b6174d1d98bee989",
+    "Fp:5": "55c1c7a696f34f0b3d1e6f5ace97aadc89f36cb791f232cf419996ac57bbcfef",
+}
+
+
+@pytest.mark.parametrize("field", sorted(PRESENT_SHA256))
+def test_present_bytes_are_pinned(runner, tmp_path, field):
+    f = _write(tmp_path, "o.json", PRESENT_ORIENTATION)
+    digest = hashlib.sha256()
+    for iv in PRESENT_INTERVALS:
+        res = runner.invoke(main, ["present", f, iv, "--field", field, "--json"])
+        assert res.exit_code == 0
+        digest.update(res.output.encode())
+    assert digest.hexdigest() == PRESENT_SHA256[field]
+
+
 def test_scramble_requires_seed(runner, tmp_path):
     f = _write(tmp_path, "doc.json", BARS_DOC)
     res = runner.invoke(main, ["scramble", f])
@@ -454,6 +483,19 @@ def test_direction_against_the_orientation_exits_2(runner, tmp_path, dims, up_en
            "tame": {"grid": ["0"], "dims": dims,
                     "maps": [{"dir": "up", "entries": up_entries},
                              {"dir": "down", "entries": down_entries}]}}
+    res = runner.invoke(main, ["decompose", _write(tmp_path, "d.json", doc)])
+    _assert_clean_exit_2(res)
+    assert res.stderr == ("error: junction 0 direction 'up' contradicts "
+                          "the orientation ('down')\n")
+
+
+def test_direction_reported_before_a_later_malformed_map(runner, tmp_path):
+    # Each map's "dir" is checked when that map is read, so a wrong
+    # direction at map 0 is reported ahead of a bad entry at map 1.
+    doc = {"orientation": EMPTY_ORIENTATION,
+           "tame": {"grid": ["0"], "dims": [1, 1, 1],
+                    "maps": [{"dir": "up", "entries": [["1"]]},
+                             {"dir": "down", "entries": [["1/0"]]}]}}
     res = runner.invoke(main, ["decompose", _write(tmp_path, "d.json", doc)])
     _assert_clean_exit_2(res)
     assert res.stderr == ("error: junction 0 direction 'up' contradicts "

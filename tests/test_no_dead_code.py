@@ -8,7 +8,8 @@ in src/aquiver outside __init__.py; every defined name is, or is exported
 in aquiver.__all__, or is one of the few that only tests call, each listed
 with a test that needs it.  Every name a library module imports at top
 level is read in that module, except in __init__.py, which re-exports.
-Every name the benchmark's tracer wraps exists.
+No library module imports an underscore name from another.  Every name
+the benchmark's tracer wraps exists.
 """
 
 import ast
@@ -106,6 +107,17 @@ def test_no_unused_module_level_imports():
               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
               for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
     assert not unused, f"imported but never used: {', '.join(unused)}"
+
+
+def test_no_private_name_crosses_modules():
+    # a name another module needs is public in the module that defines it
+    private = [f"{path.name}: {alias.name}"
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "aquiver")
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"imports a private name of another module: {', '.join(private)}"
 
 
 def test_every_traced_name_resolves():

@@ -12,13 +12,13 @@ from conftest import POSITIONS, random_bars, random_orientation
 from oracle import increasing_beside
 from aquiver import tamerep
 from aquiver.decompose import decompose, iso
-from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF
+from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF, is_finite
 from aquiver.linalg import (Matrix, PrimeField, QQ, random_elementary_ops,
                             random_invertible)
 from aquiver.orientation import Orientation
 from aquiver.tamerep import (DOWN, UP, RepMorphism, TameRep, cell_of_point,
-                             cell_representative, conjugate, cokernel_rep,
-                             direct_sum, dual, from_bars, image_rep,
+                             cell_representative, cells_to_interval, conjugate,
+                             cokernel_rep, direct_sum, dual, from_bars, image_rep,
                              junction_cells, junction_dirs, kernel_rep, refine,
                              reps_on_common_grid, restrict, scramble, zero_rep)
 
@@ -109,6 +109,36 @@ def test_restrict_respects_openness():
     v = from_bars(EMPTY_DESC, bars((Interval.make(0, 2, True, True), 1)))
     r = restrict(v, Interval.make(0, 1, False, False))
     assert decompose(r) == bars((Interval.make(0, 1, False, False), 1))
+
+
+def test_restrict_matches_per_cell_definition():
+    # restrict keeps a cell of the refined grid when it lies in the
+    # interval: a point cell when the interval contains its point, an open
+    # cell when its two ends lie inside the interval's hull
+    rng = random.Random(4242)
+    ends = [NEG_INF, POS_INF] + POSITIONS + [Fraction(7, 3), Fraction(-9, 4)]
+    for i in range(200):
+        o = random_orientation(rng)
+        v = scramble(from_bars(o, random_bars(rng)), 900 + i)
+        lo, hi = sorted(rng.sample(ends, 2))
+        if rng.random() < 0.2 and is_finite(lo):
+            j_iv = Interval.point(lo)
+        else:
+            j_iv = Interval.make(lo, hi, is_finite(lo) and rng.random() < 0.5,
+                                 is_finite(hi) and rng.random() < 0.5)
+        r = restrict(v, j_iv)
+        w = refine(v, [e for e in (j_iv.lo, j_iv.hi) if is_finite(e)])
+        keep = []
+        for c in range(w.ncells):
+            ext = cells_to_interval(w.grid, c, c)
+            keep.append(j_iv.contains(ext.lo) if ext.is_point()
+                        else j_iv.lo <= ext.lo and ext.hi <= j_iv.hi)
+        assert r.grid == w.grid
+        assert r.dims == tuple(d if k else 0 for d, k in zip(w.dims, keep))
+        for j, (m, d) in enumerate(zip(r.maps, w.dirs)):
+            src, tgt = junction_cells(d, j)
+            assert m == (w.maps[j] if keep[src] and keep[tgt]
+                         else Matrix.zero(w.field, r.dims[tgt], r.dims[src]))
 
 
 def test_direct_sum():
