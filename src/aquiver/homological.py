@@ -8,11 +8,14 @@ the orientation runs there (hom_dim).  Hom between representations is
 bilinear over their barcodes (hom_space_dim); hom_basis still discretizes
 to a common grid and solves the commuting-square equations exactly.  The
 category is hereditary, so Ext^1 between interval summands follows from
-the minimal presentation and Yoneda (ext_dim).  Presentations follow the
+the minimal presentation and Yoneda (ext_dim): Hom(P, M_W) from a
+projective P is hom_dim from P's support.  Presentations follow the
 generator/relation recipe for interval summands: generators sit at
 interior sources and at the ends of the interval, relations at interior
 sinks and at the overshoots of the generators, realized with a fixed
-alternating +-1 scheme.
+alternating +-1 scheme.  Projectivity is read off the same presentation:
+an interval is projective exactly when it has one generator and no
+relation (classify_projective).
 """
 
 from __future__ import annotations
@@ -93,27 +96,11 @@ def realize_injective(o: Orientation, label: InjectiveLabel) -> Optional[Interva
 
 
 def classify_projective(o: Orientation, iv: Interval) -> Optional[ProjectiveLabel]:
-    """The projective label whose support equals the interval, or None."""
-    cands: list[ProjectiveLabel] = []
-    for p, kind in o.criticals:
-        if kind == "source" and iv.contains(p):
-            cands.append(ProjectiveLabel(POINT, p))
-    if is_finite(iv.hi) and iv.hi_closed:
-        cands.append(ProjectiveLabel(POINT, iv.hi))
-    if is_finite(iv.lo) and iv.lo_closed:
-        cands.append(ProjectiveLabel(POINT, iv.lo))
-    if iv.lo == NEG_INF:
-        cands.append(ProjectiveLabel(POINT, NEG_INF))
-    if iv.hi == POS_INF:
-        cands.append(ProjectiveLabel(POINT, POS_INF))
-    if is_finite(iv.hi) and not iv.hi_closed:
-        cands.append(ProjectiveLabel(OPEN_RIGHT, iv.hi))
-    if is_finite(iv.lo) and not iv.lo_closed:
-        cands.append(ProjectiveLabel(OPEN_LEFT, iv.lo))
-    for label in cands:
-        if realize_projective(o, label) == iv:
-            return label
-    return None
+    """The projective label whose support equals the interval, or None: the
+    interval is projective exactly when its minimal presentation has one
+    generator and no relation."""
+    p1, p0 = _presentation_labels(o, iv)
+    return p0[0] if not p1 and len(p0) == 1 else None
 
 
 def classify_injective(o: Orientation, iv: Interval) -> Optional[InjectiveLabel]:
@@ -341,8 +328,9 @@ def _label_position(label: ProjectiveLabel):
 
 
 def _presentation_labels(o: Orientation, iv: Interval) -> tuple[list, list]:
-    """Generator (P0) and relation (P1) labels for a non-projective interval
-    summand."""
+    """Relation (P1) and generator (P0) labels of the minimal presentation
+    of the interval summand on iv.  Every interval gets one: a projective
+    interval gets P1 = [] and P0 = [its own label]."""
     p0: list[ProjectiveLabel] = []
     p1: list[ProjectiveLabel] = []
 
@@ -388,10 +376,8 @@ def _presentation_labels(o: Orientation, iv: Interval) -> tuple[list, list]:
 
 def proj_presentation(o: Orientation, iv: Interval, field=QQ) -> ProjPresentation:
     """Minimal projective presentation of the interval summand supported on
-    iv: an injective map between sums of projectives whose cokernel is it.
-    A projective interval is presented by its own label with P1 = 0."""
-    label = classify_projective(o, iv)
-    p1, p0 = ([], [label]) if label is not None else _presentation_labels(o, iv)
+    iv: an injective map between sums of projectives whose cokernel is it."""
+    p1, p0 = _presentation_labels(o, iv)
     p1_sup = [realize_projective(o, l) for l in p1]
     p0_sup = [realize_projective(o, l) for l in p0]
     dom_pack, cod_pack = reps_on_common_grid(o, [p1_sup, p0_sup], field)
@@ -419,33 +405,16 @@ def proj_presentation(o: Orientation, iv: Interval, field=QQ) -> ProjPresentatio
     return ProjPresentation(p1, p0, realized)
 
 
-def _hom_from_projective(label: ProjectiveLabel, w: Interval) -> int:
-    """dim Hom(P, M_W) for the nonzero projective P named by label, by
-    Yoneda: the dimension of M_W at the label's point, just left of it,
-    just right of it, or at an infinite end."""
-    a = label.a
-    if a == NEG_INF:
-        return int(w.lo == NEG_INF)
-    if a == POS_INF:
-        return int(w.hi == POS_INF)
-    if label.form == POINT:
-        return int(w.contains(a))
-    if label.form == OPEN_RIGHT:
-        return int(w.lo < a <= w.hi)
-    return int(w.lo <= a < w.hi)
-
-
 def ext_dim(o: Orientation, v_iv: Interval, w_iv: Interval, field=QQ) -> int:
-    """dim Ext^1(M_V, M_W), 0 or 1 over every field.  A projective V gives
-    0.  Otherwise V has the minimal presentation 0 -> P1 -> P0 -> M_V -> 0
-    and the category is hereditary, so
-    0 -> Hom(V, W) -> Hom(P0, W) -> Hom(P1, W) -> Ext^1(V, W) -> 0
-    is exact and Ext^1 is its alternating sum of dimensions."""
-    if classify_projective(o, v_iv) is not None:
-        return 0
+    """dim Ext^1(M_V, M_W), 0 or 1 over every field.  V has the minimal
+    presentation 0 -> P1 -> P0 -> M_V -> 0 and the category is hereditary,
+    so 0 -> Hom(V, W) -> Hom(P0, W) -> Hom(P1, W) -> Ext^1(V, W) -> 0
+    is exact and Ext^1 is its alternating sum of dimensions; each
+    Hom(P, W) is hom_dim from the projective's support."""
     p1, p0 = _presentation_labels(o, v_iv)
-    ext = (hom_dim(o, v_iv, w_iv) - sum(_hom_from_projective(l, w_iv) for l in p0)
-           + sum(_hom_from_projective(l, w_iv) for l in p1))
+    ext = hom_dim(o, v_iv, w_iv) + sum(
+        sign * hom_dim(o, realize_projective(o, l), w_iv)
+        for sign, labels in ((-1, p0), (1, p1)) for l in labels)
     if ext not in (0, 1):
         raise InternalInvariantError(f"Ext dimension {ext} outside {{0,1}}")
     return ext
@@ -480,10 +449,10 @@ def _symbolic_interval(iv: Interval, t0: Fraction, letter: str) -> str:
 
 
 def projectives_table(o: Orientation, window: Optional[tuple] = None) -> list[tuple[str, str, object]]:
-    """All indecomposable projective forms: one row per critical-point label
-    and one symbolic row per family over each open segment.  Returns
-    (support string, label string, sort proxy interval) rows, sorted by the
-    canonical interval order."""
+    """All indecomposable projective forms: one row per label at an infinite
+    end or a critical point and one symbolic row per family over each open
+    segment.  Returns (support string, label string, sort proxy interval)
+    rows, sorted by the canonical interval order."""
     rows = []
 
     def in_window(x) -> bool:
@@ -492,15 +461,11 @@ def projectives_table(o: Orientation, window: Optional[tuple] = None) -> list[tu
         lo, hi = window
         return lo <= x <= hi
 
-    for end in (NEG_INF, POS_INF):
-        sup = down_set_limit(o, end)
-        if sup is not None:
-            lab = ProjectiveLabel(POINT, end)
-            rows.append((str(sup), str(lab), sup))
-    for p, _ in o.criticals:
-        if not in_window(p):
+    for p in (NEG_INF, POS_INF) + o.positions:
+        finite = is_finite(p)
+        if finite and not in_window(p):
             continue
-        for form in (POINT, OPEN_RIGHT, OPEN_LEFT):
+        for form in (POINT, OPEN_RIGHT, OPEN_LEFT) if finite else (POINT,):
             lab = ProjectiveLabel(form, p)
             sup = realize_projective(o, lab)
             if sup is not None:

@@ -96,17 +96,24 @@ def tame_to_json(v: TameRep) -> dict:
     }
 
 
+def _array(obj, key: str) -> list:
+    x = obj[key]
+    if not isinstance(x, list):
+        raise TypeError(f"{key} must be a JSON array")
+    return x
+
+
 def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
     try:
-        grid = [parse_rational(s) for s in obj["grid"]]
-        dims = [parse_integer(d) for d in obj["dims"]]
-        maps_json = obj["maps"]
+        grid = [parse_rational(s) for s in _array(obj, "grid")]
+        dims = [parse_integer(d) for d in _array(obj, "dims")]
+        maps_json = _array(obj, "maps")
     except MALFORMED as e:
         raise SchemaError(f"bad tame object: {e}")
     # The grid and dims are checked first, in TameRep's order (grid order,
     # dims count, signs, criticals on the grid), then the maps count, then
-    # each map in turn: its "dir" against the orientation, its shape, its
-    # entries.
+    # each map in turn: that it is an object, its "dir" against the
+    # orientation, its shape (entries and rows are arrays), its entries.
     try:
         check_grid_and_dims(o, grid, dims)
     except ValueError as e:
@@ -120,6 +127,8 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
             return field.from_int(parse_integer(x))
     maps = []
     for j, (mj, want) in enumerate(zip(maps_json, junction_dirs(o, grid))):
+        if not isinstance(mj, dict):
+            raise SchemaError(f"map {j} must be a JSON object")
         d = mj.get("dir")
         if d not in (DOWN, UP):
             raise SchemaError(f"map {j}: dir must be 'down' or 'up'")
@@ -128,7 +137,8 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
         lo, hi = dims[j], dims[j + 1]
         nrows, ncols = (lo, hi) if d == DOWN else (hi, lo)
         entries = mj.get("entries", [])
-        if len(entries) != nrows or any(len(r) != ncols for r in entries):
+        if (not isinstance(entries, list) or len(entries) != nrows
+                or any(not isinstance(r, list) or len(r) != ncols for r in entries)):
             raise SchemaError(f"map {j}: entries must be {nrows}x{ncols}")
         try:
             rows = [[parse(x) for x in r] for r in entries]

@@ -14,7 +14,7 @@ representable by design.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -101,15 +101,7 @@ class Orientation:
 
 def leq(o: Orientation, x, y) -> bool:
     """The induced partial order: x precedes y."""
-    x, y = Fraction(x), Fraction(y)
-    if x == y:
-        return True
-    a, b = (x, y) if x < y else (y, x)
-    i = bisect_right(o.positions, a)
-    if i < bisect_left(o.positions, b):
-        return False  # a critical point lies strictly between
-    inc = o.segments[i].increasing
-    return inc if x < y else not inc
+    return down_set(o, y).contains(x)
 
 
 def segment_index(o: Orientation, x) -> Segment:

@@ -145,11 +145,17 @@ def check_grid_and_dims(o: Orientation, grid, dims) -> None:
         raise ValueError(f"tame object needs {num_cells(grid)} dims for {len(grid)} grid points")
     if any(d < 0 for d in dims):
         raise ValueError("negative dimension")
-    if grid:
-        on_grid = set(grid)
-        for p, _ in o.criticals:
-            if grid[0] <= p <= grid[-1] and p not in on_grid:
-                raise ValueError(f"critical point {p} inside the hull is missing from the grid")
+    missing = _criticals_off_grid(o, grid)
+    if missing:
+        raise ValueError(f"critical point {missing[0]} inside the hull is missing from the grid")
+
+
+def _criticals_off_grid(o: Orientation, grid) -> list[Fraction]:
+    """The critical points of o inside the sorted grid's hull but off it, in order."""
+    if not grid:
+        return []
+    on_grid = set(grid)
+    return [p for p in o.positions if grid[0] <= p <= grid[-1] and p not in on_grid]
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +219,8 @@ def zero_rep(o: Orientation, field=QQ, grid: Sequence = ()) -> TameRep:
 
 
 def _close_under_criticals(o: Orientation, grid: list[Fraction]) -> list[Fraction]:
-    if not grid:
-        return grid
-    on_grid = set(grid)
-    extra = [p for p, _ in o.criticals if grid[0] <= p <= grid[-1] and p not in on_grid]
-    if extra:
-        grid = sorted(on_grid.union(extra))
-    return grid
+    extra = _criticals_off_grid(o, grid)
+    return sorted(set(grid).union(extra)) if extra else grid
 
 
 def reps_on_common_grid(o: Orientation, groups: Sequence[Sequence[Interval]],

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from aquiver.homological import _morphism_system
-from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF
+from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF, is_finite
 from aquiver.linalg import rank
 from aquiver.orientation import Orientation
 from aquiver.tamerep import common_grid
@@ -40,6 +41,34 @@ def random_interval(rng: random.Random, allow_infinite: bool = True) -> Interval
         if lo == hi:
             return Interval(lo, hi, True, True)
         return Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+
+
+def all_orientations(max_criticals: int = 3) -> list[Orientation]:
+    """Every orientation with at most max_criticals critical points, all at
+    ENDPOINTS: both empty ones, then each position set with either first
+    kind (84 for three)."""
+    out = [Orientation.make([], d) for d in ("descending", "ascending")]
+    for k in range(1, max_criticals + 1):
+        for pos in itertools.combinations(ENDPOINTS, k):
+            for kinds in (("sink", "source"), ("source", "sink")):
+                out.append(Orientation.make([(p, kinds[i % 2]) for i, p in enumerate(pos)]))
+    return out
+
+
+def all_intervals() -> list[Interval]:
+    """Every interval with endpoints in ENDPOINTS or at infinity, with every
+    closedness of its finite ends (91)."""
+    ends = [NEG_INF] + ENDPOINTS + [POS_INF]
+    out = []
+    for lo, hi in itertools.combinations_with_replacement(ends, 2):
+        if lo == hi:
+            if is_finite(lo):
+                out.append(Interval.point(lo))
+            continue
+        for lo_c in (False, True) if is_finite(lo) else (False,):
+            for hi_c in (False, True) if is_finite(hi) else (False,):
+                out.append(Interval(lo, hi, lo_c, hi_c))
+    return out
 
 
 def random_bars(rng: random.Random, max_bars: int = 8, max_mult: int = 3) -> BarMultiset:

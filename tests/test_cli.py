@@ -502,6 +502,38 @@ def test_direction_reported_before_a_later_malformed_map(runner, tmp_path):
                           "the orientation ('down')\n")
 
 
+def _point_tame(**tame):
+    """A tame document on the grid [0], one-dimensional everywhere, with
+    the given keys of its tame object replaced."""
+    maps = [{"dir": "down", "entries": [["1"]]}, {"dir": "down", "entries": [["1"]]}]
+    return {"orientation": EMPTY_ORIENTATION,
+            "tame": {"grid": ["0"], "dims": [1, 1, 1], "maps": maps, **tame}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_point_tame(grid="0"), "bad tame object: grid must be a JSON array"),
+    (_point_tame(dims="011"), "bad tame object: dims must be a JSON array"),
+    (_point_tame(maps=5), "bad tame object: maps must be a JSON array"),
+    (_point_tame(maps=["x", "y"]), "map 0 must be a JSON object"),
+    (_point_tame(maps=[{"dir": "down", "entries": [["1"]]}, 7]), "map 1 must be a JSON object"),
+    (_point_tame(maps=[{"dir": "down", "entries": 5}, {"dir": "down", "entries": [["1"]]}]),
+     "map 0: entries must be 1x1"),
+    (_point_tame(maps=[{"dir": "down", "entries": [5]}, {"dir": "down", "entries": [["1"]]}]),
+     "map 0: entries must be 1x1"),
+    (_point_tame(maps=[{"dir": "down", "entries": ["1"]}, {"dir": "down", "entries": [["1"]]}]),
+     "map 0: entries must be 1x1"),
+    (_point_tame(maps=[{"dir": "down", "entries": [["1"]]}, {"dir": "down", "entries": "1"}]),
+     "map 1: entries must be 1x1"),
+], ids=["grid-string", "dims-string", "maps-number", "maps-strings", "map-number",
+        "entries-number", "row-number", "row-string", "entries-string"])
+def test_tame_containers_of_the_wrong_type_exit_2(runner, tmp_path, doc, message):
+    # A container of the wrong JSON type gets a one-line message; a string
+    # is never read as a list of its characters.
+    res = runner.invoke(main, ["decompose", _write(tmp_path, "d.json", doc)])
+    _assert_clean_exit_2(res)
+    assert res.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("window", ["1:0", "1:1/0", "1/0:1", "0:1:2", "x:1"])
 def test_bad_projectives_window_exits_2(runner, tmp_path, window):
     f = _write(tmp_path, "o.json", EMPTY_ORIENTATION)

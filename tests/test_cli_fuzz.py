@@ -44,12 +44,18 @@ BAR = st.fixed_dictionaries(
     {"lo": NUMBER, "hi": NUMBER, "lo_closed": st.one_of(st.booleans(), SMALL),
      "hi_closed": st.one_of(st.booleans(), SMALL)},
     optional={"mult": SMALL})
-MAP = st.fixed_dictionaries(
-    {"dir": st.sampled_from(["down", "up", "left"]),
-     "entries": st.lists(st.lists(NUMBER, max_size=2), max_size=2)})
+# Maps, entries, rows, grids and dims are now and then a number or a
+# string instead of an object or an array.
+ROW = st.one_of(st.lists(NUMBER, max_size=2), NUMBER)
+MAP = st.one_of(
+    st.fixed_dictionaries(
+        {"dir": st.sampled_from(["down", "up", "left"]),
+         "entries": st.one_of(st.lists(ROW, max_size=2), NUMBER)}),
+    NUMBER)
 TAME = st.fixed_dictionaries(
-    {"grid": st.lists(NUMBER, max_size=2), "dims": st.lists(SMALL, max_size=5),
-     "maps": st.lists(MAP, max_size=4)})
+    {"grid": st.one_of(st.lists(NUMBER, max_size=2), NUMBER),
+     "dims": st.one_of(st.lists(SMALL, max_size=5), NUMBER),
+     "maps": st.one_of(st.lists(MAP, max_size=4), NUMBER)})
 DOCUMENT = st.fixed_dictionaries(
     {"orientation": ORIENTATION},
     optional={"field": FIELD_JSON, "bars": st.one_of(st.lists(BAR, max_size=3), NUMBER),
@@ -94,6 +100,14 @@ def _write(tmp_path, text):
 def test_any_document(tmp_path, doc, command):
     f = _write(tmp_path, json.dumps(doc))
     _assert_clean(CliRunner().invoke(main, [command[0], f] + command[1:]))
+
+
+@FUZZ
+@given(maps=st.lists(MAP, min_size=2, max_size=2), dims=st.sampled_from([[1, 1, 1], [0, 1, 2]]))
+def test_any_maps_on_a_valid_grid(tmp_path, maps, dims):
+    # the grid, dims and maps count are valid, so every draw reaches the maps
+    doc = {"orientation": {"criticals": []}, "tame": {"grid": ["0"], "dims": dims, "maps": maps}}
+    _assert_clean(CliRunner().invoke(main, ["decompose", _write(tmp_path, json.dumps(doc))]))
 
 
 WINDOW = st.one_of(st.builds(lambda lo, hi: f"{lo}:{hi}", NUMBER_TEXT, NUMBER_TEXT),

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (dense_hom_space_dim, interval_in_segment, random_bars,
-                      random_interval, random_orientation)
+from conftest import (all_intervals, all_orientations, dense_hom_space_dim,
+                      interval_in_segment, random_bars, random_interval,
+                      random_orientation)
+from interval_reference import (reference_classify_injective,
+                                reference_classify_projective, reference_ext_dims)
 from oracle import end_basis
 from aquiver.decompose import InternalInvariantError, decompose
 from aquiver.homological import (FiltrationReport, InjectiveLabel, OPEN_LEFT,
@@ -298,6 +301,16 @@ def test_reversed_orientation_swaps_tables(rng):
             (classify_injective(reverse(o), iv) is not None)
 
 
+def test_classify_matches_reference_exhaustively():
+    # classify_projective reads projectivity off the minimal presentation;
+    # the reference tries seven kinds of candidate label
+    ivs = all_intervals()
+    for o in all_orientations():
+        for iv in ivs:
+            assert classify_projective(o, iv) == reference_classify_projective(o, iv), (o, iv)
+            assert classify_injective(o, iv) == reference_classify_injective(o, iv), (o, iv)
+
+
 # ---------------------------------------------------------------------------
 # projectivity of representations
 
@@ -447,6 +460,19 @@ def test_ext_projective_vanishes(rng):
         w = random_interval(rng)
         p = down_set(o, Fraction(rng.randint(-4, 4)))
         assert ext_dim(o, p, w) == 0
+
+
+def test_ext_matches_reference_yoneda():
+    # ext_dim reads each Hom(P, W) as hom_dim on the projective's support;
+    # the reference reads it off W at the label's point and returns 0 for a
+    # projective V.  Every V on every orientation meets every 31st W, from
+    # an offset that moves with both, so each (V, W) pair is met on two or
+    # three of the 84 orientations.
+    ivs = all_intervals()
+    for k, o in enumerate(all_orientations()):
+        for i, v in enumerate(ivs):
+            ws = ivs[(i + k) % 31::31]
+            assert [ext_dim(o, v, w) for w in ws] == reference_ext_dims(o, v, ws), (o, v)
 
 
 def test_ext_example_boundary():

@@ -6,7 +6,7 @@ interpreter, and click commands are reached through the command group, so
 both are exempt.  A name counts as used by the library when it appears so
 in src/aquiver outside __init__.py; every defined name is, or is exported
 in aquiver.__all__, or is one of the few that only tests call, each listed
-with a test that needs it.  Every name a library module imports at top
+with a test that needs it, and every test the list cites exists.  Every name a library module imports at top
 level is read in that module, except in __init__.py, which re-exports.
 No library module imports an underscore name from another.  Every name
 the benchmark's tracer wraps exists.
@@ -16,6 +16,7 @@ import ast
 import importlib
 import importlib.util
 import io
+import re
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -87,6 +88,20 @@ def test_every_library_name_has_a_library_use():
     assert test_only == sorted(TEST_ONLY), (
         f"only tests call: {', '.join(sorted(set(test_only) - set(TEST_ONLY)))}; "
         f"listed but used by the library or gone: {', '.join(sorted(set(TEST_ONLY) - set(test_only)))}")
+
+
+def test_every_cited_test_exists():
+    # a removal that renames or deletes a cited test must update the table
+    tests = ROOT / "tests"
+    defined = {path.name: {n.name for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                           if isinstance(n, ast.FunctionDef)}
+               for path in tests.glob("test_*.py")}
+    cited = [(name, file, test) for name, why in TEST_ONLY.items()
+             for file, test in re.findall(r"(\w+\.py)::(\w+)", why)]
+    assert {name for name, _, _ in cited} == set(TEST_ONLY), "an entry cites no test"
+    missing = [f"{name}: {file}::{test}" for name, file, test in cited
+               if test not in defined.get(file, ())]
+    assert not missing, f"TEST_ONLY cites tests that do not exist: {', '.join(missing)}"
 
 
 def _unused_imports(tree) -> list[str]:

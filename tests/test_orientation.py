@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ENDPOINTS, all_orientations
+from interval_reference import reference_leq
 from oracle import increasing_beside
 from aquiver.homological import projectives_table
 from aquiver.intervals import Interval, NEG_INF, POS_INF, format_extreal, is_finite
@@ -261,3 +263,14 @@ def test_direction_rules_match_raw_critical_points():
             DOWN if increasing_beside(o, points[j // 2], "left" if j % 2 == 0 else "right")
             else UP for j in range(2 * len(points))]
         assert sorted(r[:2] for r in projectives_table(o)) == _reference_table(o), o
+
+
+def test_leq_matches_reference_bisection():
+    # leq reads the order off down_set; the reference bisects the critical
+    # points.  Quarter-integer points land on, beside and between the
+    # critical points (all in ENDPOINTS, -2 to 3) and one unit beyond.
+    points = [Fraction(k, 4) for k in range(4 * int(ENDPOINTS[0] - 1), 4 * int(ENDPOINTS[-1] + 1) + 1)]
+    for o in all_orientations():
+        for x in points:
+            for y in points:
+                assert leq(o, x, y) == reference_leq(o, x, y), (o, x, y)
