@@ -79,16 +79,18 @@ def realize_projective(o: Orientation, label: ProjectiveLabel) -> Optional[Inter
     zero representation (e.g. a half-open form at a sink)."""
     if not is_finite(label.a):
         return down_set_limit(o, label.a)
-    ds = down_set(o, label.a)
-    if label.form == POINT:
+    a = Fraction(label.a)
+    return _form_support(down_set(o, a), label.form, a)
+
+
+def _form_support(ds: Interval, form: str, a: Fraction) -> Optional[Interval]:
+    """Support of the form at the finite point a, read off the down-set ds
+    at a: ds itself, or its part left or right of a (None when empty)."""
+    if form == POINT:
         return ds
-    if label.form == OPEN_RIGHT:
-        if ds.lo < label.a:
-            return Interval(ds.lo, Fraction(label.a), ds.lo_closed, False)
-        return None
-    if ds.hi > label.a:
-        return Interval(Fraction(label.a), ds.hi, False, ds.hi_closed)
-    return None
+    if form == OPEN_RIGHT:
+        return Interval(ds.lo, a, ds.lo_closed, False) if ds.lo < a else None
+    return Interval(a, ds.hi, False, ds.hi_closed) if ds.hi > a else None
 
 
 def realize_injective(o: Orientation, label: InjectiveLabel) -> Optional[Interval]:
@@ -100,7 +102,7 @@ def classify_projective(o: Orientation, iv: Interval) -> Optional[ProjectiveLabe
     interval is projective exactly when its minimal presentation has one
     generator and no relation."""
     p1, p0 = _presentation_labels(o, iv)
-    return p0[0] if not p1 and len(p0) == 1 else None
+    return p0[0][0] if not p1 and len(p0) == 1 else None
 
 
 def classify_injective(o: Orientation, iv: Interval) -> Optional[InjectiveLabel]:
@@ -329,48 +331,51 @@ def _label_position(label: ProjectiveLabel):
 
 def _presentation_labels(o: Orientation, iv: Interval) -> tuple[list, list]:
     """Relation (P1) and generator (P0) labels of the minimal presentation
-    of the interval summand on iv.  Every interval gets one: a projective
-    interval gets P1 = [] and P0 = [its own label]."""
-    p0: list[ProjectiveLabel] = []
-    p1: list[ProjectiveLabel] = []
-
-    def keep(lst, label):
-        if realize_projective(o, label) is not None:
-            lst.append(label)
+    of the interval summand on iv, each paired with its projective's
+    support.  Every interval gets one: a projective interval gets P1 = []
+    and P0 = [its own label].  Each label is realized once, and all forms
+    at a finite point are read off the one down-set there."""
+    p0: list[tuple[ProjectiveLabel, Interval]] = []
+    p1: list[tuple[ProjectiveLabel, Interval]] = []
 
     if iv.is_point():
         a = Fraction(iv.lo)
-        p0.append(ProjectiveLabel(POINT, a))
-        keep(p1, ProjectiveLabel(OPEN_RIGHT, a))
-        keep(p1, ProjectiveLabel(OPEN_LEFT, a))
+        ds = down_set(o, a)
+        p0.append((ProjectiveLabel(POINT, a), ds))
+        for form in (OPEN_RIGHT, OPEN_LEFT):
+            sup = _form_support(ds, form, a)
+            if sup is not None:
+                p1.append((ProjectiveLabel(form, a), sup))
         return p1, p0
 
     for p, kind in o.criticals:
         if iv.lo < p < iv.hi:
-            if kind == "source":
-                p0.append(ProjectiveLabel(POINT, p))
-            else:
-                p1.append(ProjectiveLabel(POINT, p))
-
-    def overlaps(label) -> bool:
-        sup = realize_projective(o, label)
-        return sup is not None and intersect(sup, iv) is not None
+            (p0 if kind == "source" else p1).append((ProjectiveLabel(POINT, p), down_set(o, p)))
 
     # each end with its closedness and the half-open forms pointing into
-    # and out of the interval there, lo before hi
+    # and out of the interval there, lo before hi.  A form pointing into
+    # the interval meets it whenever it is nonzero, and one pointing out
+    # of a closed end never does.
     for end, closed, inward, outward in ((iv.lo, iv.lo_closed, OPEN_LEFT, OPEN_RIGHT),
                                          (iv.hi, iv.hi_closed, OPEN_RIGHT, OPEN_LEFT)):
         if not is_finite(end):
-            keep(p0, ProjectiveLabel(POINT, end))
-        elif not closed:
-            if overlaps(ProjectiveLabel(inward, end)):
-                p0.append(ProjectiveLabel(inward, end))
+            sup = down_set_limit(o, end)
+            if sup is not None:
+                p0.append((ProjectiveLabel(POINT, end), sup))
+            continue
+        ds = down_set(o, end)
+        into = _form_support(ds, inward, end)
+        if not closed:
+            if into is not None:
+                p0.append((ProjectiveLabel(inward, end), into))
             if intersect(up_set(o, end), iv) is not None:
-                p1.append(ProjectiveLabel(POINT, end))
+                p1.append((ProjectiveLabel(POINT, end), ds))
         else:
-            if overlaps(ProjectiveLabel(inward, end)) or overlaps(ProjectiveLabel(outward, end)):
-                p0.append(ProjectiveLabel(POINT, end))
-            keep(p1, ProjectiveLabel(outward, end))
+            if into is not None:
+                p0.append((ProjectiveLabel(POINT, end), ds))
+            out = _form_support(ds, outward, end)
+            if out is not None:
+                p1.append((ProjectiveLabel(outward, end), out))
     return p1, p0
 
 
@@ -378,12 +383,11 @@ def proj_presentation(o: Orientation, iv: Interval, field=QQ) -> ProjPresentatio
     """Minimal projective presentation of the interval summand supported on
     iv: an injective map between sums of projectives whose cokernel is it."""
     p1, p0 = _presentation_labels(o, iv)
-    p1_sup = [realize_projective(o, l) for l in p1]
-    p0_sup = [realize_projective(o, l) for l in p0]
-    dom_pack, cod_pack = reps_on_common_grid(o, [p1_sup, p0_sup], field)
+    dom_pack, cod_pack = reps_on_common_grid(
+        o, [[sup for _, sup in p1], [sup for _, sup in p0]], field)
     chain = sorted(
-        [(lab, _label_position(lab), 1, i) for i, lab in enumerate(p1)]
-        + [(lab, _label_position(lab), 0, i) for i, lab in enumerate(p0)],
+        [(lab, _label_position(lab), 1, i) for i, (lab, _) in enumerate(p1)]
+        + [(lab, _label_position(lab), 0, i) for i, (lab, _) in enumerate(p0)],
         key=lambda t: t[1])
     pairs = {}
     one = field.one()
@@ -402,7 +406,7 @@ def proj_presentation(o: Orientation, iv: Interval, field=QQ) -> ProjPresentatio
     for c in range(realized.dom.ncells):
         if rank(realized.mats[c]) < realized.dom.dims[c]:
             raise InternalInvariantError("presentation map is not injective cellwise")
-    return ProjPresentation(p1, p0, realized)
+    return ProjPresentation([lab for lab, _ in p1], [lab for lab, _ in p0], realized)
 
 
 def ext_dim(o: Orientation, v_iv: Interval, w_iv: Interval, field=QQ) -> int:
@@ -410,11 +414,13 @@ def ext_dim(o: Orientation, v_iv: Interval, w_iv: Interval, field=QQ) -> int:
     presentation 0 -> P1 -> P0 -> M_V -> 0 and the category is hereditary,
     so 0 -> Hom(V, W) -> Hom(P0, W) -> Hom(P1, W) -> Ext^1(V, W) -> 0
     is exact and Ext^1 is its alternating sum of dimensions; each
-    Hom(P, W) is hom_dim from the projective's support."""
+    Hom(P, W) is hom_dim from the projective's support, which
+    _presentation_labels hands back with each label, so nothing is
+    realized twice."""
     p1, p0 = _presentation_labels(o, v_iv)
     ext = hom_dim(o, v_iv, w_iv) + sum(
-        sign * hom_dim(o, realize_projective(o, l), w_iv)
-        for sign, labels in ((-1, p0), (1, p1)) for l in labels)
+        sign * hom_dim(o, sup, w_iv)
+        for sign, pairs in ((-1, p0), (1, p1)) for _, sup in pairs)
     if ext not in (0, 1):
         raise InternalInvariantError(f"Ext dimension {ext} outside {{0,1}}")
     return ext

@@ -169,22 +169,24 @@ class Interval:
 
 
 def intersect(a: Interval, b: Interval) -> Interval | None:
-    """Set intersection; None when empty."""
-    if a.lo > b.lo or (a.lo == b.lo and (b.lo_closed or not a.lo_closed)):
+    """Set intersection; None when empty.  Each pair of ends is compared at
+    most twice, first for equality and then for order."""
+    if a.lo == b.lo:
+        lo, lo_closed = a.lo, a.lo_closed and b.lo_closed
+    elif a.lo > b.lo:
         lo, lo_closed = a.lo, a.lo_closed
-        if a.lo == b.lo:
-            lo_closed = a.lo_closed and b.lo_closed
     else:
         lo, lo_closed = b.lo, b.lo_closed
-    if a.hi < b.hi or (a.hi == b.hi and (b.hi_closed or not a.hi_closed)):
+    if a.hi == b.hi:
+        hi, hi_closed = a.hi, a.hi_closed and b.hi_closed
+    elif a.hi < b.hi:
         hi, hi_closed = a.hi, a.hi_closed
-        if a.hi == b.hi:
-            hi_closed = a.hi_closed and b.hi_closed
     else:
         hi, hi_closed = b.hi, b.hi_closed
-    if lo > hi:
-        return None
-    if lo == hi and not (lo_closed and hi_closed):
+    if lo == hi:
+        if not (lo_closed and hi_closed):
+            return None
+    elif lo > hi:
         return None
     return Interval(lo, hi, lo_closed, hi_closed)
 

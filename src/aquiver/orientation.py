@@ -83,6 +83,12 @@ class Orientation:
         return (first,) + tuple(Segment(p, hi, k == SINK) for (p, k), hi in zip(crit, ends))
 
     @cached_property
+    def _reversed(self) -> "Orientation":
+        flipped = tuple((p, SOURCE if k == SINK else SINK) for p, k in self.criticals)
+        direction = "ascending" if self.empty_direction == "descending" else "descending"
+        return Orientation(flipped, direction)
+
+    @cached_property
     def _kinds(self) -> dict[Fraction, Kind]:
         return dict(self.criticals)
 
@@ -120,16 +126,19 @@ def segments_touching(o: Orientation, x) -> list[Segment]:
 
 
 def down_set(o: Orientation, a) -> Interval:
-    """{x : x precedes a} as an interval, closed at finite ends."""
-    a = Fraction(a)
-    k = o.kind_at(a)
-    if k == SINK:
-        return Interval.point(a)
-    if k == SOURCE:
-        segs = segments_touching(o, a)
-        lo, hi = segs[0].lo, segs[1].hi
+    """{x : x precedes a} as an interval, closed at finite ends.  One
+    bisect on the critical positions says whether a is critical and of
+    which kind, and picks its segments from o.segments."""
+    if type(a) is not Fraction:
+        a = Fraction(a)
+    pos, segs = o.positions, o.segments
+    i = bisect_right(pos, a)
+    if i and pos[i - 1] == a:
+        if o.criticals[i - 1][1] == SINK:
+            return Interval(a, a, True, True)
+        lo, hi = segs[i - 1].lo, segs[i].hi
         return Interval(lo, hi, is_finite(lo), is_finite(hi))
-    seg = segment_index(o, a)
+    seg = segs[i]
     if seg.increasing:
         return Interval(seg.lo, a, is_finite(seg.lo), True)
     return Interval(a, seg.hi, True, is_finite(seg.hi))
@@ -160,9 +169,10 @@ def down_set_limit(o: Orientation, end: ExtReal) -> Optional[Interval]:
 
 
 def reverse(o: Orientation) -> Orientation:
-    flipped = tuple((p, SOURCE if k == SINK else SINK) for p, k in o.criticals)
-    direction = "ascending" if o.empty_direction == "descending" else "descending"
-    return Orientation(flipped, direction)
+    """The orientation with every sink and source swapped (and the other
+    empty direction), whose order is the opposite one.  It is built once
+    per instance and cached, like positions and segments."""
+    return o._reversed
 
 
 def reparameterize(o: Orientation, o2: Orientation, x) -> Fraction:

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import all_intervals
+from interval_reference import reference_intersect
 from aquiver.intervals import (BarMultiset, Interval, NEG_INF, POS_INF,
                                format_extreal, intersect, parse_extreal,
                                same_support_iso)
@@ -30,6 +32,23 @@ def test_intersect_commutative_and_openness():
     both = intersect(a, b)
     assert both == intersect(b, a) == Interval.make(0, 2, False, False)
     assert intersect(Interval.point(1), a) == Interval.point(1)
+
+
+def test_intersect_matches_reference_exhaustively():
+    # intersect compares each pair of ends at most twice; the reference
+    # uses up to five comparisons per end.  all_intervals() has every
+    # closedness at shared integer ends, and infinite ends; the extra pairs
+    # touch at a non-integer end and meet the whole line.
+    ivs = all_intervals()
+    half = Fraction(1, 2)
+    line = Interval(NEG_INF, POS_INF, False, False)
+    extra = [Interval(NEG_INF, half, False, lc) for lc in (True, False)]
+    extra += [Interval(half, POS_INF, hc, False) for hc in (True, False)]
+    extra += [Interval.point(half), line]
+    pairs = [(a, b) for a in ivs for b in ivs]
+    pairs += [(a, b) for x in extra for y in extra + ivs[::7] for a, b in ((x, y), (y, x))]
+    for a, b in pairs:
+        assert intersect(a, b) == reference_intersect(a, b), (a, b)
 
 
 def test_same_support_iso():

@@ -9,14 +9,18 @@ in aquiver.__all__, or is one of the few that only tests call, each listed
 with a test that needs it, and every test the list cites exists.  Every name a library module imports at top
 level is read in that module, except in __init__.py, which re-exports.
 No library module imports an underscore name from another.  Every name
-the benchmark's tracer wraps exists.
+the benchmark's tracer wraps exists, and importing aquiver.cli loads every
+module the benchmark reaches into.
 """
 
 import ast
 import importlib
 import importlib.util
 import io
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -149,3 +153,20 @@ def test_every_traced_name_resolves():
         if not callable(obj):
             missing.append(f"{mod_name}.{attr}")
     assert not missing, f"traced by bench/tracing.py but missing: {', '.join(missing)}"
+
+
+def test_cli_import_loads_what_the_benchmark_reads():
+    # bench/cli_child.py installs the tracer right after `import aquiver.cli`,
+    # and Tracer.install looks each traced module up in sys.modules;
+    # bench/workloads.py calls aq.decompose(...), which a lazily imported
+    # submodule of the same name would shadow.  A fresh interpreter shows
+    # what the import alone loads.
+    code = ("import sys, aquiver, aquiver.cli\n"
+            "mods = ('linalg', 'jsonio', 'tamerep', 'decompose', 'homological', 'ar')\n"
+            "missing = [m for m in mods if 'aquiver.' + m not in sys.modules]\n"
+            "assert not missing, f'not loaded by import aquiver.cli: {missing}'\n"
+            "assert callable(aquiver.decompose), type(aquiver.decompose)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 0, res.stderr

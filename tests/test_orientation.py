@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ENDPOINTS, all_orientations
-from interval_reference import reference_leq
+from conftest import ENDPOINTS, all_intervals, all_orientations
+from interval_reference import (reference_classify_injective, reference_down_set,
+                                reference_leq, reference_realize_injective,
+                                reference_up_set)
 from oracle import increasing_beside
-from aquiver.homological import projectives_table
+from aquiver.homological import (OPEN_LEFT, OPEN_RIGHT, POINT, InjectiveLabel,
+                                 classify_injective, projectives_table,
+                                 realize_injective)
 from aquiver.intervals import Interval, NEG_INF, POS_INF, format_extreal, is_finite
 from aquiver.orientation import (Orientation, Segment, down_set, down_set_limit,
                                  leq, reparameterize, reverse, segment_index,
@@ -265,12 +269,51 @@ def test_direction_rules_match_raw_critical_points():
         assert sorted(r[:2] for r in projectives_table(o)) == _reference_table(o), o
 
 
+# Quarter-integer points land on, beside and between the critical points of
+# all_orientations() (all in ENDPOINTS, -2 to 3) and one unit beyond.
+QUARTER_POINTS = [Fraction(k, 4) for k in
+                  range(4 * int(ENDPOINTS[0] - 1), 4 * int(ENDPOINTS[-1] + 1) + 1)]
+
+
 def test_leq_matches_reference_bisection():
     # leq reads the order off down_set; the reference bisects the critical
-    # points.  Quarter-integer points land on, beside and between the
-    # critical points (all in ENDPOINTS, -2 to 3) and one unit beyond.
-    points = [Fraction(k, 4) for k in range(4 * int(ENDPOINTS[0] - 1), 4 * int(ENDPOINTS[-1] + 1) + 1)]
+    # points
     for o in all_orientations():
-        for x in points:
-            for y in points:
+        for x in QUARTER_POINTS:
+            for y in QUARTER_POINTS:
                 assert leq(o, x, y) == reference_leq(o, x, y), (o, x, y)
+
+
+def test_down_and_up_sets_match_reference():
+    # down_set takes one bisect; the reference looks the point up in
+    # kind_at and segments_touching, and reverses the orientation afresh
+    for o in all_orientations():
+        for a in QUARTER_POINTS:
+            assert down_set(o, a) == reference_down_set(o, a), (o, a)
+            assert up_set(o, a) == reference_up_set(o, a), (o, a)
+        assert down_set(o, 1) == down_set(o, Fraction(1)), o
+
+
+def test_reverse_is_cached_and_involutive():
+    for o in all_orientations():
+        fresh = Orientation.make(o.criticals, o.empty_direction)
+        before = (hash(fresh), str(fresh), repr(fresh))
+        r = reverse(fresh)
+        assert r is reverse(fresh)
+        assert reverse(r) == fresh
+        assert (hash(fresh), str(fresh), repr(fresh)) == before
+        assert fresh == Orientation.make(o.criticals, o.empty_direction)
+        assert len({fresh, Orientation.make(o.criticals, o.empty_direction)}) == 1
+
+
+def test_injective_forms_match_reference():
+    # realize_injective and classify_injective read the cached reverse; the
+    # references build it afresh and realize through reference_down_set
+    ivs = all_intervals()
+    for o in all_orientations():
+        for a in [NEG_INF, POS_INF] + QUARTER_POINTS:
+            for form in (POINT, OPEN_RIGHT, OPEN_LEFT) if is_finite(a) else (POINT,):
+                label = InjectiveLabel(form, a)
+                assert realize_injective(o, label) == reference_realize_injective(o, label), (o, label)
+        for iv in ivs:
+            assert classify_injective(o, iv) == reference_classify_injective(o, iv), (o, iv)
