@@ -39,6 +39,8 @@ def _load(text: str):
         raise SchemaError(str(e))
     except RecursionError:
         raise SchemaError("JSON nested too deeply")
+    if "true" not in text and "false" not in text:
+        return obj  # json.loads makes a bool only from these literals
     todo = [(None, obj)]
     while todo:
         key, x = todo.pop()
@@ -125,6 +127,20 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
     else:
         def parse(x):  # an F_p entry is an integer, never truncated
             return field.from_int(parse_integer(x))
+    # Each distinct string entry is parsed once, at its first occurrence, so
+    # errors still come in document order.  The memo lives for this call
+    # only and is keyed by str alone: a JSON number is parsed every time,
+    # since 1 and 1.0 are equal keys and the float must not pass as the int.
+    memo = {}
+
+    def entry(x):
+        if type(x) is not str:
+            return parse(x)
+        y = memo.get(x)
+        if y is None:
+            y = memo[x] = parse(x)
+        return y
+
     maps = []
     for j, (mj, want) in enumerate(zip(maps_json, junction_dirs(o, grid))):
         if not isinstance(mj, dict):
@@ -141,7 +157,7 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
                 or any(not isinstance(r, list) or len(r) != ncols for r in entries)):
             raise SchemaError(f"map {j}: entries must be {nrows}x{ncols}")
         try:
-            rows = [[parse(x) for x in r] for r in entries]
+            rows = [[entry(x) for x in r] for r in entries]
         except MALFORMED as e:
             raise SchemaError(f"map {j}: {e}")
         maps.append(Matrix(field, nrows, ncols, rows))

@@ -18,6 +18,13 @@ operations run inside one row operation per field,
 ``field.axpy(dst, c, pairs)``, which adds c times a sparse row, given as
 its nonzero (column, value) pairs, to a dense row.  Zero tests are
 truthiness tests: a Fraction or an int is falsy exactly at zero.
+
+``change_basis``, the scramble's P M Q^-1 by elementary operations, runs
+on Python ints as well, picked the same way (``_common_denominator_ops``):
+over Q the matrix is multiplied by the lcm of its denominators, the drawn
+operations (adds by +-1 or +-2, swaps, scalings by +-1) keep it integral,
+and it is divided by that lcm once at the end; over F_p the ints are
+reduced mod p once at the end.
 """
 
 from __future__ import annotations
@@ -503,27 +510,77 @@ def apply_row_ops(field, rows: list, ops) -> None:
             rows[i] = [mul(c, a) if a else a for a in rows[i]]
 
 
-def apply_inverse_column_ops(field, rows: list, ops) -> None:
-    """Undo ops in order as column operations on rows, in place: rows
-    becomes rows @ P^-1, where P is the product of the operations.  P^-1 is
-    the inverses of the operations in the reverse order, so on the right
-    they act in the original order: col_k -= c * col_i, the swap, and
-    col_i *= 1/c."""
-    add, mul = field.add, field.mul
-    for op, i, k, c in ops:
+def _common_denominator_ops(field):
+    """(to_ints, inverse, from_ints), the field's part of ``change_basis``:
+    to_ints(rows) returns (den * rows as ints, den); inverse(c) is an int
+    undoing a scaling by c; from_ints(ints, den) divides by den, back into
+    field scalars.  Over Q den is the lcm of the denominators, a scaling
+    (by +-1) is its own inverse, and one Fraction is built per distinct int.
+    Over F_p den is 1, a scaling is inverted mod p, and each entry is
+    reduced mod p."""
+    if field.kind == "Q":
+        return _to_common_denominator, int, _over_denominator
+    p = field.p
+
+    def to_ints(rows):
+        return [list(row) for row in rows], 1
+
+    def inverse(c):
+        return pow(c, p - 2, p)
+
+    def from_ints(rows, den):
+        return [[x % p for x in row] for row in rows]
+
+    return to_ints, inverse, from_ints
+
+
+def _to_common_denominator(rows: list) -> tuple[list, int]:
+    den = lcm(*{x.denominator for row in rows for x in row})
+    if den == 1:
+        return [[x.numerator for x in row] for row in rows], 1
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def _over_denominator(rows: list, den: int) -> list:
+    frac = {x: Fraction(x, den) for x in set().union(*rows)}
+    return [[frac[x] for x in row] for row in rows]
+
+
+def change_basis(field, rows: list, row_ops, col_ops) -> list:
+    """The rows of P @ rows @ Q^-1, where P and Q are the products of
+    row_ops and col_ops, two draws of ``random_elementary_ops``; neither
+    product is formed.  The row operations act in order, then the inverses
+    of the column operations, which on the right act in the original order
+    (col_k -= c * col_i, the swap, col_i *= 1/c).  They act on rows times a
+    common denominator, as Python ints (``_common_denominator_ops``), which
+    is divided out once at the end.  Over Q that is exact because the adds
+    are by +-1 or +-2 and the scalings by +-1: every coefficient and every
+    inverse is an int, so the scaled matrix stays integral."""
+    to_ints, inverse, from_ints = _common_denominator_ops(field)
+    ints, den = to_ints(rows)
+    for op, i, k, c in row_ops:
         if op == _ADD:
-            c = field.neg(c)
-            for row in rows:
-                if row[i]:
-                    row[k] = add(row[k], mul(c, row[i]))
+            c = int(c)
+            ints[i] = [a + c * b for a, b in zip(ints[i], ints[k])]
         elif op == _SWAP:
-            for row in rows:
+            ints[i], ints[k] = ints[k], ints[i]
+        else:
+            c = int(c)
+            ints[i] = [c * a for a in ints[i]]
+    for op, i, k, c in col_ops:
+        if op == _ADD:
+            c = int(c)
+            for row in ints:
+                if row[i]:
+                    row[k] -= c * row[i]
+        elif op == _SWAP:
+            for row in ints:
                 row[i], row[k] = row[k], row[i]
         else:
-            c = field.inv(c)
-            for row in rows:
-                if row[i]:
-                    row[i] = mul(c, row[i])
+            c = inverse(c)
+            for row in ints:
+                row[i] *= c
+    return from_ints(ints, den)
 
 
 def random_invertible(field, n: int, rng) -> Matrix:

@@ -18,9 +18,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .intervals import BarMultiset, Interval, NEG_INF, POS_INF, is_finite
-from .linalg import (Matrix, QQ, apply_inverse_column_ops, apply_row_ops,
-                     column_space_basis, invert, kernel_basis,
-                     random_elementary_ops, solve_matrix, unit_complement)
+from .linalg import (Matrix, QQ, change_basis, column_space_basis, invert,
+                     kernel_basis, random_elementary_ops, solve_matrix,
+                     unit_complement)
 from .orientation import Orientation, reverse
 
 DOWN = "down"
@@ -367,16 +367,18 @@ def scramble(v: TameRep, seed: int) -> TameRep:
     with ``rng = random.Random(seed)``, but each cell's P is applied as its
     elementary operations, never formed: a junction map M becomes
     P_tgt M P_src^-1 by P_tgt's operations on M's rows, then P_src's
-    inverse operations on its columns."""
+    inverse operations on its columns (``change_basis``).  Over Q these run
+    on Python ints: M is multiplied by the lcm of its denominators, and the
+    result divided by it once.  That is exact, because every operation has
+    an integer coefficient and an integer inverse: adds by +-1 or +-2 (undone
+    by the opposite add), swaps, and scalings by +-1."""
     rng = random.Random(seed)
     field = v.field
     ops = [random_elementary_ops(field, d, rng) for d in v.dims]
     maps = []
     for j, m in enumerate(v.maps):
         src, tgt = junction_cells(v.dirs[j], j)
-        rows = m.copy_rows()
-        apply_row_ops(field, rows, ops[tgt])
-        apply_inverse_column_ops(field, rows, ops[src])
+        rows = change_basis(field, m.rows, ops[tgt], ops[src])
         maps.append(Matrix(field, m.nrows, m.ncols, rows))
     return TameRep(v.orientation, field, v.grid, v.dims, maps)
 

@@ -5,9 +5,10 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from aquiver import cli
+from aquiver import cli, jsonio
 from aquiver.cli import main
 from aquiver.decompose import InternalInvariantError
+from aquiver.jsonio import SchemaError
 
 HERE = os.path.dirname(__file__)
 
@@ -304,7 +305,7 @@ def test_field_other_than_a_tame_documents_exits_2(runner, tmp_path, command):
     assert res.exit_code == 0
 
 
-@pytest.mark.parametrize("doc", [
+COERCED_NUMBER_DOCS = [
     {"orientation": EMPTY_ORIENTATION, "field": {"kind": "Fp", "p": 5.5}, "bars": []},
     {"orientation": EMPTY_ORIENTATION, "field": {"kind": "Fp", "p": True}, "bars": []},
     _two_cell_tame(["0", "1"], True, "1"),
@@ -332,13 +333,87 @@ def test_field_other_than_a_tame_documents_exits_2(runner, tmp_path, command):
     _two_cell_tame(["0", "1"], " 3 ", "1", {"kind": "Fp", "p": 5}),
     {"orientation": EMPTY_ORIENTATION,
      "bars": [{"lo": "0", "lo_closed": True, "hi": "1", "hi_closed": False, "mult": "\u0663"}]},
-], ids=["p-5.5", "p-true", "entry-true", "entry-false", "Fp-entry-2.5", "grid-true",
-        "critical-true", "mult-true", "bar-number", "dim-1.5", "mult-2.5",
-        "closed-string", "closed-null", "closed-0", "mult-underscore", "p-underscore",
-        "Fp-entry-spaces", "mult-arabic-indic-digit"])
+]
+COERCED_NUMBER_IDS = [
+    "p-5.5", "p-true", "entry-true", "entry-false", "Fp-entry-2.5", "grid-true",
+    "critical-true", "mult-true", "bar-number", "dim-1.5", "mult-2.5",
+    "closed-string", "closed-null", "closed-0", "mult-underscore", "p-underscore",
+    "Fp-entry-spaces", "mult-arabic-indic-digit"]
+
+
+@pytest.mark.parametrize("doc", COERCED_NUMBER_DOCS, ids=COERCED_NUMBER_IDS)
 def test_coerced_numbers_in_documents_exit_2(runner, tmp_path, doc):
     f = _write(tmp_path, "d.json", doc)
     _assert_clean_exit_2(runner.invoke(main, ["decompose", f]))
+
+
+def _load_with_full_walk(text):
+    """jsonio._load with its true/false walk run on every text, also those
+    that spell neither literal: the reference for the shortcut."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"line {e.lineno} column {e.colno}: {e.msg}")
+    except ValueError as e:
+        raise SchemaError(str(e))
+    except RecursionError:
+        raise SchemaError("JSON nested too deeply")
+    todo = [(None, obj)]
+    while todo:
+        key, x = todo.pop()
+        if isinstance(x, bool):
+            if key not in ("lo_closed", "hi_closed"):
+                raise SchemaError(f"{json.dumps(x)} where a number or string belongs"
+                                  + (f" (in {key!r})" if key else ""))
+        elif isinstance(x, dict):
+            todo.extend(x.items())
+        elif isinstance(x, list):
+            todo.extend((key, y) for y in x)
+    return obj
+
+
+def _load_outcome(load, text):
+    try:
+        return "value", load(text)
+    except SchemaError as e:
+        return "error", str(e)
+
+
+@pytest.mark.parametrize("doc", COERCED_NUMBER_DOCS + [
+    BARS_DOC,
+    {"criticals": [{"pos": False, "kind": "sink"}]},
+    {"orientation": EMPTY_ORIENTATION, "bars": [], "true": "false"},
+], ids=COERCED_NUMBER_IDS + ["closed-flags", "orientation-false", "literals-in-strings"])
+def test_load_matches_the_full_boolean_walk(doc):
+    text = json.dumps(doc)
+    want = _load_outcome(_load_with_full_walk, text)
+    assert _load_outcome(jsonio._load, text) == want
+
+
+def _tame_ones(e0, e1):
+    """A tame document with one-dimensional cells; map 0 holds e0, map 1 e1."""
+    return {"orientation": EMPTY_ORIENTATION,
+            "tame": {"grid": ["0", "1"], "dims": [1, 1, 1, 1, 1],
+                     "maps": [{"dir": "down", "entries": [[e0]]},
+                              {"dir": "down", "entries": [[e1]]},
+                              {"dir": "down", "entries": [["1"]]},
+                              {"dir": "down", "entries": [["1"]]}]}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_two_cell_tame(["0", "1"], 1, 1.0), "map 2: 1.0 is not a rational"),
+    (_tame_ones("1_0", "1_0"), 'map 0: "1_0" is not a rational'),
+    (_two_cell_tame(["0", "1"], "3", "3.0", {"kind": "Fp", "p": 5}),
+     'map 2: "3.0" is not an integer'),
+], ids=["Q-int-then-float", "bad-string-twice", "Fp-string-then-decimal"])
+def test_repeated_entries_are_each_checked(runner, tmp_path, doc, message):
+    # entries are parsed once per distinct string; a JSON number is never
+    # taken from that memo, and a string that fails fails at its first map
+    f = _write(tmp_path, "d.json", doc)
+    for command in (["decompose"], ["scramble", "--seed", "1"]):
+        res = runner.invoke(main, command[:1] + [f] + command[1:])
+        _assert_clean_exit_2(res)
+        assert res.stderr == f"error: {message}\n"
 
 
 def _bar(lo, hi):

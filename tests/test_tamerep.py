@@ -1,9 +1,11 @@
+import itertools
 import os
 import random
 import resource
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -210,24 +212,38 @@ def _random_entry(rng, field):
     return rng.randrange(field.p)
 
 
+def _filled_rep(o, field, grid, dims, entry):
+    """The representation with these cells whose maps hold entry(), drawn
+    map by map, row by row."""
+    maps = []
+    for j, d in enumerate(junction_dirs(o, grid)):
+        src, tgt = junction_cells(d, j)
+        rows = [[entry() for _ in range(dims[src])] for _ in range(dims[tgt])]
+        maps.append(Matrix(field, dims[tgt], dims[src], rows))
+    return TameRep(o, field, grid, dims, maps)
+
+
 def _random_maps_rep(rng, field):
     """Cells of dimension 0 to 3 on a random orientation, with random maps;
     over Q most entries are not integers."""
     o = random_orientation(rng)
     grid = sorted(set(o.positions) | set(rng.sample(POSITIONS, rng.randint(0, 3))))
     dims = [rng.randint(0, 3) for _ in range(2 * len(grid) + 1)]
-    maps = []
-    for j, d in enumerate(junction_dirs(o, grid)):
-        src, tgt = junction_cells(d, j)
-        rows = [[_random_entry(rng, field) for _ in range(dims[src])] for _ in range(dims[tgt])]
-        maps.append(Matrix(field, dims[tgt], dims[src], rows))
-    return TameRep(o, field, grid, dims, maps)
+    return _filled_rep(o, field, grid, dims, lambda: _random_entry(rng, field))
 
 
 def _parity_reps(field, rng):
+    """Edge cases, then random reps: maps of shape 0 x n and n x 0 and, over
+    Q, 3 x 3 maps whose denominators have an lcm above 2**64."""
     reps = [zero_rep(EMPTY_DESC, field), TameRep(EMPTY_DESC, field, [], [2], []),
+            _filled_rep(EMPTY_DESC, field, [0, 1], [0, 3, 0, 2, 1],
+                        lambda: _random_entry(rng, field)),
             scramble(scramble(from_bars(ZIGZAG, bars((Interval.make(-1, 2, True, False), 2),
                                                      (Interval.point(1), 1)), field), 4), 5)]
+    if field == QQ:
+        dens = itertools.cycle([2**61 - 1, 3**41, 5**28, 1, 7])
+        reps.append(_filled_rep(EMPTY_DESC, field, [0], [3, 3, 3],
+                                lambda: Fraction(rng.choice([-3, -1, 1, 2]), next(dens))))
     return reps + [_random_maps_rep(rng, field) for _ in range(40)]
 
 
@@ -236,16 +252,24 @@ def test_scramble_equals_conjugate_by_random_invertible(field):
     # scramble applies each cell's elementary operations without forming P;
     # the result must be conjugation by the P that random_invertible forms
     # from the same draw of the same rng
+    # (an int entry would compare equal to the Fraction, so over Q the type
+    # of every scrambled entry is checked too)
     reps = _parity_reps(field, random.Random(4242))
-    seen_dims = set()
+    seen_dims, shapes = set(), set()
     for seed, v in enumerate(reps):
         rng = random.Random(seed)
         want = conjugate(v, [random_invertible(field, d, rng) for d in v.dims])
-        assert scramble(v, seed) == want
+        got = scramble(v, seed)
+        assert got == want
+        if field == QQ:
+            assert all(type(x) is Fraction for m in got.maps for r in m.rows for x in r)
         seen_dims.update(v.dims)
+        shapes.update((m.nrows, m.ncols) for m in v.maps)
     assert {0, 1, 2, 3} <= seen_dims
+    assert (0, 3) in shapes and (3, 0) in shapes
     if field == QQ:
-        assert any(x.denominator > 1 for v in reps for m in v.maps for r in m.rows for x in r)
+        assert max(lcm(*(x.denominator for r in m.rows for x in r))
+                   for v in reps for m in v.maps) > 2**64
 
 
 def test_scramble_forms_no_product_or_inverse(monkeypatch):
