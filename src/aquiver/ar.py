@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import islice
 from typing import Optional, Sequence
 
 from .decompose import decompose
 from .homological import hom_dim
-from .intervals import Interval, is_finite
+from .intervals import Interval, compare, is_finite
 from .linalg import QQ, rank
-from .orientation import Orientation, segment_index
+from .orientation import Orientation, locate, segment_index
 from .tamerep import RepMorphism, overlap_morphism, reps_on_common_grid
 
 EXISTS = "exists"
@@ -43,11 +45,12 @@ class ARAnswer:
 
 def _strictly_inside_segment(o: Orientation, a: Fraction, b: Fraction) -> Optional[bool]:
     """None unless [a,b] sits strictly inside one segment; else whether the
-    order increases there."""
-    for p, _ in o.criticals:
-        if a <= p <= b:
-            return None
-    return segment_index(o, a).increasing
+    order increases there: a is not critical and no critical point is
+    <= b that is not already <= a."""
+    i, critical = locate(o, a)
+    if critical or locate(o, b)[0] != i:
+        return None
+    return o.segments[i].increasing
 
 
 def _realize_sequence(o: Orientation, left: Interval, middle: list[Interval],
@@ -147,29 +150,34 @@ def verify_almost_split(seq: ARSequence, probes: Sequence[Interval] = ()) -> boo
 
 
 def standard_probes(o: Orientation, seq: ARSequence, count: int = 50) -> list[Interval]:
-    """A deterministic family of intervals around the sequence's segment."""
+    """A deterministic family of intervals around the sequence's segment,
+    in the canonical bar order, cut at count.  Its points are a and b, the
+    right term's ends, a quarter and halfway from a to b, and halfway out
+    to the ends of a's segment (a - 1 or b + 1 at an infinite end), in
+    order and each once: an end of the right term on an end of the segment
+    gives one point, not two.  Every pair of points lo <= hi gives the
+    point {lo} or the four intervals with those ends.  Ascending lo, then
+    closed before open at lo, ascending hi, and open before closed at hi is
+    the canonical order, so the family is emitted in it and never sorted;
+    it stops once count intervals are out."""
     a, b = Fraction(seq.right.lo), Fraction(seq.right.hi)
     seg = segment_index(o, a)
     lo_out = (Fraction(seg.lo) + a) / 2 if is_finite(seg.lo) else a - 1
     hi_out = (b + Fraction(seg.hi)) / 2 if is_finite(seg.hi) else b + 1
-    mid = (a + b) / 2
-    points = [lo_out, a, (3 * a + b) / 4, mid, b, hi_out]
-    out: list[Interval] = []
-    for lo in points:
-        for hi in points:
-            if lo > hi:
-                continue
-            if lo == hi:
-                out.append(Interval.point(lo))
-                continue
-            for lc in (True, False):
-                for hc in (True, False):
-                    out.append(Interval(lo, hi, lc, hc))
-    seen = set()
-    uniq = []
-    for iv in out:
-        if iv not in seen:
-            seen.add(iv)
-            uniq.append(iv)
-    uniq.sort(key=lambda iv: iv.sort_key())
-    return uniq[:count]
+    # hi_out is out of order only when the right term leaves a's segment
+    points = sorted([lo_out, a, (3 * a + b) / 4, (a + b) / 2, b, hi_out],
+                    key=cmp_to_key(compare))
+    points = [p for n, p in enumerate(points) if n == 0 or compare(points[n - 1], p)]
+
+    def family():
+        for n, lo in enumerate(points):
+            yield Interval(lo, lo, True, True)
+            for lo_closed in (True, False):
+                for hi in points[n + 1:]:
+                    yield Interval(lo, hi, lo_closed, False)
+                    yield Interval(lo, hi, lo_closed, True)
+
+    # k points give k + 4 * k(k - 1) / 2 intervals; keep as many as a
+    # slice [:count] of the whole family would, negative counts included
+    total = len(points) * (2 * len(points) - 1)
+    return list(islice(family(), len(range(total)[:count])))

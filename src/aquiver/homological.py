@@ -4,7 +4,9 @@ filtrations, and minimal projective presentations.
 Between interval summands neither a system nor a grid is needed: a
 morphism M_I -> M_J is one scalar on K = I n J, and only the junction
 just outside each end of K can force it to vanish, depending on which way
-the orientation runs there (hom_dim).  Hom between representations is
+the orientation runs there (hom_dim).  K is never built: its ends are read
+off I's and J's with intervals.compare, on Python ints, and each junction
+is found with orientation.locate.  Hom between representations is
 bilinear over their barcodes (hom_space_dim); hom_basis still discretizes
 to a common grid and solves the commuting-square equations exactly.  The
 category is hereditary, so Ext^1 between interval summands follows from
@@ -20,17 +22,16 @@ relation (classify_projective).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .decompose import InternalInvariantError, decompose
-from .intervals import (ExtReal, Interval, NEG_INF, POS_INF, format_extreal,
-                        intersect, is_finite)
+from .intervals import (ExtReal, Interval, NEG_INF, POS_INF, compare,
+                        format_extreal, intersect, is_finite)
 from .linalg import Matrix, QQ, kernel_basis, rank
 from .orientation import (Orientation, Segment, down_set, down_set_limit,
-                          reverse, up_set)
+                          locate, reverse, up_set)
 from .tamerep import (DOWN, RepMorphism, TameRep, cell_of_point,
                       cells_to_interval, common_grid, junction_cells,
                       kernel_rep, overlap_morphism, reps_on_common_grid)
@@ -89,8 +90,8 @@ def _form_support(ds: Interval, form: str, a: Fraction) -> Optional[Interval]:
     if form == POINT:
         return ds
     if form == OPEN_RIGHT:
-        return Interval(ds.lo, a, ds.lo_closed, False) if ds.lo < a else None
-    return Interval(a, ds.hi, False, ds.hi_closed) if ds.hi > a else None
+        return Interval(ds.lo, a, ds.lo_closed, False) if compare(ds.lo, a) < 0 else None
+    return Interval(a, ds.hi, False, ds.hi_closed) if compare(ds.hi, a) > 0 else None
 
 
 def realize_injective(o: Orientation, label: InjectiveLabel) -> Optional[Interval]:
@@ -193,20 +194,34 @@ def hom_dim(o: Orientation, i_iv: Interval, j_iv: Interval, field=QQ) -> int:
     into J outside K.  Below K that junction lies in the stretch just left
     of K.lo if K contains K.lo, else just right of it; an increasing
     stretch runs maps toward smaller reals, out of K, so then J must not
-    reach below K, and otherwise I must not.  Above K mirrors this."""
-    k = intersect(i_iv, j_iv)
-    if k is None:
+    reach below K, and otherwise I must not.  Above K mirrors this.
+
+    K is not built as an Interval.  One compare per pair of ends says
+    whether I or J reaches past the other there (a closed end reaches past
+    an open one at the same point); the other gives K that end.  One more
+    compare says whether K is empty, and one locate per finite end of K
+    finds the junction beside it."""
+    c = compare(i_iv.lo, j_iv.lo)
+    i_below = c < 0 or (c == 0 and i_iv.lo_closed and not j_iv.lo_closed)
+    j_below = c > 0 or (c == 0 and j_iv.lo_closed and not i_iv.lo_closed)
+    lo, lo_closed = (j_iv.lo, j_iv.lo_closed) if i_below else (i_iv.lo, i_iv.lo_closed)
+    c = compare(i_iv.hi, j_iv.hi)
+    i_above = c > 0 or (c == 0 and i_iv.hi_closed and not j_iv.hi_closed)
+    j_above = c < 0 or (c == 0 and j_iv.hi_closed and not i_iv.hi_closed)
+    hi, hi_closed = (j_iv.hi, j_iv.hi_closed) if i_above else (i_iv.hi, i_iv.hi_closed)
+    c = compare(lo, hi)
+    if c > 0 or (c == 0 and not (lo_closed and hi_closed)):
         return 0
-    pos, segs = o.positions, o.segments
-    if is_finite(k.lo):
-        below = segs[(bisect_left if k.lo_closed else bisect_right)(pos, k.lo)]
-        out = j_iv if below.increasing else i_iv
-        if (out.lo, out.lo_closed) != (k.lo, k.lo_closed):
+    segs = o.segments
+    if is_finite(lo):
+        i, critical = locate(o, lo)
+        below = segs[i - 1 if critical and lo_closed else i]
+        if (j_below if below.increasing else i_below):
             return 0
-    if is_finite(k.hi):
-        above = segs[(bisect_right if k.hi_closed else bisect_left)(pos, k.hi)]
-        out = i_iv if above.increasing else j_iv
-        if (out.hi, out.hi_closed) != (k.hi, k.hi_closed):
+    if is_finite(hi):
+        i, critical = locate(o, hi)
+        above = segs[i - 1 if critical and not hi_closed else i]
+        if (i_above if above.increasing else j_above):
             return 0
     return 1
 
@@ -348,9 +363,15 @@ def _presentation_labels(o: Orientation, iv: Interval) -> tuple[list, list]:
                 p1.append((ProjectiveLabel(form, a), sup))
         return p1, p0
 
-    for p, kind in o.criticals:
-        if iv.lo < p < iv.hi:
-            (p0 if kind == "source" else p1).append((ProjectiveLabel(POINT, p), down_set(o, p)))
+    # the critical points strictly inside iv: those after the ones <= lo
+    # and before the ones >= hi
+    first = locate(o, iv.lo)[0] if is_finite(iv.lo) else 0
+    last = len(o.criticals)
+    if is_finite(iv.hi):
+        last, critical = locate(o, iv.hi)
+        last -= critical
+    for p, kind in o.criticals[first:last]:
+        (p0 if kind == "source" else p1).append((ProjectiveLabel(POINT, p), down_set(o, p)))
 
     # each end with its closedness and the half-open forms pointing into
     # and out of the interval there, lo before hi.  A form pointing into

@@ -4,6 +4,11 @@ Endpoints are exact rationals or +/-infinity (represented by the float
 infinities, which compare correctly against Fraction).  An interval is
 nonempty by construction; a point interval has both endpoints equal, finite
 and closed.  Infinite ends are always open.
+
+Ends are ordered by compare, which decides an infinity by its type and
+sign and two rationals on their integer ratios, without Fraction's generic
+comparison protocol; validation, intersect and the interval-level rules of
+homological read ends through it.
 """
 
 from __future__ import annotations
@@ -25,6 +30,22 @@ def is_finite(x: ExtReal) -> bool:
     # Only a float can be infinite; the type test spares a Fraction the
     # slow Fraction-against-float comparison.
     return type(x) is not float or (x != NEG_INF and x != POS_INF)
+
+
+def compare(a: ExtReal, b: ExtReal) -> int:
+    """-1, 0 or 1 as a <, == or > b, exactly.  A float is an infinity and is
+    decided by its sign; two rationals compare by cross-multiplying their
+    integer ratios (denominators are positive)."""
+    if type(a) is float:
+        if type(b) is float:
+            return (a > b) - (a < b)
+        return 1 if a > 0 else -1
+    if type(b) is float:
+        return -1 if b > 0 else 1
+    p, q = a.as_integer_ratio()
+    r, s = b.as_integer_ratio()
+    x, y = p * s, r * q
+    return (x > y) - (x < y)
 
 
 _RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?").fullmatch
@@ -98,9 +119,10 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self):
-        if self.lo > self.hi:
+        c = compare(self.lo, self.hi)
+        if c > 0:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
-        if self.lo == self.hi:
+        if c == 0:
             if not is_finite(self.lo):
                 raise ValueError("degenerate infinite interval")
             if not (self.lo_closed and self.hi_closed):
@@ -122,7 +144,7 @@ class Interval:
         return Interval(lo, hi, lo_closed, hi_closed)
 
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return compare(self.lo, self.hi) == 0
 
     def contains(self, x) -> bool:
         x = Fraction(x)
@@ -169,24 +191,20 @@ class Interval:
 
 
 def intersect(a: Interval, b: Interval) -> Interval | None:
-    """Set intersection; None when empty.  Each pair of ends is compared at
-    most twice, first for equality and then for order."""
-    if a.lo == b.lo:
+    """Set intersection; None when empty.  Each pair of ends is compared
+    once, with compare."""
+    c = compare(a.lo, b.lo)
+    if c == 0:
         lo, lo_closed = a.lo, a.lo_closed and b.lo_closed
-    elif a.lo > b.lo:
-        lo, lo_closed = a.lo, a.lo_closed
     else:
-        lo, lo_closed = b.lo, b.lo_closed
-    if a.hi == b.hi:
+        lo, lo_closed = (a.lo, a.lo_closed) if c > 0 else (b.lo, b.lo_closed)
+    c = compare(a.hi, b.hi)
+    if c == 0:
         hi, hi_closed = a.hi, a.hi_closed and b.hi_closed
-    elif a.hi < b.hi:
-        hi, hi_closed = a.hi, a.hi_closed
     else:
-        hi, hi_closed = b.hi, b.hi_closed
-    if lo == hi:
-        if not (lo_closed and hi_closed):
-            return None
-    elif lo > hi:
+        hi, hi_closed = (a.hi, a.hi_closed) if c < 0 else (b.hi, b.hi_closed)
+    c = compare(lo, hi)
+    if c > 0 or (c == 0 and not (lo_closed and hi_closed)):
         return None
     return Interval(lo, hi, lo_closed, hi_closed)
 

@@ -525,20 +525,18 @@ def _common_denominator_ops(field):
     def to_ints(rows):
         return [list(row) for row in rows], 1
 
-    def inverse(c):
-        return pow(c, p - 2, p)
-
     def from_ints(rows, den):
         return [[x % p for x in row] for row in rows]
 
-    return to_ints, inverse, from_ints
+    return to_ints, field.inv, from_ints
 
 
 def _to_common_denominator(rows: list) -> tuple[list, int]:
-    den = lcm(*{x.denominator for row in rows for x in row})
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    den = lcm(*{d for row in ratios for _, d in row})
     if den == 1:
-        return [[x.numerator for x in row] for row in rows], 1
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+        return [[n for n, _ in row] for row in ratios], 1
+    return [[n * (den // d) for n, d in row] for row in ratios], den
 
 
 def _over_denominator(rows: list, den: int) -> list:

@@ -9,7 +9,11 @@ line carries one of exactly two orders, picked by ``empty_direction``
 ("descending" makes the order coincide with the usual <=).
 
 All positions are exact rationals; irrational critical points are not
-representable by design.
+representable by design.  Each orientation also keeps its positions as
+Python ints, scaled by the lcm of their denominators, so that locate finds
+a rational among them with one divmod and one int bisect, and no Fraction
+comparison.  down_set, segment_index, segments_touching, and the junction
+and interior-critical lookups of homological and ar all go through it.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Literal, Optional
 
 from .intervals import (ExtReal, Interval, NEG_INF, POS_INF, format_extreal,
@@ -72,6 +77,14 @@ class Orientation:
         return tuple(p for p, _ in self.criticals)
 
     @cached_property
+    def _integer_positions(self) -> tuple[int, tuple[int, ...]]:
+        """The lcm L of the positions' denominators and the positions times
+        L, which are ints in the same order."""
+        ratios = [p.as_integer_ratio() for p in self.positions]
+        den = lcm(*(d for _, d in ratios))
+        return den, tuple(n * (den // d) for n, d in ratios)
+
+    @cached_property
     def segments(self) -> tuple[Segment, ...]:
         """The len(criticals) + 1 closed segments, left to right.  A segment
         increases when its left end is a sink or its right end a source."""
@@ -110,30 +123,43 @@ def leq(o: Orientation, x, y) -> bool:
     return down_set(o, y).contains(x)
 
 
+def locate(o: Orientation, a) -> tuple[int, bool]:
+    """(i, critical) for a finite rational a: i is bisect_right of a in
+    o.positions, the number of critical points <= a, so a lies in segment i
+    (the right one at a critical point), and critical says whether a is
+    positions[i - 1].  a * L for the positions' lcm L is floored once; the
+    floor sits among the scaled positions as a does among the positions,
+    and a is critical only when nothing was left over."""
+    n, d = a.as_integer_ratio()
+    den, scaled = o._integer_positions
+    q, r = divmod(n * den, d)
+    i = bisect_right(scaled, q)
+    return i, r == 0 and i > 0 and scaled[i - 1] == q
+
+
 def segment_index(o: Orientation, x) -> Segment:
     """The closed segment containing x.  At a critical point the segment on
     the right is reported; use segments_touching for both."""
-    return o.segments[bisect_right(o.positions, Fraction(x))]
+    return o.segments[locate(o, Fraction(x))[0]]
 
 
 def segments_touching(o: Orientation, x) -> list[Segment]:
     """Both segments when x is critical (left first), else the single one."""
-    x = Fraction(x)
-    i = bisect_right(o.positions, x)
-    if i and o.positions[i - 1] == x:
+    i, critical = locate(o, Fraction(x))
+    if critical:
         return list(o.segments[i - 1:i + 1])
     return [o.segments[i]]
 
 
 def down_set(o: Orientation, a) -> Interval:
     """{x : x precedes a} as an interval, closed at finite ends.  One
-    bisect on the critical positions says whether a is critical and of
-    which kind, and picks its segments from o.segments."""
+    locate says whether a is critical and of which kind, and picks its
+    segments from o.segments."""
     if type(a) is not Fraction:
         a = Fraction(a)
-    pos, segs = o.positions, o.segments
-    i = bisect_right(pos, a)
-    if i and pos[i - 1] == a:
+    i, critical = locate(o, a)
+    segs = o.segments
+    if critical:
         if o.criticals[i - 1][1] == SINK:
             return Interval(a, a, True, True)
         lo, hi = segs[i - 1].lo, segs[i].hi

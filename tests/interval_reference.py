@@ -1,8 +1,9 @@
 """Interval-level rules in their earlier, separate forms, kept as references
 for the parity tests.  The library now reads each from one rule:
 projectivity from the minimal presentation, Hom from a projective through
-hom_dim on its support, the order from down_set, and down_set itself from
-one bisect on the critical positions.
+hom_dim on its support, the order from down_set, and down_set, hom_dim
+and standard_probes from exact comparisons on Python ints
+(intervals.compare, orientation.locate).
 
 - ``reference_classify_projective`` tries seven kinds of candidate label
   and keeps the first whose support is the interval;
@@ -11,12 +12,16 @@ one bisect on the critical positions.
   infinite end;
 - ``reference_leq`` bisects the critical points between x and y and reads
   the direction of the segment they share;
-- ``reference_down_set`` looks the point up in ``kind_at`` and then in
-  ``segments_touching`` or ``segment_index``; ``reference_reverse`` builds
-  a new orientation on every call, and the up-sets, realizations and
-  injective classifications here go through these two;
+- ``reference_locate`` and ``reference_down_set`` bisect the Fraction
+  positions; ``reference_reverse`` builds a new orientation on every
+  call, and the up-sets, realizations and injective classifications here
+  go through these;
 - ``reference_intersect`` picks each end of the intersection with up to
-  five comparisons.
+  five Fraction comparisons;
+- ``reference_hom_dim`` builds K = I n J through ``reference_intersect``
+  and bisects the Fraction positions for the junctions beside it;
+- ``reference_standard_probes`` builds every probe, drops repeats through
+  a set and sorts the rest by the interval sort key.
 """
 
 from bisect import bisect_left, bisect_right
@@ -25,8 +30,7 @@ from fractions import Fraction
 from aquiver.homological import (InjectiveLabel, OPEN_LEFT, OPEN_RIGHT, POINT,
                                  ProjectiveLabel, _presentation_labels, hom_dim)
 from aquiver.intervals import Interval, NEG_INF, POS_INF, is_finite
-from aquiver.orientation import (Orientation, down_set_limit, segment_index,
-                                 segments_touching)
+from aquiver.orientation import Orientation, down_set_limit
 
 
 def reference_classify_projective(o, iv):
@@ -96,17 +100,23 @@ def reference_leq(o, x, y):
     return inc if x < y else not inc
 
 
+def reference_locate(o, a):
+    """(bisect_right of a in the positions, whether a is critical)."""
+    i = bisect_right(o.positions, a)
+    return i, i > 0 and o.positions[i - 1] == a
+
+
 def reference_down_set(o, a):
     """{x : x precedes a}, closed at finite ends."""
     a = Fraction(a)
-    k = o.kind_at(a)
-    if k == "sink":
-        return Interval.point(a)
-    if k == "source":
-        segs = segments_touching(o, a)
-        lo, hi = segs[0].lo, segs[1].hi
+    i, critical = reference_locate(o, a)
+    segs = o.segments
+    if critical:
+        if o.criticals[i - 1][1] == "sink":
+            return Interval.point(a)
+        lo, hi = segs[i - 1].lo, segs[i].hi
         return Interval(lo, hi, is_finite(lo), is_finite(hi))
-    seg = segment_index(o, a)
+    seg = segs[i]
     if seg.increasing:
         return Interval(seg.lo, a, is_finite(seg.lo), True)
     return Interval(a, seg.hi, True, is_finite(seg.hi))
@@ -163,3 +173,54 @@ def reference_intersect(a, b):
     if lo == hi and not (lo_closed and hi_closed):
         return None
     return Interval(lo, hi, lo_closed, hi_closed)
+
+
+def reference_hom_dim(o, i_iv, j_iv):
+    """dim Hom(M_I, M_J): 0 when K = I n J is empty, else 0 when the
+    junction beside a finite end of K runs from I outside K into K or from
+    K into J outside K, else 1."""
+    k = reference_intersect(i_iv, j_iv)
+    if k is None:
+        return 0
+    pos, segs = o.positions, o.segments
+    if is_finite(k.lo):
+        below = segs[(bisect_left if k.lo_closed else bisect_right)(pos, k.lo)]
+        out = j_iv if below.increasing else i_iv
+        if (out.lo, out.lo_closed) != (k.lo, k.lo_closed):
+            return 0
+    if is_finite(k.hi):
+        above = segs[(bisect_right if k.hi_closed else bisect_left)(pos, k.hi)]
+        out = i_iv if above.increasing else j_iv
+        if (out.hi, out.hi_closed) != (k.hi, k.hi_closed):
+            return 0
+    return 1
+
+
+def reference_standard_probes(o, seq, count=50):
+    """Every interval on six points around the sequence's right term, each
+    once, in the canonical order, cut at count."""
+    a, b = Fraction(seq.right.lo), Fraction(seq.right.hi)
+    seg = o.segments[bisect_right(o.positions, a)]
+    lo_out = (Fraction(seg.lo) + a) / 2 if is_finite(seg.lo) else a - 1
+    hi_out = (b + Fraction(seg.hi)) / 2 if is_finite(seg.hi) else b + 1
+    mid = (a + b) / 2
+    points = [lo_out, a, (3 * a + b) / 4, mid, b, hi_out]
+    out = []
+    for lo in points:
+        for hi in points:
+            if lo > hi:
+                continue
+            if lo == hi:
+                out.append(Interval.point(lo))
+                continue
+            for lc in (True, False):
+                for hc in (True, False):
+                    out.append(Interval(lo, hi, lc, hc))
+    seen = set()
+    uniq = []
+    for iv in out:
+        if iv not in seen:
+            seen.add(iv)
+            uniq.append(iv)
+    uniq.sort(key=lambda iv: iv.sort_key())
+    return uniq[:count]

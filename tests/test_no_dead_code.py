@@ -1,28 +1,31 @@
 """Every function and class defined in the library is used somewhere.
 
-A name counts as used when it appears as a token in src/aquiver or tests
-at least once more than it is defined.  Dunder methods are called by the
-interpreter, and click commands are reached through the command group, so
-both are exempt.  A name counts as used by the library when it appears so
-in src/aquiver outside __init__.py; every defined name is, or is exported
-in aquiver.__all__, or is one of the few that only tests call, each listed
-with a test that needs it, and every test the list cites exists.  Every name a library module imports at top
-level is read in that module, except in __init__.py, which re-exports.
-No library module imports an underscore name from another.  Every name
-the benchmark's tracer wraps exists, and importing aquiver.cli loads every
-module the benchmark reaches into.
+Uses are read from the syntax tree of src/aquiver and tests.  A method (a
+function defined in a class body) counts as used only where it is read as
+an attribute, ``x.name``; any other function or class counts where its
+name is loaded, read as an attribute, or imported.  Parameters, keyword
+arguments and the names locals are stored under are not uses (a local
+that is loaded still counts for a function of its name, since scopes are
+not resolved).  Dunder methods are called by the interpreter, and click
+commands are reached through the command group, so both are exempt.  A
+name counts as used by the library when it is used so in src/aquiver
+outside __init__.py; every defined name is, or is exported in
+aquiver.__all__, or is one of the few that only tests call, each listed
+with a test that needs it, and every test the list cites exists.  Every
+name a library module imports at top level is read in that module, except
+in __init__.py, which re-exports.  No library module imports an
+underscore name from another.  Every name the benchmark's tracer wraps
+exists, and importing aquiver.cli loads every module the benchmark
+reaches into.
 """
 
 import ast
 import importlib
 import importlib.util
-import io
 import os
 import re
 import subprocess
 import sys
-import tokenize
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,33 +38,46 @@ def _is_click_command(node) -> bool:
                for d in node.decorator_list)
 
 
-def _definitions() -> Counter:
-    defs = Counter()
+METHOD, FUNCTION = "method", "function"
+
+
+def _definitions() -> dict[str, set[str]]:
+    """Each function and class name defined in the library, with the kinds
+    it is defined as: METHOD in a class body, FUNCTION anywhere else."""
+    defs: dict[str, set[str]] = {}
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_class = {id(b) for n in ast.walk(tree) if isinstance(n, ast.ClassDef) for b in n.body}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = node.name
                 if name.startswith("__") and name.endswith("__"):
                     continue
                 if _is_click_command(node):
                     continue
-                defs[name] += 1
+                defs.setdefault(name, set()).add(METHOD if id(node) in in_class else FUNCTION)
     return defs
 
 
-def _name_tokens(paths) -> Counter:
-    tokens = Counter()
+def _unused(defs: dict[str, set[str]], paths) -> list[str]:
+    """The defined names with a kind that no file of paths uses: a METHOD
+    needs an attribute read, a FUNCTION an attribute read, a loaded name or
+    an import."""
+    attrs, names = set(), set()
     for path in paths:
-        src = path.read_text(encoding="utf-8")
-        for tok in tokenize.generate_tokens(io.StringIO(src).readline):
-            if tok.type == tokenize.NAME:
-                tokens[tok.string] += 1
-    return tokens
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return sorted(name for name, kinds in defs.items()
+                  if name not in attrs and (METHOD in kinds or name not in names))
 
 
 def test_every_library_function_and_class_has_a_use():
-    tokens = _name_tokens(sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")))
-    dead = sorted(name for name, n in _definitions().items() if tokens[name] <= n)
+    dead = _unused(_definitions(), sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")))
     assert not dead, f"defined in src/aquiver but never used: {', '.join(dead)}"
 
 
@@ -85,10 +101,9 @@ TEST_ONLY = {
 
 def test_every_library_name_has_a_library_use():
     import aquiver
-    lib = _name_tokens(p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py")
-    defs = _definitions()
-    test_only = sorted(name for name, n in defs.items()
-                       if lib[name] <= n and name not in aquiver.__all__)
+    lib = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    test_only = sorted(name for name in _unused(_definitions(), lib)
+                       if name not in aquiver.__all__)
     assert test_only == sorted(TEST_ONLY), (
         f"only tests call: {', '.join(sorted(set(test_only) - set(TEST_ONLY)))}; "
         f"listed but used by the library or gone: {', '.join(sorted(set(TEST_ONLY) - set(test_only)))}")
@@ -170,3 +185,19 @@ def test_cli_import_loads_what_the_benchmark_reads():
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60)
     assert res.returncode == 0, res.stderr
+
+
+def test_scan_counts_attribute_reads_loads_and_imports_only(tmp_path):
+    # a method needs an attribute read, so a local, a parameter or a
+    # keyword argument of its name is no use of it; a parameter or a
+    # keyword argument is no use of a function either.  Scopes are not
+    # resolved: a loaded local counts for a function of the same name.
+    src = tmp_path / "sample.py"
+    src.write_text("from m import imported\n"
+                   "def f(scale, helper=None):\n"
+                   "    local = scale * 2\n"
+                   "    g(helper=local, other=loaded)\n"
+                   "    return obj.attr\n", encoding="utf-8")
+    defs = {"scale": {METHOD}, "helper": {FUNCTION}, "local": {FUNCTION}, "attr": {METHOD},
+            "loaded": {FUNCTION}, "imported": {FUNCTION}, "both": {METHOD, FUNCTION}}
+    assert _unused(defs, [src]) == ["both", "helper", "scale"]

@@ -285,8 +285,9 @@ def test_leq_matches_reference_bisection():
 
 
 def test_down_and_up_sets_match_reference():
-    # down_set takes one bisect; the reference looks the point up in
-    # kind_at and segments_touching, and reverses the orientation afresh
+    # down_set takes one locate on the positions scaled to ints; the
+    # reference bisects the Fraction positions, and reverses the
+    # orientation afresh
     for o in all_orientations():
         for a in QUARTER_POINTS:
             assert down_set(o, a) == reference_down_set(o, a), (o, a)
