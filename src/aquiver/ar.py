@@ -134,13 +134,14 @@ def verify_almost_split(seq: ARSequence, probes: Sequence[Interval] = ()) -> boo
     if terms[0].total() != 1 or terms[2].total() != 1:
         return False
     o = lrep.orientation
+    bars = [t.items() for t in terms]  # listed once, not once per probe
 
     def lifts(x_iv: Interval) -> bool:
-        hl, hm, hr = (sum(m * hom_dim(o, x_iv, iv) for iv, m in t) for t in terms)
+        hl, hm, hr = (sum(m * hom_dim(o, x_iv, iv) for iv, m in t) for t in bars)
         return hm - hl == hr
 
     def colifts(x_iv: Interval) -> bool:
-        hl, hm, hr = (sum(m * hom_dim(o, iv, x_iv) for iv, m in t) for t in terms)
+        hl, hm, hr = (sum(m * hom_dim(o, iv, x_iv) for iv, m in t) for t in bars)
         return hm - hr == hl
 
     if lifts(seq.right):

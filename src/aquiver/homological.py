@@ -7,17 +7,16 @@ just outside each end of K can force it to vanish, depending on which way
 the orientation runs there (hom_dim).  K is never built: its ends are read
 off I's and J's with intervals.compare, on Python ints, and each junction
 is found with orientation.locate.  Hom between representations is
-bilinear over their barcodes (hom_space_dim); hom_basis still discretizes
-to a common grid and solves the commuting-square equations exactly.  The
-category is hereditary, so Ext^1 between interval summands follows from
-the minimal presentation and Yoneda (ext_dim): Hom(P, M_W) from a
-projective P is hom_dim from P's support.  Presentations follow the
-generator/relation recipe for interval summands: generators sit at
-interior sources and at the ends of the interval, relations at interior
-sinks and at the overshoots of the generators, realized with a fixed
-alternating +-1 scheme.  Projectivity is read off the same presentation:
-an interval is projective exactly when it has one generator and no
-relation (classify_projective).
+bilinear over their barcodes (hom_space_dim).  The category is
+hereditary, so Ext^1 between interval summands follows from the minimal
+presentation and Yoneda (ext_dim): Hom(P, M_W) from a projective P is
+hom_dim from P's support.  Presentations follow the generator/relation
+recipe for interval summands: generators sit at interior sources and at
+the ends of the interval, relations at interior sinks and at the
+overshoots of the generators, realized with a fixed alternating +-1
+scheme.  Projectivity is read off the same presentation: an interval is
+projective exactly when it has one generator and no relation
+(classify_projective).
 """
 
 from __future__ import annotations
@@ -29,12 +28,12 @@ from typing import Optional
 from .decompose import InternalInvariantError, decompose
 from .intervals import (ExtReal, Interval, NEG_INF, POS_INF, compare,
                         format_extreal, intersect, is_finite)
-from .linalg import Matrix, QQ, kernel_basis, rank
+from .linalg import Matrix, QQ, rank
 from .orientation import (Orientation, Segment, down_set, down_set_limit,
                           locate, reverse, up_set)
 from .tamerep import (DOWN, RepMorphism, TameRep, cell_of_point,
-                      cells_to_interval, common_grid, junction_cells,
-                      kernel_rep, overlap_morphism, reps_on_common_grid)
+                      cells_to_interval, kernel_rep, overlap_morphism,
+                      reps_on_common_grid)
 
 POINT = "point"
 OPEN_RIGHT = "open_right"   # the "x < a" half of the down-set at a
@@ -115,61 +114,6 @@ def classify_injective(o: Orientation, iv: Interval) -> Optional[InjectiveLabel]
 
 # ---------------------------------------------------------------------------
 # Hom spaces
-
-def _morphism_system(v: TameRep, w: TameRep) -> tuple[Matrix, list[int]]:
-    """The commuting-square equations at every junction on cellwise
-    matrices X_c: v_c -> w_c.  The unknowns are the entries of X_0, X_1,
-    ... row by row; returns the matrix and the offset of each X_c."""
-    field = v.field
-    z = field.zero()
-    offsets = []
-    total = 0
-    for c in range(v.ncells):
-        offsets.append(total)
-        total += w.dims[c] * v.dims[c]
-
-    def term(row, c, left, right, r, s, negate=False):
-        # (left X_c)[r][s] = sum_t left[r][t] X_c[t][s];
-        # (X_c right)[r][s] = sum_t X_c[r][t] right[t][s]
-        n = v.dims[c]
-        if right is None:
-            base, stride, coefs = offsets[c] + s, n, left.rows[r]
-        else:
-            base, stride, coefs = offsets[c] + r * n, 1, [x[s] for x in right.rows]
-        for t, coef in enumerate(coefs):
-            if coef:
-                row[base + t * stride] = field.neg(coef) if negate else coef
-
-    rows = []
-    for j in range(len(v.maps)):
-        src, tgt = junction_cells(v.dirs[j], j)
-        for r in range(w.dims[tgt]):
-            for s in range(v.dims[src]):
-                row = [z] * total
-                term(row, tgt, None, v.maps[j], r, s)
-                term(row, src, w.maps[j], None, r, s, negate=True)
-                rows.append(row)
-    return Matrix(field, len(rows), total, rows), offsets
-
-
-def hom_basis(v: TameRep, w: TameRep) -> list[RepMorphism]:
-    """A basis of the space of morphisms v -> w (inputs are refined to a
-    common grid first)."""
-    v, w = common_grid(v, w)
-    system, offsets = _morphism_system(v, w)
-    ker = kernel_basis(system)
-    out = []
-    for col in ker.columns():
-        mats = []
-        for c in range(v.ncells):
-            nr, nc = w.dims[c], v.dims[c]
-            base = offsets[c]
-            mats.append(Matrix(v.field, nr, nc,
-                               [[col[base + r * nc + s] for s in range(nc)]
-                                for r in range(nr)]))
-        out.append(RepMorphism(v, w, mats, validate=False))
-    return out
-
 
 def hom_space_dim(v: TameRep, w: TameRep) -> int:
     """dim Hom(v, w).  Hom is bilinear over direct sums, so with

@@ -3,21 +3,21 @@
 Everything here is bit-exact: rationals are ``fractions.Fraction`` and
 prime-field elements are ints in ``range(p)``.  No floating point enters
 anywhere.  Matrices are dense row lists.  ``_row_echelon`` is the one
-elimination routine behind every rank, kernel, solve, column-space basis
-and unit-vector completion; ``bottom_column_echelon``, the decomposition
-sweep's column reduction, is the one other.  Each is one loop over vectors
-of Python ints, eliminating by cross-multiplying: a vector holding a where
-the pivot vector holds p becomes a multiple of vector - (a/p) * pivot
-vector, with no division in the loop.  The field supplies three steps,
-picked once per call (``_integer_ops``): over Q a vector is scaled to a
+elimination routine behind every rank, kernel, solve and column-space
+basis; ``bottom_column_echelon``, the decomposition sweep's column
+reduction, is the one other.  Each is one loop over vectors of Python
+ints, eliminating by cross-multiplying: a vector holding a where the
+pivot vector holds p becomes a multiple of vector - (a/p) * pivot vector,
+with no division in the loop.  The field supplies three steps, picked
+once per call (``_integer_ops``): over Q a vector is scaled to a
 primitive integer vector (``_primitive``) and the content gcd is divided
-out after each elimination (``_eliminate``); over F_p the scalars are ints
-already and each elimination reduces mod p.  A finished vector is divided
-by its pivot, back into field scalars, at the end.  Products and row
-operations run inside one row operation per field,
-``field.axpy(dst, c, pairs)``, which adds c times a sparse row, given as
-its nonzero (column, value) pairs, to a dense row.  Zero tests are
-truthiness tests: a Fraction or an int is falsy exactly at zero.
+out after each elimination (``_eliminate``); over F_p the scalars are
+ints already and each elimination reduces mod p.  A finished vector is
+divided by its pivot, back into field scalars, at the end.  Products run
+inside one row operation per field, ``field.axpy(dst, c, pairs)``, which
+adds c times a sparse row, given as its nonzero (column, value) pairs, to
+a dense row.  Zero tests are truthiness tests: a Fraction or an int is
+falsy exactly at zero.
 
 ``change_basis``, the scramble's P M Q^-1 by elementary operations, runs
 on Python ints as well, picked the same way (``_common_denominator_ops``):
@@ -411,19 +411,6 @@ def column_space_basis(m: Matrix) -> Matrix:
     return Matrix.from_columns(m.field, m.nrows, [m.column(j) for j in pivots])
 
 
-def unit_complement(field, cols: Sequence[Sequence], d: int) -> list[int]:
-    """Indices i of the unit vectors e_i that a greedy scan of cols, then
-    e_0, ..., e_{d-1}, keeps: those completing a basis of the span of cols
-    to the whole d-dimensional space.  Those are the pivots at or past
-    len(cols) of the reduced [cols | I_d], less len(cols).  The scan skips
-    e_i exactly when some vector of the span has its last nonzero entry at
-    i, and those last entries are the pivots of the reduced cols with their
-    coordinates reversed, which spares eliminating the identity block."""
-    _, pivots = _row_echelon(field, [list(reversed(col)) for col in cols])
-    last = {d - 1 - p for p in pivots}
-    return [i for i in range(d) if i not in last]
-
-
 def invert(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise ValueError("not square")
@@ -471,8 +458,7 @@ def random_elementary_ops(field, n: int, rng) -> list[tuple]:
     """2n+2 seeded elementary row operations on n rows, each (op, i, k, c):
     additions with c in {+-1, +-2} over Q and any unit over F_p, swaps, and
     scalings by +-1 over Q and by any unit over F_p.  The one definition of
-    the draw behind ``random_invertible`` and ``tamerep.scramble``; n = 0
-    draws nothing."""
+    the draw behind ``tamerep.scramble``; n = 0 draws nothing."""
     if n == 0:
         return []
     if field.kind == "Q":
@@ -495,19 +481,6 @@ def random_elementary_ops(field, n: int, rng) -> list[tuple]:
         else:
             ops.append((_SCALE, i, i, unit()))
     return ops
-
-
-def apply_row_ops(field, rows: list, ops) -> None:
-    """Apply ops in order to rows, in place: rows becomes P @ rows, where P
-    is the product of the operations, which is never formed."""
-    mul = field.mul
-    for op, i, k, c in ops:
-        if op == _ADD:
-            field.axpy(rows[i], c, [(j, b) for j, b in enumerate(rows[k]) if b])
-        elif op == _SWAP:
-            rows[i], rows[k] = rows[k], rows[i]
-        else:
-            rows[i] = [mul(c, a) if a else a for a in rows[i]]
 
 
 def _common_denominator_ops(field):
@@ -579,12 +552,3 @@ def change_basis(field, rows: list, row_ops, col_ops) -> list:
             for row in ints:
                 row[i] *= c
     return from_ints(ints, den)
-
-
-def random_invertible(field, n: int, rng) -> Matrix:
-    """Seeded random invertible matrix: the operations of
-    ``random_elementary_ops`` applied to the rows of the identity, so
-    entries stay small and the result is exactly invertible."""
-    rows = Matrix.identity(field, n).copy_rows()
-    apply_row_ops(field, rows, random_elementary_ops(field, n, rng))
-    return Matrix(field, n, n, rows)

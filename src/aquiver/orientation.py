@@ -12,8 +12,9 @@ All positions are exact rationals; irrational critical points are not
 representable by design.  Each orientation also keeps its positions as
 Python ints, scaled by the lcm of their denominators, so that locate finds
 a rational among them with one divmod and one int bisect, and no Fraction
-comparison.  down_set, segment_index, segments_touching, and the junction
-and interior-critical lookups of homological and ar all go through it.
+comparison.  down_set, segment_index, segments_touching, is_critical,
+and the junction and interior-critical lookups of homological and ar all
+go through it.
 """
 
 from __future__ import annotations
@@ -101,15 +102,8 @@ class Orientation:
         direction = "ascending" if self.empty_direction == "descending" else "descending"
         return Orientation(flipped, direction)
 
-    @cached_property
-    def _kinds(self) -> dict[Fraction, Kind]:
-        return dict(self.criticals)
-
-    def kind_at(self, x) -> Optional[Kind]:
-        return self._kinds.get(Fraction(x))
-
     def is_critical(self, x) -> bool:
-        return self.kind_at(x) is not None
+        return locate(self, Fraction(x))[1]
 
     def __str__(self):
         if not self.criticals:

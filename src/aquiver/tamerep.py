@@ -19,8 +19,7 @@ from typing import Iterable, Sequence
 
 from .intervals import BarMultiset, Interval, NEG_INF, POS_INF, is_finite
 from .linalg import (Matrix, QQ, change_basis, column_space_basis, invert,
-                     kernel_basis, random_elementary_ops, solve_matrix,
-                     unit_complement)
+                     kernel_basis, random_elementary_ops, solve_matrix)
 from .orientation import Orientation, reverse
 
 DOWN = "down"
@@ -40,19 +39,6 @@ def cell_of_point(grid: Sequence[Fraction], x) -> int:
     if i > 0 and grid[i - 1] == x:
         return 2 * i - 1
     return 2 * i
-
-
-def cell_representative(grid: Sequence[Fraction], idx: int) -> Fraction:
-    m = len(grid)
-    if idx % 2 == 1:
-        return grid[(idx - 1) // 2]
-    if m == 0:
-        return Fraction(0)
-    if idx == 0:
-        return grid[0] - 1
-    if idx == 2 * m:
-        return grid[-1] + 1
-    return (grid[idx // 2 - 1] + grid[idx // 2]) / 2
 
 
 def interval_to_cells(grid: Sequence[Fraction], iv: Interval) -> tuple[int, int]:
@@ -363,8 +349,9 @@ def conjugate(v: TameRep, cell_mats: Sequence[Matrix]) -> TameRep:
 def scramble(v: TameRep, seed: int) -> TameRep:
     """Seeded random change of basis at every cell: a reproducible isomorphic
     copy with no distinguished slot structure left.  The result is
-    ``conjugate(v, [random_invertible(v.field, d, rng) for d in v.dims])``
-    with ``rng = random.Random(seed)``, but each cell's P is applied as its
+    ``conjugate(v, Ps)``, where cell c's P is the product of the operations
+    ``random_elementary_ops(v.field, v.dims[c], rng)`` draws, cell by cell
+    from ``rng = random.Random(seed)``, but each P is applied as its
     elementary operations, never formed: a junction map M becomes
     P_tgt M P_src^-1 by P_tgt's operations on M's rows, then P_src's
     inverse operations on its columns (``change_basis``).  Over Q these run
@@ -464,30 +451,3 @@ def kernel_rep(f: RepMorphism) -> tuple[TameRep, list[Matrix]]:
 def image_rep(f: RepMorphism) -> tuple[TameRep, list[Matrix]]:
     embeds = [column_space_basis(m) for m in f.mats]
     return _subrep_from_embeddings(f.cod, embeds), embeds
-
-
-def cokernel_rep(f: RepMorphism) -> tuple[TameRep, list[Matrix]]:
-    """Quotient of cod by the image; returns the quotient representation and
-    the cellwise projection matrices.  Each cell's quotient basis is the
-    images of the unit vectors that complete a basis of the image."""
-    field = f.dom.field
-    cod = f.cod
-    projs = []
-    lifts = []
-    for c in range(cod.ncells):
-        d = cod.dims[c]
-        cols = column_space_basis(f.mats[c]).columns()
-        units = Matrix.identity(field, d).columns()
-        units = [units[i] for i in unit_complement(field, cols, d)]
-        inv_b = invert(Matrix.from_columns(field, d, cols + units))
-        projs.append(Matrix(field, len(units), d, inv_b.rows[len(cols):]))
-        lifts.append(Matrix.from_columns(field, d, units))
-    # induced map on quotients: lift by the unit vectors, push through,
-    # project; any other lift differs by an image vector, which the
-    # junction map keeps in the image and the projection kills
-    maps = []
-    for j in range(len(cod.maps)):
-        src, tgt = junction_cells(cod.dirs[j], j)
-        maps.append(projs[tgt].matmul(cod.maps[j]).matmul(lifts[src]))
-    dims = [p.nrows for p in projs]
-    return TameRep(cod.orientation, field, cod.grid, dims, maps), projs

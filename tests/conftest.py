@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from aquiver.homological import _morphism_system
+from oracle import hom_basis
 from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF, is_finite
-from aquiver.linalg import rank
+from aquiver.linalg import _ADD, _SWAP, Matrix, random_elementary_ops
 from aquiver.orientation import Orientation
-from aquiver.tamerep import common_grid
+from aquiver.tamerep import RepMorphism, TameRep, dual, kernel_rep
 
 POSITIONS = [Fraction(s) for s in
              ("-2", "-3/2", "-1", "-1/2", "0", "1/2", "1", "3/2", "2", "5/2", "3")]
@@ -95,12 +95,50 @@ def interval_in_segment(rng: random.Random, o: Orientation) -> Interval:
 
 
 def dense_hom_space_dim(v, w) -> int:
-    """dim Hom(v, w) as the nullity of the commuting-square system on a
-    common grid: the reference hom_space_dim is checked against, since
+    """dim Hom(v, w) as the nullity of the oracle's commuting-square system
+    on a common grid: the reference hom_space_dim is checked against, since
     hom_space_dim itself reads the answer off decompose and hom_dim."""
-    v, w = common_grid(v, w)
-    system, _ = _morphism_system(v, w)
-    return system.ncols - rank(system)
+    return len(hom_basis(v, w))
+
+
+def dual_cokernel(f: RepMorphism) -> TameRep:
+    """(coker f)^*, with no cokernel construction: the transposes form
+    f^T: dual(f.cod) -> dual(f.dom) over the reversed orientation, which
+    RepMorphism checks commutes, and ker f^T is (coker f)^*.  An interval
+    module and its dual have the same support, so both decompose alike."""
+    f_t = RepMorphism(dual(f.cod), dual(f.dom), [m.transpose() for m in f.mats])
+    return kernel_rep(f_t)[0]
+
+
+def cell_representative(grid, idx: int) -> Fraction:
+    """A point of cell idx of the sorted grid."""
+    m = len(grid)
+    if idx % 2 == 1:
+        return grid[(idx - 1) // 2]
+    if m == 0:
+        return Fraction(0)
+    if idx == 0:
+        return grid[0] - 1
+    if idx == 2 * m:
+        return grid[-1] + 1
+    return (grid[idx // 2 - 1] + grid[idx // 2]) / 2
+
+
+def random_invertible(field, n: int, rng) -> Matrix:
+    """Seeded random invertible matrix: the operations of
+    ``random_elementary_ops`` applied in order to the rows of the identity,
+    so entries stay small and the result is exactly invertible.  The P of
+    the scramble parity reference: ``scramble(v, seed)`` equals conjugating
+    v by one such P per cell, drawn in cell order from Random(seed)."""
+    rows = Matrix.identity(field, n).copy_rows()
+    for op, i, k, c in random_elementary_ops(field, n, rng):
+        if op == _ADD:
+            field.axpy(rows[i], c, [(j, b) for j, b in enumerate(rows[k]) if b])
+        elif op == _SWAP:
+            rows[i], rows[k] = rows[k], rows[i]
+        else:
+            rows[i] = [field.mul(c, a) if a else a for a in rows[i]]
+    return Matrix(field, n, n, rows)
 
 
 @pytest.fixture

@@ -1,11 +1,16 @@
-"""Independent reference decomposer used to cross-check the sweep.
+"""Independent references: a decomposer that cross-checks the sweep, and
+the dense Hom space that hom_space_dim is checked against.
 
-Finds split idempotents by analyzing the endomorphism algebra directly:
-first Fitting splittings along each basis endomorphism, then (over F_2) an
-exhaustive scan of the whole algebra for an idempotent.  A summand with no
+hom_basis solves the commuting-square equations between two
+representations from scratch; it is the one such system in the project,
+since the library reads Hom off barcodes.  The decomposer finds split
+idempotents by analyzing the endomorphism algebra directly: first Fitting
+splittings along each basis endomorphism, then (over F_2) an exhaustive
+scan of the whole algebra for an idempotent.  A summand with no
 nontrivial idempotent is verified to be pointwise one-dimensional with
-connected support and nonzero in-support maps, and contributes its support
-interval.  No code from the sweep decomposer is involved.
+connected support and nonzero in-support maps, and contributes its
+support interval.  No code from the sweep decomposer, nor from the
+interval-level Hom rules, is involved.
 """
 
 from __future__ import annotations
@@ -17,34 +22,37 @@ from aquiver.intervals import BarMultiset
 from aquiver.linalg import Matrix, PrimeField, kernel_basis
 from aquiver.orientation import Orientation
 from aquiver.tamerep import (DOWN, UP, RepMorphism, TameRep, cells_to_interval,
-                             image_rep, kernel_rep)
+                             common_grid, image_rep, kernel_rep)
 
 F2 = PrimeField(2)
 
 
-def end_basis(v: TameRep) -> list[RepMorphism]:
-    """Basis of the endomorphism algebra, by solving the commuting-square
-    equations from scratch."""
+def hom_basis(v: TameRep, w: TameRep) -> list[RepMorphism]:
+    """Basis of the morphisms v -> w, by solving the commuting-square
+    equations from scratch on a common grid: cellwise X_c: v_c -> w_c with
+    X_tgt v_j = w_j X_src at every junction j.  The unknowns are the
+    entries of X_0, X_1, ... row by row."""
+    v, w = common_grid(v, w)
     field = v.field
     offs, total = [], 0
     for c in range(v.ncells):
         offs.append(total)
-        total += v.dims[c] * v.dims[c]
+        total += w.dims[c] * v.dims[c]
     rows = []
     z = field.zero()
-    for j, m in enumerate(v.maps):
+    for j, (mv, mw) in enumerate(zip(v.maps, w.maps)):
         d = v.dirs[j]
         src, tgt = (j + 1, j) if d == DOWN else (j, j + 1)
-        for r in range(v.dims[tgt]):
+        for r in range(w.dims[tgt]):
             for cc in range(v.dims[src]):
                 row = [z] * total
                 for s in range(v.dims[tgt]):
-                    coef = m.rows[s][cc]
+                    coef = mv.rows[s][cc]
                     if coef != z:
                         idx = offs[tgt] + r * v.dims[tgt] + s
                         row[idx] = field.add(row[idx], coef)
-                for s in range(v.dims[src]):
-                    coef = m.rows[r][s]
+                for s in range(w.dims[src]):
+                    coef = mw.rows[r][s]
                     if coef != z:
                         idx = offs[src] + s * v.dims[src] + cc
                         row[idx] = field.sub(row[idx], coef)
@@ -54,12 +62,12 @@ def end_basis(v: TameRep) -> list[RepMorphism]:
     for col in ker.columns():
         mats = []
         for c in range(v.ncells):
-            n = v.dims[c]
+            nr, nc = w.dims[c], v.dims[c]
             base = offs[c]
-            mats.append(Matrix(field, n, n,
-                               [[col[base + r * n + s] for s in range(n)]
-                                for r in range(n)]))
-        out.append(RepMorphism(v, v, mats, validate=False))
+            mats.append(Matrix(field, nr, nc,
+                               [[col[base + r * nc + s] for s in range(nc)]
+                                for r in range(nr)]))
+        out.append(RepMorphism(v, w, mats, validate=False))
     return out
 
 
@@ -68,7 +76,7 @@ def _is_identity(phi: RepMorphism) -> bool:
 
 
 def _split_once(v: TameRep) -> tuple[TameRep, TameRep] | None:
-    basis = end_basis(v)
+    basis = hom_basis(v, v)  # the endomorphism algebra
     n = v.total_dim()
     for phi in basis:
         psi = phi.power(n)

@@ -9,9 +9,22 @@ pulls the survivors one by one and completes the newborns separately.
 from dataclasses import dataclass, field as dc_field
 
 from aquiver.decompose import InternalInvariantError
-from aquiver.linalg import (Matrix, bottom_column_echelon, column_space_basis,
-                            kernel_basis, solve_matrix, unit_complement)
+from aquiver.linalg import (Matrix, _row_echelon, bottom_column_echelon,
+                            column_space_basis, kernel_basis, solve_matrix)
 from aquiver.tamerep import DOWN
+
+
+def unit_complement(field, cols, d: int) -> list[int]:
+    """Indices i of the unit vectors e_i that a greedy scan of cols, then
+    e_0, ..., e_{d-1}, keeps: those completing a basis of the span of cols
+    to the whole d-dimensional space.  Those are the pivots at or past
+    len(cols) of the reduced [cols | I_d], less len(cols).  The scan skips
+    e_i exactly when some vector of the span has its last nonzero entry at
+    i, and those last entries are the pivots of the reduced cols with their
+    coordinates reversed, which spares eliminating the identity block."""
+    _, pivots = _row_echelon(field, [list(reversed(col)) for col in cols])
+    last = {d - 1 - p for p in pivots}
+    return [i for i in range(d) if i not in last]
 
 
 @dataclass

@@ -14,19 +14,19 @@ from click.testing import CliRunner
 
 from conftest import (dense_hom_space_dim, interval_in_segment, random_bars,
                       random_interval, random_orientation)
-from oracle import enumerate_f2_instances, oracle_decompose
+from oracle import enumerate_f2_instances, hom_basis, oracle_decompose
 from aquiver.ar import EXISTS, PROVEN_NONEXISTENT, ar_ending_at, standard_probes, verify_almost_split
 from aquiver.cli import main as cli_main
 from aquiver.decompose import decompose, iso
 from aquiver.homological import (ProjectiveLabel, OPEN_LEFT, OPEN_RIGHT, POINT,
-                                 ext_dim, hom_basis, hom_dim,
+                                 ext_dim, hom_dim,
                                  injective_composites_criterion,
                                  is_projective_rep, kernel_of_projective_map,
                                  proj_presentation, realize_projective)
 from aquiver.intervals import BarMultiset, Interval
 from aquiver.linalg import Matrix, PrimeField, QQ, rank
 from aquiver.orientation import Orientation, segment_index
-from aquiver.tamerep import RepMorphism, cokernel_rep, dual, from_bars, scramble
+from aquiver.tamerep import RepMorphism, dual, from_bars, scramble
 
 HERE = os.path.dirname(__file__)
 F5 = PrimeField(5)

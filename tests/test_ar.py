@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import interval_in_segment, random_interval, random_orientation
+from oracle import hom_basis
 from aquiver.ar import (ARAnswer, EXISTS, OUT_OF_PAPER_SCOPE,
                         PROVEN_NONEXISTENT, _realize_sequence, ar_ending_at,
                         ar_starting_at, standard_probes, verify_almost_split)
 from aquiver.decompose import decompose
-from aquiver.homological import hom_basis, hom_dim
+from aquiver.homological import hom_dim
 from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF
 from aquiver.linalg import Matrix, PrimeField, QQ, rank
 from aquiver.orientation import Orientation, segment_index

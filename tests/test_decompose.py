@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_bars, random_orientation
+from conftest import cell_representative, random_bars, random_orientation
 from oracle import enumerate_f2_instances, oracle_decompose
 from sweep_reference import reference_cell_bars
 from aquiver import linalg
@@ -145,7 +145,6 @@ def test_conservation_of_dimension(rng):
         v = scramble(from_bars(o, b), 8)
         got = decompose(v)
         for c in range(v.ncells):
-            from aquiver.tamerep import cell_representative
             x = cell_representative(v.grid, c)
             covering = sum(m for iv, m in got if iv.contains(x))
             assert covering == v.dims[c]

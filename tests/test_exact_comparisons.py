@@ -82,6 +82,7 @@ def test_locate_and_segment_lookups_match_bisection():
         for a in quarters + _points(o):
             i, critical = reference_locate(o, a)
             assert locate(o, a) == (i, critical), (o, a)
+            assert o.is_critical(a) == (a in o.positions), (o, a)
             assert segment_index(o, a) == o.segments[i], (o, a)
             touching = list(o.segments[i - 1:i + 1]) if critical else [o.segments[i]]
             assert segments_touching(o, a) == touching, (o, a)

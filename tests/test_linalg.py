@@ -4,10 +4,11 @@ from math import gcd
 
 import pytest
 
+from conftest import random_invertible
+from sweep_reference import unit_complement
 from aquiver.linalg import (MAX_PRIME, Matrix, PrimeField, QQ, _row_echelon,
                             bottom_column_echelon, column_space_basis, invert,
-                            kernel_basis, random_invertible, rank,
-                            solve_linear_system, solve_matrix, unit_complement)
+                            kernel_basis, rank, solve_linear_system, solve_matrix)
 
 F5 = PrimeField(5)
 

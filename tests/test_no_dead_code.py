@@ -14,9 +14,9 @@ aquiver.__all__, or is one of the few that only tests call, each listed
 with a test that needs it, and every test the list cites exists.  Every
 name a library module imports at top level is read in that module, except
 in __init__.py, which re-exports.  No library module imports an
-underscore name from another.  Every name the benchmark's tracer wraps
-exists, and importing aquiver.cli loads every module the benchmark
-reaches into.
+underscore name from another.  tests/oracle.py imports nothing from the
+code it checks.  Every name the benchmark's tracer wraps exists, and
+importing aquiver.cli loads every module the benchmark reaches into.
 """
 
 import ast
@@ -83,14 +83,10 @@ def test_every_library_function_and_class_has_a_use():
 
 # Library names that no library code calls, with a test that needs each.
 TEST_ONLY = {
-    "cell_representative": "test_tamerep.py::test_refine_and_refine_morphism_match_cell_reference",
-    "cokernel_rep": "test_homological.py::test_presentation_random",
     "dim_at": "test_tamerep.py::test_from_bars_overlap_count",
     "from_rows": "test_linalg.py::test_rank_examples",
-    "hom_basis": "test_ar.py::test_count_matches_rank_of_induced_hom_maps",
     "image_rep": "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",
     "power": "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",
-    "random_invertible": "test_tamerep.py::test_scramble_equals_conjugate_by_random_invertible",
     "scale": "test_acceptance.py::test_criterion_9_hereditary_kernels",
     "solve_linear_system": "test_linalg.py::test_solve_examples; bench/tracing.py wraps it",
     "sub": "test_linalg.py::test_row_echelon_matches_textbook (textbook_rref); "
@@ -152,6 +148,24 @@ def test_no_private_name_crosses_modules():
                and (node.level or (node.module or "").split(".")[0] == "aquiver")
                for alias in node.names if alias.name.startswith("_")]
     assert not private, f"imports a private name of another module: {', '.join(private)}"
+
+
+def test_oracle_imports_nothing_it_checks():
+    # tests/oracle.py is the reference both decompose and hom_space_dim are
+    # checked against, so it must not reach the sweep, the interval-level
+    # Hom rules or the AR code, nor the package root, which re-exports
+    # decompose
+    checked = {"aquiver", "aquiver.decompose", "aquiver.homological", "aquiver.ar"}
+    tree = ast.parse((ROOT / "tests" / "oracle.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+            imported |= {f"{node.module}.{a.name}" for a in node.names}
+    assert any(m.startswith("aquiver.") for m in imported), "no library import seen"
+    assert not imported & checked, f"oracle.py imports {', '.join(sorted(imported & checked))}"
 
 
 def test_every_traced_name_resolves():
