@@ -12,20 +12,40 @@ map M is read in those coordinates by one column reduction
 (``bottom_column_echelon``), in which a line absorbs only earlier lines,
 the moves the block order allows.  Forward, the columns of MA: a line
 whose column reduces to zero dies, the others push forward as their
-images, and the unit vectors at no column's pivot row are born last.
-Backward, the columns [e_k ; B e_k] with B = A^-1 M from one solve: a
+reduced columns (M applied to the line after its absorptions), and the
+unit vectors at no column's pivot row are born last.  Backward, the
+columns [e_k ; B e_k] with B = A^-1 M from one elimination of [A | M]: a
 column whose pivot lies in B's part keeps that line alive, with its
 e-part as a preimage, and the lines no column reaches die; the e-parts of
 the columns with no pivot in B's part span ker M and are born first.  The
 multiset of (birth, death) cell ranges that falls out is the barcode,
 whatever bases the reduction picks: the incremental compatible-basis form
 of zigzag persistence (Carlsson and de Silva, 2010).
+
+The sweep runs on Python ints from the first cell to the last; it builds
+no Fraction and no Matrix.  Each junction map is read once as integer
+rows times one nonzero scalar (``integer_rows``): over Q the lcm of its
+denominators, over F_p 1.  Each line is an integer vector (over F_p with
+entries in range(p)), and the integer elimination loops
+(``integer_row_echelon``, ``bottom_column_echelon``) leave every vector a
+nonzero multiple of the one field arithmetic would give.  Backward, B is
+never divided out: column k of [I ; B] is scaled to ints, over Q by the
+lcm L of the pivots of the eliminated [A | M] (L e_k over (L / pivot_r)
+times row r's entry), over F_p by the pivot inverses.  No bar moves.  A
+nonzero multiple of M has the kernel, the image and the column-reduction
+pivots of M, so each junction reads the same ranks; equally, scaling each
+map by its own scalar gives an isomorphic representation, since a zigzag
+is a tree.  A line scaled by a nonzero scalar is the same line, and
+scaling single lines keeps the basis block-triangular, so each line is
+born, absorbed and dies exactly where its unscaled form would be.
 """
 
 from __future__ import annotations
 
+from math import lcm
+
 from .intervals import BarMultiset, Interval
-from .linalg import Matrix, bottom_column_echelon, solve_matrix
+from .linalg import bottom_column_echelon, integer_row_echelon, integer_rows
 from .tamerep import DOWN, TameRep, cells_to_interval
 
 
@@ -37,10 +57,12 @@ def _cell_bars(v: TameRep) -> list[tuple[int, int]]:
     """The (birth_cell, death_cell) multiset of the sweep."""
     field = v.field
     dead: list[tuple[int, int]] = []
-    lines = [(0, vec) for vec in Matrix.identity(field, v.dims[0]).columns()]
+    lines = [(0, _unit(v.dims[0], i)) for i in range(v.dims[0])]
     for j in range(v.ncells - 1):
         fwd = v.dirs[j] != DOWN
-        nxt, born = _step(field, [vec for _, vec in lines], v.maps[j], fwd)
+        rows, _ = integer_rows(field, v.maps[j].rows)
+        step = _forward if fwd else _backward
+        nxt, born = step(field, [vec for _, vec in lines], rows, v.dims[j + 1])
         kept = []
         for (birth, _), vec in zip(lines, nxt):
             if vec is None:
@@ -53,24 +75,62 @@ def _cell_bars(v: TameRep) -> list[tuple[int, int]]:
     return dead
 
 
-def _step(field, vecs, mat, fwd):
-    """Read the junction map mat in the coordinates of the alive lines vecs:
-    each line's vector in the next cell (None where the line dies) and the
-    vectors of the lines born there."""
-    d_here, d_next = (mat.ncols, mat.nrows) if fwd else (mat.nrows, mat.ncols)
-    alive = Matrix.from_columns(field, d_here, vecs)
-    units = Matrix.identity(field, d_next).columns()
-    if fwd:
-        images = mat.matmul(alive).columns()
-        lows = bottom_column_echelon(field, [list(col) for col in images])
-        taken = set(lows)
-        return ([col if low != -1 else None for col, low in zip(images, lows)],
-                [units[i] for i in range(d_next) if i not in taken])
-    coords = solve_matrix(alive, mat)
-    if coords is None:
+def _unit(d: int, i: int, c: int = 1) -> list:
+    """c times the i-th unit vector of length d."""
+    vec = [0] * d
+    vec[i] = c
+    return vec
+
+
+def _mod_p(field, vecs: list) -> list:
+    """The integer vectors with entries reduced mod p over F_p; over Q as
+    they are."""
+    if field.kind == "Q":
+        return vecs
+    p = field.p
+    return [[x % p for x in vec] for vec in vecs]
+
+
+def _forward(field, vecs, rows, d_next):
+    """The junction map, given by its integer rows, read in the coordinates
+    of the alive lines vecs: each line's vector in the next cell (None
+    where the line dies) and the vectors of the lines born there."""
+    cols = list(zip(*rows))
+    images = []
+    for vec in vecs:
+        image = [0] * d_next
+        for x, col in zip(vec, cols):
+            if x:
+                image = [y + x * a for y, a in zip(image, col)]
+        images.append(image)
+    images = _mod_p(field, images)
+    lows = bottom_column_echelon(field, images)
+    taken = set(lows)
+    return ([col if low != -1 else None for col, low in zip(images, lows)],
+            [_unit(d_next, i) for i in range(d_next) if i not in taken])
+
+
+def _backward(field, vecs, rows, d_next):
+    """As ``_forward``, for a junction map into this cell from the next,
+    through B = A^-1 M from one elimination of [A | M], where A has the
+    columns vecs."""
+    n = len(rows)
+    aug = [[vec[i] for vec in vecs] + row for i, row in enumerate(rows)]
+    ech, pivots = integer_row_echelon(field, aug)
+    if len(vecs) != n or pivots != list(range(n)):
         raise InternalInvariantError("alive vectors stopped spanning the cell")
-    nxt, born = [None] * len(vecs), []
-    cols = [e + b for e, b in zip(units, coords.columns())]
+    # B[r][k] is ech[r][n + k] / ech[r][r]; column k of [I ; B] is taken
+    # times scale, with factors[r] = scale / ech[r][r]
+    if field.kind == "Q":
+        scale = lcm(*(row[r] for r, row in enumerate(ech)))
+        factors = [scale // row[r] for r, row in enumerate(ech)]
+    else:
+        scale = 1
+        factors = [field.inv(row[r]) for r, row in enumerate(ech)]
+    cols = [_unit(d_next, k, scale) + [f * row[n + k] for f, row in zip(factors, ech)]
+            for k in range(d_next)]
+    cols = _mod_p(field, cols)
+    nxt, born = [None] * n, []
     for col, low in zip(cols, bottom_column_echelon(field, cols)):
         if low >= d_next:
             nxt[low - d_next] = col[:d_next]

@@ -2,29 +2,33 @@
 
 Everything here is bit-exact: rationals are ``fractions.Fraction`` and
 prime-field elements are ints in ``range(p)``.  No floating point enters
-anywhere.  Matrices are dense row lists.  ``_row_echelon`` is the one
-elimination routine behind every rank, kernel, solve and column-space
-basis; ``bottom_column_echelon``, the decomposition sweep's column
-reduction, is the one other.  Each is one loop over vectors of Python
-ints, eliminating by cross-multiplying: a vector holding a where the
-pivot vector holds p becomes a multiple of vector - (a/p) * pivot vector,
-with no division in the loop.  The field supplies three steps, picked
-once per call (``_integer_ops``): over Q a vector is scaled to a
-primitive integer vector (``_primitive``) and the content gcd is divided
-out after each elimination (``_eliminate``); over F_p the scalars are
-ints already and each elimination reduces mod p.  A finished vector is
-divided by its pivot, back into field scalars, at the end.  Products run
-inside one row operation per field, ``field.axpy(dst, c, pairs)``, which
-adds c times a sparse row, given as its nonzero (column, value) pairs, to
-a dense row.  Zero tests are truthiness tests: a Fraction or an int is
-falsy exactly at zero.
+anywhere.  Matrices are dense row lists.  ``integer_row_echelon`` is the
+one elimination loop: ``_row_echelon`` wraps it for rows of field scalars,
+behind every rank, kernel, solve and column-space basis, and the
+decomposition sweep calls it on integer rows.  ``bottom_column_echelon``,
+the sweep's column reduction, is the one other loop, and it too takes
+integer columns.  Each loop runs over vectors of Python ints, eliminating
+by cross-multiplying: a vector holding a where the pivot vector holds p
+becomes a multiple of vector - (a/p) * pivot vector, with no division in
+the loop.  The field supplies three steps, picked once per call
+(``_integer_ops``): over Q a vector is scaled to a primitive integer
+vector (``_primitive``) and the content gcd is divided out after each
+elimination (``_eliminate``); over F_p the scalars are ints already and
+each elimination reduces mod p.  ``_row_echelon`` divides each finished
+row by its pivot, back into field scalars, at the end; the integer forms
+leave every vector a nonzero multiple of the textbook one, with the same
+span, pivots and zeros.  ``integer_rows`` reads a matrix as integer rows
+times one nonzero scalar.  Products run inside one row operation per
+field, ``field.axpy(dst, c, pairs)``, which adds c times a sparse row,
+given as its nonzero (column, value) pairs, to a dense row.  Zero tests
+are truthiness tests: a Fraction or an int is falsy exactly at zero.
 
 ``change_basis``, the scramble's P M Q^-1 by elementary operations, runs
-on Python ints as well, picked the same way (``_common_denominator_ops``):
-over Q the matrix is multiplied by the lcm of its denominators, the drawn
-operations (adds by +-1 or +-2, swaps, scalings by +-1) keep it integral,
-and it is divided by that lcm once at the end; over F_p the ints are
-reduced mod p once at the end.
+on Python ints as well: over Q the matrix is multiplied by the lcm of its
+denominators (``integer_rows``), the drawn operations (adds by +-1 or +-2,
+swaps, scalings by +-1) keep it integral, and it is divided by that lcm
+once at the end; over F_p the ints are reduced mod p once at the end
+(``_common_denominator_ops``).
 """
 
 from __future__ import annotations
@@ -216,9 +220,6 @@ class Matrix:
     def column(self, j: int) -> list:
         return [r[j] for r in self.rows]
 
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.ncols)]
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.ncols, self.nrows,
                       [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
@@ -266,17 +267,20 @@ class Matrix:
 _ZERO = Fraction(0)
 
 
+def _content_free(row: list) -> list:
+    """The integer row divided by its content gcd: primitive (or all zero)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _primitive(row: list) -> list:
     """row (Fractions or ints) scaled by a nonzero rational to a primitive
     integer row, one of Python ints with content gcd 1 (or all zero)."""
     dens = [x.denominator for x in row]
     den = lcm(*dens)
     if den == 1:
-        irow = [x.numerator for x in row]
-    else:
-        irow = [x.numerator * (den // d) for x, d in zip(row, dens)]
-    g = gcd(*irow)
-    return [x // g for x in irow] if g > 1 else irow
+        return _content_free([x.numerator for x in row])
+    return _content_free([x.numerator * (den // d) for x, d in zip(row, dens)])
 
 
 def _eliminate(row: list, prow: list, a: int, p: int) -> list:
@@ -285,9 +289,7 @@ def _eliminate(row: list, prow: list, a: int, p: int) -> list:
     scalar, so that an entry where row holds a and prow holds p becomes 0."""
     g = gcd(p, a)
     pg, ag = p // g, a // g
-    row = [pg * x - ag * y for x, y in zip(row, prow)]
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+    return _content_free([pg * x - ag * y for x, y in zip(row, prow)])
 
 
 def _from_primitive(row: list, pivot: int) -> list:
@@ -320,16 +322,17 @@ def _integer_ops(field):
     return list, eliminate, from_ints
 
 
-def _row_echelon(field, rows: list) -> tuple[list, list]:
-    """Reduced row echelon form of rows; returns (rows, pivot column list).
-    The rows are reduced as integer rows (``_integer_ops``): eliminating
-    with pivot p replaces a row holding a by a multiple of row - (a/p) *
-    pivot row, and the pivot rows are divided by their pivots at the end.
-    The reduced form is unique, so it equals the textbook one."""
-    to_ints, eliminate, from_ints = _integer_ops(field)
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    ints = [to_ints(row) for row in rows]
+def integer_row_echelon(field, ints: list) -> tuple[list, list]:
+    """The one elimination loop: integer rows (``integer_rows``; over F_p
+    in range(p)) reduced in place to a reduced row echelon form up to one
+    nonzero scalar per row; returns (rows, pivot column list).  Row r holds
+    a nonzero entry, not normalized, at pivot column r, and zeros at the
+    other pivot columns; the rows past the pivots are zero.  Eliminating
+    with pivot p replaces a row holding a by a nonzero multiple of row -
+    (a/p) * pivot row (``_integer_ops``), so no division enters the loop."""
+    _, eliminate, _ = _integer_ops(field)
+    nrows = len(ints)
+    ncols = len(ints[0]) if ints else 0
     pivots = []
     r = 0
     for c in range(ncols):
@@ -347,9 +350,20 @@ def _row_echelon(field, rows: list) -> tuple[list, list]:
         r += 1
         if r == nrows:
             break
+    return ints, pivots
+
+
+def _row_echelon(field, rows: list) -> tuple[list, list]:
+    """Reduced row echelon form of rows; returns (rows, pivot column list).
+    The rows are reduced as integer rows by ``integer_row_echelon`` and the
+    pivot rows divided by their pivots at the end (``_integer_ops``).  The
+    reduced form is unique, so it equals the textbook one."""
+    to_ints, _, from_ints = _integer_ops(field)
+    ints, pivots = integer_row_echelon(field, [to_ints(row) for row in rows])
     out = [from_ints(row, row[c]) for row, c in zip(ints, pivots)]
     z = field.zero()
-    out.extend([z] * ncols for _ in range(nrows - r))
+    ncols = len(rows[0]) if rows else 0
+    out.extend([z] * ncols for _ in range(len(rows) - len(pivots)))
     return out, pivots
 
 
@@ -421,31 +435,38 @@ def invert(m: Matrix) -> Matrix:
 
 
 def _last_nonzero(col: list) -> int:
-    return next((i for i in range(len(col) - 1, -1, -1) if col[i]), -1)
+    for i in range(len(col) - 1, -1, -1):
+        if col[i]:
+            return i
+    return -1
 
 
 def bottom_column_echelon(field, cols: list) -> list[int]:
-    """Column-reduce (in place), left to right, so that each column has a
-    distinct lowest nonzero row, there equal to one; returns the list of
-    those pivot rows (parallel to cols).  A column in the span of the
-    earlier ones reduces to zero and gets pivot -1.  The columns are reduced
-    as integer columns (``_integer_ops``) and divided by their pivots at the
-    end; each integer column is a nonzero multiple of the column that
-    subtracting unit-pivot columns gives, so the result is that column."""
-    to_ints, eliminate, from_ints = _integer_ops(field)
-    used: dict[int, list] = {}  # pivot row -> its integer column
+    """Column-reduce integer columns in place, left to right, so that each
+    has a distinct lowest nonzero row; returns the list of those pivot rows
+    (parallel to cols).  A column in the span of the earlier ones reduces
+    to zero and gets pivot -1.  The columns hold Python ints: over Q any
+    ints, whose content gcd is divided out on entry, over F_p ints in
+    range(p).  Eliminating (``_integer_ops``) replaces a column holding a
+    at an earlier column's pivot p by a nonzero multiple of column - (a/p)
+    * earlier column, so each reduced column is a nonzero multiple of the
+    one the textbook reduction, with pivots normalized to 1, gives; the
+    pivot entries are left as they fall."""
+    _, eliminate, _ = _integer_ops(field)
+    rational = field.kind == "Q"
+    used: dict[int, list] = {}  # pivot row -> its reduced column
     pivots = [-1] * len(cols)
     for j, col in enumerate(cols):
-        icol = to_ints(col)
-        p = 1
+        icol = _content_free(col) if rational else col
         while (low := _last_nonzero(icol)) != -1:
             if low not in used:
                 used[low] = icol
-                pivots[j], p = low, icol[low]
+                pivots[j] = low
                 break
             prow = used[low]
             icol = eliminate(icol, prow, icol[low], prow[low])
-        col[:] = from_ints(icol, p)
+        if icol is not col:
+            col[:] = icol
     return pivots
 
 
@@ -483,33 +504,38 @@ def random_elementary_ops(field, n: int, rng) -> list[tuple]:
     return ops
 
 
-def _common_denominator_ops(field):
-    """(to_ints, inverse, from_ints), the field's part of ``change_basis``:
-    to_ints(rows) returns (den * rows as ints, den); inverse(c) is an int
-    undoing a scaling by c; from_ints(ints, den) divides by den, back into
-    field scalars.  Over Q den is the lcm of the denominators, a scaling
-    (by +-1) is its own inverse, and one Fraction is built per distinct int.
-    Over F_p den is 1, a scaling is inverted mod p, and each entry is
-    reduced mod p."""
-    if field.kind == "Q":
-        return _to_common_denominator, int, _over_denominator
-    p = field.p
-
-    def to_ints(rows):
+def integer_rows(field, rows) -> tuple[list, int]:
+    """(ints, den): den times the rows, as new lists of Python ints, for a
+    nonzero scalar den.  Over Q den is the lcm of the denominators, and
+    each entry is read once, by ``as_integer_ratio()``; over F_p den is 1
+    and the ints are the entries.  A nonzero multiple of a matrix has its
+    kernel, its image and its column-reduction pivots, which is all the
+    decomposition sweep reads of a junction map; ``change_basis`` divides
+    den out again at the end."""
+    if field.kind != "Q":
         return [list(row) for row in rows], 1
-
-    def from_ints(rows, den):
-        return [[x % p for x in row] for row in rows]
-
-    return to_ints, field.inv, from_ints
-
-
-def _to_common_denominator(rows: list) -> tuple[list, int]:
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     den = lcm(*{d for row in ratios for _, d in row})
     if den == 1:
         return [[n for n, _ in row] for row in ratios], 1
     return [[n * (den // d) for n, d in row] for row in ratios], den
+
+
+def _common_denominator_ops(field):
+    """(inverse, from_ints), the field's part of ``change_basis`` around
+    ``integer_rows``: inverse(c) is an int undoing a scaling by c;
+    from_ints(ints, den) divides by den, back into field scalars.  Over Q a
+    scaling (by +-1) is its own inverse, and one Fraction is built per
+    distinct int.  Over F_p a scaling is inverted mod p, and each entry is
+    reduced mod p."""
+    if field.kind == "Q":
+        return int, _over_denominator
+    p = field.p
+
+    def from_ints(rows, den):
+        return [[x % p for x in row] for row in rows]
+
+    return field.inv, from_ints
 
 
 def _over_denominator(rows: list, den: int) -> list:
@@ -523,12 +549,13 @@ def change_basis(field, rows: list, row_ops, col_ops) -> list:
     product is formed.  The row operations act in order, then the inverses
     of the column operations, which on the right act in the original order
     (col_k -= c * col_i, the swap, col_i *= 1/c).  They act on rows times a
-    common denominator, as Python ints (``_common_denominator_ops``), which
-    is divided out once at the end.  Over Q that is exact because the adds
-    are by +-1 or +-2 and the scalings by +-1: every coefficient and every
-    inverse is an int, so the scaled matrix stays integral."""
-    to_ints, inverse, from_ints = _common_denominator_ops(field)
-    ints, den = to_ints(rows)
+    common denominator, as Python ints (``integer_rows``), which is divided
+    out once at the end (``_common_denominator_ops``).  Over Q that is exact
+    because the adds are by +-1 or +-2 and the scalings by +-1: every
+    coefficient and every inverse is an int, so the scaled matrix stays
+    integral."""
+    inverse, from_ints = _common_denominator_ops(field)
+    ints, den = integer_rows(field, rows)
     for op, i, k, c in row_ops:
         if op == _ADD:
             c = int(c)

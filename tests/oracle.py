@@ -59,7 +59,7 @@ def hom_basis(v: TameRep, w: TameRep) -> list[RepMorphism]:
                 rows.append(row)
     ker = kernel_basis(Matrix(field, len(rows), total, rows))
     out = []
-    for col in ker.columns():
+    for col in (ker.column(j) for j in range(ker.ncols)):
         mats = []
         for c in range(v.ncells):
             nr, nc = w.dims[c], v.dims[c]

@@ -4,13 +4,16 @@ kernel (forward) or image (backward) of the junction map, computed as a
 subspace of the cell and solved into alive coordinates, then pushes or
 pulls the survivors one by one and completes the newborns separately.
 ``decompose._cell_bars`` must return the same (birth, death) multiset.
+It holds field scalars throughout, and it reduces columns with its own
+textbook loop (``textbook_column_reduction``), not with the integer
+``bottom_column_echelon`` that the sweep under test relies on.
 """
 
 from dataclasses import dataclass, field as dc_field
 
 from aquiver.decompose import InternalInvariantError
-from aquiver.linalg import (Matrix, _row_echelon, bottom_column_echelon,
-                            column_space_basis, kernel_basis, solve_matrix)
+from aquiver.linalg import (Matrix, _row_echelon, column_space_basis, kernel_basis,
+                            solve_matrix)
 from aquiver.tamerep import DOWN
 
 
@@ -25,6 +28,29 @@ def unit_complement(field, cols, d: int) -> list[int]:
     _, pivots = _row_echelon(field, [list(reversed(col)) for col in cols])
     last = {d - 1 - p for p in pivots}
     return [i for i in range(d) if i not in last]
+
+
+def textbook_column_reduction(field, cols) -> list[int]:
+    """Column-reduce cols in place, left to right, in field operations:
+    while a column's lowest nonzero entry sits at an earlier column's
+    pivot, subtract that multiple of the earlier (unit-pivot) column, then
+    divide by the pivot.  Returns the pivot rows, -1 for a column that
+    reduces to zero."""
+    used, pivots = {}, []
+    for col in cols:
+        while (low := max((i for i, x in enumerate(col) if x), default=-1)) in used:
+            c = col[low]
+            col[:] = [field.sub(x, field.mul(c, y)) for x, y in zip(col, used[low])]
+        if low != -1:
+            inv = field.inv(col[low])
+            col[:] = [field.mul(inv, x) for x in col]
+            used[low] = col
+        pivots.append(low)
+    return pivots
+
+
+def columns(m):
+    return [m.column(j) for j in range(m.ncols)]
 
 
 @dataclass
@@ -46,7 +72,7 @@ def reference_cell_bars(v):
     blocks = []
     d0 = v.dims[0]
     if d0:
-        blocks.append(_Block(0, Matrix.identity(field, d0).columns()))
+        blocks.append(_Block(0, columns(Matrix.identity(field, d0))))
     for j in range(n - 1):
         fwd = v.dirs[j] != DOWN
         mat = v.maps[j]
@@ -75,8 +101,8 @@ def _step(field, blocks, mat, fwd, sub, d_here, d_next, j):
         coords_mat = solve_matrix(alive_mat, sub)
         if coords_mat is None:
             raise InternalInvariantError("alive vectors stopped spanning the cell")
-        coords = coords_mat.columns()
-        pivots = bottom_column_echelon(field, coords) if coords else []
+        coords = columns(coords_mat)
+        pivots = textbook_column_reduction(field, coords)
         assert -1 not in pivots  # the coordinates of a basis are independent
         in_sub = {piv: _apply(alive_mat, col) for col, piv in zip(coords, pivots)}
         row_block = []
@@ -99,7 +125,7 @@ def _step(field, blocks, mat, fwd, sub, d_here, d_next, j):
             pre = solve_matrix(mat, rhs)
             if pre is None:
                 raise InternalInvariantError("image vector lost its preimage")
-            pushed = pre.columns()
+            pushed = columns(pre)
         survivors = {}
         for (bi, _), nxt in zip(surviving, pushed):
             survivors.setdefault(bi, []).append(nxt)
@@ -109,12 +135,12 @@ def _step(field, blocks, mat, fwd, sub, d_here, d_next, j):
     # newborns: cokernel directions (forward) / kernel directions (backward)
     if fwd:
         alive = [vec for b in new_blocks for vec in b.vectors]
-        units = Matrix.identity(field, d_next).columns()
+        units = columns(Matrix.identity(field, d_next))
         born = [units[i] for i in unit_complement(field, alive, d_next)]
         if born:
             new_blocks.append(_Block(j + 1, born))
     else:
-        ker = kernel_basis(mat).columns()
+        ker = columns(kernel_basis(mat))
         if ker:
             new_blocks.insert(0, _Block(j + 1, ker))
     return new_blocks, dead

@@ -5,12 +5,11 @@ import pytest
 
 from conftest import interval_in_segment, random_interval, random_orientation
 from oracle import hom_basis
-from aquiver.ar import (ARAnswer, EXISTS, OUT_OF_PAPER_SCOPE,
-                        PROVEN_NONEXISTENT, _realize_sequence, ar_ending_at,
-                        ar_starting_at, standard_probes, verify_almost_split)
+from aquiver.ar import (EXISTS, OUT_OF_PAPER_SCOPE, PROVEN_NONEXISTENT, _realize_sequence,
+                        ar_ending_at, ar_starting_at, standard_probes, verify_almost_split)
 from aquiver.decompose import decompose
 from aquiver.homological import hom_dim
-from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF
+from aquiver.intervals import BarMultiset, Interval, POS_INF
 from aquiver.linalg import Matrix, PrimeField, QQ, rank
 from aquiver.orientation import Orientation, segment_index
 from aquiver.tamerep import RepMorphism, from_bars, refine, refined_cells

@@ -1,20 +1,20 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import cell_representative, random_bars, random_orientation
+from conftest import cell_representative, random_bars, random_invertible, random_orientation
 from oracle import enumerate_f2_instances, oracle_decompose
 from sweep_reference import reference_cell_bars
 from aquiver import linalg
-from aquiver.decompose import (InternalInvariantError, _cell_bars, decompose,
-                               indecomposable_direct, is_indecomposable, iso,
-                               multiplicity)
+from aquiver.decompose import (_cell_bars, decompose, indecomposable_direct,
+                               is_indecomposable, iso, multiplicity)
 from aquiver.intervals import BarMultiset, Interval
 from aquiver.linalg import Matrix, PrimeField, QQ
 from aquiver.orientation import Orientation
-from aquiver.tamerep import (DOWN, TameRep, direct_sum, dual, from_bars, scramble,
-                             zero_rep)
+from aquiver.tamerep import (DOWN, UP, TameRep, conjugate, direct_sum, dual, from_bars,
+                             scramble, zero_rep)
 
 EMPTY_DESC = Orientation.make([], "descending")
 F5 = PrimeField(5)
@@ -159,26 +159,46 @@ def _scaled_maps(v, rng):
     return TameRep(v.orientation, v.field, v.grid, v.dims, maps)
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(2), F5], ids=["Q", "F2", "F5"])
+def _mixed_conjugate(v, rng):
+    """v conjugated by one random invertible per cell, each row scaled by
+    its own rational, so that one map mixes several denominators."""
+    mats = []
+    for d in v.dims:
+        scales = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12))
+                  for _ in range(d)]
+        g = random_invertible(QQ, d, rng)
+        mats.append(Matrix(QQ, d, d, [[c * x for x in row] for c, row in zip(scales, g.rows)]))
+    return conjugate(v, mats)
+
+
+def _denominators(m):
+    return {x.denominator for row in m.rows for x in row}
+
+
+SWEEP_FIELDS = [QQ, PrimeField(2), F5, PrimeField(2**61 - 1)]
+
+
+@pytest.mark.parametrize("field", SWEEP_FIELDS, ids=["Q", "F2", "F5", "F2^61-1"])
 def test_sweep_matches_reference_sweep(field):
     rng = random.Random(2024)
-    fractional = 0
+    fractional = mixed = 0
     for i in range(150):
         o = random_orientation(rng)
         b = random_bars(rng)
         v = scramble(from_bars(o, b, field), 700 + i)
         if field is QQ:
-            v = _scaled_maps(v, rng)
+            v = _scaled_maps(v, rng) if i % 2 else _mixed_conjugate(v, rng)
             fractional += any(x.denominator > 1 for m in v.maps for row in m.rows for x in row)
+            mixed += any(len(_denominators(m) - {1}) >= 2 for m in v.maps)
         assert sorted(_cell_bars(v)) == sorted(reference_cell_bars(v))
         assert decompose(v) == b
-    assert field is not QQ or fractional >= 120
+    assert field is not QQ or (fractional >= 120 and mixed >= 60)
 
 
 def test_sweep_eliminates_once_per_backward_junction_only(monkeypatch):
     # forward junctions are read off one product and one column reduction,
-    # backward ones off one solve and one column reduction; _row_echelon
-    # runs only inside the solve
+    # backward ones off one elimination of [A | M] and one column
+    # reduction; the integer elimination loop runs only there
     rng = random.Random(55)
     cases = []
     for i in range(30):
@@ -189,16 +209,59 @@ def test_sweep_eliminates_once_per_backward_junction_only(monkeypatch):
     all_forward = scramble(from_bars(ascending, random_bars(rng, max_bars=8)), 3)
     assert all_forward.dirs and DOWN not in all_forward.dirs
     cases.append((all_forward, 0))
-    real = linalg._row_echelon
+    real = linalg.integer_row_echelon
     calls = []
 
     def counting(field, rows):
         calls.append(len(rows))
         return real(field, rows)
 
-    monkeypatch.setattr(linalg, "_row_echelon", counting)
+    # the loop under its name in linalg and where the sweep imported it
+    monkeypatch.setattr(linalg, "integer_row_echelon", counting)
+    monkeypatch.setattr(importlib.import_module("aquiver.decompose"),
+                        "integer_row_echelon", counting)
+    total = 0
     for v, backward in cases:
         calls.clear()
         decompose(v)
         assert len(calls) <= backward
-    assert any(backward for _, backward in cases)
+        total += len(calls)
+    assert total and any(backward for _, backward in cases)
+
+
+def test_sweep_does_no_fraction_or_matrix_work(monkeypatch):
+    # the sweep reads each map once as integer rows (as_integer_ratio) and
+    # then works on Python ints alone
+    rng = random.Random(56)
+    cases = []
+    for i in range(12):
+        o = random_orientation(rng)
+        b = random_bars(rng)
+        v = _scaled_maps(scramble(from_bars(o, b), 950 + i), rng)
+        cases.append((v if i % 2 else _mixed_conjugate(v, rng), b))
+    assert any(x.denominator > 1 for v, _ in cases for m in v.maps for row in m.rows for x in row)
+    assert {d for v, _ in cases for d in v.dirs} == {DOWN, UP}
+    counted = []
+
+    def counter(name, real):
+        def counting(*args, **kwargs):
+            counted.append(name)
+            return real(*args, **kwargs)
+        return counting
+
+    for name in ("__new__", "__add__", "__mul__", "__sub__", "__truediv__"):
+        monkeypatch.setattr(Fraction, name, counter(name, getattr(Fraction, name)))
+    for name, attr in vars(Matrix).items():
+        if isinstance(attr, staticmethod):
+            monkeypatch.setattr(Matrix, name, staticmethod(counter(name, attr.__func__)))
+        elif callable(attr):
+            monkeypatch.setattr(Matrix, name, counter(name, attr))
+    bars = [_cell_bars(v) for v, _ in cases]
+    assert counted == []
+    Fraction(1, 3) + 1
+    Matrix.identity(QQ, 1)
+    assert "__new__" in counted and "__add__" in counted and "identity" in counted
+    monkeypatch.undo()
+    for got, (v, b) in zip(bars, cases):
+        assert sorted(got) == sorted(reference_cell_bars(v))
+        assert decompose(v) == b

@@ -9,7 +9,7 @@ from conftest import (all_intervals, all_orientations, dense_hom_space_dim,
 from interval_reference import (reference_classify_injective,
                                 reference_classify_projective, reference_ext_dims)
 from oracle import hom_basis
-from aquiver.decompose import InternalInvariantError, decompose
+from aquiver.decompose import decompose
 from aquiver.homological import (FiltrationReport, InjectiveLabel, OPEN_LEFT,
                                  OPEN_RIGHT, POINT, ProjectiveLabel,
                                  classify_injective, classify_projective,
@@ -21,10 +21,8 @@ from aquiver.homological import (FiltrationReport, InjectiveLabel, OPEN_LEFT,
 from aquiver.ar import EXISTS, ar_ending_at
 from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF
 from aquiver.linalg import QQ, Matrix, PrimeField, rank
-from aquiver.orientation import (Orientation, down_set, leq, reverse,
-                                 segment_index, up_set)
-from aquiver.tamerep import (RepMorphism, direct_sum, from_bars, refine,
-                             scramble, zero_rep)
+from aquiver.orientation import Orientation, down_set, leq, reverse, segment_index
+from aquiver.tamerep import RepMorphism, from_bars, scramble, zero_rep
 
 EMPTY_DESC = Orientation.make([], "descending")
 ZIGZAG = Orientation.make([(0, "sink"), (1, "source")])

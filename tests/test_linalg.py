@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from conftest import random_invertible
-from sweep_reference import unit_complement
+from sweep_reference import columns, textbook_column_reduction, unit_complement
 from aquiver.linalg import (MAX_PRIME, Matrix, PrimeField, QQ, _row_echelon,
                             bottom_column_echelon, column_space_basis, invert,
                             kernel_basis, rank, solve_linear_system, solve_matrix)
@@ -20,6 +20,35 @@ def mat(rows, field=QQ):
 def column(field, vec):
     """vec as a one-column matrix."""
     return Matrix.from_columns(field, len(vec), [vec])
+
+
+def _as_ints(field, vecs):
+    """Each vector as Python ints: over Q times the lcm of its
+    denominators, over F_p as it is."""
+    if field.kind != "Q":
+        return [list(vec) for vec in vecs]
+    scales = [lcm(*(x.denominator for x in vec)) for vec in vecs]
+    return [[int(x * scale) for x in vec] for scale, vec in zip(scales, vecs)]
+
+
+def _unit_pivot(field, col, piv):
+    """The integer column col divided by its entry at piv, in field scalars."""
+    if field.kind == "Q":
+        return [Fraction(x, col[piv]) for x in col]
+    inv = field.inv(col[piv])
+    return [x * inv % field.p for x in col]
+
+
+def _assert_reduced_ints(field, cols, pivots):
+    """cols are ints (in range(p) over F_p) with the given distinct pivot
+    rows: a nonzero entry there and zeros below; -1 marks a zero column."""
+    assert len({piv for piv in pivots if piv != -1}) == len(pivots) - pivots.count(-1)
+    for col, piv in zip(cols, pivots):
+        assert all(type(x) is int for x in col)
+        if field.kind != "Q":
+            assert all(0 <= x < field.p for x in col)
+        assert piv == -1 or col[piv]
+        assert not any(col[piv + 1:])
 
 
 def test_rank_examples():
@@ -82,7 +111,7 @@ def test_bottom_column_echelon_distinct_pivots():
         n = rng.randint(1, 5)
         k = rng.randint(1, n)
         g = random_invertible(QQ, n, rng)
-        cols = [g.column(j) for j in range(k)]
+        cols = _as_ints(QQ, [g.column(j) for j in range(k)])
         pivots = bottom_column_echelon(QQ, cols)
         assert len(set(pivots)) == k
         for col, piv in zip(cols, pivots):
@@ -234,7 +263,7 @@ def test_row_echelon_matches_textbook(field):
         assert rank(m) == len(want_pivots)
         basis = column_space_basis(m)
         assert basis.nrows == m.nrows
-        assert basis.columns() == [m.column(j) for j in want_pivots]
+        assert columns(basis) == [m.column(j) for j in want_pivots]
 
 
 def _textbook_kernel(field, m):
@@ -253,8 +282,8 @@ def _textbook_kernel(field, m):
 
 def _check_kernel_basis(field, m, want):
     k = kernel_basis(m)
-    assert k.nrows == m.ncols and k.columns() == want
-    _assert_exact(field, [x for col in k.columns() for x in col])
+    assert k.nrows == m.ncols and columns(k) == want
+    _assert_exact(field, [x for col in columns(k) for x in col])
     prod = naive_matmul(field, m.rows, k.rows, k.ncols)
     assert all(x == field.zero() for r in prod for x in r)
 
@@ -330,16 +359,15 @@ def test_bottom_column_echelon_spans_and_pivots(field):
     for _ in range(20):
         n = rng.randint(1, 12)
         g = random_invertible(field, n, rng)
-        cols = [g.column(j) for j in rng.sample(range(n), rng.randint(1, n))]
-        before = Matrix.from_columns(field, n, cols)
+        given = [g.column(j) for j in rng.sample(range(n), rng.randint(1, n))]
+        cols = _as_ints(field, given)
         pivots = bottom_column_echelon(field, cols)
-        assert len(set(pivots)) == len(cols)
-        for col, piv in zip(cols, pivots):
-            assert col[piv] == field.one()
-            assert all(col[i] == field.zero() for i in range(piv + 1, n))
-        _assert_exact(field, [x for col in cols for x in col])
+        assert -1 not in pivots
+        _assert_reduced_ints(field, cols, pivots)
         # same span: the echelonized columns solve against the originals
-        assert solve_matrix(before, Matrix.from_columns(field, n, cols)) is not None
+        reduced = [_unit_pivot(field, col, piv) for col, piv in zip(cols, pivots)]
+        before = Matrix.from_columns(field, n, given)
+        assert solve_matrix(before, Matrix.from_columns(field, n, reduced)) is not None
 
 
 def _greedy_keeps(field, vectors):
@@ -360,7 +388,7 @@ def test_unit_complement_matches_greedy_scan(field):
     shapes += [(rng.randint(1, 8), rng.randint(1, 10)) for _ in range(36)]
     for d, n in shapes:
         cols = _random_sparse(field, rng, n, d).rows  # n columns of length d
-        units = Matrix.identity(field, d).columns()
+        units = columns(Matrix.identity(field, d))
         want = [i - n for i in _greedy_keeps(field, cols + units) if i >= n]
         got = unit_complement(field, cols, d)
         assert got == want, (d, cols)
@@ -378,22 +406,16 @@ def test_bottom_column_echelon_dependent_columns(field):
     for _ in range(40):
         d, n = rng.randint(1, 8), rng.randint(1, 10)
         given = _random_sparse(field, rng, n, d).rows  # n columns of length d
-        cols = [list(col) for col in given]
+        cols = _as_ints(field, given)
         pivots = bottom_column_echelon(field, cols)
         kept = [j for j, piv in enumerate(pivots) if piv != -1]
         assert kept == _greedy_keeps(field, given)
-        assert len({pivots[j] for j in kept}) == len(kept)
         dependent += len(given) - len(kept)
-        for col, piv in zip(cols, pivots):
-            if piv == -1:
-                assert all(x == field.zero() for x in col)
-            else:
-                assert col[piv] == field.one()
-                assert all(col[i] == field.zero() for i in range(piv + 1, d))
-        _assert_exact(field, [x for col in cols for x in col])
+        _assert_reduced_ints(field, cols, pivots)
         # the kept columns span what the given ones span
+        reduced = [_unit_pivot(field, cols[j], pivots[j]) for j in kept]
         assert rank(Matrix.from_columns(field, d, given)) == len(kept)
-        assert rank(Matrix.from_columns(field, d, given + [cols[j] for j in kept])) == len(kept)
+        assert rank(Matrix.from_columns(field, d, given + reduced)) == len(kept)
     assert dependent >= 40
 
 
@@ -476,7 +498,7 @@ def test_q_wide_solvers_invert_and_unit_complement():
             _check_solve_matrix(QQ, given, b, k, ref.rows)
             # unit_complement of the rows, as columns of length ncols
             d, n = m.ncols, m.nrows
-            units = Matrix.identity(QQ, d).columns()
+            units = columns(Matrix.identity(QQ, d))
             stacked = [[col[i] for col in ref.rows] + units[i] for i in range(d)]
             want = [p - n for p in textbook_rref(QQ, stacked)[1] if p >= n]
             assert unit_complement(QQ, given.rows, d) == want
@@ -495,37 +517,54 @@ def test_q_wide_solvers_invert_and_unit_complement():
             assert naive_matmul(QQ, given.rows, got.rows, n) == ident
 
 
-def textbook_bottom_echelon(field, cols):
-    """bottom_column_echelon in field operations: while a column's lowest
-    nonzero entry sits at an earlier column's pivot, subtract that many of
-    the earlier (unit-pivot) column; then scale to a unit pivot.  A column
-    that reduces to zero gets pivot -1."""
-    z = field.zero()
-    used = {}
-    pivots = []
-    for col in cols:
-        while (low := max((i for i, x in enumerate(col) if x != z), default=-1)) in used:
-            c = col[low]
-            col[:] = [field.sub(x, field.mul(c, y)) for x, y in zip(col, used[low])]
-        if low != -1:
-            inv = field.inv(col[low])
-            col[:] = [field.mul(inv, x) for x in col]
-            used[low] = col
-        pivots.append(low)
-    return pivots
-
-
 def _check_bottom_echelon(field, given, ref):
-    """bottom_column_echelon of given's rows, as columns of length ncols,
-    entry for entry against textbook_bottom_echelon of ref's rows; returns
-    the number of dependent columns."""
-    cols = given.copy_rows()
+    """bottom_column_echelon of given's rows, as integer columns of length
+    ncols, against sweep_reference.textbook_column_reduction of ref's rows:
+    the same pivots, and each reduced column, divided by its pivot entry,
+    equal entry for entry to the textbook one; returns the number of
+    dependent columns."""
+    cols = _as_ints(field, given.rows)
     want = ref.copy_rows()
-    want_pivots = textbook_bottom_echelon(field, want)
+    want_pivots = textbook_column_reduction(field, want)
     assert bottom_column_echelon(field, cols) == want_pivots
-    assert cols == want
-    _assert_exact(field, [x for col in cols for x in col])
+    _assert_reduced_ints(field, cols, want_pivots)
+    for col, piv, wcol in zip(cols, want_pivots, want):
+        assert (_unit_pivot(field, col, piv) if piv != -1 else col) == wcol
     return want_pivots.count(-1)
+
+
+@pytest.mark.parametrize("field", [QQ, F5, PrimeField(2**61 - 1)], ids=["Q", "F5", "F2^61-1"])
+def test_bottom_column_echelon_matches_reference_reduction(field):
+    # integer columns as the sweep passes them: over Q of mixed sign and
+    # content, over F_p in range(p); some are combinations of earlier ones
+    rng = random.Random(26)
+    dependent = with_content = 0
+    for _ in range(40):
+        d, n = rng.randint(1, 9), rng.randint(1, 10)
+        cols = []
+        for _ in range(n):
+            if cols and rng.random() < 0.3:
+                a, b = rng.choice(cols), rng.choice(cols)
+                c1, c2 = rng.randint(-4, 4), rng.randint(-4, 4)
+                col = [c1 * x + c2 * y for x, y in zip(a, b)]
+            else:
+                g = rng.choice((1, 1, 2, -6, 10**12))
+                col = [g * rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(d)]
+            if field.kind != "Q":
+                col = [x % field.p for x in col]
+            cols.append(col)
+        with_content += sum(gcd(*col) > 1 and min(col) < 0 for col in cols)
+        ref = [[field.from_int(x) for x in col] for col in cols]
+        want = textbook_column_reduction(field, ref)
+        assert bottom_column_echelon(field, cols) == want
+        _assert_reduced_ints(field, cols, want)
+        for col, piv, wcol in zip(cols, want, ref):
+            # a nonzero multiple of the reference column
+            c = col[piv] if piv != -1 else 0
+            assert [field.from_int(x) for x in col] == [field.mul(c, y) for y in wcol]
+        dependent += want.count(-1)
+    assert dependent >= 40
+    assert field.kind != "Q" or with_content >= 40
 
 
 @pytest.mark.parametrize("field", PARITY_FIELDS, ids=PARITY_IDS)

@@ -12,8 +12,8 @@ name counts as used by the library when it is used so in src/aquiver
 outside __init__.py; every defined name is, or is exported in
 aquiver.__all__, or is one of the few that only tests call, each listed
 with a test that needs it, and every test the list cites exists.  Every
-name a library module imports at top level is read in that module, except
-in __init__.py, which re-exports.  No library module imports an
+name a library or test module imports at top level is read in that
+module, except in __init__.py, which re-exports.  No library module imports an
 underscore name from another.  tests/oracle.py imports nothing from the
 code it checks.  Every name the benchmark's tracer wraps exists, and
 importing aquiver.cli loads every module the benchmark reaches into.
@@ -133,8 +133,11 @@ def _unused_imports(tree) -> list[str]:
 
 
 def test_no_unused_module_level_imports():
-    unused = [f"{path.name}: {name}"
-              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+    # the library and its tests alike; the benchmark's own tests live
+    # under bench/ and are not scanned
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    unused = [f"{path.parent.name}/{path.name}: {name}" for path in paths
               for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
     assert not unused, f"imported but never used: {', '.join(unused)}"
 
