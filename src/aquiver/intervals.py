@@ -102,10 +102,8 @@ def parse_extreal(s: str) -> ExtReal:
 
 
 def format_extreal(x: ExtReal) -> str:
-    if x == NEG_INF:
-        return "-inf"
-    if x == POS_INF:
-        return "+inf"
+    if not is_finite(x):
+        return "-inf" if x < 0 else "+inf"
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -87,12 +87,12 @@ def field_to_json(field) -> dict:
 
 
 def tame_to_json(v: TameRep) -> dict:
-    field = v.field
+    fmt = v.field.format
     return {
         "grid": [format_extreal(g) for g in v.grid],
         "dims": list(v.dims),
         "maps": [
-            {"dir": d, "entries": [[field.format(x) for x in row] for row in m.rows]}
+            {"dir": d, "entries": [list(map(fmt, row)) for row in m.rows]}
             for m, d in zip(v.maps, v.dirs)
         ],
     }

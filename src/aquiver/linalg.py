@@ -26,9 +26,10 @@ are truthiness tests: a Fraction or an int is falsy exactly at zero.
 ``change_basis``, the scramble's P M Q^-1 by elementary operations, runs
 on Python ints as well: over Q the matrix is multiplied by the lcm of its
 denominators (``integer_rows``), the drawn operations (adds by +-1 or +-2,
-swaps, scalings by +-1) keep it integral, and it is divided by that lcm
-once at the end; over F_p the ints are reduced mod p once at the end
-(``_common_denominator_ops``).
+swaps, scalings by +-1, all with int coefficients) keep it integral, and
+it is divided by that lcm once at the end; over F_p the ints are reduced
+mod p once at the end (``_common_denominator_ops``).  A scaling by 1 is
+skipped.
 """
 
 from __future__ import annotations
@@ -72,10 +73,8 @@ class RationalField:
         for j, b in pairs:
             dst[j] += c * b
 
-    def format(self, a) -> str:
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+    # a Fraction's str spells "p" or "p/q" in lowest terms, q > 0
+    format = staticmethod(str)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -475,26 +474,42 @@ def bottom_column_echelon(field, cols: list) -> list[int]:
 _ADD, _SWAP, _SCALE = 0, 1, 2
 
 
+def _below(rng, n: int) -> int:
+    """A uniform int in range(n), n >= 1: getrandbits(n.bit_length())
+    drawn until it is below n.  That is how ``random.Random`` draws
+    randrange(n), and choice(seq) with len(seq) == n, so the three consume
+    an rng alike and give the same values."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def random_elementary_ops(field, n: int, rng) -> list[tuple]:
     """2n+2 seeded elementary row operations on n rows, each (op, i, k, c):
     additions with c in {+-1, +-2} over Q and any unit over F_p, swaps, and
-    scalings by +-1 over Q and by any unit over F_p.  The one definition of
-    the draw behind ``tamerep.scramble``; n = 0 draws nothing."""
+    scalings by +-1 over Q and by any unit over F_p.  The scalars are ints
+    (over Q too; ``change_basis`` works on ints).  The one definition of the
+    draw behind ``tamerep.scramble``; n = 0 draws nothing.  Every draw is
+    ``_below``, which consumes the rng as randrange and choice do: the kind
+    of operation as randrange(3), each row as randrange(n), a Q scalar as
+    choice over (-2, -1, 1, 2) or (-1, 1), and an F_p unit as
+    1 + randrange(p - 1), which is choice over the list of all p - 1 units
+    without building it.  So the stream, and every scramble drawn from it,
+    is the one the random module's own calls gave."""
     if n == 0:
         return []
     if field.kind == "Q":
-        coeffs = [Fraction(c) for c in (-2, -1, 1, 2)]
-        units = [Fraction(-1), Fraction(1)]
-        coeff, unit = (lambda: rng.choice(coeffs)), (lambda: rng.choice(units))
+        coeffs, units = (-2, -1, 1, 2), (-1, 1)
+        coeff, unit = (lambda: coeffs[_below(rng, 4)]), (lambda: units[_below(rng, 2)])
     else:
-        # a unit drawn as 1 + randbelow(p - 1), as rng.choice over the
-        # list of all p - 1 units would, without building that list
-        coeff = unit = lambda: field.from_int(rng.randrange(1, field.p))
+        coeff = unit = lambda: 1 + _below(rng, field.p - 1)
     ops = []
     for _ in range(2 * n + 2):
-        op = rng.randrange(3)
-        i = rng.randrange(n)
-        k = rng.randrange(n)
+        op = _below(rng, 3)
+        i = _below(rng, n)
+        k = _below(rng, n)
         if op == _ADD and i != k:
             ops.append((_ADD, i, k, coeff()))
         elif op == _SWAP and i != k:
@@ -553,28 +568,25 @@ def change_basis(field, rows: list, row_ops, col_ops) -> list:
     out once at the end (``_common_denominator_ops``).  Over Q that is exact
     because the adds are by +-1 or +-2 and the scalings by +-1: every
     coefficient and every inverse is an int, so the scaled matrix stays
-    integral."""
+    integral.  A scaling by 1 changes nothing and is skipped."""
     inverse, from_ints = _common_denominator_ops(field)
     ints, den = integer_rows(field, rows)
     for op, i, k, c in row_ops:
         if op == _ADD:
-            c = int(c)
             ints[i] = [a + c * b for a, b in zip(ints[i], ints[k])]
         elif op == _SWAP:
             ints[i], ints[k] = ints[k], ints[i]
-        else:
-            c = int(c)
+        elif c != 1:
             ints[i] = [c * a for a in ints[i]]
     for op, i, k, c in col_ops:
         if op == _ADD:
-            c = int(c)
             for row in ints:
                 if row[i]:
                     row[k] -= c * row[i]
         elif op == _SWAP:
             for row in ints:
                 row[i], row[k] = row[k], row[i]
-        else:
+        elif c != 1:
             c = inverse(c)
             for row in ints:
                 row[i] *= c

@@ -44,23 +44,33 @@ def cell_of_point(grid: Sequence[Fraction], x) -> int:
 def interval_to_cells(grid: Sequence[Fraction], iv: Interval) -> tuple[int, int]:
     """Inclusive cell index range of an interval whose finite endpoints are
     grid points."""
-    m = len(grid)
-    if iv.lo == NEG_INF:
-        c_lo = 0
-    else:
-        g = bisect_right(grid, iv.lo) - 1
-        if g < 0 or grid[g] != iv.lo:
-            raise ValueError(f"endpoint {iv.lo} not on the grid")
-        c_lo = 2 * g + 1 if iv.lo_closed else 2 * g + 2
-    if iv.hi == POS_INF:
-        c_hi = 2 * m
-    else:
-        g = bisect_right(grid, iv.hi) - 1
-        if g < 0 or grid[g] != iv.hi:
-            raise ValueError(f"endpoint {iv.hi} not on the grid")
-        c_hi = 2 * g + 1 if iv.hi_closed else 2 * g
+    def index(e):
+        g = bisect_right(grid, e) - 1
+        if g < 0 or grid[g] != e:
+            raise ValueError(f"endpoint {e} not on the grid")
+        return g
+
+    c_lo, c_hi = _cell_range(iv, index, len(grid))
     if c_lo > c_hi:
         raise ValueError(f"interval {iv} spans no cell")
+    return c_lo, c_hi
+
+
+def _cell_range(iv: Interval, index, m: int) -> tuple[int, int]:
+    """(first, last) cell of iv on a grid of m points, where index(e) is
+    the grid index g of a finite end e: a closed end is cell 2g+1, an open
+    lower end 2g+2 and an open upper end 2g; an infinite end reaches the
+    first or last cell."""
+    if is_finite(iv.lo):
+        g = index(iv.lo)
+        c_lo = 2 * g + 1 if iv.lo_closed else 2 * g + 2
+    else:
+        c_lo = 0
+    if is_finite(iv.hi):
+        g = index(iv.hi)
+        c_hi = 2 * g + 1 if iv.hi_closed else 2 * g
+    else:
+        c_hi = 2 * m
     return c_lo, c_hi
 
 
@@ -216,28 +226,39 @@ def reps_on_common_grid(o: Orientation, groups: Sequence[Sequence[Interval]],
     group gets the same grid: the finite endpoints of all the intervals
     plus each critical point inside the hull of all of them.  Returns, per
     group, the representation and, per cell, the list of the group's
-    interval indices occupying its slots."""
+    interval indices occupying its slots.  Each bar's ends are placed
+    through one dict from grid point to index, and each junction map is
+    read off a slot -> column dict of its source cell."""
     family = [iv for group in groups for iv in group]
     pts = {Fraction(e) for iv in family for e in (iv.lo, iv.hi) if is_finite(e)}
     if family:
         lo_h, hi_h = min(iv.lo for iv in family), max(iv.hi for iv in family)
         pts.update(p for p in o.positions if lo_h <= p <= hi_h)
     grid = sorted(pts)
+    index = {g: i for i, g in enumerate(grid)}.__getitem__
     dirs = junction_dirs(o, grid)
     one, zero = field.one(), field.zero()
     out = []
     for group in groups:
         slots: list[list[int]] = [[] for _ in range(num_cells(grid))]
         for idx, iv in enumerate(group):
-            a, b = interval_to_cells(grid, iv)
+            a, b = _cell_range(iv, index, len(grid))
             for c in range(a, b + 1):
                 slots[c].append(idx)
         dims = [len(s) for s in slots]
+        columns = [{iv: col for col, iv in enumerate(s)} for s in slots]
         maps = []
         for j, d in enumerate(dirs):
             src, tgt = junction_cells(d, j)
-            rows = [[one if c_iv == r_iv else zero for c_iv in slots[src]] for r_iv in slots[tgt]]
-            maps.append(Matrix(field, dims[tgt], dims[src], rows))
+            col_of, width = columns[src], dims[src]
+            rows = []
+            for iv in slots[tgt]:
+                row = [zero] * width
+                col = col_of.get(iv)
+                if col is not None:
+                    row[col] = one
+                rows.append(row)
+            maps.append(Matrix(field, dims[tgt], width, rows))
         out.append((TameRep(o, field, grid, dims, maps), slots))
     return out
 
@@ -358,7 +379,10 @@ def scramble(v: TameRep, seed: int) -> TameRep:
     on Python ints: M is multiplied by the lcm of its denominators, and the
     result divided by it once.  That is exact, because every operation has
     an integer coefficient and an integer inverse: adds by +-1 or +-2 (undone
-    by the opposite add), swaps, and scalings by +-1."""
+    by the opposite add), swaps, and scalings by +-1.  The operations are
+    drawn with ``getrandbits`` alone, in the stream ``randrange`` and
+    ``choice`` would give (``linalg._below``), so a seed scrambles to the
+    same bytes as it always has."""
     rng = random.Random(seed)
     field = v.field
     ops = [random_elementary_ops(field, d, rng) for d in v.dims]

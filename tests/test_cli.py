@@ -75,6 +75,8 @@ def test_scramble_roundtrip_and_determinism(runner, tmp_path):
 SCRAMBLE_SHA256 = {
     "Q": "adcd6e60b718f5d821101f2e78700e9a5b91016f2b7f0d61b0b26bb8c09141e2",
     "Fp:5": "a1a597a9855a238d626f507af1beb5635a51eb9f5b651f23ba8a53a26cc9d3c8",
+    # 2^61 - 1: units drawn by multi-word getrandbits
+    "Fp:2305843009213693951": "76d3f6585575516d75de9d4e98c34c4382a5e3f8c46165799f42d2f69d83ff23",
 }
 
 

@@ -118,6 +118,7 @@ def test_extreal_parse_format():
     assert parse_extreal("3/4") == Fraction(3, 4)
     assert format_extreal(Fraction(6, 4)) == "3/2"
     assert format_extreal(NEG_INF) == "-inf"
+    assert format_extreal(POS_INF) == "+inf"
 
 
 def _random_iv(rng):

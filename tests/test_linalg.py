@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import random_invertible
 from sweep_reference import columns, textbook_column_reduction, unit_complement
-from aquiver.linalg import (MAX_PRIME, Matrix, PrimeField, QQ, _row_echelon,
+from aquiver.linalg import (MAX_PRIME, Matrix, PrimeField, QQ, _below, _row_echelon,
                             bottom_column_echelon, column_space_basis, invert,
                             kernel_basis, rank, solve_linear_system, solve_matrix)
 
@@ -117,6 +118,34 @@ def test_bottom_column_echelon_distinct_pivots():
         for col, piv in zip(cols, pivots):
             assert col[piv] != 0
             assert all(col[i] == 0 for i in range(piv + 1, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 2**32 - 1, 2**32, 2**32 + 1,
+                               2**61 - 2, MAX_PRIME - 1])
+def test_below_draws_as_randrange_and_choice(n):
+    # n = 1 draws one bit until it is 0; above 32 bits getrandbits reads
+    # several words of the generator.  choice needs len(seq), which no
+    # sequence has past sys.maxsize, so MAX_PRIME - 1 is checked against
+    # randrange alone.
+    for seed in range(30):
+        rng, by_randrange, by_choice = (random.Random(seed) for _ in range(3))
+        draws = [_below(rng, n) for _ in range(20)]
+        assert draws == [by_randrange.randrange(n) for _ in range(20)]
+        assert rng.getstate() == by_randrange.getstate()
+        if n <= sys.maxsize:
+            assert draws == [by_choice.choice(range(n)) for _ in range(20)]
+            assert rng.getstate() == by_choice.getstate()
+
+
+def test_q_format_spells_numerator_and_denominator():
+    def spelled(a):
+        return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+
+    values = [Fraction(0), Fraction(10**40, 3), Fraction(-10**40, 3)]
+    values += [Fraction(s * p, q) for s in (1, -1) for q in range(1, 13) for p in range(1, 25)]
+    assert Fraction(1) in values and Fraction(-1) in values
+    for a in values:
+        assert QQ.format(a) == spelled(a)
 
 
 def test_prime_field_rejects_composites():

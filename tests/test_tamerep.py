@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (POSITIONS, cell_representative, dual_cokernel, random_bars,
-                      random_invertible, random_orientation)
+                      random_interval, random_invertible, random_orientation)
 from oracle import increasing_beside
 from aquiver import tamerep
 from aquiver.decompose import decompose, iso
@@ -20,8 +20,8 @@ from aquiver.linalg import Matrix, PrimeField, QQ, random_elementary_ops
 from aquiver.orientation import Orientation
 from aquiver.tamerep import (DOWN, UP, RepMorphism, TameRep, cell_of_point,
                              cells_to_interval, conjugate, direct_sum, dual,
-                             from_bars, image_rep, junction_cells, junction_dirs,
-                             kernel_rep, refine, reps_on_common_grid, restrict,
+                             from_bars, image_rep, interval_to_cells, junction_cells,
+                             junction_dirs, kernel_rep, refine, reps_on_common_grid, restrict,
                              scramble, zero_rep)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -55,6 +55,59 @@ def test_reps_on_common_grid_spans_every_group():
     assert a_slots == [[0]] * 6 + [[]] * 5 and b_slots == [[]] * 7 + [[0]] * 2 + [[]] * 2
     assert z.is_zero() and z_slots == [[]] * 11
     assert reps_on_common_grid(ZIGZAG, []) == []
+
+
+def _random_family(rng):
+    """1-3 groups of random intervals, with repeated bars, and one group
+    left empty in about half of the families with two or more."""
+    groups = []
+    for _ in range(rng.randint(1, 3)):
+        group = [random_interval(rng) for _ in range(rng.randint(1, 5))]
+        group += [rng.choice(group) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(group)
+        groups.append(group)
+    if len(groups) > 1 and rng.random() < 0.5:
+        groups[rng.randrange(len(groups))] = []
+    return groups
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_reps_on_common_grid_matches_per_cell_definition(field):
+    # the grid holds every finite end and each critical point that some
+    # interval reaches down to and some interval reaches up to; a group's
+    # cell holds the intervals containing a point of it, in group order,
+    # and a junction map has a 1 exactly where a slot's interval continues
+    # across the junction
+    rng = random.Random(2020)
+    seen = set()
+    for _ in range(150):
+        o = random_orientation(rng)
+        groups = _random_family(rng)
+        family = [iv for group in groups for iv in group]
+        ends = {e for iv in family for e in (iv.lo, iv.hi) if is_finite(e)}
+        reached = {p for p in o.positions
+                   if any(iv.lo <= p for iv in family) and any(p <= iv.hi for iv in family)}
+        grid = tuple(sorted(ends | reached))
+        packs = reps_on_common_grid(o, groups, field)
+        assert len(packs) == len(groups)
+        for group, (rep, slots) in zip(groups, packs):
+            assert rep.grid == grid and rep.field == field
+            ranges = [interval_to_cells(grid, iv) for iv in group]
+            for c in range(2 * len(grid) + 1):
+                x = cell_representative(grid, c)
+                assert slots[c] == [i for i, iv in enumerate(group) if iv.contains(x)]
+                assert slots[c] == [i for i, (a, b) in enumerate(ranges) if a <= c <= b]
+            assert rep.dims == tuple(len(s) for s in slots)
+            for j, (m, d) in enumerate(zip(rep.maps, rep.dirs)):
+                src, tgt = junction_cells(d, j)
+                assert m.rows == [[field.one() if i == k else field.zero() for i in slots[src]]
+                                  for k in slots[tgt]]
+            seen.update(("empty",) if not group else ())
+            seen.update("infinite" for iv in group if not (is_finite(iv.lo) and is_finite(iv.hi)))
+            seen.update("point" for iv in group if iv.is_point())
+            seen.update("half-open" for iv in group if iv.lo_closed != iv.hi_closed)
+            seen.update("repeated" for iv in group if group.count(iv) > 1)
+    assert seen == {"empty", "infinite", "point", "half-open", "repeated"}
 
 
 def test_from_bars_empty():
