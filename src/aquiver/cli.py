@@ -74,8 +74,7 @@ def _document_rep(doc, field_spec):
     may only repeat."""
     field = _pick_field(field_spec, doc)
     if doc.tame is not None and field != doc.field:
-        name = "Q" if doc.field.kind == "Q" else f"Fp:{doc.field.p}"
-        raise SchemaError(f"--field {field_spec} differs from the tame document's field {name}")
+        raise SchemaError(f"--field {field_spec} differs from the tame document's field {doc.field}")
     doc.field = field
     return doc.rep()
 

@@ -23,29 +23,26 @@ whatever bases the reduction picks: the incremental compatible-basis form
 of zigzag persistence (Carlsson and de Silva, 2010).
 
 The sweep runs on Python ints from the first cell to the last; it builds
-no Fraction and no Matrix.  Each junction map is read once as integer
-rows times one nonzero scalar (``integer_rows``): over Q the lcm of its
-denominators, over F_p 1.  Each line is an integer vector (over F_p with
-entries in range(p)), and the integer elimination loops
-(``integer_row_echelon``, ``bottom_column_echelon``) leave every vector a
-nonzero multiple of the one field arithmetic would give.  Backward, B is
-never divided out: column k of [I ; B] is scaled to ints, over Q by the
-lcm L of the pivots of the eliminated [A | M] (L e_k over (L / pivot_r)
-times row r's entry), over F_p by the pivot inverses.  No bar moves.  A
-nonzero multiple of M has the kernel, the image and the column-reduction
-pivots of M, so each junction reads the same ranks; equally, scaling each
-map by its own scalar gives an isomorphic representation, since a zigzag
-is a tree.  A line scaled by a nonzero scalar is the same line, and
-scaling single lines keeps the basis block-triangular, so each line is
-born, absorbed and dies exactly where its unscaled form would be.
+no Fraction and no Matrix, and it leaves every field-specific step to the
+field (``linalg``).  Each junction map is read once as integer rows times
+one nonzero scalar (``field.integer_rows``), each line is an integer
+vector, and the integer elimination loops (``integer_row_echelon``,
+``bottom_column_echelon``) leave every vector a nonzero multiple of the one
+field arithmetic would give.  Backward, B is never divided out: column k
+of [I ; B] is scaled to ints by the field's ``pivot_scaling`` of the
+pivots of the eliminated [A | M].  A nonzero multiple of M has the kernel,
+the image and the column-reduction pivots of M, so each junction reads
+the same ranks; equally, scaling each map by its own scalar gives an
+isomorphic representation, since a zigzag is a tree.  A line scaled by a
+nonzero scalar is the same line, and scaling single lines keeps the basis
+block-triangular, so each line is born, absorbed and dies exactly where
+its unscaled form would be.
 """
 
 from __future__ import annotations
 
-from math import lcm
-
 from .intervals import BarMultiset, Interval
-from .linalg import bottom_column_echelon, integer_row_echelon, integer_rows
+from .linalg import bottom_column_echelon, integer_row_echelon
 from .tamerep import DOWN, TameRep, cells_to_interval
 
 
@@ -60,7 +57,7 @@ def _cell_bars(v: TameRep) -> list[tuple[int, int]]:
     lines = [(0, _unit(v.dims[0], i)) for i in range(v.dims[0])]
     for j in range(v.ncells - 1):
         fwd = v.dirs[j] != DOWN
-        rows, _ = integer_rows(field, v.maps[j].rows)
+        rows, _ = field.integer_rows(v.maps[j].rows)
         step = _forward if fwd else _backward
         nxt, born = step(field, [vec for _, vec in lines], rows, v.dims[j + 1])
         kept = []
@@ -82,15 +79,6 @@ def _unit(d: int, i: int, c: int = 1) -> list:
     return vec
 
 
-def _mod_p(field, vecs: list) -> list:
-    """The integer vectors with entries reduced mod p over F_p; over Q as
-    they are."""
-    if field.kind == "Q":
-        return vecs
-    p = field.p
-    return [[x % p for x in vec] for vec in vecs]
-
-
 def _forward(field, vecs, rows, d_next):
     """The junction map, given by its integer rows, read in the coordinates
     of the alive lines vecs: each line's vector in the next cell (None
@@ -103,7 +91,6 @@ def _forward(field, vecs, rows, d_next):
             if x:
                 image = [y + x * a for y, a in zip(image, col)]
         images.append(image)
-    images = _mod_p(field, images)
     lows = bottom_column_echelon(field, images)
     taken = set(lows)
     return ([col if low != -1 else None for col, low in zip(images, lows)],
@@ -121,15 +108,9 @@ def _backward(field, vecs, rows, d_next):
         raise InternalInvariantError("alive vectors stopped spanning the cell")
     # B[r][k] is ech[r][n + k] / ech[r][r]; column k of [I ; B] is taken
     # times scale, with factors[r] = scale / ech[r][r]
-    if field.kind == "Q":
-        scale = lcm(*(row[r] for r, row in enumerate(ech)))
-        factors = [scale // row[r] for r, row in enumerate(ech)]
-    else:
-        scale = 1
-        factors = [field.inv(row[r]) for r, row in enumerate(ech)]
+    scale, factors = field.pivot_scaling([row[r] for r, row in enumerate(ech)])
     cols = [_unit(d_next, k, scale) + [f * row[n + k] for f, row in zip(factors, ech)]
             for k in range(d_next)]
-    cols = _mod_p(field, cols)
     nxt, born = [None] * n, []
     for col, low in zip(cols, bottom_column_echelon(field, cols)):
         if low >= d_next:

@@ -80,12 +80,6 @@ def parse_field(obj) -> object:
     raise SchemaError(f"unknown field kind {obj['kind']!r}")
 
 
-def field_to_json(field) -> dict:
-    if field == QQ:
-        return {"kind": "Q"}
-    return {"kind": "Fp", "p": field.p}
-
-
 def tame_to_json(v: TameRep) -> dict:
     fmt = v.field.format
     return {
@@ -122,11 +116,7 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
         raise SchemaError(str(e))
     if len(maps_json) != 2 * len(grid):
         raise SchemaError(f"tame object needs {2 * len(grid)} maps")
-    if field == QQ:
-        parse = parse_rational
-    else:
-        def parse(x):  # an F_p entry is an integer, never truncated
-            return field.from_int(parse_integer(x))
+    parse = field.parse
     # Each distinct string entry is parsed once, at its first occurrence, so
     # errors still come in document order.  The memo lives for this call
     # only and is keyed by str alone: a JSON number is parsed every time,
@@ -257,5 +247,5 @@ def document_to_json(doc: Document) -> dict:
         out["bars"] = doc.bars.to_json()
     if doc.tame is not None:
         out["tame"] = tame_to_json(doc.tame)
-    out["field"] = field_to_json(doc.field)
+    out["field"] = doc.field.to_json()
     return out

@@ -2,33 +2,39 @@
 
 Everything here is bit-exact: rationals are ``fractions.Fraction`` and
 prime-field elements are ints in ``range(p)``.  No floating point enters
-anywhere.  Matrices are dense row lists.  ``integer_row_echelon`` is the
-one elimination loop: ``_row_echelon`` wraps it for rows of field scalars,
-behind every rank, kernel, solve and column-space basis, and the
-decomposition sweep calls it on integer rows.  ``bottom_column_echelon``,
-the sweep's column reduction, is the one other loop, and it too takes
-integer columns.  Each loop runs over vectors of Python ints, eliminating
-by cross-multiplying: a vector holding a where the pivot vector holds p
-becomes a multiple of vector - (a/p) * pivot vector, with no division in
-the loop.  The field supplies three steps, picked once per call
-(``_integer_ops``): over Q a vector is scaled to a primitive integer
-vector (``_primitive``) and the content gcd is divided out after each
-elimination (``_eliminate``); over F_p the scalars are ints already and
-each elimination reduces mod p.  ``_row_echelon`` divides each finished
-row by its pivot, back into field scalars, at the end; the integer forms
-leave every vector a nonzero multiple of the textbook one, with the same
-span, pivots and zeros.  ``integer_rows`` reads a matrix as integer rows
-times one nonzero scalar.  Products run inside one row operation per
-field, ``field.axpy(dst, c, pairs)``, which adds c times a sparse row,
-given as its nonzero (column, value) pairs, to a dense row.  Zero tests
-are truthiness tests: a Fraction or an int is falsy exactly at zero.
+anywhere.  Matrices are dense row lists.  Zero tests are truthiness tests:
+a Fraction or an int is falsy exactly at zero.
+
+The hot paths run on Python ints, and the two field classes alone know how
+their scalars become ints and come back; no other code asks which field it
+holds.  Over Q a row of scalars becomes a primitive integer row, a nonzero
+rational multiple of it with content gcd 1 (``to_ints``), a matrix becomes
+integer rows over one common denominator (``integer_rows``), and
+``divide`` builds the Fractions again.  Over F_p the ints in range(p) are
+the scalars already, ``divide`` multiplies by an inverse mod p, and
+``canonical``, which over Q divides the content out of an integer vector,
+reduces mod p.  Each of these scales a vector by a nonzero scalar, which
+keeps its span, its pivots and its zeros.
+
+``integer_row_echelon`` is the one elimination loop, behind every rank,
+kernel, solve and column-space basis (``_row_echelon`` wraps it for rows of
+field scalars) and behind the decomposition sweep's backward solve.
+``bottom_column_echelon``, the sweep's column reduction, is the one other
+loop.  Both eliminate by cross-multiplying (``eliminate``): a vector
+holding a where the pivot vector holds p becomes a multiple of vector -
+(a/p) * pivot vector, with no division in the loop; over Q the content is
+divided out after each step, over F_p the entries are reduced mod p.
+``_row_echelon`` divides each finished row by its pivot at the end, so it
+returns the textbook reduced form.  Products run inside one row operation
+per field, ``field.axpy(dst, c, pairs)``, which adds c times a sparse row,
+given as its nonzero (column, value) pairs, to a dense row.
 
 ``change_basis``, the scramble's P M Q^-1 by elementary operations, runs
-on Python ints as well: over Q the matrix is multiplied by the lcm of its
-denominators (``integer_rows``), the drawn operations (adds by +-1 or +-2,
-swaps, scalings by +-1, all with int coefficients) keep it integral, and
-it is divided by that lcm once at the end; over F_p the ints are reduced
-mod p once at the end (``_common_denominator_ops``).  A scaling by 1 is
+on integer rows as well.  The field draws the operations' scalars
+(``draw_coeff``, ``draw_unit``) and inverts a scaling (``unit_inverse``):
+over Q the adds are by +-1 or +-2 and the scalings by +-1, so every
+coefficient and every inverse is an int and the rows stay integral.  The
+common denominator is divided out once at the end, and a scaling by 1 is
 skipped.
 """
 
@@ -38,11 +44,24 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+from .intervals import parse_integer, parse_rational
+
+
+def _below(rng, n: int) -> int:
+    """A uniform int in range(n), n >= 1: getrandbits(n.bit_length())
+    drawn until it is below n.  That is how ``random.Random`` draws
+    randrange(n), and choice(seq) with len(seq) == n, so the three consume
+    an rng alike and give the same values."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
 
 class RationalField:
-    """The field of rationals; scalars are Fraction."""
-
-    kind = "Q"
+    """The field of rationals; scalars are Fraction.  Its integer form is
+    primitive integer vectors: eliminating divides the content out."""
 
     def zero(self):
         return Fraction(0)
@@ -66,15 +85,79 @@ class RationalField:
         return -a
 
     def inv(self, a):
-        return 1 / a
+        """1 / a as a Fraction, for an int or a Fraction a; raises
+        ZeroDivisionError at 0."""
+        return Fraction(1) / a
 
     def axpy(self, dst, c, pairs):
         """dst[j] += c * b for each (j, b) in pairs."""
         for j, b in pairs:
             dst[j] += c * b
 
+    def canonical(self, vec: list) -> list:
+        """The integer vector divided by its content gcd: primitive (or all
+        zero)."""
+        g = gcd(*vec)
+        return [x // g for x in vec] if g > 1 else vec
+
+    def to_ints(self, row) -> list:
+        """row (Fractions or ints) scaled by a nonzero rational to a new
+        primitive integer row."""
+        return self.canonical(self.integer_rows([row])[0][0])
+
+    def eliminate(self, row: list, prow: list, a: int, p: int) -> list:
+        """The primitive integer row p' * row - a' * prow, where p' / a' is
+        p / a in lowest terms: row less a / p times prow, up to a nonzero
+        scalar, so that an entry where row holds a and prow holds p becomes
+        0."""
+        g = gcd(p, a)
+        pg, ag = p // g, a // g
+        return self.canonical([pg * x - ag * y for x, y in zip(row, prow)])
+
+    def integer_rows(self, rows) -> tuple[list, int]:
+        """(ints, den): den times the rows, as new lists of Python ints,
+        where den is the lcm of the denominators; each entry is read once,
+        by ``as_integer_ratio()``."""
+        ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+        den = lcm(*{d for row in ratios for _, d in row})
+        if den == 1:
+            return [[n for n, _ in row] for row in ratios], 1
+        return [[n * (den // d) for n, d in row] for row in ratios], den
+
+    def divide(self, rows: list, den: int) -> list:
+        """The integer rows over den, as Fractions; one Fraction is built
+        per distinct int."""
+        frac = {x: Fraction(x, den) for x in set().union(*rows)}
+        return [[frac[x] for x in row] for row in rows]
+
+    def pivot_scaling(self, pivots: list) -> tuple[int, list]:
+        """(scale, factors) with factors[r] = scale / pivots[r], all ints:
+        scale is the lcm of the nonzero int pivots."""
+        scale = lcm(*pivots)
+        return scale, [scale // q for q in pivots]
+
+    def draw_coeff(self, rng) -> int:
+        """An addition coefficient of the scramble, drawn as choice over
+        (-2, -1, 1, 2)."""
+        return (-2, -1, 1, 2)[_below(rng, 4)]
+
+    def draw_unit(self, rng) -> int:
+        """A scaling of the scramble, drawn as choice over (-1, 1)."""
+        return (-1, 1)[_below(rng, 2)]
+
+    def unit_inverse(self, c: int) -> int:
+        """The int inverse of a drawn unit: +-1 is its own."""
+        return c
+
     # a Fraction's str spells "p" or "p/q" in lowest terms, q > 0
     format = staticmethod(str)
+    parse = staticmethod(parse_rational)
+
+    def to_json(self) -> dict:
+        return {"kind": "Q"}
+
+    def __str__(self):
+        return "Q"
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -119,9 +202,8 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """F_p for a prime p <= MAX_PRIME; scalars are ints reduced mod p."""
-
-    kind = "Fp"
+    """F_p for a prime p <= MAX_PRIME; scalars are ints reduced mod p.  Its
+    integer form is the scalars themselves: eliminating reduces mod p."""
 
     def __init__(self, p: int):
         if p > MAX_PRIME:
@@ -162,8 +244,54 @@ class PrimeField:
         for j, b in pairs:
             dst[j] = (dst[j] + c * b) % p
 
+    def canonical(self, vec: list) -> list:
+        """The integer vector reduced mod p, as a new list."""
+        p = self.p
+        return [x % p for x in vec]
+
+    # the scalars are ints already
+    to_ints = staticmethod(list)
+
+    def eliminate(self, row: list, prow: list, a: int, pivot: int) -> list:
+        """pivot * row - a * prow mod p: an entry where row holds a and
+        prow holds pivot becomes 0."""
+        p = self.p
+        return [(pivot * x - a * y) % p for x, y in zip(row, prow)]
+
+    def integer_rows(self, rows) -> tuple[list, int]:
+        """(ints, 1): the rows as new lists; the scalars are ints already."""
+        return [list(row) for row in rows], 1
+
+    def divide(self, rows: list, den: int) -> list:
+        """The integer rows over den, reduced mod p."""
+        p, inv = self.p, self.inv(den)
+        return [[x * inv % p for x in row] for row in rows]
+
+    def pivot_scaling(self, pivots: list) -> tuple[int, list]:
+        """(1, the pivots' inverses mod p).  A common multiple of the
+        pivots, as over Q, would grow by about log2(p) bits per pivot."""
+        return 1, [self.inv(q) for q in pivots]
+
+    def draw_coeff(self, rng) -> int:
+        """A unit, drawn as choice over the list of all p - 1 units
+        without building it."""
+        return 1 + _below(rng, self.p - 1)
+
+    draw_unit = draw_coeff
+    unit_inverse = inv
+
     def format(self, a) -> str:
         return str(a % self.p)
+
+    def parse(self, x) -> int:
+        """An entry: an integer, never truncated, reduced mod p."""
+        return parse_integer(x) % self.p
+
+    def to_json(self) -> dict:
+        return {"kind": "Fp", "p": self.p}
+
+    def __str__(self):
+        return f"Fp:{self.p}"
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -251,9 +379,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.rows)
 
-    def copy_rows(self) -> list:
-        return [list(r) for r in self.rows]
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.nrows == other.nrows and self.ncols == other.ncols
@@ -263,73 +388,16 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}, {self.rows!r})"
 
 
-_ZERO = Fraction(0)
-
-
-def _content_free(row: list) -> list:
-    """The integer row divided by its content gcd: primitive (or all zero)."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
-def _primitive(row: list) -> list:
-    """row (Fractions or ints) scaled by a nonzero rational to a primitive
-    integer row, one of Python ints with content gcd 1 (or all zero)."""
-    dens = [x.denominator for x in row]
-    den = lcm(*dens)
-    if den == 1:
-        return _content_free([x.numerator for x in row])
-    return _content_free([x.numerator * (den // d) for x, d in zip(row, dens)])
-
-
-def _eliminate(row: list, prow: list, a: int, p: int) -> list:
-    """The primitive integer row p' * row - a' * prow, where p' / a' is
-    p / a in lowest terms: row less a / p times prow, up to a nonzero
-    scalar, so that an entry where row holds a and prow holds p becomes 0."""
-    g = gcd(p, a)
-    pg, ag = p // g, a // g
-    return _content_free([pg * x - ag * y for x, y in zip(row, prow)])
-
-
-def _from_primitive(row: list, pivot: int) -> list:
-    return [Fraction(x, pivot) if x else _ZERO for x in row]
-
-
-def _integer_ops(field):
-    """(to_ints, eliminate, from_ints), the field's part of the integer
-    elimination loops.  to_ints maps a row to a nonzero multiple of it with
-    int entries; eliminate(row, prow, a, p), where row holds a and prow
-    holds p != 0 at some entry, returns a nonzero multiple of row less a / p
-    times prow; from_ints(row, pivot) divides row by pivot, back into field
-    scalars.  Over Q: primitive rows, cross-multiplying with the content gcd
-    divided out, and Fractions.  Over F_p the ints in range(p) are the
-    scalars already; eliminating cross-multiplies mod p, and dividing takes
-    one inverse per row."""
-    if field.kind == "Q":
-        return _primitive, _eliminate, _from_primitive
-    q = field.p
-
-    def eliminate(row, prow, a, p):
-        return [(p * x - a * y) % q for x, y in zip(row, prow)]
-
-    def from_ints(row, pivot):
-        if pivot == 1:
-            return row
-        inv = pow(pivot, q - 2, q)
-        return [x * inv % q for x in row]
-
-    return list, eliminate, from_ints
-
-
 def integer_row_echelon(field, ints: list) -> tuple[list, list]:
-    """The one elimination loop: integer rows (``integer_rows``; over F_p
+    """The one elimination loop: integer rows (``field.to_ints``; over F_p
     in range(p)) reduced in place to a reduced row echelon form up to one
     nonzero scalar per row; returns (rows, pivot column list).  Row r holds
     a nonzero entry, not normalized, at pivot column r, and zeros at the
     other pivot columns; the rows past the pivots are zero.  Eliminating
     with pivot p replaces a row holding a by a nonzero multiple of row -
-    (a/p) * pivot row (``_integer_ops``), so no division enters the loop."""
-    _, eliminate, _ = _integer_ops(field)
+    (a/p) * pivot row (``field.eliminate``), so no division enters the
+    loop."""
+    eliminate = field.eliminate
     nrows = len(ints)
     ncols = len(ints[0]) if ints else 0
     pivots = []
@@ -353,13 +421,13 @@ def integer_row_echelon(field, ints: list) -> tuple[list, list]:
 
 
 def _row_echelon(field, rows: list) -> tuple[list, list]:
-    """Reduced row echelon form of rows; returns (rows, pivot column list).
-    The rows are reduced as integer rows by ``integer_row_echelon`` and the
-    pivot rows divided by their pivots at the end (``_integer_ops``).  The
-    reduced form is unique, so it equals the textbook one."""
-    to_ints, _, from_ints = _integer_ops(field)
-    ints, pivots = integer_row_echelon(field, [to_ints(row) for row in rows])
-    out = [from_ints(row, row[c]) for row, c in zip(ints, pivots)]
+    """Reduced row echelon form of rows, which it leaves as they are;
+    returns (rows, pivot column list).  The rows are reduced as integer
+    rows by ``integer_row_echelon`` and each pivot row divided by its pivot
+    at the end.  The reduced form is unique, so it equals the textbook
+    one."""
+    ints, pivots = integer_row_echelon(field, [field.to_ints(row) for row in rows])
+    out = [field.divide([row], row[c])[0] for row, c in zip(ints, pivots)]
     z = field.zero()
     ncols = len(rows[0]) if rows else 0
     out.extend([z] * ncols for _ in range(len(rows) - len(pivots)))
@@ -367,14 +435,15 @@ def _row_echelon(field, rows: list) -> tuple[list, list]:
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = _row_echelon(m.field, m.copy_rows())
-    return len(pivots)
+    """The number of pivots of m's integer row echelon form."""
+    f = m.field
+    return len(integer_row_echelon(f, [f.to_ints(row) for row in m.rows])[1])
 
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Columns span ker(m); satisfies m @ K = 0 and ncols(K) = ncols(m) - rank(m)."""
     f = m.field
-    rows, pivots = _row_echelon(f, m.copy_rows())
+    rows, pivots = _row_echelon(f, m.rows)
     z, o = f.zero(), f.one()
     pivot_set = set(pivots)
     free = [c for c in range(m.ncols) if c not in pivot_set]
@@ -402,7 +471,7 @@ def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
         raise ValueError("shape mismatch")
     f = a.field
     z = f.zero()
-    aug = [arow + brow for arow, brow in zip(a.copy_rows(), b.copy_rows())]
+    aug = [arow + brow for arow, brow in zip(a.rows, b.rows)]
     if not aug:
         return Matrix.zero(f, a.ncols, b.ncols)
     rows, pivots = _row_echelon(f, aug)
@@ -420,7 +489,7 @@ def column_space_basis(m: Matrix) -> Matrix:
     """Columns form a basis of the column space: m's columns at the pivots
     of its reduced row echelon form, which are the columns a greedy left to
     right scan keeps."""
-    _, pivots = _row_echelon(m.field, m.copy_rows())
+    _, pivots = _row_echelon(m.field, m.rows)
     return Matrix.from_columns(m.field, m.nrows, [m.column(j) for j in pivots])
 
 
@@ -441,31 +510,29 @@ def _last_nonzero(col: list) -> int:
 
 
 def bottom_column_echelon(field, cols: list) -> list[int]:
-    """Column-reduce integer columns in place, left to right, so that each
-    has a distinct lowest nonzero row; returns the list of those pivot rows
+    """Column-reduce integer columns, left to right, so that each has a
+    distinct lowest nonzero row; returns the list of those pivot rows
     (parallel to cols).  A column in the span of the earlier ones reduces
-    to zero and gets pivot -1.  The columns hold Python ints: over Q any
-    ints, whose content gcd is divided out on entry, over F_p ints in
-    range(p).  Eliminating (``_integer_ops``) replaces a column holding a
-    at an earlier column's pivot p by a nonzero multiple of column - (a/p)
-    * earlier column, so each reduced column is a nonzero multiple of the
-    one the textbook reduction, with pivots normalized to 1, gives; the
-    pivot entries are left as they fall."""
-    _, eliminate, _ = _integer_ops(field)
-    rational = field.kind == "Q"
+    to zero and gets pivot -1.  Each column is taken to its canonical form
+    on entry (``field.canonical``: over Q content-free, over F_p mod p),
+    and eliminating (``field.eliminate``) replaces a column holding a at an
+    earlier column's pivot p by a nonzero multiple of column - (a/p) *
+    earlier column.  cols[j] is replaced by its reduced column, a nonzero
+    multiple of the one the textbook reduction, with pivots normalized to
+    1, gives; the pivot entries are left as they fall."""
+    canonical, eliminate = field.canonical, field.eliminate
     used: dict[int, list] = {}  # pivot row -> its reduced column
     pivots = [-1] * len(cols)
     for j, col in enumerate(cols):
-        icol = _content_free(col) if rational else col
-        while (low := _last_nonzero(icol)) != -1:
+        col = canonical(col)
+        while (low := _last_nonzero(col)) != -1:
             if low not in used:
-                used[low] = icol
+                used[low] = col
                 pivots[j] = low
                 break
             prow = used[low]
-            icol = eliminate(icol, prow, icol[low], prow[low])
-        if icol is not col:
-            col[:] = icol
+            col = eliminate(col, prow, col[low], prow[low])
+        cols[j] = col
     return pivots
 
 
@@ -474,88 +541,32 @@ def bottom_column_echelon(field, cols: list) -> list[int]:
 _ADD, _SWAP, _SCALE = 0, 1, 2
 
 
-def _below(rng, n: int) -> int:
-    """A uniform int in range(n), n >= 1: getrandbits(n.bit_length())
-    drawn until it is below n.  That is how ``random.Random`` draws
-    randrange(n), and choice(seq) with len(seq) == n, so the three consume
-    an rng alike and give the same values."""
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
-
-
 def random_elementary_ops(field, n: int, rng) -> list[tuple]:
     """2n+2 seeded elementary row operations on n rows, each (op, i, k, c):
-    additions with c in {+-1, +-2} over Q and any unit over F_p, swaps, and
-    scalings by +-1 over Q and by any unit over F_p.  The scalars are ints
-    (over Q too; ``change_basis`` works on ints).  The one definition of the
-    draw behind ``tamerep.scramble``; n = 0 draws nothing.  Every draw is
-    ``_below``, which consumes the rng as randrange and choice do: the kind
-    of operation as randrange(3), each row as randrange(n), a Q scalar as
-    choice over (-2, -1, 1, 2) or (-1, 1), and an F_p unit as
-    1 + randrange(p - 1), which is choice over the list of all p - 1 units
-    without building it.  So the stream, and every scramble drawn from it,
-    is the one the random module's own calls gave."""
+    additions by ``field.draw_coeff`` (over Q c in {+-1, +-2}, over F_p any
+    unit), swaps, and scalings by ``field.draw_unit`` (over Q +-1, over F_p
+    any unit).  The scalars are ints (over Q too; ``change_basis`` works on
+    ints).  The one definition of the draw behind ``tamerep.scramble``;
+    n = 0 draws nothing.  Every draw is ``_below``, which consumes the rng
+    as randrange and choice do: the kind of operation as randrange(3), each
+    row as randrange(n), and each scalar as choice over the field's list of
+    candidates.  So the stream, and every scramble drawn from it, is the one
+    the random module's own calls gave."""
     if n == 0:
         return []
-    if field.kind == "Q":
-        coeffs, units = (-2, -1, 1, 2), (-1, 1)
-        coeff, unit = (lambda: coeffs[_below(rng, 4)]), (lambda: units[_below(rng, 2)])
-    else:
-        coeff = unit = lambda: 1 + _below(rng, field.p - 1)
+    coeff, unit = field.draw_coeff, field.draw_unit
     ops = []
     for _ in range(2 * n + 2):
         op = _below(rng, 3)
         i = _below(rng, n)
         k = _below(rng, n)
         if op == _ADD and i != k:
-            ops.append((_ADD, i, k, coeff()))
+            ops.append((_ADD, i, k, coeff(rng)))
         elif op == _SWAP and i != k:
             ops.append((_SWAP, i, k, None))
         else:
-            ops.append((_SCALE, i, i, unit()))
+            ops.append((_SCALE, i, i, unit(rng)))
     return ops
-
-
-def integer_rows(field, rows) -> tuple[list, int]:
-    """(ints, den): den times the rows, as new lists of Python ints, for a
-    nonzero scalar den.  Over Q den is the lcm of the denominators, and
-    each entry is read once, by ``as_integer_ratio()``; over F_p den is 1
-    and the ints are the entries.  A nonzero multiple of a matrix has its
-    kernel, its image and its column-reduction pivots, which is all the
-    decomposition sweep reads of a junction map; ``change_basis`` divides
-    den out again at the end."""
-    if field.kind != "Q":
-        return [list(row) for row in rows], 1
-    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    den = lcm(*{d for row in ratios for _, d in row})
-    if den == 1:
-        return [[n for n, _ in row] for row in ratios], 1
-    return [[n * (den // d) for n, d in row] for row in ratios], den
-
-
-def _common_denominator_ops(field):
-    """(inverse, from_ints), the field's part of ``change_basis`` around
-    ``integer_rows``: inverse(c) is an int undoing a scaling by c;
-    from_ints(ints, den) divides by den, back into field scalars.  Over Q a
-    scaling (by +-1) is its own inverse, and one Fraction is built per
-    distinct int.  Over F_p a scaling is inverted mod p, and each entry is
-    reduced mod p."""
-    if field.kind == "Q":
-        return int, _over_denominator
-    p = field.p
-
-    def from_ints(rows, den):
-        return [[x % p for x in row] for row in rows]
-
-    return field.inv, from_ints
-
-
-def _over_denominator(rows: list, den: int) -> list:
-    frac = {x: Fraction(x, den) for x in set().union(*rows)}
-    return [[frac[x] for x in row] for row in rows]
 
 
 def change_basis(field, rows: list, row_ops, col_ops) -> list:
@@ -564,13 +575,12 @@ def change_basis(field, rows: list, row_ops, col_ops) -> list:
     product is formed.  The row operations act in order, then the inverses
     of the column operations, which on the right act in the original order
     (col_k -= c * col_i, the swap, col_i *= 1/c).  They act on rows times a
-    common denominator, as Python ints (``integer_rows``), which is divided
-    out once at the end (``_common_denominator_ops``).  Over Q that is exact
-    because the adds are by +-1 or +-2 and the scalings by +-1: every
-    coefficient and every inverse is an int, so the scaled matrix stays
-    integral.  A scaling by 1 changes nothing and is skipped."""
-    inverse, from_ints = _common_denominator_ops(field)
-    ints, den = integer_rows(field, rows)
+    common denominator, as Python ints (``field.integer_rows``), which is
+    divided out once at the end (``field.divide``).  Over Q that is exact
+    because every drawn coefficient and every ``field.unit_inverse`` is an
+    int, so the scaled matrix stays integral.  A scaling by 1 changes
+    nothing and is skipped."""
+    ints, den = field.integer_rows(rows)
     for op, i, k, c in row_ops:
         if op == _ADD:
             ints[i] = [a + c * b for a, b in zip(ints[i], ints[k])]
@@ -587,7 +597,7 @@ def change_basis(field, rows: list, row_ops, col_ops) -> list:
             for row in ints:
                 row[i], row[k] = row[k], row[i]
         elif c != 1:
-            c = inverse(c)
+            c = field.unit_inverse(c)
             for row in ints:
                 row[i] *= c
-    return from_ints(ints, den)
+    return field.divide(ints, den)

@@ -130,7 +130,7 @@ def random_invertible(field, n: int, rng) -> Matrix:
     so entries stay small and the result is exactly invertible.  The P of
     the scramble parity reference: ``scramble(v, seed)`` equals conjugating
     v by one such P per cell, drawn in cell order from Random(seed)."""
-    rows = Matrix.identity(field, n).copy_rows()
+    rows = Matrix.identity(field, n).rows
     for op, i, k, c in random_elementary_ops(field, n, rng):
         if op == _ADD:
             field.axpy(rows[i], c, [(j, b) for j, b in enumerate(rows[k]) if b])

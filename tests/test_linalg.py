@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import random_invertible
 from sweep_reference import columns, textbook_column_reduction, unit_complement
+from aquiver.jsonio import parse_field
 from aquiver.linalg import (MAX_PRIME, Matrix, PrimeField, QQ, _below, _row_echelon,
                             bottom_column_echelon, column_space_basis, invert,
                             kernel_basis, rank, solve_linear_system, solve_matrix)
@@ -26,7 +28,7 @@ def column(field, vec):
 def _as_ints(field, vecs):
     """Each vector as Python ints: over Q times the lcm of its
     denominators, over F_p as it is."""
-    if field.kind != "Q":
+    if field != QQ:
         return [list(vec) for vec in vecs]
     scales = [lcm(*(x.denominator for x in vec)) for vec in vecs]
     return [[int(x * scale) for x in vec] for scale, vec in zip(scales, vecs)]
@@ -34,7 +36,7 @@ def _as_ints(field, vecs):
 
 def _unit_pivot(field, col, piv):
     """The integer column col divided by its entry at piv, in field scalars."""
-    if field.kind == "Q":
+    if field == QQ:
         return [Fraction(x, col[piv]) for x in col]
     inv = field.inv(col[piv])
     return [x * inv % field.p for x in col]
@@ -46,7 +48,7 @@ def _assert_reduced_ints(field, cols, pivots):
     assert len({piv for piv in pivots if piv != -1}) == len(pivots) - pivots.count(-1)
     for col, piv in zip(cols, pivots):
         assert all(type(x) is int for x in col)
-        if field.kind != "Q":
+        if field != QQ:
             assert all(0 <= x < field.p for x in col)
         assert piv == -1 or col[piv]
         assert not any(col[piv + 1:])
@@ -184,6 +186,16 @@ def test_prime_field_matches_sieve():
         assert accepted == sieve[k], k
 
 
+def test_q_inverse_is_an_exact_fraction():
+    for a, want in [(2, Fraction(1, 2)), (-3, Fraction(-1, 3)), (1, Fraction(1)),
+                    (Fraction(-2, 7), Fraction(-7, 2)), (10**40, Fraction(1, 10**40))]:
+        got = QQ.inv(a)
+        assert type(got) is Fraction and got == want
+    for field, zero in [(QQ, 0), (QQ, Fraction(0)), (F5, 0), (F5, 10)]:
+        with pytest.raises(ZeroDivisionError):
+            field.inv(zero)
+
+
 def test_exactness_no_floats():
     a = mat([[1, 3], [2, 7]])
     sol, _ = solve_linear_system(a, [Fraction(1, 3), Fraction(2, 5)])
@@ -242,7 +254,7 @@ def _naive_dot(field, xs, ys):
 
 
 def _random_scalar(field, rng):
-    if field.kind == "Q":
+    if field == QQ:
         return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     return field.from_int(rng.randrange(field.p))
 
@@ -275,7 +287,7 @@ def _parity_cases(field, seed, count=16):
 
 def _assert_exact(field, values):
     for x in values:
-        if field.kind == "Q":
+        if field == QQ:
             assert isinstance(x, Fraction)
         else:
             assert type(x) is int and 0 <= x < field.p
@@ -285,7 +297,7 @@ def _assert_exact(field, values):
 def test_row_echelon_matches_textbook(field):
     for _, m in _parity_cases(field, 11):
         want_rows, want_pivots = textbook_rref(field, m.rows)
-        got_rows, got_pivots = _row_echelon(field, m.copy_rows())
+        got_rows, got_pivots = _row_echelon(field, m.rows)
         assert got_pivots == want_pivots
         assert got_rows == want_rows
         _assert_exact(field, [x for r in got_rows for x in r])
@@ -510,7 +522,7 @@ def test_q_wide_row_echelon_and_kernel():
     for _, m in cases:
         for given, ref in _given_and_reference(m):
             want_rows, want_pivots = textbook_rref(QQ, ref.rows)
-            got_rows, got_pivots = _row_echelon(QQ, given.copy_rows())
+            got_rows, got_pivots = _row_echelon(QQ, given.rows)
             assert (got_rows, got_pivots) == (want_rows, want_pivots)
             _assert_exact(QQ, [x for r in got_rows for x in r])
             _check_kernel_basis(QQ, given, _textbook_kernel(QQ, ref))
@@ -553,7 +565,7 @@ def _check_bottom_echelon(field, given, ref):
     equal entry for entry to the textbook one; returns the number of
     dependent columns."""
     cols = _as_ints(field, given.rows)
-    want = ref.copy_rows()
+    want = [list(r) for r in ref.rows]
     want_pivots = textbook_column_reduction(field, want)
     assert bottom_column_echelon(field, cols) == want_pivots
     _assert_reduced_ints(field, cols, want_pivots)
@@ -579,7 +591,7 @@ def test_bottom_column_echelon_matches_reference_reduction(field):
             else:
                 g = rng.choice((1, 1, 2, -6, 10**12))
                 col = [g * rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(d)]
-            if field.kind != "Q":
+            if field != QQ:
                 col = [x % field.p for x in col]
             cols.append(col)
         with_content += sum(gcd(*col) > 1 and min(col) < 0 for col in cols)
@@ -593,7 +605,7 @@ def test_bottom_column_echelon_matches_reference_reduction(field):
             assert [field.from_int(x) for x in col] == [field.mul(c, y) for y in wcol]
         dependent += want.count(-1)
     assert dependent >= 40
-    assert field.kind != "Q" or with_content >= 40
+    assert field != QQ or with_content >= 40
 
 
 @pytest.mark.parametrize("field", PARITY_FIELDS, ids=PARITY_IDS)
@@ -609,3 +621,121 @@ def test_q_bottom_column_echelon_matches_fraction_elimination():
         for given, ref in _given_and_reference(m):
             dependent += _check_bottom_echelon(QQ, given, ref)
     assert dependent
+
+
+# ---------------------------------------------------------------------------
+# The field's integer form: the methods through which every integer loop
+# and the decomposition sweep reach the scalars, checked against the scalar
+# field operations.
+
+CONTRACT_FIELDS = [QQ, PrimeField(2), F5, PrimeField(2**61 - 1)]
+CONTRACT_IDS = ["Q", "F2", "F5", "F2^61-1"]
+
+
+def _is_nonzero_multiple(field, ints, vec):
+    """Whether the ints, read as field scalars, are c * vec for some c != 0."""
+    got = [field.from_int(x) for x in ints]
+    j = next((j for j, x in enumerate(vec) if x), None)
+    if j is None:
+        return not any(got)
+    c = field.mul(got[j], field.inv(vec[j]))
+    return bool(c) and got == [field.mul(c, x) for x in vec]
+
+
+def _random_ints(field, rng, n):
+    """Integers as the loops meet them: over Q of any sign and with a
+    content, over F_p in range(p)."""
+    if field == QQ:
+        g = rng.choice((1, 1, 3, -10**12))
+        return [g * rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(n)]
+    return [rng.randrange(1, field.p) if rng.random() < 0.7 else 0 for _ in range(n)]
+
+
+@pytest.mark.parametrize("field", CONTRACT_FIELDS, ids=CONTRACT_IDS)
+def test_field_integer_rows_divide_and_to_ints(field):
+    cases = [m for _, m in _parity_cases(field, 41)]
+    if field == QQ:
+        cases += [m for _, m in _wide_cases(42)]
+    for m in cases:
+        ints, den = field.integer_rows(m.rows)
+        assert all(type(x) is int for row in ints for x in row) and den
+        assert field.divide(ints, den) == m.rows
+        for row in m.rows:
+            got = field.to_ints(row)
+            assert all(type(x) is int for x in got) and got is not row
+            assert _is_nonzero_multiple(field, got, row)
+    rng = random.Random(43)
+    for _ in range(50):
+        ints = _random_ints(field, rng, rng.randint(0, 6))
+        den = rng.choice((1, -1, 2, 7, 10**30 + 1)) if field == QQ else rng.randrange(1, field.p)
+        inv = field.inv(field.from_int(den))
+        assert field.divide([ints], den) == [[field.mul(field.from_int(x), inv) for x in ints]]
+
+
+@pytest.mark.parametrize("field", CONTRACT_FIELDS, ids=CONTRACT_IDS)
+def test_field_eliminate_and_canonical(field):
+    rng = random.Random(44)
+    eliminated = 0
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        row, prow = _random_ints(field, rng, n), _random_ints(field, rng, n)
+        for j in range(n):
+            a, p = row[j], prow[j]
+            if not (a and p):
+                continue
+            out = field.eliminate(row, prow, a, p)
+            assert all(type(x) is int for x in out) and out[j] == 0
+            c = field.mul(field.from_int(a), field.inv(field.from_int(p)))
+            want = [field.sub(field.from_int(x), field.mul(c, field.from_int(y)))
+                    for x, y in zip(row, prow)]
+            assert _is_nonzero_multiple(field, out, want)
+            eliminated += 1
+        vec = [rng.choice((1, -1)) * rng.randint(0, 10**20) for _ in range(n)]
+        got = field.canonical(vec)
+        assert all(type(x) is int for x in got)
+        assert _is_nonzero_multiple(field, got, [field.from_int(x) for x in vec])
+        if field == QQ:
+            assert gcd(*got) in (0, 1)
+        else:
+            assert all(0 <= x < field.p for x in got)
+    assert eliminated >= 200
+
+
+@pytest.mark.parametrize("field", CONTRACT_FIELDS, ids=CONTRACT_IDS)
+def test_field_pivot_scaling_draws_and_units(field):
+    rng = random.Random(45)
+    for n in range(8):
+        if field == QQ:
+            pivots = [rng.choice((1, -1)) * rng.randint(1, 10**12) for _ in range(n)]
+        else:
+            pivots = [rng.randrange(1, field.p) for _ in range(n)]
+        scale, factors = field.pivot_scaling(pivots)
+        assert type(scale) is int and field.from_int(scale)
+        assert all(type(f) is int for f in factors) and len(factors) == n
+        for f, q in zip(factors, pivots):
+            assert field.from_int(f) == field.mul(field.from_int(scale),
+                                                  field.inv(field.from_int(q)))
+    for _ in range(50):
+        for c in (field.draw_coeff(rng), field.draw_unit(rng)):
+            assert type(c) is int and field.from_int(c)
+        u = field.draw_unit(rng)
+        inverse = field.unit_inverse(u)
+        assert type(inverse) is int
+        assert field.mul(field.from_int(u), field.from_int(inverse)) == field.one()
+
+
+@pytest.mark.parametrize("field", CONTRACT_FIELDS, ids=CONTRACT_IDS)
+def test_field_parse_format_and_name(field):
+    rng = random.Random(46)
+    values = [field.zero(), field.one(), field.neg(field.one())]
+    values += [_random_scalar(field, rng) for _ in range(40)]
+    if field == QQ:
+        values += [_wide_scalar(rng) for _ in range(20)]
+    for x in values:
+        text = field.format(x)
+        assert type(text) is str and field.parse(text) == x
+    # a JSON integer entry too, over F_p reduced mod p
+    assert field.parse(-1) == field.parse("-1") == field.neg(field.one())
+    assert parse_field(str(field)) == field
+    assert parse_field(field.to_json()) == field
+    assert parse_field(json.loads(json.dumps(field.to_json()))) == field

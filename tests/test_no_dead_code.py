@@ -15,7 +15,8 @@ with a test that needs it, and every test the list cites exists.  Every
 name a library or test module imports at top level is read in that
 module, except in __init__.py, which re-exports.  No library module imports an
 underscore name from another.  tests/oracle.py imports nothing from the
-code it checks.  Every name the benchmark's tracer wraps exists, and
+code it checks.  No library module outside the two field classes asks
+which field it holds.  Every name the benchmark's tracer wraps exists, and
 importing aquiver.cli loads every module the benchmark reaches into.
 """
 
@@ -84,6 +85,7 @@ def test_every_library_function_and_class_has_a_use():
 # Library names that no library code calls, with a test that needs each.
 TEST_ONLY = {
     "dim_at": "test_tamerep.py::test_from_bars_overlap_count",
+    "from_int": "test_linalg.py::test_rank_examples (mat)",
     "from_rows": "test_linalg.py::test_rank_examples",
     "image_rep": "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",
     "power": "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",
@@ -151,6 +153,54 @@ def test_no_private_name_crosses_modules():
                and (node.level or (node.module or "").split(".")[0] == "aquiver")
                for alias in node.names if alias.name.startswith("_")]
     assert not private, f"imports a private name of another module: {', '.join(private)}"
+
+
+FIELD_CLASSES = ("RationalField", "PrimeField")
+
+
+def _field_branches(tree) -> list[int]:
+    """Lines, outside the field classes, of tests that ask which field is
+    at hand: a comparison with an attribute named kind, with QQ or with a
+    field class, or an isinstance test against a field class."""
+    inside = {id(n) for c in ast.walk(tree)
+              if isinstance(c, ast.ClassDef) and c.name in FIELD_CLASSES for n in ast.walk(c)}
+
+    def names_a_field(node):
+        return ((isinstance(node, ast.Attribute) and node.attr in ("kind", "QQ", *FIELD_CLASSES))
+                or (isinstance(node, ast.Name) and node.id in ("QQ", *FIELD_CLASSES)))
+
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance"):
+            operands = [x for arg in node.args[1:] for x in ast.walk(arg)]
+        else:
+            continue
+        if any(names_a_field(x) for x in operands):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_field_classes_tell_q_from_f_p():
+    # how a field's scalars become ints and come back is decided once, in
+    # linalg's RationalField and PrimeField; every other module calls their
+    # methods and never asks which field it holds
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _field_branches(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, f"branches on the kind of field outside the field classes: {', '.join(found)}"
+    sample = ast.parse("if field.kind == 'Q': pass\n"
+                       "if f != QQ or linalg.QQ is f: pass\n"
+                       "if isinstance(f, (int, PrimeField)): pass\n"
+                       "if type(f) is linalg.RationalField: pass\n"
+                       "if f == g and kind == 'Q': pass\n"
+                       "class PrimeField:\n"
+                       "    def __eq__(self, other):\n"
+                       "        return isinstance(other, PrimeField) and other.kind == QQ\n")
+    assert _field_branches(sample) == [1, 2, 2, 3, 4]
 
 
 def test_oracle_imports_nothing_it_checks():
