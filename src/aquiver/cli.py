@@ -166,8 +166,7 @@ def cmd_present(orientation_file, interval_v, field_spec, as_json):
                 "grid": [format_extreal(g) for g in realized.dom.grid],
                 "p1_dims": list(realized.dom.dims),
                 "p0_dims": list(realized.cod.dims),
-                "cells": [[list(map(field.format, row)) for row in m.rows]
-                          for m in realized.mats],
+                "cells": [m.to_json() for m in realized.mats],
             },
         })
     else:

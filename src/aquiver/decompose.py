@@ -24,8 +24,11 @@ of zigzag persistence (Carlsson and de Silva, 2010).
 
 The sweep runs on Python ints from the first cell to the last; it builds
 no Fraction and no Matrix, and it leaves every field-specific step to the
-field (``linalg``).  Each junction map is read once as integer rows times
-one nonzero scalar (``field.integer_rows``), each line is an integer
+field (``linalg``).  Each junction map is read as the integer rows its
+``Matrix`` stores, ``ints``, one nonzero scalar times the map (over
+``den``); a map that was built from those rows, as the maps of barcodes,
+scrambles and parsed documents are, is read with no conversion at all,
+and ``field.integer_rows`` is not called per map.  Each line is an integer
 vector, and the integer elimination loops (``integer_row_echelon``,
 ``bottom_column_echelon``) leave every vector a nonzero multiple of the one
 field arithmetic would give.  Backward, B is never divided out: column k
@@ -57,7 +60,7 @@ def _cell_bars(v: TameRep) -> list[tuple[int, int]]:
     lines = [(0, _unit(v.dims[0], i)) for i in range(v.dims[0])]
     for j in range(v.ncells - 1):
         fwd = v.dirs[j] != DOWN
-        rows, _ = field.integer_rows(v.maps[j].rows)
+        rows = v.maps[j].ints
         step = _forward if fwd else _backward
         nxt, born = step(field, [vec for _, vec in lines], rows, v.dims[j + 1])
         kept = []
@@ -149,7 +152,7 @@ def indecomposable_direct(v: TameRep) -> bool:
     if nz[-1] - nz[0] + 1 != len(nz):
         return False
     for j in range(nz[0], nz[-1]):
-        if not v.maps[j].rows[0][0]:
+        if not v.maps[j].ints[0][0]:
             return False
     return True
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
+from math import lcm
 from typing import Optional
 
 from .intervals import (BarMultiset, Interval, format_extreal, parse_extreal,
@@ -81,14 +83,10 @@ def parse_field(obj) -> object:
 
 
 def tame_to_json(v: TameRep) -> dict:
-    fmt = v.field.format
     return {
         "grid": [format_extreal(g) for g in v.grid],
         "dims": list(v.dims),
-        "maps": [
-            {"dir": d, "entries": [list(map(fmt, row)) for row in m.rows]}
-            for m, d in zip(v.maps, v.dirs)
-        ],
+        "maps": [{"dir": d, "entries": m.to_json()} for m, d in zip(v.maps, v.dirs)],
     }
 
 
@@ -117,18 +115,23 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
     if len(maps_json) != 2 * len(grid):
         raise SchemaError(f"tame object needs {2 * len(grid)} maps")
     parse = field.parse
-    # Each distinct string entry is parsed once, at its first occurrence, so
-    # errors still come in document order.  The memo lives for this call
-    # only and is keyed by str alone: a JSON number is parsed every time,
-    # since 1 and 1.0 are equal keys and the float must not pass as the int.
+    # Each map is built as integer rows over the lcm of its entries'
+    # denominators, read off one (numerator, denominator) pair per distinct
+    # entry: the field parses the entry and ``as_integer_ratio`` splits the
+    # scalar (a Fraction, or an int over F_p, where the lcm is 1).  Each
+    # distinct string is parsed once, at its first occurrence in the
+    # document, so errors still come in document order.  The memo lives for
+    # this call only and is keyed by str alone.  A map holding anything but
+    # strings has each entry parsed in turn: 1 and 1.0 are equal keys, and
+    # the float must not pass as the int.
     memo = {}
 
-    def entry(x):
+    def ratio(x):
         if type(x) is not str:
-            return parse(x)
+            return parse(x).as_integer_ratio()
         y = memo.get(x)
         if y is None:
-            y = memo[x] = parse(x)
+            y = memo[x] = parse(x).as_integer_ratio()
         return y
 
     maps = []
@@ -146,11 +149,16 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
         if (not isinstance(entries, list) or len(entries) != nrows
                 or any(not isinstance(r, list) or len(r) != ncols for r in entries)):
             raise SchemaError(f"map {j}: entries must be {nrows}x{ncols}")
+        flat = list(chain.from_iterable(entries))
+        distinct = dict.fromkeys(flat) if {str}.issuperset(map(type, flat)) else flat
         try:
-            rows = [[entry(x) for x in r] for r in entries]
+            ratios = {x: ratio(x) for x in distinct}
         except MALFORMED as e:
             raise SchemaError(f"map {j}: {e}")
-        maps.append(Matrix(field, nrows, ncols, rows))
+        den = lcm(*{q for _, q in ratios.values()})
+        scaled = {x: n * (den // q) for x, (n, q) in ratios.items()}
+        maps.append(Matrix.from_ints(field, nrows, ncols,
+                                     [[scaled[x] for x in r] for r in entries], den))
     try:
         return TameRep(o, field, grid, dims, maps)
     except ValueError as e:

@@ -16,6 +16,17 @@ the scalars already, ``divide`` multiplies by an inverse mod p, and
 reduces mod p.  Each of these scales a vector by a nonzero scalar, which
 keeps its span, its pivots and its zeros.
 
+A ``Matrix`` stores a map in either of two forms and derives the other
+once, on first read.  Its integer form is ``ints``, integer rows, over one
+nonzero denominator ``den`` (over F_p the ints are reduced mod p and den
+is 1); ``rows`` is the view as row lists of field scalars.  A matrix built
+with ``Matrix.from_ints``, as the representations of barcodes, scrambles
+and parsed documents are, holds the integer form and builds ``rows`` only
+if something reads it; one built from field rows (the constructor,
+``matmul``, ``identity``) holds the rows and derives ``ints`` and ``den``
+by ``field.integer_rows``.  ``Matrix.to_json`` spells the entries from the
+integer form, each distinct int once.
+
 ``integer_row_echelon`` is the one elimination loop, behind every rank,
 kernel, solve and column-space basis (``_row_echelon`` wraps it for rows of
 field scalars) and behind the decomposition sweep's backward solve.
@@ -29,13 +40,14 @@ returns the textbook reduced form.  Products run inside one row operation
 per field, ``field.axpy(dst, c, pairs)``, which adds c times a sparse row,
 given as its nonzero (column, value) pairs, to a dense row.
 
-``change_basis``, the scramble's P M Q^-1 by elementary operations, runs
-on integer rows as well.  The field draws the operations' scalars
-(``draw_coeff``, ``draw_unit``) and inverts a scaling (``unit_inverse``):
-over Q the adds are by +-1 or +-2 and the scalings by +-1, so every
-coefficient and every inverse is an int and the rows stay integral.  The
-common denominator is divided out once at the end, and a scaling by 1 is
-skipped.
+``change_basis``, the scramble's P M Q^-1 by elementary operations, takes
+a map's integer form (ints, den) and returns the integer form of the
+result over the same den, with no division.  The field draws the
+operations' scalars (``draw_coeff``, ``draw_unit``) and inverts a scaling
+(``unit_inverse``): over Q the adds are by +-1 or +-2 and the scalings by
++-1, so every coefficient and every inverse is an int and the rows stay
+integral.  Over F_p the ints are reduced mod p once at the end
+(``reduce_rows``), and a scaling by 1 is skipped.
 """
 
 from __future__ import annotations
@@ -129,6 +141,10 @@ class RationalField:
         per distinct int."""
         frac = {x: Fraction(x, den) for x in set().union(*rows)}
         return [[frac[x] for x in row] for row in rows]
+
+    def reduce_rows(self, ints: list) -> list:
+        """The integer rows as a matrix stores them: any ints will do."""
+        return ints
 
     def pivot_scaling(self, pivots: list) -> tuple[int, list]:
         """(scale, factors) with factors[r] = scale / pivots[r], all ints:
@@ -259,13 +275,20 @@ class PrimeField:
         return [(pivot * x - a * y) % p for x, y in zip(row, prow)]
 
     def integer_rows(self, rows) -> tuple[list, int]:
-        """(ints, 1): the rows as new lists; the scalars are ints already."""
-        return [list(row) for row in rows], 1
+        """(ints, 1): the rows reduced mod p, as new lists; the scalars are
+        ints already."""
+        return self.reduce_rows(rows), 1
 
     def divide(self, rows: list, den: int) -> list:
         """The integer rows over den, reduced mod p."""
         p, inv = self.p, self.inv(den)
         return [[x * inv % p for x in row] for row in rows]
+
+    def reduce_rows(self, ints: list) -> list:
+        """The integer rows as a matrix stores them: reduced mod p, as new
+        lists."""
+        p = self.p
+        return [[x % p for x in row] for row in ints]
 
     def pivot_scaling(self, pivots: list) -> tuple[int, list]:
         """(1, the pivots' inverses mod p).  A common multiple of the
@@ -309,19 +332,57 @@ QQ = RationalField()
 class Matrix:
     """Immutable-by-convention dense matrix over a field.
 
-    ``rows`` is a list of row lists.  Zero-row / zero-column matrices are
-    legal and show up constantly (zero-dimensional cells).
+    ``rows`` is a list of row lists of field scalars; ``ints`` over ``den``
+    is the same map in the field's integer form (module docstring).  A
+    matrix holds the form it was built from and derives the other once, on
+    first read.  Zero-row / zero-column matrices are legal and show up
+    constantly (zero-dimensional cells).
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_ints", "_den")
 
     def __init__(self, field, nrows: int, ncols: int, rows):
-        if len(rows) != nrows or any(len(r) != ncols for r in rows):
+        if len(rows) != nrows or any(map(ncols.__ne__, map(len, rows))):
             raise ValueError("inconsistent matrix shape")
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = rows
+        self._rows = rows
+        self._ints = self._den = None
+
+    @classmethod
+    def from_ints(cls, field, nrows: int, ncols: int, ints: list, den: int = 1) -> "Matrix":
+        """The matrix whose rows are the integer rows ints over the nonzero
+        den, stored as given: over F_p the ints must lie in range(p)."""
+        if len(ints) != nrows or any(map(ncols.__ne__, map(len, ints))):
+            raise ValueError("inconsistent matrix shape")
+        m = cls.__new__(cls)
+        m.field, m.nrows, m.ncols = field, nrows, ncols
+        m._rows, m._ints, m._den = None, ints, den
+        return m
+
+    @property
+    def rows(self) -> list:
+        """The rows as field scalars, built from the integer form on first
+        read (``field.divide``)."""
+        if self._rows is None:
+            self._rows = self.field.divide(self._ints, self._den)
+        return self._rows
+
+    @property
+    def ints(self) -> list:
+        """The integer rows, derived from the field rows on first read
+        (``field.integer_rows``).  Read them, never change them."""
+        if self._ints is None:
+            self._ints, self._den = self.field.integer_rows(self._rows)
+        return self._ints
+
+    @property
+    def den(self) -> int:
+        """The nonzero denominator that ``ints`` are over."""
+        if self._ints is None:
+            self._ints, self._den = self.field.integer_rows(self._rows)
+        return self._den
 
     @staticmethod
     def from_rows(field, rows: Sequence[Sequence]) -> "Matrix":
@@ -377,7 +438,20 @@ class Matrix:
         return Matrix(f, self.nrows, self.ncols, [[f.mul(c, a) for a in r] for r in self.rows])
 
     def is_zero(self) -> bool:
-        return not any(any(r) for r in self.rows)
+        # both forms have the same zeros
+        rows = self._rows if self._rows is not None else self._ints
+        return not any(any(r) for r in rows)
+
+    def to_json(self) -> list:
+        """The entries as ``field.format`` spells them, read off the integer
+        form with each distinct int spelled once: over den 1 the int itself,
+        which both fields read as the scalar it is, and otherwise the scalar
+        ``field.divide`` makes of it."""
+        ints, den, field = self.ints, self.den, self.field
+        vals = list(set().union(*ints))
+        scalars = vals if den == 1 else field.divide([vals], den)[0]
+        text = dict(zip(vals, map(field.format, scalars)))
+        return [[text[x] for x in row] for row in ints]
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -436,8 +510,7 @@ def _row_echelon(field, rows: list) -> tuple[list, list]:
 
 def rank(m: Matrix) -> int:
     """The number of pivots of m's integer row echelon form."""
-    f = m.field
-    return len(integer_row_echelon(f, [f.to_ints(row) for row in m.rows])[1])
+    return len(integer_row_echelon(m.field, list(m.ints))[1])
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -569,18 +642,19 @@ def random_elementary_ops(field, n: int, rng) -> list[tuple]:
     return ops
 
 
-def change_basis(field, rows: list, row_ops, col_ops) -> list:
-    """The rows of P @ rows @ Q^-1, where P and Q are the products of
-    row_ops and col_ops, two draws of ``random_elementary_ops``; neither
-    product is formed.  The row operations act in order, then the inverses
-    of the column operations, which on the right act in the original order
-    (col_k -= c * col_i, the swap, col_i *= 1/c).  They act on rows times a
-    common denominator, as Python ints (``field.integer_rows``), which is
-    divided out once at the end (``field.divide``).  Over Q that is exact
-    because every drawn coefficient and every ``field.unit_inverse`` is an
-    int, so the scaled matrix stays integral.  A scaling by 1 changes
-    nothing and is skipped."""
-    ints, den = field.integer_rows(rows)
+def change_basis(field, ints: list, den: int, row_ops, col_ops) -> tuple[list, int]:
+    """The integer form (ints, den) of P @ M @ Q^-1, where M is the matrix
+    with integer form (ints, den), which is left as it is, and P and Q are
+    the products of row_ops and col_ops, two draws of
+    ``random_elementary_ops``; neither product is formed.  The row
+    operations act in order, then the inverses of the column operations,
+    which on the right act in the original order (col_k -= c * col_i, the
+    swap, col_i *= 1/c).  They act on the ints alone, and the result is
+    over the same den, with no division: over Q every drawn coefficient and
+    every ``field.unit_inverse`` is an int, so the rows stay integral; over
+    F_p the ints are reduced mod p once at the end (``field.reduce_rows``).
+    A scaling by 1 changes nothing and is skipped."""
+    ints = [row[:] for row in ints]
     for op, i, k, c in row_ops:
         if op == _ADD:
             ints[i] = [a + c * b for a, b in zip(ints[i], ints[k])]
@@ -600,4 +674,4 @@ def change_basis(field, rows: list, row_ops, col_ops) -> list:
             c = field.unit_inverse(c)
             for row in ints:
                 row[i] *= c
-    return field.divide(ints, den)
+    return field.reduce_rows(ints), den

@@ -167,10 +167,23 @@ class TameRep:
         self.dims = tuple(int(d) for d in dims)
         self.maps = tuple(maps)
         self.dirs = tuple(junction_dirs(orientation, self.grid))
-        self._validate()
+        check_grid_and_dims(orientation, self.grid, self.dims)
+        self._check_maps()
 
-    def _validate(self):
-        check_grid_and_dims(self.orientation, self.grid, self.dims)
+    @classmethod
+    def _on_checked_grid(cls, orientation: Orientation, field, grid: tuple, dims: tuple,
+                         dirs: tuple, maps) -> "TameRep":
+        """The representation with the given maps on a grid, dims and
+        junction directions already checked (those of a validated
+        representation, or built to pass the checks), taken as they are:
+        only the maps' count, shapes and field are checked."""
+        v = cls.__new__(cls)
+        v.orientation, v.field, v.grid, v.dims, v.dirs = orientation, field, grid, dims, dirs
+        v.maps = tuple(maps)
+        v._check_maps()
+        return v
+
+    def _check_maps(self):
         if len(self.maps) != 2 * len(self.grid):
             raise ValueError("need 2m junction maps")
         for j, (mat, d) in enumerate(zip(self.maps, self.dirs)):
@@ -228,16 +241,18 @@ def reps_on_common_grid(o: Orientation, groups: Sequence[Sequence[Interval]],
     group, the representation and, per cell, the list of the group's
     interval indices occupying its slots.  Each bar's ends are placed
     through one dict from grid point to index, and each junction map is
-    read off a slot -> column dict of its source cell."""
+    read off a slot -> column dict of its source cell, as 0/1 integer rows
+    over den 1 (``Matrix.from_ints``).  The grid is sorted from a set and
+    holds every critical point inside its hull, so it passes
+    ``check_grid_and_dims`` by construction and is not checked again."""
     family = [iv for group in groups for iv in group]
     pts = {Fraction(e) for iv in family for e in (iv.lo, iv.hi) if is_finite(e)}
     if family:
         lo_h, hi_h = min(iv.lo for iv in family), max(iv.hi for iv in family)
         pts.update(p for p in o.positions if lo_h <= p <= hi_h)
-    grid = sorted(pts)
+    grid = tuple(sorted(pts))
     index = {g: i for i, g in enumerate(grid)}.__getitem__
-    dirs = junction_dirs(o, grid)
-    one, zero = field.one(), field.zero()
+    dirs = tuple(junction_dirs(o, grid))
     out = []
     for group in groups:
         slots: list[list[int]] = [[] for _ in range(num_cells(grid))]
@@ -245,21 +260,21 @@ def reps_on_common_grid(o: Orientation, groups: Sequence[Sequence[Interval]],
             a, b = _cell_range(iv, index, len(grid))
             for c in range(a, b + 1):
                 slots[c].append(idx)
-        dims = [len(s) for s in slots]
+        dims = tuple(len(s) for s in slots)
         columns = [{iv: col for col, iv in enumerate(s)} for s in slots]
         maps = []
         for j, d in enumerate(dirs):
             src, tgt = junction_cells(d, j)
             col_of, width = columns[src], dims[src]
-            rows = []
+            ints = []
             for iv in slots[tgt]:
-                row = [zero] * width
+                row = [0] * width
                 col = col_of.get(iv)
                 if col is not None:
-                    row[col] = one
-                rows.append(row)
-            maps.append(Matrix(field, dims[tgt], width, rows))
-        out.append((TameRep(o, field, grid, dims, maps), slots))
+                    row[col] = 1
+                ints.append(row)
+            maps.append(Matrix.from_ints(field, dims[tgt], width, ints))
+        out.append((TameRep._on_checked_grid(o, field, grid, dims, dirs, maps), slots))
     return out
 
 
@@ -327,7 +342,7 @@ def direct_sum(a: TameRep, b: TameRep) -> TameRep:
         for r in range(mb.nrows):
             rows.append([z] * ma.ncols + list(mb.rows[r]))
         maps.append(Matrix(field, ma.nrows + mb.nrows, ma.ncols + mb.ncols, rows))
-    return TameRep(a.orientation, field, a.grid, dims, maps)
+    return TameRep._on_checked_grid(a.orientation, field, a.grid, tuple(dims), a.dirs, maps)
 
 
 def dual(v: TameRep) -> TameRep:
@@ -351,7 +366,7 @@ def restrict(v: TameRep, j_iv: Interval) -> TameRep:
             maps.append(w.maps[j])
         else:
             maps.append(Matrix.zero(w.field, dims[tgt], dims[src]))
-    return TameRep(w.orientation, w.field, w.grid, dims, maps)
+    return TameRep._on_checked_grid(w.orientation, w.field, w.grid, tuple(dims), w.dirs, maps)
 
 
 def conjugate(v: TameRep, cell_mats: Sequence[Matrix]) -> TameRep:
@@ -364,7 +379,7 @@ def conjugate(v: TameRep, cell_mats: Sequence[Matrix]) -> TameRep:
     for j in range(len(v.maps)):
         src, tgt = junction_cells(v.dirs[j], j)
         maps.append(cell_mats[tgt].matmul(v.maps[j]).matmul(invs[src]))
-    return TameRep(v.orientation, v.field, v.grid, v.dims, maps)
+    return TameRep._on_checked_grid(v.orientation, v.field, v.grid, v.dims, v.dirs, maps)
 
 
 def scramble(v: TameRep, seed: int) -> TameRep:
@@ -375,23 +390,26 @@ def scramble(v: TameRep, seed: int) -> TameRep:
     from ``rng = random.Random(seed)``, but each P is applied as its
     elementary operations, never formed: a junction map M becomes
     P_tgt M P_src^-1 by P_tgt's operations on M's rows, then P_src's
-    inverse operations on its columns (``change_basis``).  Over Q these run
-    on Python ints: M is multiplied by the lcm of its denominators, and the
-    result divided by it once.  That is exact, because every operation has
-    an integer coefficient and an integer inverse: adds by +-1 or +-2 (undone
-    by the opposite add), swaps, and scalings by +-1.  The operations are
-    drawn with ``getrandbits`` alone, in the stream ``randrange`` and
-    ``choice`` would give (``linalg._below``), so a seed scrambles to the
-    same bytes as it always has."""
+    inverse operations on its columns (``change_basis``).  These run on
+    M's integer form, its integer rows over one denominator (``m.ints`` and
+    ``m.den``), and each new map is built from the integer rows they give,
+    over the same denominator (``Matrix.from_ints``); no scalar is divided.
+    Over Q that is exact, because every operation has an integer
+    coefficient and an integer inverse: adds by +-1 or +-2 (undone by the
+    opposite add), swaps, and scalings by +-1.  The copy keeps v's grid,
+    dims and junction directions, which v has validated, and checks only
+    its maps.  The operations are drawn with ``getrandbits`` alone, in the
+    stream ``randrange`` and ``choice`` would give (``linalg._below``), so
+    a seed scrambles to the same bytes as it always has."""
     rng = random.Random(seed)
     field = v.field
     ops = [random_elementary_ops(field, d, rng) for d in v.dims]
     maps = []
     for j, m in enumerate(v.maps):
         src, tgt = junction_cells(v.dirs[j], j)
-        rows = change_basis(field, m.rows, ops[tgt], ops[src])
-        maps.append(Matrix(field, m.nrows, m.ncols, rows))
-    return TameRep(v.orientation, field, v.grid, v.dims, maps)
+        ints, den = change_basis(field, m.ints, m.den, ops[tgt], ops[src])
+        maps.append(Matrix.from_ints(field, m.nrows, m.ncols, ints, den))
+    return TameRep._on_checked_grid(v.orientation, field, v.grid, v.dims, v.dirs, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +482,8 @@ def _subrep_from_embeddings(parent: TameRep, embeds: list[Matrix]) -> TameRep:
         if x is None:
             raise ValueError("subspaces are not closed under the maps")
         maps.append(x)
-    return TameRep(parent.orientation, field, parent.grid, dims, maps)
+    return TameRep._on_checked_grid(parent.orientation, field, parent.grid, tuple(dims),
+                                    parent.dirs, maps)
 
 
 def kernel_rep(f: RepMorphism) -> tuple[TameRep, list[Matrix]]:

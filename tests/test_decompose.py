@@ -1,4 +1,5 @@
 import importlib
+import json
 import random
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from aquiver import linalg
 from aquiver.decompose import (_cell_bars, decompose, indecomposable_direct,
                                is_indecomposable, iso, multiplicity)
 from aquiver.intervals import BarMultiset, Interval
-from aquiver.linalg import Matrix, PrimeField, QQ
+from aquiver.jsonio import Document, document_to_json, parse_document
+from aquiver.linalg import Matrix, PrimeField, QQ, RationalField
 from aquiver.orientation import Orientation
 from aquiver.tamerep import (DOWN, UP, TameRep, conjugate, direct_sum, dual, from_bars,
                              scramble, zero_rep)
@@ -265,3 +267,48 @@ def test_sweep_does_no_fraction_or_matrix_work(monkeypatch):
     for got, (v, b) in zip(bars, cases):
         assert sorted(got) == sorted(reference_cell_bars(v))
         assert decompose(v) == b
+
+
+def test_barcode_round_trip_reads_no_fraction_rows(monkeypatch):
+    # from_bars -> scramble -> document_to_json -> parse_document ->
+    # decompose over Q on integral maps: every step builds and reads the
+    # maps' integer rows, so no map's Fraction rows are read and no map is
+    # converted by field.integer_rows
+    rng = random.Random(57)
+    cases = [(random_orientation(rng), random_bars(rng)) for _ in range(12)]
+    counted = []
+    real_rows = Matrix.__dict__["rows"]
+
+    class CountingRows:
+        def __get__(self, m, owner=None):
+            if m is None:
+                return self
+            counted.append("rows")
+            return real_rows.__get__(m, owner)
+
+        def __set__(self, m, value):
+            real_rows.__set__(m, value)
+
+    real_integer_rows = RationalField.integer_rows
+
+    def integer_rows(self, rows):
+        counted.append("integer_rows")
+        return real_integer_rows(self, rows)
+
+    monkeypatch.setattr(Matrix, "rows", CountingRows())
+    monkeypatch.setattr(RationalField, "integer_rows", integer_rows)
+    got, maps = [], []
+    for i, (o, b) in enumerate(cases):
+        v = scramble(from_bars(o, b), 980 + i)
+        text = json.dumps(document_to_json(Document(o, QQ, tame=v)))
+        w = parse_document(text).rep()
+        maps += v.maps + w.maps
+        got.append(decompose(w))
+    assert counted == []
+    # both counters see a matrix built from Fraction rows
+    m = Matrix(QQ, 1, 1, [[Fraction(1, 2)]])
+    assert m.ints == [[1]] and m.rows == [[Fraction(1, 2)]]
+    assert counted == ["integer_rows", "rows"]
+    monkeypatch.undo()
+    assert len(maps) >= 200 and {m.den for m in maps} == {1}
+    assert got == [b for _, b in cases]

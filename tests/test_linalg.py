@@ -8,10 +8,13 @@ import pytest
 
 from conftest import random_invertible
 from sweep_reference import columns, textbook_column_reduction, unit_complement
-from aquiver.jsonio import parse_field
+from aquiver.jsonio import parse_field, tame_from_json, tame_to_json
 from aquiver.linalg import (MAX_PRIME, Matrix, PrimeField, QQ, _below, _row_echelon,
-                            bottom_column_echelon, column_space_basis, invert,
-                            kernel_basis, rank, solve_linear_system, solve_matrix)
+                            bottom_column_echelon, change_basis, column_space_basis, invert,
+                            kernel_basis, random_elementary_ops, rank, solve_linear_system,
+                            solve_matrix)
+from aquiver.orientation import orientation_from_json
+from aquiver.tamerep import scramble
 
 F5 = PrimeField(5)
 
@@ -739,3 +742,148 @@ def test_field_parse_format_and_name(field):
     assert parse_field(str(field)) == field
     assert parse_field(field.to_json()) == field
     assert parse_field(json.loads(json.dumps(field.to_json()))) == field
+
+
+# ---------------------------------------------------------------------------
+# Matrix storage: a matrix holds the form it was built from, rows of field
+# scalars or integer rows over one denominator, and derives the other on
+# first read.  Either way it is the same map.
+
+def _integer_form(field, rows, k):
+    """(ints, den) of rows with den k times the lcm of the denominators;
+    over F_p the rows themselves over 1."""
+    if field != QQ:
+        return [list(r) for r in rows], 1
+    den = k * lcm(*{x.denominator for r in rows for x in r})
+    return [[int(x * den) for x in r] for r in rows], den
+
+
+@pytest.mark.parametrize("field", CONTRACT_FIELDS, ids=CONTRACT_IDS)
+def test_matrix_from_rows_and_from_ints_agree(field):
+    cases = [m for _, m in _parity_cases(field, 47)]
+    if field == QQ:
+        cases += [m for _, m in _wide_cases(48)]
+    perturbed = 0
+    for i, m in enumerate(cases):
+        ints, den = _integer_form(field, m.rows, 1 + i % 3)
+        a = Matrix(field, m.nrows, m.ncols, [list(r) for r in m.rows])
+        b = Matrix.from_ints(field, m.nrows, m.ncols, ints, den)
+        assert a == b and b == a
+        assert b.rows == a.rows == m.rows
+        assert (b.nrows, b.ncols) == (a.nrows, a.ncols) == (m.nrows, m.ncols)
+        assert (b.ints, b.den) == (ints, den)
+        # the integer form a matrix derives from its rows reads back as them
+        assert all(type(x) is int for r in a.ints for x in r) and a.den
+        assert field.divide(a.ints, a.den) == m.rows
+        assert field == QQ or (a.den == 1 and all(0 <= x < field.p for r in a.ints for x in r))
+        text = [[field.format(x) for x in r] for r in m.rows]
+        assert a.to_json() == b.to_json() == text
+        assert rank(a) == rank(b) and a.is_zero() == b.is_zero()
+        if m.nrows and m.ncols:
+            # one entry moved by one: a different map
+            other = [list(r) for r in ints]
+            other[0][0] = field.reduce_rows([[other[0][0] + den]])[0][0]
+            assert Matrix.from_ints(field, m.nrows, m.ncols, other, den) != a
+            perturbed += 1
+    assert perturbed >= 10
+
+
+@pytest.mark.parametrize("field", [QQ, F5, PrimeField(2**61 - 1)], ids=["Q", "F5", "F2^61-1"])
+def test_matrix_integer_rows_over_a_denominator(field):
+    # over F_2 the denominator 2 is 0, so F_2 is left out
+    m = Matrix.from_ints(field, 1, 2, [[2, 4]], 2)
+    assert m == mat([[1, 2]], field) and mat([[1, 2]], field) == m
+    assert m.rows == [[field.one(), field.from_int(2)]]
+    assert m.to_json() == [["1", "2"]]
+    assert m != mat([[2, 4]], field)
+
+
+def test_q_matrix_integer_rows_spell_lowest_terms():
+    m = Matrix.from_ints(QQ, 2, 3, [[-6, 7, 0], [70, 14, -28]], 14)
+    assert m.rows == [[Fraction(-3, 7), Fraction(1, 2), 0], [5, 1, -2]]
+    assert m.to_json() == [["-3/7", "1/2", "0"], ["5", "1", "-2"]]
+    assert m == Matrix(QQ, 2, 3, [[Fraction(-3, 7), Fraction(1, 2), 0], [5, 1, -2]])
+
+
+@pytest.mark.parametrize("field", CONTRACT_FIELDS, ids=CONTRACT_IDS)
+def test_matrix_empty_shapes(field):
+    for nrows, ncols in [(0, 0), (0, 4), (3, 0)]:
+        a = Matrix(field, nrows, ncols, [[] for _ in range(nrows)])
+        b = Matrix.from_ints(field, nrows, ncols, [[] for _ in range(nrows)])
+        assert a == b and a == Matrix.zero(field, nrows, ncols)
+        assert a.rows == b.rows == [[] for _ in range(nrows)]
+        assert (a.nrows, a.ncols) == (b.nrows, b.ncols) == (nrows, ncols)
+        assert (a.ints, a.den) == ([[] for _ in range(nrows)], 1)
+        assert a.to_json() == b.to_json() == [[] for _ in range(nrows)]
+        assert rank(a) == rank(b) == 0 and a.is_zero() and b.is_zero()
+    out = Matrix.from_ints(field, 2, 0, [[], []]).matmul(Matrix.from_ints(field, 0, 3, []))
+    assert out == Matrix.zero(field, 2, 3)
+    with pytest.raises(ValueError):
+        Matrix.from_ints(field, 2, 0, [[], [1]])
+    with pytest.raises(ValueError):
+        Matrix.from_ints(field, 0, 0, [[]])
+
+
+@pytest.mark.parametrize("field", CONTRACT_FIELDS, ids=CONTRACT_IDS)
+def test_change_basis_keeps_the_integer_form(field):
+    # P M Q^-1 on the integer form, over the same den and, over F_p, in
+    # range(p), against the product of the matrices the same draws form
+    cases = [m for _, m in _parity_cases(field, 49)]
+    if field == QQ:
+        cases += [m for _, m in _wide_cases(50)]
+    for seed, m in enumerate(cases):
+        den = m.den
+        rng = random.Random(seed)
+        ops = random_elementary_ops(field, m.nrows, rng), random_elementary_ops(field, m.ncols, rng)
+        ints, got_den = change_basis(field, m.ints, den, *ops)
+        assert got_den == den and all(type(x) is int for r in ints for x in r)
+        assert field == QQ or all(0 <= x < field.p for r in ints for x in r)
+        got = Matrix.from_ints(field, m.nrows, m.ncols, ints, den)
+        rng = random.Random(seed)
+        p, q = random_invertible(field, m.nrows, rng), random_invertible(field, m.ncols, rng)
+        want = p.matmul(m).matmul(invert(q))
+        assert got == want and rank(got) == rank(m)
+
+
+def _two_point_tame(m1, m2):
+    """A tame object on the grid 0, 1/2, two-dimensional on [0, 1/2]."""
+    return {"grid": ["0", "1/2"], "dims": [0, 2, 2, 2, 0],
+            "maps": [{"dir": "down", "entries": []}, {"dir": "down", "entries": m1},
+                     {"dir": "down", "entries": m2}, {"dir": "down", "entries": [[], []]}]}
+
+
+# tame_to_json of the parsed document and of its scramble with seed 3, as
+# printed before matrices kept their integer form
+_DESCENDING = {"criticals": [], "empty_direction": "descending"}
+_PINNED_TAME = [
+    (QQ, _two_point_tame([["-3/7", "1/2"], ["0", 5]], [["2/4", "0.25"], ["6/3", -1]]),
+     '{"grid": ["0", "1/2"], "dims": [0, 2, 2, 2, 0], "maps": [{"dir": "down", "entries": []}, '
+     '{"dir": "down", "entries": [["-3/7", "1/2"], ["0", "5"]]}, '
+     '{"dir": "down", "entries": [["1/2", "1/4"], ["2", "-1"]]}, {"dir": "down", "entries": [[], []]}]}',
+     '{"grid": ["0", "1/2"], "dims": [0, 2, 2, 2, 0], "maps": [{"dir": "down", "entries": []}, '
+     '{"dir": "down", "entries": [["-41/2", "3/7"], ["-5", "0"]]}, '
+     '{"dir": "down", "entries": [["-5", "-2"], ["-3/4", "-1/2"]]}, {"dir": "down", "entries": [[], []]}]}'),
+    (F5, _two_point_tame([["7", "-1"], ["0", 5]], [["3", 2], ["-6", "1"]]),
+     '{"grid": ["0", "1/2"], "dims": [0, 2, 2, 2, 0], "maps": [{"dir": "down", "entries": []}, '
+     '{"dir": "down", "entries": [["2", "4"], ["0", "0"]]}, '
+     '{"dir": "down", "entries": [["3", "2"], ["4", "1"]]}, {"dir": "down", "entries": [[], []]}]}',
+     '{"grid": ["0", "1/2"], "dims": [0, 2, 2, 2, 0], "maps": [{"dir": "down", "entries": []}, '
+     '{"dir": "down", "entries": [["1", "3"], ["0", "0"]]}, '
+     '{"dir": "down", "entries": [["0", "2"], ["0", "4"]]}, {"dir": "down", "entries": [[], []]}]}'),
+]
+
+
+@pytest.mark.parametrize("field, tame, parsed, scrambled", _PINNED_TAME, ids=["Q", "F5"])
+def test_tame_document_round_trips_to_pinned_bytes(field, tame, parsed, scrambled):
+    v = tame_from_json(orientation_from_json(_DESCENDING), tame, field)
+    assert json.dumps(tame_to_json(v)) == parsed
+    assert json.dumps(tame_to_json(scramble(v, 3))) == scrambled
+    again = tame_from_json(orientation_from_json(_DESCENDING), json.loads(parsed), field)
+    assert again == v and json.dumps(tame_to_json(again)) == parsed
+    # each map is parsed to integer rows over the lcm of its denominators
+    if field == QQ:
+        assert [(m.ints, m.den) for m in v.maps[1:3]] == [([[-6, 7], [0, 70]], 14),
+                                                          ([[2, 1], [8, -4]], 4)]
+    else:
+        assert [(m.ints, m.den) for m in v.maps[1:3]] == [([[2, 4], [0, 0]], 1),
+                                                          ([[3, 2], [4, 1]], 1)]

@@ -337,6 +337,52 @@ def test_scramble_forms_no_product_or_inverse(monkeypatch):
     assert [scramble(v, 3) for v in reps] == want
 
 
+def test_scramble_and_from_bars_keep_a_checked_grid(monkeypatch):
+    # a scramble keeps its source's validated grid, dims and junction
+    # directions, and reps_on_common_grid derives the directions once for
+    # a grid it builds to pass the grid check: neither runs the grid check
+    # nor derives the directions per representation
+    reps = _parity_reps(QQ, random.Random(9)) + _parity_reps(PrimeField(5), random.Random(10))
+    want = [scramble(v, 5) for v in reps]
+    calls = []
+
+    def counter(name, real):
+        def counting(*args):
+            calls.append(name)
+            return real(*args)
+        return counting
+
+    monkeypatch.setattr(tamerep, "junction_dirs", counter("dirs", tamerep.junction_dirs))
+    monkeypatch.setattr(tamerep, "check_grid_and_dims",
+                        counter("check", tamerep.check_grid_and_dims))
+    assert [scramble(v, 5) for v in reps] == want
+    assert calls == []
+    rng = random.Random(11)
+    o = random_orientation(rng)
+    groups = [random_bars(rng).intervals() for _ in range(3)]
+    packs = reps_on_common_grid(o, groups)
+    assert calls == ["dirs"]
+    monkeypatch.undo()
+    for (v, _), group in zip(packs, groups):
+        assert v == TameRep(o, QQ, v.grid, v.dims, v.maps)
+        assert decompose(v) == BarMultiset.from_intervals(group)
+
+
+def test_a_copy_on_a_checked_grid_still_checks_its_maps():
+    v = from_bars(ZIGZAG, bars((Interval.make(-1, 2, True, True), 2)))
+    same = TameRep._on_checked_grid(v.orientation, v.field, v.grid, v.dims, v.dirs, v.maps)
+    assert same == v
+    j = next(j for j, m in enumerate(v.maps) if m.nrows)
+    wrong_shape = list(v.maps)
+    wrong_shape[j] = Matrix.zero(QQ, v.maps[j].nrows + 1, v.maps[j].ncols)
+    wrong_field = list(v.maps)
+    wrong_field[j] = Matrix.zero(PrimeField(5), v.maps[j].nrows, v.maps[j].ncols)
+    for maps, message in [(wrong_shape, "shape"), (wrong_field, "field mismatch"),
+                          (v.maps[:-1], "need 2m junction maps")]:
+        with pytest.raises(ValueError, match=message):
+            TameRep._on_checked_grid(v.orientation, v.field, v.grid, v.dims, v.dirs, maps)
+
+
 def _listed_unit_ops(field, n, rng):
     """random_elementary_ops over F_p as first written: both scalars drawn
     by rng.choice over the list of all p - 1 units."""
