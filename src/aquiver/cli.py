@@ -13,8 +13,9 @@ import sys
 
 import click
 
-from .ar import EXISTS, PROVEN_NONEXISTENT, ar_ending_at, ar_starting_at
-from .decompose import decompose
+from .ar import (EXISTS, PROVEN_NONEXISTENT, ar_ending_at, ar_starting_at,
+                 standard_probes, verify_almost_split)
+from .decompose import InternalInvariantError, decompose
 from .homological import (ProjectiveLabel, ext_dim, hom_dim, proj_presentation,
                           projectives_table, realize_projective)
 from .intervals import format_extreal, parse_rational
@@ -215,11 +216,15 @@ def cmd_projectives(orientation_file, window, as_json):
 @json_option
 @_guard
 def cmd_ar(orientation_file, interval, ending, field_spec, as_json):
-    """Almost-split sequence ending (or starting) at the given summand."""
+    """Almost-split sequence ending (or starting) at the given summand.  A
+    sequence is checked against the standard probes before it is printed."""
     o = parse_orientation_file(_read(orientation_file))
     field = _pick_field(field_spec)
     iv = parse_interval(interval)
     ans = (ar_ending_at if ending else ar_starting_at)(o, iv, field)
+    if ans.status == EXISTS and not verify_almost_split(ans.sequence,
+                                                       standard_probes(o, ans.sequence)):
+        raise InternalInvariantError("the constructed sequence is not almost split")
     if as_json:
         out = {"status": ans.status}
         if ans.sequence is not None:

@@ -24,20 +24,19 @@ of zigzag persistence (Carlsson and de Silva, 2010).
 
 The sweep runs on Python ints from the first cell to the last; it builds
 no Fraction and no Matrix, and it leaves every field-specific step to the
-field (``linalg``).  Each junction map is read as the integer rows its
-``Matrix`` stores, ``ints``, one nonzero scalar times the map (over
-``den``); a map that was built from those rows, as the maps of barcodes,
-scrambles and parsed documents are, is read with no conversion at all,
-and ``field.integer_rows`` is not called per map.  Each line is an integer
-vector, and the integer elimination loops (``integer_row_echelon``,
-``bottom_column_echelon``) leave every vector a nonzero multiple of the one
-field arithmetic would give.  Backward, B is never divided out: column k
-of [I ; B] is scaled to ints by the field's ``pivot_scaling`` of the
-pivots of the eliminated [A | M].  A nonzero multiple of M has the kernel,
-the image and the column-reduction pivots of M, so each junction reads
-the same ranks; equally, scaling each map by its own scalar gives an
-isomorphic representation, since a zigzag is a tree.  A line scaled by a
-nonzero scalar is the same line, and scaling single lines keeps the basis
+field (``linalg``).  Each junction map is read, with no conversion, as
+the integer rows its ``Matrix`` stores, ``ints``, one nonzero scalar
+times the map (over ``den``).  Each line is an integer vector, and the
+integer elimination loops (``integer_row_echelon``,
+``bottom_column_echelon``) leave every vector a nonzero multiple of the
+one field arithmetic would give.  Backward, B is never divided out: it is
+read off the eliminated [A | M] as integer rows over one scale
+(``linalg.reduced_block``), and column k of [I ; B] is taken times that
+scale.  A nonzero multiple of M has the kernel, the image and the
+column-reduction pivots of M, so each junction reads the same ranks;
+equally, scaling each map by its own scalar gives an isomorphic
+representation, since a zigzag is a tree.  A line scaled by a nonzero
+scalar is the same line, and scaling single lines keeps the basis
 block-triangular, so each line is born, absorbed and dies exactly where
 its unscaled form would be.
 """
@@ -45,7 +44,7 @@ its unscaled form would be.
 from __future__ import annotations
 
 from .intervals import BarMultiset, Interval
-from .linalg import bottom_column_echelon, integer_row_echelon
+from .linalg import bottom_column_echelon, integer_row_echelon, reduced_block
 from .tamerep import DOWN, TameRep, cells_to_interval
 
 
@@ -109,11 +108,9 @@ def _backward(field, vecs, rows, d_next):
     ech, pivots = integer_row_echelon(field, aug)
     if len(vecs) != n or pivots != list(range(n)):
         raise InternalInvariantError("alive vectors stopped spanning the cell")
-    # B[r][k] is ech[r][n + k] / ech[r][r]; column k of [I ; B] is taken
-    # times scale, with factors[r] = scale / ech[r][r]
-    scale, factors = field.pivot_scaling([row[r] for r, row in enumerate(ech)])
-    cols = [_unit(d_next, k, scale) + [f * row[n + k] for f, row in zip(factors, ech)]
-            for k in range(d_next)]
+    # B is block over scale; column k of [I ; B] is taken times scale
+    block, scale = reduced_block(field, ech, pivots, n)
+    cols = [_unit(d_next, k, scale) + [row[k] for row in block] for k in range(d_next)]
     nxt, born = [None] * n, []
     for col, low in zip(cols, bottom_column_echelon(field, cols)):
         if low >= d_next:

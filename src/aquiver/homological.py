@@ -32,8 +32,8 @@ from .linalg import Matrix, QQ, rank
 from .orientation import (Orientation, Segment, down_set, down_set_limit,
                           locate, reverse, up_set)
 from .tamerep import (DOWN, RepMorphism, TameRep, cell_of_point,
-                      cells_to_interval, kernel_rep, overlap_morphism,
-                      reps_on_common_grid)
+                      cells_to_interval, interval_to_cells, kernel_rep,
+                      overlap_morphism, reps_on_common_grid)
 
 POINT = "point"
 OPEN_RIGHT = "open_right"   # the "x < a" half of the down-set at a
@@ -132,13 +132,15 @@ def hom_space_dim(v: TameRep, w: TameRep) -> int:
 
 
 def hom_dim(o: Orientation, i_iv: Interval, j_iv: Interval, field=QQ) -> int:
-    """dim Hom(M_I, M_J), 0 or 1 over every field.  A morphism is one
-    scalar on K = I n J.  The junction just outside a finite end of K
-    forces it to 0 when its map runs from I outside K into K, or from K
-    into J outside K.  Below K that junction lies in the stretch just left
-    of K.lo if K contains K.lo, else just right of it; an increasing
-    stretch runs maps toward smaller reals, out of K, so then J must not
-    reach below K, and otherwise I must not.  Above K mirrors this.
+    """dim Hom(M_I, M_J), 0 or 1 over every field, so field is accepted
+    but unused; callers, the benchmark among them, pass it positionally.
+    A morphism is one scalar on K = I n J.  The junction just outside a
+    finite end of K forces it to 0 when its map runs from I outside K into
+    K, or from K into J outside K.  Below K that junction lies in the
+    stretch just left of K.lo if K contains K.lo, else just right of it;
+    an increasing stretch runs maps toward smaller reals, out of K, so then
+    J must not reach below K, and otherwise I must not.  Above K mirrors
+    this.
 
     K is not built as an Interval.  One compare per pair of ends says
     whether I or J reaches past the other there (a closed end reaches past
@@ -346,7 +348,11 @@ def _presentation_labels(o: Orientation, iv: Interval) -> tuple[list, list]:
 
 def proj_presentation(o: Orientation, iv: Interval, field=QQ) -> ProjPresentation:
     """Minimal projective presentation of the interval summand supported on
-    iv: an injective map between sums of projectives whose cokernel is it."""
+    iv: an injective map between sums of projectives whose cokernel is it.
+    Two checks guard the realized map: it is injective on every cell, and
+    dim P0_c - dim P1_c is 1 on iv's cells and 0 elsewhere, the cokernel's
+    dimension vector.  They are necessary but not sufficient: a map with
+    the right ranks can still have a cokernel other than M_iv."""
     p1, p0 = _presentation_labels(o, iv)
     dom_pack, cod_pack = reps_on_common_grid(
         o, [[sup for _, sup in p1], [sup for _, sup in p0]], field)
@@ -368,14 +374,23 @@ def proj_presentation(o: Orientation, iv: Interval, field=QQ) -> ProjPresentatio
                 pairs[(i, chain[right][3])] = field.neg(one)
                 break
     realized = overlap_morphism(dom_pack, cod_pack, pairs)
+    p1_dims, p0_dims = realized.dom.dims, realized.cod.dims
     for c in range(realized.dom.ncells):
-        if rank(realized.mats[c]) < realized.dom.dims[c]:
+        if rank(realized.mats[c]) < p1_dims[c]:
             raise InternalInvariantError("presentation map is not injective cellwise")
+    try:
+        lo, hi = interval_to_cells(realized.dom.grid, iv)
+    except ValueError:  # an end of iv is no grid point, so no union of cells is iv
+        lo = hi = None
+    if lo is None or any(d0 - d1 != (lo <= c <= hi)
+                         for c, (d1, d0) in enumerate(zip(p1_dims, p0_dims))):
+        raise InternalInvariantError("presentation's cokernel has the wrong dimension vector")
     return ProjPresentation([lab for lab, _ in p1], [lab for lab, _ in p0], realized)
 
 
 def ext_dim(o: Orientation, v_iv: Interval, w_iv: Interval, field=QQ) -> int:
-    """dim Ext^1(M_V, M_W), 0 or 1 over every field.  V has the minimal
+    """dim Ext^1(M_V, M_W), 0 or 1 over every field, so field is accepted
+    but unused, as in hom_dim.  V has the minimal
     presentation 0 -> P1 -> P0 -> M_V -> 0 and the category is hereditary,
     so 0 -> Hom(V, W) -> Hom(P0, W) -> Hom(P1, W) -> Ext^1(V, W) -> 0
     is exact and Ext^1 is its alternating sum of dimensions; each

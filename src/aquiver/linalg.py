@@ -5,40 +5,32 @@ prime-field elements are ints in ``range(p)``.  No floating point enters
 anywhere.  Matrices are dense row lists.  Zero tests are truthiness tests:
 a Fraction or an int is falsy exactly at zero.
 
-The hot paths run on Python ints, and the two field classes alone know how
-their scalars become ints and come back; no other code asks which field it
-holds.  Over Q a row of scalars becomes a primitive integer row, a nonzero
-rational multiple of it with content gcd 1 (``to_ints``), a matrix becomes
-integer rows over one common denominator (``integer_rows``), and
-``divide`` builds the Fractions again.  Over F_p the ints in range(p) are
-the scalars already, ``divide`` multiplies by an inverse mod p, and
-``canonical``, which over Q divides the content out of an integer vector,
-reduces mod p.  Each of these scales a vector by a nonzero scalar, which
-keeps its span, its pivots and its zeros.
+Every operation runs on Python ints, and the two field classes alone know
+how their scalars become ints and come back; no other code asks which
+field it holds.  Over Q a matrix becomes integer rows over one common
+denominator (``integer_rows``), ``divide`` builds the Fractions again, and
+``canonical`` divides the content out of an integer vector.  Over F_p the
+ints in range(p) are the scalars already, ``divide`` multiplies by an
+inverse mod p, and ``canonical`` and ``reduce_rows`` reduce mod p.  Each
+of these scales a vector by a nonzero scalar, which keeps its span, its
+pivots and its zeros.
 
-A ``Matrix`` stores a map in either of two forms and derives the other
-once, on first read.  Its integer form is ``ints``, integer rows, over one
-nonzero denominator ``den`` (over F_p the ints are reduced mod p and den
-is 1); ``rows`` is the view as row lists of field scalars.  A matrix built
-with ``Matrix.from_ints``, as the representations of barcodes, scrambles
-and parsed documents are, holds the integer form and builds ``rows`` only
-if something reads it; one built from field rows (the constructor,
-``matmul``, ``identity``) holds the rows and derives ``ints`` and ``den``
-by ``field.integer_rows``.  ``Matrix.to_json`` spells the entries from the
-integer form, each distinct int once.
+A ``Matrix`` stores one form: integer rows ``ints`` over one nonzero
+denominator ``den`` (over F_p the ints are reduced mod p).  ``rows``, the
+row lists of field scalars, is a read-only view built from them on first
+read, for callers at the API edge; every operation here reads and builds
+the integer form.  ``Matrix.to_json`` spells the entries from it, each
+distinct int once.
 
 ``integer_row_echelon`` is the one elimination loop, behind every rank,
-kernel, solve and column-space basis (``_row_echelon`` wraps it for rows of
-field scalars) and behind the decomposition sweep's backward solve.
+kernel, solve and column-space basis and behind the decomposition sweep's
+backward solve; ``reduced_block`` reads a block of its reduced form, each
+row divided by its pivot, as integer rows over one scale.
 ``bottom_column_echelon``, the sweep's column reduction, is the one other
 loop.  Both eliminate by cross-multiplying (``eliminate``): a vector
 holding a where the pivot vector holds p becomes a multiple of vector -
 (a/p) * pivot vector, with no division in the loop; over Q the content is
 divided out after each step, over F_p the entries are reduced mod p.
-``_row_echelon`` divides each finished row by its pivot at the end, so it
-returns the textbook reduced form.  Products run inside one row operation
-per field, ``field.axpy(dst, c, pairs)``, which adds c times a sparse row,
-given as its nonzero (column, value) pairs, to a dense row.
 
 ``change_basis``, the scramble's P M Q^-1 by elementary operations, takes
 a map's integer form (ints, den) and returns the integer form of the
@@ -101,21 +93,11 @@ class RationalField:
         ZeroDivisionError at 0."""
         return Fraction(1) / a
 
-    def axpy(self, dst, c, pairs):
-        """dst[j] += c * b for each (j, b) in pairs."""
-        for j, b in pairs:
-            dst[j] += c * b
-
     def canonical(self, vec: list) -> list:
         """The integer vector divided by its content gcd: primitive (or all
         zero)."""
         g = gcd(*vec)
         return [x // g for x in vec] if g > 1 else vec
-
-    def to_ints(self, row) -> list:
-        """row (Fractions or ints) scaled by a nonzero rational to a new
-        primitive integer row."""
-        return self.canonical(self.integer_rows([row])[0][0])
 
     def eliminate(self, row: list, prow: list, a: int, p: int) -> list:
         """The primitive integer row p' * row - a' * prow, where p' / a' is
@@ -254,19 +236,10 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def axpy(self, dst, c, pairs):
-        """dst[j] = (dst[j] + c * b) mod p for each (j, b) in pairs."""
-        p = self.p
-        for j, b in pairs:
-            dst[j] = (dst[j] + c * b) % p
-
     def canonical(self, vec: list) -> list:
         """The integer vector reduced mod p, as a new list."""
         p = self.p
         return [x % p for x in vec]
-
-    # the scalars are ints already
-    to_ints = staticmethod(list)
 
     def eliminate(self, row: list, prow: list, a: int, pivot: int) -> list:
         """pivot * row - a * prow mod p: an entry where row holds a and
@@ -330,59 +303,41 @@ QQ = RationalField()
 
 
 class Matrix:
-    """Immutable-by-convention dense matrix over a field.
-
-    ``rows`` is a list of row lists of field scalars; ``ints`` over ``den``
-    is the same map in the field's integer form (module docstring).  A
-    matrix holds the form it was built from and derives the other once, on
-    first read.  Zero-row / zero-column matrices are legal and show up
+    """Immutable-by-convention dense matrix over a field, stored as integer
+    rows ``ints`` over one nonzero denominator ``den`` (module docstring).
+    ``rows``, the same map as row lists of field scalars, is a view built
+    on first read.  Zero-row / zero-column matrices are legal and show up
     constantly (zero-dimensional cells).
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_ints", "_den")
+    __slots__ = ("field", "nrows", "ncols", "ints", "den", "_rows")
 
     def __init__(self, field, nrows: int, ncols: int, rows):
-        if len(rows) != nrows or any(map(ncols.__ne__, map(len, rows))):
-            raise ValueError("inconsistent matrix shape")
-        self.field = field
-        self.nrows = nrows
-        self.ncols = ncols
-        self._rows = rows
-        self._ints = self._den = None
+        """The matrix with the given rows of field scalars, converted once
+        to the integer form by ``field.integer_rows``."""
+        self._store(field, nrows, ncols, *field.integer_rows(rows))
 
     @classmethod
     def from_ints(cls, field, nrows: int, ncols: int, ints: list, den: int = 1) -> "Matrix":
         """The matrix whose rows are the integer rows ints over the nonzero
         den, stored as given: over F_p the ints must lie in range(p)."""
+        m = cls.__new__(cls)
+        m._store(field, nrows, ncols, ints, den)
+        return m
+
+    def _store(self, field, nrows: int, ncols: int, ints: list, den: int) -> None:
         if len(ints) != nrows or any(map(ncols.__ne__, map(len, ints))):
             raise ValueError("inconsistent matrix shape")
-        m = cls.__new__(cls)
-        m.field, m.nrows, m.ncols = field, nrows, ncols
-        m._rows, m._ints, m._den = None, ints, den
-        return m
+        self.field, self.nrows, self.ncols = field, nrows, ncols
+        self.ints, self.den, self._rows = ints, den, None
 
     @property
     def rows(self) -> list:
-        """The rows as field scalars, built from the integer form on first
-        read (``field.divide``)."""
+        """The rows as field scalars (``field.divide``), built on first
+        read.  Read them, never change them."""
         if self._rows is None:
-            self._rows = self.field.divide(self._ints, self._den)
+            self._rows = self.field.divide(self.ints, self.den)
         return self._rows
-
-    @property
-    def ints(self) -> list:
-        """The integer rows, derived from the field rows on first read
-        (``field.integer_rows``).  Read them, never change them."""
-        if self._ints is None:
-            self._ints, self._den = self.field.integer_rows(self._rows)
-        return self._ints
-
-    @property
-    def den(self) -> int:
-        """The nonzero denominator that ``ints`` are over."""
-        if self._ints is None:
-            self._ints, self._den = self.field.integer_rows(self._rows)
-        return self._den
 
     @staticmethod
     def from_rows(field, rows: Sequence[Sequence]) -> "Matrix":
@@ -392,13 +347,11 @@ class Matrix:
 
     @staticmethod
     def zero(field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero()
-        return Matrix(field, nrows, ncols, [[z] * ncols for _ in range(nrows)])
+        return Matrix.from_ints(field, nrows, ncols, [[0] * ncols for _ in range(nrows)])
 
     @staticmethod
     def identity(field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return Matrix(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return Matrix.from_ints(field, n, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def from_columns(field, dim: int, cols: Sequence[Sequence]) -> "Matrix":
@@ -409,38 +362,52 @@ class Matrix:
         return [r[j] for r in self.rows]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.ncols, self.nrows,
-                      [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
+        ints = self.ints
+        return Matrix.from_ints(self.field, self.ncols, self.nrows,
+                                [[row[j] for row in ints] for j in range(self.ncols)], self.den)
 
     def matmul(self, other: "Matrix") -> "Matrix":
+        """self @ other on the integer rows, over the product of the two
+        denominators."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matmul")
-        f = self.field
-        z = f.zero()
-        other_pairs = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
+        n = other.ncols
+        other_pairs = [[(j, b) for j, b in enumerate(row) if b] for row in other.ints]
         out = []
-        for arow in self.rows:
-            orow = [z] * other.ncols
-            for k, a in enumerate(arow):
+        for arow in self.ints:
+            orow = [0] * n
+            for a, pairs in zip(arow, other_pairs):
                 if a:
-                    f.axpy(orow, a, other_pairs[k])
+                    for j, b in pairs:
+                        orow[j] += a * b
             out.append(orow)
-        return Matrix(f, self.nrows, other.ncols, out)
+        f = self.field
+        return Matrix.from_ints(f, self.nrows, n, f.reduce_rows(out), self.den * other.den)
+
+    def common_den(self, other: "Matrix") -> tuple[list, list, int]:
+        """(self's integer rows, other's, den): both matrices as integer
+        rows over one denominator, the product of theirs where they
+        differ."""
+        da, db = self.den, other.den
+        if da == db:
+            return self.ints, other.ints, da
+        f = self.field
+        return (f.reduce_rows([[x * db for x in row] for row in self.ints]),
+                f.reduce_rows([[y * da for y in row] for row in other.ints]), da * db)
 
     def add(self, other: "Matrix") -> "Matrix":
         f = self.field
-        return Matrix(f, self.nrows, self.ncols,
-                      [[f.add(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
+        a, b, den = self.common_den(other)
+        return Matrix.from_ints(f, self.nrows, self.ncols,
+                                f.reduce_rows([[x + y for x, y in zip(r1, r2)]
+                                               for r1, r2 in zip(a, b)]), den)
 
     def scale(self, c) -> "Matrix":
         f = self.field
         return Matrix(f, self.nrows, self.ncols, [[f.mul(c, a) for a in r] for r in self.rows])
 
     def is_zero(self) -> bool:
-        # both forms have the same zeros
-        rows = self._rows if self._rows is not None else self._ints
-        return not any(any(r) for r in rows)
+        return not any(map(any, self.ints))
 
     def to_json(self) -> list:
         """The entries as ``field.format`` spells them, read off the integer
@@ -454,23 +421,25 @@ class Matrix:
         return [[text[x] for x in row] for row in ints]
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.nrows == other.nrows and self.ncols == other.ncols
-                and self.rows == other.rows)
+        if not (isinstance(other, Matrix) and self.field == other.field
+                and self.nrows == other.nrows and self.ncols == other.ncols):
+            return False
+        a, b, _ = self.common_den(other)
+        return a == b
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols}, {self.rows!r})"
 
 
 def integer_row_echelon(field, ints: list) -> tuple[list, list]:
-    """The one elimination loop: integer rows (``field.to_ints``; over F_p
-    in range(p)) reduced in place to a reduced row echelon form up to one
-    nonzero scalar per row; returns (rows, pivot column list).  Row r holds
-    a nonzero entry, not normalized, at pivot column r, and zeros at the
-    other pivot columns; the rows past the pivots are zero.  Eliminating
-    with pivot p replaces a row holding a by a nonzero multiple of row -
-    (a/p) * pivot row (``field.eliminate``), so no division enters the
-    loop."""
+    """The one elimination loop: integer rows (over F_p in range(p)),
+    reduced in place to a reduced row echelon form up to one nonzero scalar
+    per row; returns (rows, pivot column list).  The list is changed, the
+    rows in it are not.  Row r holds a nonzero entry, not normalized, at
+    pivot column r, and zeros at the other pivot columns; the rows past the
+    pivots are zero.  Eliminating with pivot p replaces a row holding a by
+    a nonzero multiple of row - (a/p) * pivot row (``field.eliminate``), so
+    no division enters the loop."""
     eliminate = field.eliminate
     nrows = len(ints)
     ncols = len(ints[0]) if ints else 0
@@ -494,18 +463,16 @@ def integer_row_echelon(field, ints: list) -> tuple[list, list]:
     return ints, pivots
 
 
-def _row_echelon(field, rows: list) -> tuple[list, list]:
-    """Reduced row echelon form of rows, which it leaves as they are;
-    returns (rows, pivot column list).  The rows are reduced as integer
-    rows by ``integer_row_echelon`` and each pivot row divided by its pivot
-    at the end.  The reduced form is unique, so it equals the textbook
-    one."""
-    ints, pivots = integer_row_echelon(field, [field.to_ints(row) for row in rows])
-    out = [field.divide([row], row[c])[0] for row, c in zip(ints, pivots)]
-    z = field.zero()
-    ncols = len(rows[0]) if rows else 0
-    out.extend([z] * ncols for _ in range(len(rows) - len(pivots)))
-    return out, pivots
+def reduced_block(field, ech: list, pivots: list, start: int) -> tuple[list, int]:
+    """(block, scale): the columns from start on of the textbook reduced
+    row echelon form, one row per pivot, as integer rows over scale, read
+    off the form ``integer_row_echelon`` returned as (ech, pivots).  The
+    textbook row r is ech[r] divided by its pivot entry; ``pivot_scaling``
+    gives scale and factors[r] = scale / pivot entry as ints, and the
+    block's row r is factors[r] times ech[r].  Over F_p the entries are
+    left unreduced."""
+    scale, factors = field.pivot_scaling([row[c] for row, c in zip(ech, pivots)])
+    return [[f * x for x in row[start:]] for f, row in zip(factors, ech)], scale
 
 
 def rank(m: Matrix) -> int:
@@ -514,20 +481,20 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """Columns span ker(m); satisfies m @ K = 0 and ncols(K) = ncols(m) - rank(m)."""
+    """Columns span ker(m); satisfies m @ K = 0 and ncols(K) = ncols(m) - rank(m).
+    One column per free column of m's reduced form: 1 there, and at each
+    pivot column minus the reduced form's entry in the free column."""
     f = m.field
-    rows, pivots = _row_echelon(f, m.rows)
-    z, o = f.zero(), f.one()
+    ech, pivots = integer_row_echelon(f, list(m.ints))
+    block, scale = reduced_block(f, ech, pivots, 0)
     pivot_set = set(pivots)
     free = [c for c in range(m.ncols) if c not in pivot_set]
-    cols = []
-    for fc in free:
-        vec = [z] * m.ncols
-        vec[fc] = o
-        for r, pc in enumerate(pivots):
-            vec[pc] = f.neg(rows[r][fc])
-        cols.append(vec)
-    return Matrix.from_columns(f, m.ncols, cols)
+    out = [None] * m.ncols
+    for k, fc in enumerate(free):
+        out[fc] = [scale if i == k else 0 for i in range(len(free))]
+    for row, pc in zip(block, pivots):
+        out[pc] = [-row[fc] for fc in free]
+    return Matrix.from_ints(f, m.ncols, len(free), f.reduce_rows(out), scale)
 
 
 def solve_linear_system(a: Matrix, b: Sequence) -> tuple[Optional[list], int]:
@@ -539,31 +506,30 @@ def solve_linear_system(a: Matrix, b: Sequence) -> tuple[Optional[list], int]:
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """Solve a X = b columnwise; None if any column is inconsistent."""
+    """Solve a X = b columnwise; None if any column is inconsistent.  With
+    a and b the integer rows A and B over da and db, one elimination of
+    [A | B] gives A^-1 B at the pivot rows (``reduced_block``), X is da /
+    db times it, and a free column of a gets a zero row."""
     if a.nrows != b.nrows:
         raise ValueError("shape mismatch")
-    f = a.field
-    z = f.zero()
-    aug = [arow + brow for arow, brow in zip(a.rows, b.rows)]
-    if not aug:
-        return Matrix.zero(f, a.ncols, b.ncols)
-    rows, pivots = _row_echelon(f, aug)
-    for r, pc in enumerate(pivots):
-        if pc >= a.ncols:
-            return None
-    out = [[z] * b.ncols for _ in range(a.ncols)]
-    for r, pc in enumerate(pivots):
-        for j in range(b.ncols):
-            out[pc][j] = rows[r][a.ncols + j]
-    return Matrix(f, a.ncols, b.ncols, out)
+    f, n = a.field, a.ncols
+    ech, pivots = integer_row_echelon(f, [arow + brow for arow, brow in zip(a.ints, b.ints)])
+    if pivots and pivots[-1] >= n:
+        return None
+    block, scale = reduced_block(f, ech, pivots, n)
+    out = [[0] * b.ncols for _ in range(n)]
+    for row, pc in zip(block, pivots):
+        out[pc] = [a.den * x for x in row]
+    return Matrix.from_ints(f, n, b.ncols, f.reduce_rows(out), scale * b.den)
 
 
 def column_space_basis(m: Matrix) -> Matrix:
     """Columns form a basis of the column space: m's columns at the pivots
     of its reduced row echelon form, which are the columns a greedy left to
     right scan keeps."""
-    _, pivots = _row_echelon(m.field, m.rows)
-    return Matrix.from_columns(m.field, m.nrows, [m.column(j) for j in pivots])
+    _, pivots = integer_row_echelon(m.field, list(m.ints))
+    return Matrix.from_ints(m.field, m.nrows, len(pivots),
+                            [[row[j] for j in pivots] for row in m.ints], m.den)
 
 
 def invert(m: Matrix) -> Matrix:

@@ -335,13 +335,10 @@ def direct_sum(a: TameRep, b: TameRep) -> TameRep:
     maps = []
     for j in range(len(a.maps)):
         ma, mb = a.maps[j], b.maps[j]
-        z = field.zero()
-        rows = []
-        for r in range(ma.nrows):
-            rows.append(list(ma.rows[r]) + [z] * mb.ncols)
-        for r in range(mb.nrows):
-            rows.append([z] * ma.ncols + list(mb.rows[r]))
-        maps.append(Matrix(field, ma.nrows + mb.nrows, ma.ncols + mb.ncols, rows))
+        ints_a, ints_b, den = ma.common_den(mb)
+        rows = ([row + [0] * mb.ncols for row in ints_a]
+                + [[0] * ma.ncols + row for row in ints_b])
+        maps.append(Matrix.from_ints(field, ma.nrows + mb.nrows, ma.ncols + mb.ncols, rows, den))
     return TameRep._on_checked_grid(a.orientation, field, a.grid, tuple(dims), a.dirs, maps)
 
 

@@ -130,15 +130,30 @@ def random_invertible(field, n: int, rng) -> Matrix:
     so entries stay small and the result is exactly invertible.  The P of
     the scramble parity reference: ``scramble(v, seed)`` equals conjugating
     v by one such P per cell, drawn in cell order from Random(seed)."""
-    rows = Matrix.identity(field, n).rows
+    rows = list(Matrix.identity(field, n).rows)
     for op, i, k, c in random_elementary_ops(field, n, rng):
         if op == _ADD:
-            field.axpy(rows[i], c, [(j, b) for j, b in enumerate(rows[k]) if b])
+            rows[i] = [field.add(a, field.mul(c, b)) for a, b in zip(rows[i], rows[k])]
         elif op == _SWAP:
             rows[i], rows[k] = rows[k], rows[i]
         else:
             rows[i] = [field.mul(c, a) if a else a for a in rows[i]]
     return Matrix(field, n, n, rows)
+
+
+def count_rows_reads(monkeypatch, counted: list) -> None:
+    """Replace ``Matrix.rows`` by a descriptor that appends "rows" to
+    counted on every read of a matrix's field-scalar view."""
+    real_rows = Matrix.__dict__["rows"]
+
+    class CountingRows:
+        def __get__(self, m, owner=None):
+            if m is None:
+                return self
+            counted.append("rows")
+            return real_rows.__get__(m, owner)
+
+    monkeypatch.setattr(Matrix, "rows", CountingRows())
 
 
 @pytest.fixture

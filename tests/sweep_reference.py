@@ -12,7 +12,7 @@ textbook loop (``textbook_column_reduction``), not with the integer
 from dataclasses import dataclass, field as dc_field
 
 from aquiver.decompose import InternalInvariantError
-from aquiver.linalg import (Matrix, _row_echelon, column_space_basis, kernel_basis,
+from aquiver.linalg import (Matrix, column_space_basis, integer_row_echelon, kernel_basis,
                             solve_matrix)
 from aquiver.tamerep import DOWN
 
@@ -25,7 +25,8 @@ def unit_complement(field, cols, d: int) -> list[int]:
     e_i exactly when some vector of the span has its last nonzero entry at
     i, and those last entries are the pivots of the reduced cols with their
     coordinates reversed, which spares eliminating the identity block."""
-    _, pivots = _row_echelon(field, [list(reversed(col)) for col in cols])
+    ints, _ = field.integer_rows([list(reversed(col)) for col in cols])
+    _, pivots = integer_row_echelon(field, ints)
     last = {d - 1 - p for p in pivots}
     return [i for i in range(d) if i not in last]
 

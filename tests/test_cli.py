@@ -5,7 +5,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from aquiver import cli, jsonio
+from aquiver import ar, cli, homological, jsonio
 from aquiver.cli import main
 from aquiver.decompose import InternalInvariantError
 from aquiver.jsonio import SchemaError
@@ -615,6 +615,45 @@ def test_tame_containers_of_the_wrong_type_exit_2(runner, tmp_path, doc, message
 def test_bad_projectives_window_exits_2(runner, tmp_path, window):
     f = _write(tmp_path, "o.json", EMPTY_ORIENTATION)
     _assert_clean_exit_2(runner.invoke(main, ["projectives", f, "--window", window]))
+
+
+def test_ar_exits_3_when_the_sequence_fails_its_check(runner, tmp_path, monkeypatch):
+    # a middle term missing a summand still gives morphisms, but no exact
+    # sequence; ar checks the sequence before it prints it
+    real = ar._realize_sequence
+
+    def wrong_middle(o, left, middle, right, field):
+        return real(o, left, middle[:1], right, field)
+
+    monkeypatch.setattr(ar, "_realize_sequence", wrong_middle)
+    f = _write(tmp_path, "o.json", ZIGZAG_ORIENTATION)
+    for args in (["(1/4,1/2]", "--ending"], ["[1/4,1/2)", "--starting", "--json"]):
+        res = runner.invoke(main, ["ar", f, *args])
+        assert res.exit_code == 3 and res.stdout == ""
+        assert res.stderr == ("internal invariant violated: "
+                              "the constructed sequence is not almost split\n")
+
+
+@pytest.mark.parametrize("orientation, interval", [(EMPTY_ORIENTATION, "[0,1)"),
+                                                   (ZIGZAG_ORIENTATION, "(0,1]")],
+                         ids=["end-off-the-grid", "nonzero-outside"])
+def test_present_exits_3_when_a_relation_is_missing(runner, tmp_path, monkeypatch,
+                                                    orientation, interval):
+    # without its first relation, at 0, the presentation is still injective,
+    # but its cokernel is not the interval: over the empty orientation 0
+    # leaves the grid, and over the zigzag the cokernel is nonzero at 0
+    real = homological._presentation_labels
+
+    def dropped(o, iv):
+        p1, p0 = real(o, iv)
+        return p1[1:], p0
+
+    monkeypatch.setattr(homological, "_presentation_labels", dropped)
+    f = _write(tmp_path, "o.json", orientation)
+    res = runner.invoke(main, ["present", f, interval, "--json"])
+    assert res.exit_code == 3 and res.stdout == ""
+    assert res.stderr == ("internal invariant violated: "
+                          "presentation's cokernel has the wrong dimension vector\n")
 
 
 def test_equal_window_ends_accepted(runner, tmp_path):

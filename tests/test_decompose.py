@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cell_representative, random_bars, random_invertible, random_orientation
+from conftest import (cell_representative, count_rows_reads, random_bars, random_invertible,
+                      random_orientation)
 from oracle import enumerate_f2_instances, oracle_decompose
 from sweep_reference import reference_cell_bars
 from aquiver import linalg
@@ -277,25 +278,13 @@ def test_barcode_round_trip_reads_no_fraction_rows(monkeypatch):
     rng = random.Random(57)
     cases = [(random_orientation(rng), random_bars(rng)) for _ in range(12)]
     counted = []
-    real_rows = Matrix.__dict__["rows"]
-
-    class CountingRows:
-        def __get__(self, m, owner=None):
-            if m is None:
-                return self
-            counted.append("rows")
-            return real_rows.__get__(m, owner)
-
-        def __set__(self, m, value):
-            real_rows.__set__(m, value)
-
     real_integer_rows = RationalField.integer_rows
 
     def integer_rows(self, rows):
         counted.append("integer_rows")
         return real_integer_rows(self, rows)
 
-    monkeypatch.setattr(Matrix, "rows", CountingRows())
+    count_rows_reads(monkeypatch, counted)
     monkeypatch.setattr(RationalField, "integer_rows", integer_rows)
     got, maps = [], []
     for i, (o, b) in enumerate(cases):

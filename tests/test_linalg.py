@@ -6,11 +6,13 @@ from math import gcd, lcm
 
 import pytest
 
-from conftest import random_invertible
+from conftest import count_rows_reads, random_invertible
 from sweep_reference import columns, textbook_column_reduction, unit_complement
-from aquiver.jsonio import parse_field, tame_from_json, tame_to_json
-from aquiver.linalg import (MAX_PRIME, Matrix, PrimeField, QQ, _below, _row_echelon,
-                            bottom_column_echelon, change_basis, column_space_basis, invert,
+from aquiver.ar import ar_ending_at, standard_probes, verify_almost_split
+from aquiver.homological import proj_presentation
+from aquiver.jsonio import parse_field, parse_interval, tame_from_json, tame_to_json
+from aquiver.linalg import (MAX_PRIME, Matrix, PrimeField, QQ, _below, bottom_column_echelon,
+                            change_basis, column_space_basis, integer_row_echelon, invert,
                             kernel_basis, random_elementary_ops, rank, solve_linear_system,
                             solve_matrix)
 from aquiver.orientation import orientation_from_json
@@ -296,11 +298,19 @@ def _assert_exact(field, values):
             assert type(x) is int and 0 <= x < field.p
 
 
+def _divided_echelon(field, m):
+    """integer_row_echelon of m's integer rows, with each pivot row divided
+    by its pivot entry, in field scalars; and the pivots."""
+    ech, pivots = integer_row_echelon(field, list(m.ints))
+    scales = [row[c] for row, c in zip(ech, pivots)] + [1] * (len(ech) - len(pivots))
+    return [field.divide([row], s)[0] for row, s in zip(ech, scales)], pivots
+
+
 @pytest.mark.parametrize("field", PARITY_FIELDS, ids=PARITY_IDS)
 def test_row_echelon_matches_textbook(field):
     for _, m in _parity_cases(field, 11):
         want_rows, want_pivots = textbook_rref(field, m.rows)
-        got_rows, got_pivots = _row_echelon(field, m.rows)
+        got_rows, got_pivots = _divided_echelon(field, m)
         assert got_pivots == want_pivots
         assert got_rows == want_rows
         _assert_exact(field, [x for r in got_rows for x in r])
@@ -525,7 +535,7 @@ def test_q_wide_row_echelon_and_kernel():
     for _, m in cases:
         for given, ref in _given_and_reference(m):
             want_rows, want_pivots = textbook_rref(QQ, ref.rows)
-            got_rows, got_pivots = _row_echelon(QQ, given.rows)
+            got_rows, got_pivots = _divided_echelon(QQ, given)
             assert (got_rows, got_pivots) == (want_rows, want_pivots)
             _assert_exact(QQ, [x for r in got_rows for x in r])
             _check_kernel_basis(QQ, given, _textbook_kernel(QQ, ref))
@@ -663,10 +673,6 @@ def test_field_integer_rows_divide_and_to_ints(field):
         ints, den = field.integer_rows(m.rows)
         assert all(type(x) is int for row in ints for x in row) and den
         assert field.divide(ints, den) == m.rows
-        for row in m.rows:
-            got = field.to_ints(row)
-            assert all(type(x) is int for x in got) and got is not row
-            assert _is_nonzero_multiple(field, got, row)
     rng = random.Random(43)
     for _ in range(50):
         ints = _random_ints(field, rng, rng.randint(0, 6))
@@ -745,9 +751,10 @@ def test_field_parse_format_and_name(field):
 
 
 # ---------------------------------------------------------------------------
-# Matrix storage: a matrix holds the form it was built from, rows of field
-# scalars or integer rows over one denominator, and derives the other on
-# first read.  Either way it is the same map.
+# Matrix storage: a matrix stores integer rows over one denominator,
+# whether it is built from them or from rows of field scalars, and builds
+# its field-scalar rows from them on first read.  Either way it is the same
+# map.
 
 def _integer_form(field, rows, k):
     """(ints, den) of rows with den k times the lcm of the denominators;
@@ -772,7 +779,7 @@ def test_matrix_from_rows_and_from_ints_agree(field):
         assert b.rows == a.rows == m.rows
         assert (b.nrows, b.ncols) == (a.nrows, a.ncols) == (m.nrows, m.ncols)
         assert (b.ints, b.den) == (ints, den)
-        # the integer form a matrix derives from its rows reads back as them
+        # the integer form a matrix converts its rows to reads back as them
         assert all(type(x) is int for r in a.ints for x in r) and a.den
         assert field.divide(a.ints, a.den) == m.rows
         assert field == QQ or (a.den == 1 and all(0 <= x < field.p for r in a.ints for x in r))
@@ -822,6 +829,56 @@ def test_matrix_empty_shapes(field):
         Matrix.from_ints(field, 2, 0, [[], [1]])
     with pytest.raises(ValueError):
         Matrix.from_ints(field, 0, 0, [[]])
+
+
+def _random_from_ints(field, rng, nrows, ncols):
+    """A matrix built from sparse random integer rows over a random
+    denominator."""
+    ints = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+    return Matrix.from_ints(field, nrows, ncols, field.reduce_rows(ints), rng.choice((1, 2, 3)))
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_matrix_algebra_reads_no_field_rows(field, monkeypatch):
+    # every operation reads and builds the integer form; the field-scalar
+    # rows are a view for callers at the API edge and stay unbuilt
+    rng = random.Random(51)
+    cases = []
+    for _ in range(20):
+        n, k = rng.randint(0, 5), rng.randint(0, 5)
+        g = random_invertible(field, n, rng)
+        g = Matrix.from_ints(field, n, n, g.ints, g.den)
+        cases.append((_random_from_ints(field, rng, n, k), _random_from_ints(field, rng, k, 3), g))
+    o = orientation_from_json({"criticals": [{"pos": "0", "kind": "sink"},
+                                             {"pos": "1", "kind": "source"}],
+                               "empty_direction": "descending"})
+    counted = []
+    count_rows_reads(monkeypatch, counted)
+    kernels = 0
+    for a, b, g in cases:
+        ab = a.matmul(b)
+        twice = field.reduce_rows([[2 * x for x in row] for row in ab.ints])
+        assert ab == Matrix.from_ints(field, ab.nrows, ab.ncols, twice, 2 * ab.den)
+        assert ab == ab.transpose().transpose() and ab.is_zero() == (rank(ab) == 0)
+        k = kernel_basis(a)
+        assert a.matmul(k).is_zero() and k.ncols == a.ncols - rank(a)
+        x = solve_matrix(a, ab)
+        assert x is not None and a.matmul(x) == ab
+        basis, inverse = column_space_basis(a), invert(g)
+        assert rank(basis) == rank(a)
+        assert g.matmul(inverse) == Matrix.identity(field, g.nrows)
+        assert len(a.to_json()) == a.nrows
+        # every result is stored as a matrix must be: over F_p in range(p)
+        for m in (ab, ab.transpose(), a.add(a), k, x, basis, inverse):
+            assert all(type(v) is int for row in m.ints for v in row) and m.den
+            assert field == QQ or all(0 <= v < field.p for row in m.ints for v in row)
+        kernels += k.ncols
+    seq = ar_ending_at(o, parse_interval("(1/4,1/2]"), field).sequence
+    assert verify_almost_split(seq, standard_probes(o, seq))
+    assert proj_presentation(o, parse_interval("[0,2)"), field).p1
+    assert counted == []
+    assert kernels >= 10
 
 
 @pytest.mark.parametrize("field", CONTRACT_FIELDS, ids=CONTRACT_IDS)

@@ -16,7 +16,9 @@ name a library or test module imports at top level is read in that
 module, except in __init__.py, which re-exports.  No library module imports an
 underscore name from another.  tests/oracle.py imports nothing from the
 code it checks.  No library module outside the two field classes asks
-which field it holds.  Every name the benchmark's tracer wraps exists, and
+which field it holds.  No library module reads a matrix's field-scalar
+view ``rows``, except linalg in the view itself, ``column``, ``scale``
+and ``__repr__``.  Every name the benchmark's tracer wraps exists, and
 importing aquiver.cli loads every module the benchmark reaches into.
 """
 
@@ -201,6 +203,36 @@ def test_only_the_field_classes_tell_q_from_f_p():
                        "    def __eq__(self, other):\n"
                        "        return isinstance(other, PrimeField) and other.kind == QQ\n")
     assert _field_branches(sample) == [1, 2, 2, 3, 4]
+
+
+# the functions of linalg.py that may read Matrix.rows: the view itself
+# and the edge methods that hand out field scalars
+ROWS_READERS = ("rows", "column", "scale", "__repr__")
+
+
+def _rows_reads(tree, allowed=()) -> list[int]:
+    """Lines that read an attribute named rows, outside the functions
+    named in allowed."""
+    skip = {id(n) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name in allowed for n in ast.walk(f)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if id(node) not in skip and isinstance(node, ast.Attribute)
+                  and node.attr == "rows" and isinstance(node.ctx, ast.Load))
+
+
+def test_only_the_matrix_edge_reads_field_rows():
+    # a Matrix stores integer rows over one denominator, and every
+    # operation reads those; the field-scalar rows are a view for callers
+    # at the API edge
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _rows_reads(ast.parse(path.read_text(encoding="utf-8")),
+                                     ROWS_READERS if path.name == "linalg.py" else ())]
+    assert not found, f"reads Matrix.rows: {', '.join(found)}"
+    sample = ast.parse("def column(self, j):\n    return self.rows[j]\n"
+                       "def direct_sum(a):\n    return [list(r) for r in a.rows]\n"
+                       "rows = 1\n")
+    assert _rows_reads(sample, ROWS_READERS) == [4]
+    assert _rows_reads(sample) == [2, 4]
 
 
 def test_oracle_imports_nothing_it_checks():

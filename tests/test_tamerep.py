@@ -208,6 +208,28 @@ def test_direct_sum():
     assert decompose(direct_sum(v1, z)) == b1
 
 
+def _over_den(v, den):
+    """v with each map's integer rows scaled to lie over den."""
+    maps = [Matrix.from_ints(v.field, m.nrows, m.ncols,
+                             [[x * den // m.den for x in row] for row in m.ints], den)
+            for m in v.maps]
+    return TameRep(v.orientation, v.field, v.grid, v.dims, maps)
+
+
+def test_direct_sum_of_maps_over_different_denominators():
+    # each block is the map of its summand, whatever denominators the two
+    # summands' maps are stored over
+    b1 = bars((Interval.make(0, 1, True, True), 1), (Interval.make(0, 1, False, True), 1))
+    b2 = bars((Interval.make(0, 1, True, False), 2))
+    v1, v2 = _over_den(from_bars(EMPTY_DESC, b1), 2), _over_den(from_bars(EMPTY_DESC, b2), 3)
+    assert v1.grid == v2.grid
+    s = direct_sum(v1, v2)
+    for m, ma, mb in zip(s.maps, v1.maps, v2.maps):
+        assert m.rows == ([row + [0] * mb.ncols for row in ma.rows]
+                          + [[0] * ma.ncols + row for row in mb.rows])
+    assert decompose(s) == b1.union(b2)
+
+
 def test_direct_sum_orientation_mismatch():
     with pytest.raises(ValueError, match="orientation"):
         direct_sum(zero_rep(EMPTY_DESC), zero_rep(ZIGZAG))
