@@ -18,11 +18,17 @@ from .ar import (EXISTS, PROVEN_NONEXISTENT, ar_ending_at, ar_starting_at,
 from .decompose import InternalInvariantError, decompose
 from .homological import (ProjectiveLabel, ext_dim, hom_dim, proj_presentation,
                           projectives_table, realize_projective)
-from .intervals import format_extreal, parse_rational
-from .jsonio import (MALFORMED, SchemaError, Document, document_to_json,
+from .intervals import MALFORMED, format_extreal, parse_rational
+from .jsonio import (SchemaError, Document, document_to_json,
                      parse_document, parse_field, parse_interval,
                      parse_orientation_file)
-from .tamerep import scramble as scramble_rep
+from .tamerep import reps_on_common_grid, scramble as scramble_rep
+
+# The most work decompose and scramble take from one document: the sum over
+# cells of the squared cell dimension, which bounds the entries of the maps
+# they build.  A document of a few hundred bytes can ask for far more (a bar
+# with "mult": 10**9).
+MAX_SQUARED_DIMS = 10**7
 
 
 def _echo_json(obj) -> None:
@@ -69,13 +75,29 @@ def _pick_field(field_spec, doc=None):
     return parse_field("Q")
 
 
+def _squared_dims(doc) -> int:
+    """The sum over cells of the squared dimension of the document's
+    representation.  For a bars document it is read off one slot per
+    distinct bar, weighted by its multiplicity, so no copy is expanded."""
+    if doc.tame is not None:
+        return sum(d * d for d in doc.tame.dims)
+    bars = doc.bars.items()
+    (_, slots), = reps_on_common_grid(doc.orientation, [[iv for iv, _ in bars]])
+    return sum(sum(bars[i][1] for i in s) ** 2 for s in slots)
+
+
 def _document_rep(doc, field_spec):
     """The document's representation over --field.  A bars document is built
     over it; a tame document was parsed over its own field, which --field
-    may only repeat."""
+    may only repeat.  A representation past MAX_SQUARED_DIMS is refused
+    before a bars document expands any copy of a bar."""
     field = _pick_field(field_spec, doc)
     if doc.tame is not None and field != doc.field:
         raise SchemaError(f"--field {field_spec} differs from the tame document's field {doc.field}")
+    size = _squared_dims(doc)
+    if size > MAX_SQUARED_DIMS:
+        raise SchemaError(f"representation too large: its squared cell dimensions sum to "
+                          f"{size}, above {MAX_SQUARED_DIMS}")
     doc.field = field
     return doc.rep()
 

@@ -48,6 +48,12 @@ def compare(a: ExtReal, b: ExtReal) -> int:
     return (x > y) - (x < y)
 
 
+# What parsing numbers and nested JSON values raises on malformed input,
+# besides KeyError/TypeError/ValueError: a zero denominator ("1/0") raises
+# ZeroDivisionError, and the point interval "{-inf}" raises OverflowError
+# from Fraction(-inf).
+MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
+
 _RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?").fullmatch
 _DECIMAL = re.compile(r"[+-]?([0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE]([+-]?[0-9]+))?").fullmatch
 # CPython's default limit on the digits of an int read from or written to
@@ -217,7 +223,8 @@ class BarMultiset:
     """A finite multiset of intervals with positive multiplicities.
 
     Canonical order is the interval sort key, so equal multisets always
-    serialize identically.
+    serialize identically.  The counts are sorted into it once, when the
+    multiset is built, and every listing reads them in that order.
     """
 
     def __init__(self, bars: Iterable[tuple[Interval, int]] = ()):
@@ -228,18 +235,18 @@ class BarMultiset:
             if mult == 0:
                 continue
             counts[iv] = counts.get(iv, 0) + mult
-        self._counts = counts
+        self._counts = dict(sorted(counts.items(), key=lambda kv: kv[0].sort_key()))
 
     @staticmethod
     def from_intervals(intervals: Iterable[Interval]) -> "BarMultiset":
         return BarMultiset((iv, 1) for iv in intervals)
 
     def items(self) -> list[tuple[Interval, int]]:
-        return sorted(self._counts.items(), key=lambda kv: kv[0].sort_key())
+        return list(self._counts.items())
 
     def intervals(self) -> list[Interval]:
         out = []
-        for iv, m in self.items():
+        for iv, m in self._counts.items():
             out.extend([iv] * m)
         return out
 
@@ -259,7 +266,7 @@ class BarMultiset:
         return len(self._counts)
 
     def __iter__(self) -> Iterator[tuple[Interval, int]]:
-        return iter(self.items())
+        return iter(self._counts.items())
 
     def __bool__(self):
         return bool(self._counts)
@@ -267,13 +274,13 @@ class BarMultiset:
     def __str__(self):
         if not self._counts:
             return "(empty)"
-        return ", ".join(f"{iv} x{m}" if m > 1 else str(iv) for iv, m in self.items())
+        return ", ".join(f"{iv} x{m}" if m > 1 else str(iv) for iv, m in self._counts.items())
 
     __repr__ = __str__
 
     def to_json(self) -> list[dict]:
         out = []
-        for iv, m in self.items():
+        for iv, m in self._counts.items():
             d = iv.to_json()
             d["mult"] = m
             out.append(d)

@@ -1,33 +1,27 @@
-"""Bit-exact JSON formats: rationals travel as "p/q" strings in lowest
-terms, infinities as "-inf"/"+inf", so parsing and printing round-trip
-byte for byte."""
+"""Documents: JSON text is loaded and assembled into a Document, and a
+Document is written back.  Rationals travel as "p/q" strings in lowest
+terms, infinities as "-inf"/"+inf", so the round trip is byte-exact.
+Each type reads and writes its own JSON in its own module (Interval and
+BarMultiset in intervals, Orientation in orientation, Matrix and field
+scalars in linalg, TameRep in tamerep); this module reads a field's name
+and turns errors into SchemaError."""
 
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain
-from math import lcm
 from typing import Optional
 
-from .intervals import (BarMultiset, Interval, format_extreal, parse_extreal,
-                        parse_integer, parse_rational)
-from .linalg import Matrix, PrimeField, QQ
+from .intervals import MALFORMED, BarMultiset, Interval, parse_extreal, parse_integer
+from .linalg import PrimeField, QQ
 from .orientation import (Orientation, orientation_from_json,
                           orientation_to_json)
-from .tamerep import DOWN, TameRep, UP, check_grid_and_dims, junction_dirs
+from .tamerep import TameRep, from_bars, tame_from_json, tame_to_json
 
 
 class SchemaError(ValueError):
     """Malformed input document."""
-
-
-# What parsing numbers and nested JSON values raises on malformed input,
-# besides KeyError/TypeError/ValueError: a zero denominator ("1/0") raises
-# ZeroDivisionError, and the point interval "{-inf}" raises OverflowError
-# from Fraction(-inf).
-MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
 
 
 def _load(text: str):
@@ -82,89 +76,6 @@ def parse_field(obj) -> object:
     raise SchemaError(f"unknown field kind {obj['kind']!r}")
 
 
-def tame_to_json(v: TameRep) -> dict:
-    return {
-        "grid": [format_extreal(g) for g in v.grid],
-        "dims": list(v.dims),
-        "maps": [{"dir": d, "entries": m.to_json()} for m, d in zip(v.maps, v.dirs)],
-    }
-
-
-def _array(obj, key: str) -> list:
-    x = obj[key]
-    if not isinstance(x, list):
-        raise TypeError(f"{key} must be a JSON array")
-    return x
-
-
-def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
-    try:
-        grid = [parse_rational(s) for s in _array(obj, "grid")]
-        dims = [parse_integer(d) for d in _array(obj, "dims")]
-        maps_json = _array(obj, "maps")
-    except MALFORMED as e:
-        raise SchemaError(f"bad tame object: {e}")
-    # The grid and dims are checked first, in TameRep's order (grid order,
-    # dims count, signs, criticals on the grid), then the maps count, then
-    # each map in turn: that it is an object, its "dir" against the
-    # orientation, its shape (entries and rows are arrays), its entries.
-    try:
-        check_grid_and_dims(o, grid, dims)
-    except ValueError as e:
-        raise SchemaError(str(e))
-    if len(maps_json) != 2 * len(grid):
-        raise SchemaError(f"tame object needs {2 * len(grid)} maps")
-    parse = field.parse
-    # Each map is built as integer rows over the lcm of its entries'
-    # denominators, read off one (numerator, denominator) pair per distinct
-    # entry: the field parses the entry and ``as_integer_ratio`` splits the
-    # scalar (a Fraction, or an int over F_p, where the lcm is 1).  Each
-    # distinct string is parsed once, at its first occurrence in the
-    # document, so errors still come in document order.  The memo lives for
-    # this call only and is keyed by str alone.  A map holding anything but
-    # strings has each entry parsed in turn: 1 and 1.0 are equal keys, and
-    # the float must not pass as the int.
-    memo = {}
-
-    def ratio(x):
-        if type(x) is not str:
-            return parse(x).as_integer_ratio()
-        y = memo.get(x)
-        if y is None:
-            y = memo[x] = parse(x).as_integer_ratio()
-        return y
-
-    maps = []
-    for j, (mj, want) in enumerate(zip(maps_json, junction_dirs(o, grid))):
-        if not isinstance(mj, dict):
-            raise SchemaError(f"map {j} must be a JSON object")
-        d = mj.get("dir")
-        if d not in (DOWN, UP):
-            raise SchemaError(f"map {j}: dir must be 'down' or 'up'")
-        if d != want:
-            raise SchemaError(f"junction {j} direction {d!r} contradicts the orientation ({want!r})")
-        lo, hi = dims[j], dims[j + 1]
-        nrows, ncols = (lo, hi) if d == DOWN else (hi, lo)
-        entries = mj.get("entries", [])
-        if (not isinstance(entries, list) or len(entries) != nrows
-                or any(not isinstance(r, list) or len(r) != ncols for r in entries)):
-            raise SchemaError(f"map {j}: entries must be {nrows}x{ncols}")
-        flat = list(chain.from_iterable(entries))
-        distinct = dict.fromkeys(flat) if {str}.issuperset(map(type, flat)) else flat
-        try:
-            ratios = {x: ratio(x) for x in distinct}
-        except MALFORMED as e:
-            raise SchemaError(f"map {j}: {e}")
-        den = lcm(*{q for _, q in ratios.values()})
-        scaled = {x: n * (den // q) for x, (n, q) in ratios.items()}
-        maps.append(Matrix.from_ints(field, nrows, ncols,
-                                     [[scaled[x] for x in r] for r in entries], den))
-    try:
-        return TameRep(o, field, grid, dims, maps)
-    except ValueError as e:
-        raise SchemaError(str(e))
-
-
 @dataclass
 class Document:
     orientation: Orientation
@@ -175,7 +86,6 @@ class Document:
     def rep(self) -> TameRep:
         if self.tame is not None:
             return self.tame
-        from .tamerep import from_bars
         return from_bars(self.orientation, self.bars, self.field)
 
 
@@ -198,7 +108,10 @@ def parse_document(text: str) -> Document:
         except MALFORMED as e:
             raise SchemaError(f"bad bars: {e}")
     elif has_tame:
-        doc.tame = tame_from_json(o, obj["tame"], field)
+        try:
+            doc.tame = tame_from_json(o, obj["tame"], field)
+        except ValueError as e:
+            raise SchemaError(str(e))
     else:
         raise SchemaError("document needs \"bars\" or \"tame\"")
     return doc

@@ -8,6 +8,15 @@ cell index) is not stored input: the orientation forces it, and a
 representation derives it from its orientation and grid (junction_dirs).
 Transition maps inside a cell are identities, so the whole object is a
 finite zigzag of vector spaces.
+
+The tame JSON object (tame_to_json, tame_from_json) is {"grid": [...],
+"dims": [one per cell], "maps": [{"dir": "down" or "up", "entries": rows
+of dims[target] x dims[source] scalars}, one per junction]}.  Its reader
+names the first fault in this order: a grid, dims or maps value that does
+not parse ("bad tame object: ..."), grid order, dims count, a negative
+dim, a missing critical point (check_grid_and_dims), the maps count, then
+map by map: not an object, a "dir" not "down"/"up", a "dir" against the
+orientation, the entries' shape, an entry the field does not read.
 """
 
 from __future__ import annotations
@@ -15,9 +24,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Iterable, Sequence
 
-from .intervals import BarMultiset, Interval, NEG_INF, POS_INF, is_finite
+from .intervals import (MALFORMED, BarMultiset, Interval, NEG_INF, POS_INF, format_extreal,
+                        is_finite, parse_integer, parse_rational)
 from .linalg import (Matrix, QQ, change_basis, column_space_basis, invert,
                      kernel_basis, random_elementary_ops, solve_matrix)
 from .orientation import Orientation, reverse
@@ -131,10 +143,11 @@ def junction_cells(d: str, j: int) -> tuple[int, int]:
     return (j + 1, j) if d == DOWN else (j, j + 1)
 
 
-def check_grid_and_dims(o: Orientation, grid, dims) -> None:
+def check_grid_and_dims(o: Orientation, grid, dims) -> tuple[str, ...]:
     """Raise ValueError unless grid strictly increases, dims are one
     nonnegative dimension per cell of it, and every critical point of o
-    inside the grid's hull is a grid point."""
+    inside the grid's hull is a grid point; then return the junction
+    directions (junction_dirs)."""
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     if len(dims) != num_cells(grid):
@@ -144,6 +157,7 @@ def check_grid_and_dims(o: Orientation, grid, dims) -> None:
     missing = _criticals_off_grid(o, grid)
     if missing:
         raise ValueError(f"critical point {missing[0]} inside the hull is missing from the grid")
+    return tuple(junction_dirs(o, grid))
 
 
 def _criticals_off_grid(o: Orientation, grid) -> list[Fraction]:
@@ -166,8 +180,7 @@ class TameRep:
         self.grid = tuple(g if type(g) is Fraction else Fraction(g) for g in grid)
         self.dims = tuple(int(d) for d in dims)
         self.maps = tuple(maps)
-        self.dirs = tuple(junction_dirs(orientation, self.grid))
-        check_grid_and_dims(orientation, self.grid, self.dims)
+        self.dirs = check_grid_and_dims(orientation, self.grid, self.dims)
         self._check_maps()
 
     @classmethod
@@ -187,8 +200,8 @@ class TameRep:
         if len(self.maps) != 2 * len(self.grid):
             raise ValueError("need 2m junction maps")
         for j, (mat, d) in enumerate(zip(self.maps, self.dirs)):
-            lo, hi = self.dims[j], self.dims[j + 1]
-            shape = (lo, hi) if d == DOWN else (hi, lo)
+            src, tgt = junction_cells(d, j)
+            shape = (self.dims[tgt], self.dims[src])
             if (mat.nrows, mat.ncols) != shape:
                 raise ValueError(f"junction {j} matrix shape {(mat.nrows, mat.ncols)} != {shape}")
             if mat.field != self.field:
@@ -316,7 +329,9 @@ def refine(v: TameRep, points: Iterable) -> TameRep:
         else:
             # a new point inside old cell c: identities on either side
             maps += (Matrix.identity(v.field, v.dims[c]), Matrix.identity(v.field, v.dims[c]))
-    return TameRep(v.orientation, v.field, pts, dims, maps)
+    # pts is sorted from a set and closed under criticals, and dims are v's
+    return TameRep._on_checked_grid(v.orientation, v.field, tuple(pts), tuple(dims),
+                                    tuple(junction_dirs(v.orientation, pts)), maps)
 
 
 def common_grid(a: TameRep, b: TameRep) -> tuple[TameRep, TameRep]:
@@ -343,10 +358,11 @@ def direct_sum(a: TameRep, b: TameRep) -> TameRep:
 
 
 def dual(v: TameRep) -> TameRep:
-    """Same spaces over the reversed orientation, where every junction runs
-    the other way; every map is transposed."""
+    """Same spaces over the reversed orientation, where every segment and
+    so every junction runs the other way; every map is transposed."""
     maps = [m.transpose() for m in v.maps]
-    return TameRep(reverse(v.orientation), v.field, v.grid, v.dims, maps)
+    dirs = tuple(UP if d == DOWN else DOWN for d in v.dirs)
+    return TameRep._on_checked_grid(reverse(v.orientation), v.field, v.grid, v.dims, dirs, maps)
 
 
 def restrict(v: TameRep, j_iv: Interval) -> TameRep:
@@ -407,6 +423,76 @@ def scramble(v: TameRep, seed: int) -> TameRep:
         ints, den = change_basis(field, m.ints, m.den, ops[tgt], ops[src])
         maps.append(Matrix.from_ints(field, m.nrows, m.ncols, ints, den))
     return TameRep._on_checked_grid(v.orientation, field, v.grid, v.dims, v.dirs, maps)
+
+
+# ---------------------------------------------------------------------------
+# the tame JSON object
+
+def tame_to_json(v: TameRep) -> dict:
+    return {"grid": [format_extreal(g) for g in v.grid], "dims": list(v.dims),
+            "maps": [{"dir": d, "entries": m.to_json()} for m, d in zip(v.maps, v.dirs)]}
+
+
+def _array(obj, key: str) -> list:
+    x = obj[key]
+    if not isinstance(x, list):
+        raise TypeError(f"{key} must be a JSON array")
+    return x
+
+
+def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
+    """The TameRep a tame JSON object spells over field; ValueError names
+    the first fault, in the module docstring's order."""
+    try:
+        grid = tuple(parse_rational(s) for s in _array(obj, "grid"))
+        dims = tuple(parse_integer(d) for d in _array(obj, "dims"))
+        maps_json = _array(obj, "maps")
+    except MALFORMED as e:
+        raise ValueError(f"bad tame object: {e}")
+    dirs = check_grid_and_dims(o, grid, dims)
+    if len(maps_json) != 2 * len(grid):
+        raise ValueError(f"tame object needs {2 * len(grid)} maps")
+    parse = field.parse
+    # Each map is integer rows over the lcm of its entries' denominators.
+    # A distinct string is parsed once, at its first occurrence (errors keep
+    # document order), through a memo keyed by str; a map holding non-strings
+    # parses each entry, since 1 and 1.0 are equal keys.
+    memo = {}
+
+    def ratio(x):
+        if type(x) is not str:
+            return parse(x).as_integer_ratio()
+        y = memo.get(x)
+        if y is None:
+            y = memo[x] = parse(x).as_integer_ratio()
+        return y
+
+    maps = []
+    for j, (mj, want) in enumerate(zip(maps_json, dirs)):
+        if not isinstance(mj, dict):
+            raise ValueError(f"map {j} must be a JSON object")
+        d = mj.get("dir")
+        if d not in (DOWN, UP):
+            raise ValueError(f"map {j}: dir must be 'down' or 'up'")
+        if d != want:
+            raise ValueError(f"junction {j} direction {d!r} contradicts the orientation ({want!r})")
+        src, tgt = junction_cells(d, j)
+        nrows, ncols = dims[tgt], dims[src]
+        entries = mj.get("entries", [])
+        if (not isinstance(entries, list) or len(entries) != nrows
+                or any(not isinstance(r, list) or len(r) != ncols for r in entries)):
+            raise ValueError(f"map {j}: entries must be {nrows}x{ncols}")
+        flat = list(chain.from_iterable(entries))
+        distinct = dict.fromkeys(flat) if {str}.issuperset(map(type, flat)) else flat
+        try:
+            ratios = {x: ratio(x) for x in distinct}
+        except MALFORMED as e:
+            raise ValueError(f"map {j}: {e}")
+        den = lcm(*{q for _, q in ratios.values()})
+        scaled = {x: n * (den // q) for x, (n, q) in ratios.items()}
+        maps.append(Matrix.from_ints(field, nrows, ncols,
+                                     [[scaled[x] for x in r] for r in entries], den))
+    return TameRep._on_checked_grid(o, field, grid, dims, dirs, maps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,25 @@
 import hashlib
 import json
 import os
+import random
+import resource
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+from conftest import random_bars, random_orientation
 from aquiver import ar, cli, homological, jsonio
 from aquiver.cli import main
 from aquiver.decompose import InternalInvariantError
-from aquiver.jsonio import SchemaError
+from aquiver.intervals import is_finite
+from aquiver.jsonio import Document, SchemaError
+from aquiver.linalg import QQ
+from aquiver.tamerep import from_bars
 
 HERE = os.path.dirname(__file__)
+SRC = os.path.join(os.path.dirname(HERE), "src")
 
 ZIGZAG_ORIENTATION = {
     "criticals": [{"pos": "0", "kind": "sink"}, {"pos": "1", "kind": "source"}],
@@ -463,6 +472,60 @@ def test_oversized_input_exits_2(runner, tmp_path, text):
     _assert_clean_exit_2(runner.invoke(main, ["decompose", str(p)]))
 
 
+def _tame_cell(d):
+    """A tame document on the grid [0] whose only nonzero cell is {0}, of dimension d."""
+    return {"orientation": EMPTY_ORIENTATION,
+            "tame": {"grid": ["0"], "dims": [0, d, 0],
+                     "maps": [{"dir": "down", "entries": []},
+                              {"dir": "down", "entries": [[]] * d}]}}
+
+
+@pytest.mark.parametrize("command", [["decompose"], ["scramble", "--seed", "1"]],
+                         ids=["decompose", "scramble"])
+@pytest.mark.parametrize("doc, size", [
+    (dict(BARS_DOC, bars=[dict(b, mult=10**9) for b in BARS_DOC["bars"]]), 12 * 10**18),
+    (_tame_cell(3163), 3163**2),
+], ids=["bars-mult-1e9", "tame-dim-3163"])
+def test_representation_past_the_work_bound_exits_2(tmp_path, command, doc, size):
+    # A few hundred bytes can ask for 10**9 copies of a bar; the size is
+    # read off the distinct bars and refused before any map is built.  The
+    # child runs under an address-space limit set on it alone, and times
+    # the command without its interpreter start-up.
+    code = ("import sys, time\n"
+            "from aquiver.cli import main\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "finally:\n"
+            "    print(time.perf_counter() - start)\n")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    f = _write(tmp_path, "d.json", doc)
+    res = subprocess.run([sys.executable, "-c", code, *command[:1], f, *command[1:]],
+                         env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=limit_memory,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2, res.stderr[-2000:]
+    assert res.stderr == (f"error: representation too large: its squared cell dimensions "
+                          f"sum to {size}, above 10000000\n")
+    assert float(res.stdout) < 0.5
+    assert size > cli.MAX_SQUARED_DIMS
+
+
+def test_work_bound_reads_the_dims_from_bars():
+    rng = random.Random(2024)
+    seen_infinite = seen_critical = 0
+    for _ in range(300):
+        o = random_orientation(rng)
+        bars = random_bars(rng)
+        doc = Document(o, QQ, bars=bars)
+        assert cli._squared_dims(doc) == sum(d * d for d in from_bars(o, bars).dims)
+        seen_infinite += any(not is_finite(e) for iv in bars.intervals() for e in (iv.lo, iv.hi))
+        seen_critical += bool(o.positions)
+    assert seen_infinite > 100 and seen_critical > 100
+
+
 def test_scrambled_entry_past_the_digit_limit(runner, tmp_path):
     # A 4300-digit Q entry is accepted; scramble's row operations on a
     # two-dimensional cell grow it to 4301 digits, which str() refuses.
@@ -609,6 +672,46 @@ def test_tame_containers_of_the_wrong_type_exit_2(runner, tmp_path, doc, message
     res = runner.invoke(main, ["decompose", _write(tmp_path, "d.json", doc)])
     _assert_clean_exit_2(res)
     assert res.stderr == f"error: {message}\n"
+
+
+def _faulty_tame(orientation=EMPTY_ORIENTATION, **tame):
+    """_point_tame's document over the given orientation."""
+    return dict(_point_tame(**tame), orientation=orientation)
+
+
+def _down(*rows):
+    return {"dir": "down", "entries": [list(r) for r in rows]}
+
+
+# One document per adjacent pair of the tame reader's checks, holding both
+# faults; the first check in reporting order names its fault.
+@pytest.mark.parametrize("doc, message", [
+    (_faulty_tame(grid=["1", "0"], maps=5), "bad tame object: maps must be a JSON array"),
+    (_faulty_tame(grid=["1", "0"], dims=[1, 1]), "grid must be strictly increasing"),
+    (_faulty_tame(dims=[1, -1]), "tame object needs 3 dims for 1 grid points"),
+    (_faulty_tame(ZIGZAG_ORIENTATION, grid=["0", "2"], dims=[0, -1, 0, 0, 0]),
+     "negative dimension"),
+    (_faulty_tame(ZIGZAG_ORIENTATION, grid=["0", "2"], dims=[0] * 5, maps=[]),
+     "critical point 1 inside the hull is missing from the grid"),
+    (_faulty_tame(maps=["x"]), "tame object needs 2 maps"),
+    (_faulty_tame(maps=[[["dir", "left"], ["entries", [["1"]]]], _down(["1"])]),
+     "map 0 must be a JSON object"),
+    (_faulty_tame(maps=[{"dir": "left", "entries": [["1"]]}, _down(["1"])]),
+     "map 0: dir must be 'down' or 'up'"),
+    (_faulty_tame(maps=[{"dir": "up", "entries": [["1"], ["1"]]}, _down(["1"])]),
+     "junction 0 direction 'up' contradicts the orientation ('down')"),
+    (_faulty_tame(maps=[_down(["1/0"], ["1"]), _down(["1"])]), "map 0: entries must be 1x1"),
+    (_faulty_tame(maps=[_down(["1/0"]), {"dir": "up", "entries": 5}]),
+     "map 0: Fraction(1, 0)"),
+], ids=["parse-grid", "grid-dims", "dims-sign", "sign-critical", "critical-maps",
+        "maps-object", "object-dir", "dir-orientation", "orientation-shape", "shape-entries",
+        "entries-next-map"])
+def test_tame_faults_are_reported_in_check_order(runner, tmp_path, doc, message):
+    f = _write(tmp_path, "d.json", doc)
+    for command in (["decompose"], ["scramble", "--seed", "1"]):
+        res = runner.invoke(main, command[:1] + [f] + command[1:])
+        _assert_clean_exit_2(res)
+        assert res.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("window", ["1:0", "1:1/0", "1/0:1", "0:1:2", "x:1"])

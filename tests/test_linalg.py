@@ -10,13 +10,13 @@ from conftest import count_rows_reads, random_invertible
 from sweep_reference import columns, textbook_column_reduction, unit_complement
 from aquiver.ar import ar_ending_at, standard_probes, verify_almost_split
 from aquiver.homological import proj_presentation
-from aquiver.jsonio import parse_field, parse_interval, tame_from_json, tame_to_json
+from aquiver.jsonio import parse_field, parse_interval
 from aquiver.linalg import (MAX_PRIME, Matrix, PrimeField, QQ, _below, bottom_column_echelon,
                             change_basis, column_space_basis, integer_row_echelon, invert,
                             kernel_basis, random_elementary_ops, rank, solve_linear_system,
                             solve_matrix)
 from aquiver.orientation import orientation_from_json
-from aquiver.tamerep import scramble
+from aquiver.tamerep import scramble, tame_from_json, tame_to_json
 
 F5 = PrimeField(5)
 

@@ -14,7 +14,8 @@ aquiver.__all__, or is one of the few that only tests call, each listed
 with a test that needs it, and every test the list cites exists.  Every
 name a library or test module imports at top level is read in that
 module, except in __init__.py, which re-exports.  No library module imports an
-underscore name from another.  tests/oracle.py imports nothing from the
+underscore name from another, nor reads one as an attribute ``X._name`` of a
+name X it imports from another.  tests/oracle.py imports nothing from the
 code it checks.  No library module outside the two field classes asks
 which field it holds.  No library module reads a matrix's field-scalar
 view ``rows``, except linalg in the view itself, ``column``, ``scale``
@@ -146,15 +147,36 @@ def test_no_unused_module_level_imports():
     assert not unused, f"imported but never used: {', '.join(unused)}"
 
 
+def _private_crossings(tree) -> list[str]:
+    """The private names of other aquiver modules that a module reaches:
+    each underscore name it imports from one, and each attribute read
+    ``X._name`` (not a dunder) where X is a name it imports from one."""
+    imported, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0]
+                                                 == "aquiver"):
+            imported |= {a.asname or a.name for a in node.names}
+            found += [a.name for a in node.names if a.name.startswith("_")]
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in imported and node.attr.startswith("_")
+              and not (node.attr.startswith("__") and node.attr.endswith("__"))]
+    return sorted(found)
+
+
 def test_no_private_name_crosses_modules():
     # a name another module needs is public in the module that defines it
-    private = [f"{path.name}: {alias.name}"
-               for path in sorted(SRC.glob("*.py"))
-               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-               if isinstance(node, ast.ImportFrom)
-               and (node.level or (node.module or "").split(".")[0] == "aquiver")
-               for alias in node.names if alias.name.startswith("_")]
-    assert not private, f"imports a private name of another module: {', '.join(private)}"
+    private = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+               for name in _private_crossings(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not private, f"reaches a private name of another module: {', '.join(private)}"
+    sample = ast.parse("from .tamerep import TameRep, _cell_range\n"
+                       "from . import linalg\n"
+                       "from json import _default_decoder\n"
+                       "v = TameRep._on_checked_grid(o, f, g, d, s, m)\n"
+                       "w = TameRep.__new__(TameRep)\n"
+                       "x = self._x + linalg._below(rng, 3) + other._y + _default_decoder._z\n")
+    assert _private_crossings(sample) == ["TameRep._on_checked_grid", "_cell_range",
+                                          "linalg._below"]
 
 
 FIELD_CLASSES = ("RationalField", "PrimeField")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import resource
@@ -13,13 +14,13 @@ import pytest
 from conftest import (POSITIONS, cell_representative, dual_cokernel, random_bars,
                       random_interval, random_invertible, random_orientation)
 from oracle import increasing_beside
-from aquiver import tamerep
+from aquiver import jsonio, tamerep
 from aquiver.decompose import decompose, iso
 from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF, is_finite
 from aquiver.linalg import Matrix, PrimeField, QQ, random_elementary_ops
 from aquiver.orientation import Orientation
 from aquiver.tamerep import (DOWN, UP, RepMorphism, TameRep, cell_of_point,
-                             cells_to_interval, conjugate, direct_sum, dual,
+                             cells_to_interval, common_grid, conjugate, direct_sum, dual,
                              from_bars, image_rep, interval_to_cells, junction_cells,
                              junction_dirs, kernel_rep, refine, reps_on_common_grid, restrict,
                              scramble, zero_rep)
@@ -363,9 +364,15 @@ def test_scramble_and_from_bars_keep_a_checked_grid(monkeypatch):
     # a scramble keeps its source's validated grid, dims and junction
     # directions, and reps_on_common_grid derives the directions once for
     # a grid it builds to pass the grid check: neither runs the grid check
-    # nor derives the directions per representation
+    # nor derives the directions per representation.  A parsed tame
+    # document checks its grid once, and no library copy of a checked
+    # representation checks its grid again.
     reps = _parity_reps(QQ, random.Random(9)) + _parity_reps(PrimeField(5), random.Random(10))
     want = [scramble(v, 5) for v in reps]
+    texts = [json.dumps(jsonio.document_to_json(jsonio.Document(v.orientation, v.field, tame=v)))
+             for v in want[::10]]
+    # the parser reaches the grid rules through tamerep alone
+    assert not {"check_grid_and_dims", "junction_dirs"} & set(vars(jsonio))
     calls = []
 
     def counter(name, real):
@@ -384,10 +391,24 @@ def test_scramble_and_from_bars_keep_a_checked_grid(monkeypatch):
     groups = [random_bars(rng).intervals() for _ in range(3)]
     packs = reps_on_common_grid(o, groups)
     assert calls == ["dirs"]
+    for text, v in zip(texts, want[::10]):
+        del calls[:]
+        assert jsonio.parse_document(text).tame == v
+        assert calls == ["check", "dirs"]
+    (v, _), (w, _), (u, _) = packs
+    u = refine(u, [Fraction(-7, 3), Fraction(9, 2)])
+    del calls[:]
+    copies = [dual(v), direct_sum(v, w), restrict(v, Interval.make(Fraction(1, 3), 3, True, False)),
+              conjugate(v, [Matrix.identity(QQ, d) for d in v.dims]),
+              refine(v, [Fraction(1, 3), 2, 7]), *common_grid(v, u)]
+    assert "check" not in calls
     monkeypatch.undo()
     for (v, _), group in zip(packs, groups):
         assert v == TameRep(o, QQ, v.grid, v.dims, v.maps)
         assert decompose(v) == BarMultiset.from_intervals(group)
+    for c in copies:
+        full = TameRep(c.orientation, c.field, c.grid, c.dims, c.maps)
+        assert c == full and c.dirs == full.dirs
 
 
 def test_a_copy_on_a_checked_grid_still_checks_its_maps():
@@ -505,7 +526,7 @@ def test_cokernel_of_inclusion():
 
 
 def test_json_roundtrip_tame():
-    from aquiver.jsonio import tame_from_json, tame_to_json
+    from aquiver.tamerep import tame_from_json, tame_to_json
     b = bars((Interval.make(0, 2, True, False), 2), (Interval.point(1), 1))
     v = scramble(from_bars(EMPTY_DESC, b), 5)
     j = tame_to_json(v)
