@@ -1,38 +1,28 @@
 """Exact computations with pointwise-finite representations of the
 oriented real line: barcodes, Hom/Ext, projectives, almost-split sequences."""
 
-from .intervals import BarMultiset, Interval, NEG_INF, POS_INF, intersect, same_support_iso
+from .intervals import BarMultiset, Interval, NEG_INF, POS_INF, intersect
 from .linalg import Matrix, PrimeField, QQ, RationalField
-from .orientation import (Orientation, Segment, down_set, leq, reparameterize,
-                          reverse, segment_index, segments_touching, up_set)
-from .tamerep import (RepMorphism, TameRep, conjugate, direct_sum, dual,
-                      from_bars, restrict, scramble, zero_rep)
-from .decompose import (InternalInvariantError, decompose, is_indecomposable,
-                        iso, multiplicity)
-from .homological import (FiltrationReport, InjectiveLabel, ProjPresentation,
-                          ProjectiveLabel, classify_injective,
-                          classify_projective, ext_dim, hom_dim,
-                          hom_space_dim, image_filtration,
-                          injective_composites_criterion, is_projective_rep,
-                          kernel_of_projective_map, proj_presentation,
-                          projectives_table, realize_injective,
-                          realize_projective)
+from .orientation import Orientation, Segment, down_set, leq, reverse, segment_index, up_set
+from .tamerep import RepMorphism, TameRep, conjugate, dual, from_bars, scramble
+from .decompose import InternalInvariantError, decompose, iso
+from .homological import (ProjPresentation, ProjectiveLabel, classify_projective, ext_dim,
+                          hom_dim, hom_space_dim, injective_composites_criterion,
+                          is_projective_rep, kernel_of_projective_map, proj_presentation,
+                          projectives_table, realize_projective)
 from .ar import (ARAnswer, ARSequence, ar_ending_at, ar_starting_at,
                  standard_probes, verify_almost_split)
 
 __all__ = [
-    "BarMultiset", "Interval", "NEG_INF", "POS_INF", "intersect", "same_support_iso",
+    "BarMultiset", "Interval", "NEG_INF", "POS_INF", "intersect",
     "Matrix", "PrimeField", "QQ", "RationalField",
-    "Orientation", "Segment", "down_set", "leq", "reparameterize", "reverse",
-    "segment_index", "segments_touching", "up_set",
-    "RepMorphism", "TameRep", "conjugate", "direct_sum", "dual", "from_bars",
-    "restrict", "scramble", "zero_rep",
-    "InternalInvariantError", "decompose", "is_indecomposable", "iso", "multiplicity",
-    "FiltrationReport", "InjectiveLabel", "ProjPresentation", "ProjectiveLabel",
-    "classify_injective", "classify_projective", "ext_dim", "hom_dim",
-    "hom_space_dim", "image_filtration", "injective_composites_criterion",
-    "is_projective_rep", "kernel_of_projective_map", "proj_presentation",
-    "projectives_table", "realize_injective", "realize_projective",
+    "Orientation", "Segment", "down_set", "leq", "reverse", "segment_index", "up_set",
+    "RepMorphism", "TameRep", "conjugate", "dual", "from_bars", "scramble",
+    "InternalInvariantError", "decompose", "iso",
+    "ProjPresentation", "ProjectiveLabel", "classify_projective", "ext_dim", "hom_dim",
+    "hom_space_dim", "injective_composites_criterion", "is_projective_rep",
+    "kernel_of_projective_map", "proj_presentation", "projectives_table",
+    "realize_projective",
     "ARAnswer", "ARSequence", "ar_ending_at", "ar_starting_at",
     "standard_probes", "verify_almost_split",
 ]

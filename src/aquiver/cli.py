@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import islice
 
 import click
 
@@ -32,7 +33,15 @@ MAX_SQUARED_DIMS = 10**7
 
 
 def _echo_json(obj) -> None:
-    click.echo(json.dumps(obj, indent=2))
+    """Write obj as indented JSON and a newline, a block of the encoder's
+    chunks at a time: a large document is never held as one string, and
+    the line-buffered stream is not flushed once per printed line."""
+    out = click.get_text_stream("stdout")
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    while block := "".join(islice(chunks, 8192)):
+        out.write(block)
+    out.write("\n")
+    out.flush()
 
 
 def _read(path: str) -> str:

@@ -43,7 +43,7 @@ its unscaled form would be.
 
 from __future__ import annotations
 
-from .intervals import BarMultiset, Interval
+from .intervals import BarMultiset
 from .linalg import bottom_column_echelon, integer_row_echelon, reduced_block
 from .tamerep import DOWN, TameRep, cells_to_interval
 
@@ -127,37 +127,9 @@ def decompose(v: TameRep) -> BarMultiset:
         cells_to_interval(v.grid, b, d) for b, d in bars)
 
 
-def multiplicity(v: TameRep, iv: Interval) -> int:
-    return decompose(v).count(iv)
-
-
 def iso(a: TameRep, b: TameRep) -> bool:
     """Isomorphism test: equal barcodes over the same orientation."""
     if a.orientation != b.orientation:
         raise ValueError("orientation mismatch")
     return decompose(a) == decompose(b)
 
-
-def indecomposable_direct(v: TameRep) -> bool:
-    """Pointwise dimension at most one, connected support, and every
-    in-support junction map an isomorphism."""
-    if any(d > 1 for d in v.dims):
-        return False
-    nz = [i for i, d in enumerate(v.dims) if d == 1]
-    if not nz:
-        return False
-    if nz[-1] - nz[0] + 1 != len(nz):
-        return False
-    for j in range(nz[0], nz[-1]):
-        if not v.maps[j].ints[0][0]:
-            return False
-    return True
-
-
-def is_indecomposable(v: TameRep) -> bool:
-    ans = decompose(v).total() == 1
-    direct = indecomposable_direct(v)
-    if ans != direct:
-        raise InternalInvariantError(
-            "decomposition and the direct indecomposability criterion disagree")
-    return ans

@@ -1,5 +1,6 @@
-"""Hom and Ext spaces, projective/injective classification, image
-filtrations, and minimal projective presentations.
+"""Hom and Ext spaces, projective classification and minimal projective
+presentations.  Injectives are the projectives over the reversed
+orientation.
 
 Between interval summands neither a system nor a grid is needed: a
 morphism M_I -> M_J is one scalar on K = I n J, and only the junction
@@ -30,7 +31,7 @@ from .intervals import (ExtReal, Interval, NEG_INF, POS_INF, compare,
                         format_extreal, intersect, is_finite)
 from .linalg import Matrix, QQ, rank
 from .orientation import (Orientation, Segment, down_set, down_set_limit,
-                          locate, reverse, up_set)
+                          locate, up_set)
 from .tamerep import (DOWN, RepMorphism, TameRep, cell_of_point,
                       cells_to_interval, interval_to_cells, kernel_rep,
                       overlap_morphism, reps_on_common_grid)
@@ -52,26 +53,17 @@ class ProjectiveLabel:
             raise ValueError("half-open forms need a finite point")
 
     def __str__(self):
-        return _format_label("P", self.form, format_extreal(self.a))
+        return _format_label(self.form, format_extreal(self.a))
 
 
-@dataclass(frozen=True)
-class InjectiveLabel:
-    form: str
-    a: ExtReal
-
-    def __str__(self):
-        return _format_label("I", self.form, format_extreal(self.a))
-
-
-def _format_label(kind: str, form: str, s: str) -> str:
-    """Label text of the point, open-right or open-left form at s; kind is
-    "P" for projectives and "I" for injectives."""
+def _format_label(form: str, s: str) -> str:
+    """Label text of the projective of the point, open-right or open-left
+    form at s."""
     if form == POINT:
-        return f"{kind}_{s}"
+        return f"P_{s}"
     if form == OPEN_RIGHT:
-        return f"{kind}_{s})"
-    return f"{kind}_({s}"
+        return f"P_{s})"
+    return f"P_({s}"
 
 
 def realize_projective(o: Orientation, label: ProjectiveLabel) -> Optional[Interval]:
@@ -93,23 +85,12 @@ def _form_support(ds: Interval, form: str, a: Fraction) -> Optional[Interval]:
     return Interval(a, ds.hi, False, ds.hi_closed) if compare(ds.hi, a) > 0 else None
 
 
-def realize_injective(o: Orientation, label: InjectiveLabel) -> Optional[Interval]:
-    return realize_projective(reverse(o), ProjectiveLabel(label.form, label.a))
-
-
 def classify_projective(o: Orientation, iv: Interval) -> Optional[ProjectiveLabel]:
     """The projective label whose support equals the interval, or None: the
     interval is projective exactly when its minimal presentation has one
     generator and no relation."""
     p1, p0 = _presentation_labels(o, iv)
     return p0[0][0] if not p1 and len(p0) == 1 else None
-
-
-def classify_injective(o: Orientation, iv: Interval) -> Optional[InjectiveLabel]:
-    p = classify_projective(reverse(o), iv)
-    if p is None:
-        return None
-    return InjectiveLabel(p.form, p.a)
 
 
 # ---------------------------------------------------------------------------
@@ -223,52 +204,6 @@ def _segment_of_hull(o: Orientation, hull: Interval) -> Segment:
     """The first segment that contains the hull (the left one for a point
     hull at a critical point)."""
     return next(s for s in o.segments if s.lo <= hull.lo and hull.hi <= s.hi)
-
-
-# ---------------------------------------------------------------------------
-# image filtration
-
-@dataclass(frozen=True)
-class FiltrationReport:
-    entries: tuple[tuple[int, Interval], ...]
-
-    def dims(self) -> list[int]:
-        return [d for d, _ in self.entries]
-
-
-def image_filtration(v: TameRep, seg: Segment, b) -> FiltrationReport:
-    """Distinct images inside the space at the order-minimal point b of the
-    support, paired with the interval of points that still reach them."""
-    b = Fraction(b)
-    nz = [i for i, d in enumerate(v.dims) if d > 0]
-    if not nz:
-        return FiltrationReport(())
-    if nz[-1] - nz[0] + 1 != len(nz):
-        raise ValueError("support must be connected")
-    hull = cells_to_interval(v.grid, nz[0], nz[-1])
-    if not (seg.lo <= hull.lo and hull.hi <= seg.hi):
-        raise ValueError("support leaves the given segment")
-    if b not in v.grid:
-        raise ValueError("b must be a grid point")
-    bc = cell_of_point(v.grid, b)
-    target = nz[0] if seg.increasing else nz[-1]
-    if bc != target or v.dims[bc] == 0:
-        raise ValueError("b is not the order-minimal point of the support")
-    order = list(range(nz[0], nz[-1] + 1))
-    if not seg.increasing:
-        order.reverse()
-    dims_out = _composite_ranks(v, order)
-    entries = []
-    seen = set()
-    for idx, d in enumerate(dims_out):
-        if d in seen:
-            continue
-        seen.add(d)
-        last = max(i for i, dd in enumerate(dims_out) if dd >= d)
-        lo_cell = min(order[0], order[last])
-        hi_cell = max(order[0], order[last])
-        entries.append((d, cells_to_interval(v.grid, lo_cell, hi_cell)))
-    return FiltrationReport(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +393,8 @@ def projectives_table(o: Orientation, window: Optional[tuple] = None) -> list[tu
                 rows.append((str(sup), str(lab), sup))
     for si, seg in enumerate(o.segments):
         lo, hi = seg.lo, seg.hi
-        letter = _LETTERS[si % len(_LETTERS)]
+        q, r = divmod(si, len(_LETTERS))
+        letter = _LETTERS[r] + (str(q) if q else "")  # a, ..., z, a1, ..., z1, a2, ...
         if is_finite(lo) and is_finite(hi):
             t0 = (Fraction(lo) + Fraction(hi)) / 2
         elif is_finite(lo):
@@ -474,6 +410,6 @@ def projectives_table(o: Orientation, window: Optional[tuple] = None) -> list[tu
             sup = realize_projective(o, lab)
             if sup is not None:
                 rows.append((_symbolic_interval(sup, t0, letter),
-                             _format_label("P", form, letter), sup))
+                             _format_label(form, letter), sup))
     rows.sort(key=lambda r: r[2].sort_key())
     return rows

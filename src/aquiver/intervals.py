@@ -213,12 +213,6 @@ def intersect(a: Interval, b: Interval) -> Interval | None:
     return Interval(lo, hi, lo_closed, hi_closed)
 
 
-def same_support_iso(a: Interval, b: Interval) -> bool:
-    """Equality as point sets; this is the isomorphism test for the
-    one-dimensional indecomposables supported on them."""
-    return a == b
-
-
 class BarMultiset:
     """A finite multiset of intervals with positive multiplicities.
 

@@ -12,9 +12,8 @@ All positions are exact rationals; irrational critical points are not
 representable by design.  Each orientation also keeps its positions as
 Python ints, scaled by the lcm of their denominators, so that locate finds
 a rational among them with one divmod and one int bisect, and no Fraction
-comparison.  down_set, segment_index, segments_touching, is_critical,
-and the junction and interior-critical lookups of homological and ar all
-go through it.
+comparison.  down_set, segment_index, is_critical, and the junction and
+interior-critical lookups of homological and ar all go through it.
 """
 
 from __future__ import annotations
@@ -133,16 +132,8 @@ def locate(o: Orientation, a) -> tuple[int, bool]:
 
 def segment_index(o: Orientation, x) -> Segment:
     """The closed segment containing x.  At a critical point the segment on
-    the right is reported; use segments_touching for both."""
+    the right is reported."""
     return o.segments[locate(o, Fraction(x))[0]]
-
-
-def segments_touching(o: Orientation, x) -> list[Segment]:
-    """Both segments when x is critical (left first), else the single one."""
-    i, critical = locate(o, Fraction(x))
-    if critical:
-        return list(o.segments[i - 1:i + 1])
-    return [o.segments[i]]
 
 
 def down_set(o: Orientation, a) -> Interval:
@@ -193,30 +184,6 @@ def reverse(o: Orientation) -> Orientation:
     empty direction), whose order is the opposite one.  It is built once
     per instance and cached, like positions and segments."""
     return o._reversed
-
-
-def reparameterize(o: Orientation, o2: Orientation, x) -> Fraction:
-    """The piecewise-linear order isomorphism sending the i-th critical of o
-    to the i-th critical of o2, affine on segments and slope 1 on the
-    unbounded tails."""
-    if len(o.criticals) != len(o2.criticals):
-        raise ValueError("incompatible orientations")
-    if any(k1 != k2 for (_, k1), (_, k2) in zip(o.criticals, o2.criticals)):
-        raise ValueError("incompatible orientations")
-    if not o.criticals and o.empty_direction != o2.empty_direction:
-        raise ValueError("incompatible orientations")
-    x = Fraction(x)
-    src = o.positions
-    dst = o2.positions
-    if not src:
-        return x
-    if x <= src[0]:
-        return dst[0] + (x - src[0])
-    if x >= src[-1]:
-        return dst[-1] + (x - src[-1])
-    i = bisect_right(src, x) - 1
-    t = (x - src[i]) / (src[i + 1] - src[i])
-    return dst[i] * (1 - t) + dst[i + 1] * t
 
 
 def orientation_to_json(o: Orientation) -> dict:

@@ -232,14 +232,6 @@ class TameRep:
         return f"TameRep(grid={[str(g) for g in self.grid]}, dims={self.dims})"
 
 
-def zero_rep(o: Orientation, field=QQ, grid: Sequence = ()) -> TameRep:
-    grid = sorted(Fraction(g) for g in grid)
-    grid = _close_under_criticals(o, grid)
-    dims = [0] * num_cells(grid)
-    maps = [Matrix.zero(field, 0, 0) for _ in range(2 * len(grid))]
-    return TameRep(o, field, grid, dims, maps)
-
-
 def _close_under_criticals(o: Orientation, grid: list[Fraction]) -> list[Fraction]:
     extra = _criticals_off_grid(o, grid)
     return sorted(set(grid).union(extra)) if extra else grid
@@ -343,43 +335,12 @@ def common_grid(a: TameRep, b: TameRep) -> tuple[TameRep, TameRep]:
     return refine(a, pts), refine(b, pts)
 
 
-def direct_sum(a: TameRep, b: TameRep) -> TameRep:
-    a, b = common_grid(a, b)
-    field = a.field
-    dims = [da + db for da, db in zip(a.dims, b.dims)]
-    maps = []
-    for j in range(len(a.maps)):
-        ma, mb = a.maps[j], b.maps[j]
-        ints_a, ints_b, den = ma.common_den(mb)
-        rows = ([row + [0] * mb.ncols for row in ints_a]
-                + [[0] * ma.ncols + row for row in ints_b])
-        maps.append(Matrix.from_ints(field, ma.nrows + mb.nrows, ma.ncols + mb.ncols, rows, den))
-    return TameRep._on_checked_grid(a.orientation, field, a.grid, tuple(dims), a.dirs, maps)
-
-
 def dual(v: TameRep) -> TameRep:
     """Same spaces over the reversed orientation, where every segment and
     so every junction runs the other way; every map is transposed."""
     maps = [m.transpose() for m in v.maps]
     dirs = tuple(UP if d == DOWN else DOWN for d in v.dirs)
     return TameRep._on_checked_grid(reverse(v.orientation), v.field, v.grid, v.dims, dirs, maps)
-
-
-def restrict(v: TameRep, j_iv: Interval) -> TameRep:
-    """Zero outside the interval, unchanged inside; maps crossing the
-    boundary become zero."""
-    w = refine(v, [e for e in (j_iv.lo, j_iv.hi) if is_finite(e)])
-    a, b = interval_to_cells(w.grid, j_iv)
-    keep = [a <= c <= b for c in range(w.ncells)]
-    dims = [d if k else 0 for d, k in zip(w.dims, keep)]
-    maps = []
-    for j in range(len(w.maps)):
-        src, tgt = junction_cells(w.dirs[j], j)
-        if keep[src] and keep[tgt]:
-            maps.append(w.maps[j])
-        else:
-            maps.append(Matrix.zero(w.field, dims[tgt], dims[src]))
-    return TameRep._on_checked_grid(w.orientation, w.field, w.grid, tuple(dims), w.dirs, maps)
 
 
 def conjugate(v: TameRep, cell_mats: Sequence[Matrix]) -> TameRep:

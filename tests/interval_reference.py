@@ -14,8 +14,7 @@ and standard_probes from exact comparisons on Python ints
   the direction of the segment they share;
 - ``reference_locate`` and ``reference_down_set`` bisect the Fraction
   positions; ``reference_reverse`` builds a new orientation on every
-  call, and the up-sets, realizations and injective classifications here
-  go through these;
+  call, and the up-sets and realizations here go through these;
 - ``reference_intersect`` picks each end of the intersection with up to
   five Fraction comparisons;
 - ``reference_hom_dim`` builds K = I n J through ``reference_intersect``
@@ -27,8 +26,8 @@ and standard_probes from exact comparisons on Python ints
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from aquiver.homological import (InjectiveLabel, OPEN_LEFT, OPEN_RIGHT, POINT,
-                                 ProjectiveLabel, _presentation_labels, hom_dim)
+from aquiver.homological import (OPEN_LEFT, OPEN_RIGHT, POINT, ProjectiveLabel,
+                                 _presentation_labels, hom_dim)
 from aquiver.intervals import Interval, NEG_INF, POS_INF, is_finite
 from aquiver.orientation import Orientation, down_set_limit
 
@@ -55,11 +54,6 @@ def reference_classify_projective(o, iv):
         if reference_realize_projective(o, label) == iv:
             return label
     return None
-
-
-def reference_classify_injective(o, iv):
-    p = reference_classify_projective(reference_reverse(o), iv)
-    return None if p is None else InjectiveLabel(p.form, p.a)
 
 
 def reference_hom_from_projective(label, w):
@@ -147,11 +141,6 @@ def reference_realize_projective(o, label):
     if ds.hi > label.a:
         return Interval(Fraction(label.a), ds.hi, False, ds.hi_closed)
     return None
-
-
-def reference_realize_injective(o, label):
-    return reference_realize_projective(reference_reverse(o),
-                                        ProjectiveLabel(label.form, label.a))
 
 
 def reference_intersect(a, b):

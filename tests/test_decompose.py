@@ -10,14 +10,12 @@ from conftest import (cell_representative, count_rows_reads, random_bars, random
 from oracle import enumerate_f2_instances, oracle_decompose
 from sweep_reference import reference_cell_bars
 from aquiver import linalg
-from aquiver.decompose import (_cell_bars, decompose, indecomposable_direct,
-                               is_indecomposable, iso, multiplicity)
+from aquiver.decompose import _cell_bars, decompose, iso
 from aquiver.intervals import BarMultiset, Interval
 from aquiver.jsonio import Document, document_to_json, parse_document
 from aquiver.linalg import Matrix, PrimeField, QQ, RationalField
 from aquiver.orientation import Orientation
-from aquiver.tamerep import (DOWN, UP, TameRep, conjugate, direct_sum, dual, from_bars,
-                             scramble, zero_rep)
+from aquiver.tamerep import DOWN, UP, TameRep, conjugate, dual, from_bars, scramble
 
 EMPTY_DESC = Orientation.make([], "descending")
 F5 = PrimeField(5)
@@ -28,7 +26,7 @@ def bars(*specs):
 
 
 def test_zero_rep_decomposes_empty():
-    assert decompose(zero_rep(EMPTY_DESC)) == BarMultiset()
+    assert decompose(from_bars(EMPTY_DESC, BarMultiset())) == BarMultiset()
 
 
 def test_canonical_roundtrip(rng):
@@ -64,32 +62,23 @@ def test_zero_middle_map_splits_into_two_bars():
     v = TameRep(o, QQ, grid, [1, 1, 1], maps)
     got = decompose(v)
     assert got.total() == 2
-    assert not is_indecomposable(v)
 
 
 def test_is_indecomposable_examples():
+    # indecomposable means a barcode of one bar
     v = from_bars(EMPTY_DESC, bars((Interval.make(0, 1, True, True), 1)))
-    assert is_indecomposable(v)
+    assert decompose(v).total() == 1
     w = from_bars(EMPTY_DESC, bars((Interval.make(0, 1, True, True), 1),
                                    (Interval.make(2, 3, True, True), 1)))
-    assert not is_indecomposable(w)
-    assert not is_indecomposable(zero_rep(EMPTY_DESC))
-
-
-def test_direct_criterion_matches(rng):
-    for _ in range(30):
-        o = random_orientation(rng)
-        b = random_bars(rng, max_bars=3, max_mult=2)
-        v = scramble(from_bars(o, b), 17)
-        assert is_indecomposable(v) == (b.total() == 1)
-        assert indecomposable_direct(from_bars(o, b)) == (b.total() == 1)
+    assert decompose(w).total() != 1
+    assert decompose(from_bars(EMPTY_DESC, BarMultiset())).total() != 1
 
 
 def test_multiplicity():
     iv = Interval.make(0, 1, True, True)
     v = from_bars(EMPTY_DESC, bars((iv, 3)))
-    assert multiplicity(v, iv) == 3
-    assert multiplicity(v, Interval.make(0, 2, True, True)) == 0
+    assert decompose(v).count(iv) == 3
+    assert decompose(v).count(Interval.make(0, 2, True, True)) == 0
 
 
 def test_multiplicity_scramble_invariant(rng):
@@ -99,7 +88,7 @@ def test_multiplicity_scramble_invariant(rng):
         v = from_bars(o, b)
         s = scramble(v, 31 + i)
         for iv, m in b:
-            assert multiplicity(s, iv) == m
+            assert decompose(s).count(iv) == m
 
 
 def test_iso():
@@ -109,19 +98,10 @@ def test_iso():
     v2 = from_bars(EMPTY_DESC, b2)
     assert iso(v1, scramble(v1, 4))
     assert not iso(v1, v2)
-    a = from_bars(EMPTY_DESC, b1)
-    b = from_bars(EMPTY_DESC, b2)
-    assert iso(direct_sum(a, b), direct_sum(b, a))
+    both = from_bars(EMPTY_DESC, b1.union(b2))
+    assert iso(both, scramble(both, 5))
     with pytest.raises(ValueError, match="orientation"):
-        iso(v1, zero_rep(Orientation.make([(0, "sink")])))
-
-
-def test_decompose_additive_over_direct_sum(rng):
-    for _ in range(10):
-        o = random_orientation(rng)
-        b1, b2 = random_bars(rng, max_bars=4), random_bars(rng, max_bars=4)
-        v = direct_sum(scramble(from_bars(o, b1), 1), scramble(from_bars(o, b2), 2))
-        assert decompose(v) == b1.union(b2)
+        iso(v1, from_bars(Orientation.make([(0, "sink")]), BarMultiset()))
 
 
 def test_duality(rng):

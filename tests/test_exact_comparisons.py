@@ -16,8 +16,7 @@ from interval_reference import (reference_down_set, reference_hom_dim, reference
 from aquiver.ar import EXISTS, ARSequence, ar_ending_at, standard_probes
 from aquiver.homological import hom_dim
 from aquiver.intervals import Interval, NEG_INF, POS_INF, compare, is_finite
-from aquiver.orientation import (Orientation, down_set, locate, segment_index,
-                                 segments_touching)
+from aquiver.orientation import Orientation, down_set, locate, segment_index
 
 TINY = Fraction(1, 10 ** 30)
 # three denominators with an lcm above 2**64
@@ -84,8 +83,6 @@ def test_locate_and_segment_lookups_match_bisection():
             assert locate(o, a) == (i, critical), (o, a)
             assert o.is_critical(a) == (a in o.positions), (o, a)
             assert segment_index(o, a) == o.segments[i], (o, a)
-            touching = list(o.segments[i - 1:i + 1]) if critical else [o.segments[i]]
-            assert segments_touching(o, a) == touching, (o, a)
 
 
 def test_down_set_matches_reference_on_exact_cases():

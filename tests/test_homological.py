@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,23 +7,19 @@ import pytest
 from conftest import (all_intervals, all_orientations, dense_hom_space_dim,
                       dual_cokernel, interval_in_segment, random_bars,
                       random_interval, random_orientation)
-from interval_reference import (reference_classify_injective,
-                                reference_classify_projective, reference_ext_dims)
+from interval_reference import reference_classify_projective, reference_ext_dims
 from oracle import hom_basis
 from aquiver.decompose import decompose
-from aquiver.homological import (FiltrationReport, InjectiveLabel, OPEN_LEFT,
-                                 OPEN_RIGHT, POINT, ProjectiveLabel,
-                                 classify_injective, classify_projective,
-                                 ext_dim, hom_dim, hom_space_dim,
-                                 image_filtration, injective_composites_criterion,
-                                 is_projective_rep, kernel_of_projective_map,
-                                 proj_presentation, projectives_table,
-                                 realize_projective)
+from aquiver.homological import (OPEN_LEFT, OPEN_RIGHT, POINT, ProjectiveLabel,
+                                 classify_projective, ext_dim, hom_dim, hom_space_dim,
+                                 injective_composites_criterion, is_projective_rep,
+                                 kernel_of_projective_map, proj_presentation,
+                                 projectives_table, realize_projective)
 from aquiver.ar import EXISTS, ar_ending_at
 from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF
 from aquiver.linalg import QQ, Matrix, PrimeField, rank
 from aquiver.orientation import Orientation, down_set, leq, reverse, segment_index
-from aquiver.tamerep import RepMorphism, from_bars, scramble, zero_rep
+from aquiver.tamerep import RepMorphism, from_bars, refine, scramble
 
 EMPTY_DESC = Orientation.make([], "descending")
 ZIGZAG = Orientation.make([(0, "sink"), (1, "source")])
@@ -111,7 +108,7 @@ def test_ext_into_injective_vanishes(rng):
     for _ in range(3000):
         o = random_orientation(rng)
         v_iv, w_iv = _random_pair(rng, o)
-        if classify_injective(o, w_iv) is not None:
+        if classify_projective(reverse(o), w_iv) is not None:
             assert ext_dim(o, v_iv, w_iv) == 0, (o, v_iv, w_iv)
             injectives += 1
     assert injectives >= 200
@@ -161,9 +158,9 @@ def _scrambled(rng, o, field, seed):
     (on the empty grid or on a grid of its own)."""
     r = rng.random()
     if r < 0.06:
-        return zero_rep(o, field)
+        return from_bars(o, BarMultiset(), field)
     if r < 0.12:
-        return zero_rep(o, field, rng.sample(HALVES, 2))
+        return refine(from_bars(o, BarMultiset(), field), rng.sample(HALVES, 2))
     return scramble(from_bars(o, random_bars(rng, max_bars=4, max_mult=2), field), seed)
 
 
@@ -213,8 +210,9 @@ def test_hom_field_mismatch():
 
 def test_hom_against_zero():
     v = one_bar(EMPTY_DESC, Interval.make(0, 1, True, True))
-    assert hom_space_dim(v, zero_rep(EMPTY_DESC)) == 0
-    assert hom_space_dim(zero_rep(EMPTY_DESC), v) == 0
+    zero = from_bars(EMPTY_DESC, BarMultiset())
+    assert hom_space_dim(v, zero) == 0
+    assert hom_space_dim(zero, v) == 0
 
 
 def test_hom_orientation_mismatch():
@@ -225,7 +223,7 @@ def test_hom_orientation_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# projective / injective classification
+# projective classification
 
 def test_classify_projective_table_entries():
     o = ZIGZAG
@@ -243,21 +241,12 @@ def test_classify_projective_table_entries():
         ProjectiveLabel(OPEN_LEFT, Fraction(-1))
 
 
-def test_classify_injective_duality(rng):
-    for _ in range(40):
-        o = random_orientation(rng)
-        iv = random_interval(rng)
-        pj = classify_projective(reverse(o), iv)
-        ij = classify_injective(o, iv)
-        assert (pj is None) == (ij is None)
-        if pj is not None:
-            assert (ij.form, ij.a) == (pj.form, pj.a)
-
-
 def test_classify_injective_examples():
-    assert classify_injective(EMPTY_DESC, Interval.make(0, POS_INF, True, False)) == \
-        InjectiveLabel(POINT, Fraction(0))
-    assert classify_injective(EMPTY_DESC, Interval(NEG_INF, Fraction(0), False, True)) is None
+    # the injectives are the projectives over the reversed orientation
+    assert classify_projective(reverse(EMPTY_DESC), Interval.make(0, POS_INF, True, False)) == \
+        ProjectiveLabel(POINT, Fraction(0))
+    assert classify_projective(reverse(EMPTY_DESC), Interval(NEG_INF, Fraction(0), False, True)) \
+        is None
 
 
 def test_realize_rejects_zero_forms():
@@ -281,6 +270,16 @@ def test_projectives_table_11_forms():
     assert "(c, +inf)" in supports and "[c, +inf)" in supports
 
 
+def test_projectives_table_names_every_segment_apart():
+    # 27 critical points cut the line into 28 segments; past z the family
+    # names go on a1, b1, so no two segments share a label
+    o = Orientation.make([(k, "sink" if k % 2 == 0 else "source") for k in range(27)])
+    labels = [l for _, l, _ in projectives_table(o)]
+    assert len(labels) == len(set(labels))
+    names = {l[2:] for l in labels if re.fullmatch(r"P_[a-z]\d*", l)}
+    assert names == set("abcdefghijklmnopqrstuvwxyz") | {"a1", "b1"}
+
+
 def test_projectives_table_empty_descending():
     rows = projectives_table(EMPTY_DESC)
     labels = [l for _, l, _ in rows]
@@ -291,14 +290,6 @@ def test_projectives_table_empty_descending():
     assert "(-inf, a]" in supports and "(-inf, a)" in supports
 
 
-def test_reversed_orientation_swaps_tables(rng):
-    for _ in range(20):
-        o = random_orientation(rng)
-        iv = random_interval(rng)
-        assert (classify_projective(o, iv) is not None) == \
-            (classify_injective(reverse(o), iv) is not None)
-
-
 def test_classify_matches_reference_exhaustively():
     # classify_projective reads projectivity off the minimal presentation;
     # the reference tries seven kinds of candidate label
@@ -306,7 +297,6 @@ def test_classify_matches_reference_exhaustively():
     for o in all_orientations():
         for iv in ivs:
             assert classify_projective(o, iv) == reference_classify_projective(o, iv), (o, iv)
-            assert classify_injective(o, iv) == reference_classify_injective(o, iv), (o, iv)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +307,7 @@ def test_is_projective_rep_examples():
     assert is_projective_rep(v)
     w = one_bar(ZIGZAG, Interval.make(0, Fraction(1, 2), False, True))
     assert not is_projective_rep(w)
-    assert is_projective_rep(zero_rep(ZIGZAG))
+    assert is_projective_rep(from_bars(ZIGZAG, BarMultiset()))
 
 
 def test_criterion_agreement_on_single_segment(rng):
@@ -342,46 +332,6 @@ def test_criterion_agreement_on_single_segment(rng):
         assert injective_composites_criterion(v) == is_projective_rep(v)
         agree += 1
     assert agree == 100
-
-
-# ---------------------------------------------------------------------------
-# image filtration
-
-def test_image_filtration_single_bar():
-    iv = Interval.make(0, 1, True, True)
-    v = one_bar(EMPTY_DESC, iv)
-    seg = segment_index(EMPTY_DESC, 0)
-    rep = image_filtration(v, seg, 0)
-    assert rep.entries == ((1, iv),)
-
-
-def test_image_filtration_zero_rep():
-    seg = segment_index(EMPTY_DESC, 0)
-    assert image_filtration(zero_rep(EMPTY_DESC), seg, 0) == FiltrationReport(())
-
-
-def test_image_filtration_staircase():
-    # nested bars all reaching the minimum: distinct images = distinct dims
-    b = bars((Interval.make(0, 1, True, True), 1),
-             (Interval.make(0, 2, True, True), 1),
-             (Interval.make(0, 3, True, True), 1))
-    v = scramble(from_bars(EMPTY_DESC, b), 3)
-    seg = segment_index(EMPTY_DESC, 0)
-    rep = image_filtration(v, seg, 0)
-    assert rep.dims() == [3, 2, 1]
-    sups = [iv for _, iv in rep.entries]
-    assert sups[0] == Interval.make(0, 1, True, True)
-    assert sups[1] == Interval.make(0, 2, True, True)
-    assert sups[2] == Interval.make(0, 3, True, True)
-
-
-def test_image_filtration_errors():
-    v = one_bar(EMPTY_DESC, Interval.make(0, 1, True, True))
-    seg = segment_index(EMPTY_DESC, 0)
-    with pytest.raises(ValueError, match="grid point"):
-        image_filtration(v, seg, Fraction(1, 3))
-    with pytest.raises(ValueError, match="order-minimal"):
-        image_filtration(v, seg, 1)
 
 
 # ---------------------------------------------------------------------------

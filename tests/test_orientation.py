@@ -5,18 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ENDPOINTS, all_intervals, all_orientations
-from interval_reference import (reference_classify_injective, reference_down_set,
-                                reference_leq, reference_realize_injective,
-                                reference_up_set)
+from conftest import ENDPOINTS, all_orientations
+from interval_reference import reference_down_set, reference_leq, reference_up_set
 from oracle import increasing_beside
-from aquiver.homological import (OPEN_LEFT, OPEN_RIGHT, POINT, InjectiveLabel,
-                                 classify_injective, projectives_table,
-                                 realize_injective)
+from aquiver.homological import projectives_table
 from aquiver.intervals import Interval, NEG_INF, POS_INF, format_extreal, is_finite
 from aquiver.orientation import (Orientation, Segment, down_set, down_set_limit,
-                                 leq, reparameterize, reverse, segment_index,
-                                 segments_touching, up_set)
+                                 leq, reverse, segment_index, up_set)
 from aquiver.tamerep import DOWN, UP, junction_dirs
 
 ZIGZAG = Orientation.make([(0, "sink"), (1, "source")])
@@ -56,8 +51,6 @@ def test_segment_index_examples():
 def test_segment_boundary_reports_right_segment():
     seg = segment_index(ZIGZAG, 0)
     assert (seg.lo, seg.hi) == (0, 1)
-    both = segments_touching(ZIGZAG, 0)
-    assert [(s.lo, s.hi) for s in both] == [(NEG_INF, 0), (0, 1)]
 
 
 def test_down_set_examples():
@@ -108,37 +101,6 @@ def test_down_set_limit():
     assert down_set_limit(ZIGZAG, POS_INF) is None
     assert down_set_limit(EMPTY_DESC, POS_INF) == Interval(NEG_INF, POS_INF, False, False)
     assert down_set_limit(EMPTY_DESC, NEG_INF) is None
-
-
-def test_reparameterize_examples():
-    o1 = Orientation.make([(0, "sink"), (1, "source")])
-    o2 = Orientation.make([(10, "sink"), (20, "source")])
-    assert reparameterize(o1, o1, Fraction(1, 2)) == Fraction(1, 2)
-    assert reparameterize(o1, o2, Fraction(1, 2)) == 15
-    assert reparameterize(o1, o2, 0) == 10
-    assert reparameterize(o1, o2, -3) == 7
-    assert reparameterize(o1, o2, 2) == 21
-
-
-def test_reparameterize_incompatible():
-    o1 = Orientation.make([(0, "sink")])
-    o2 = Orientation.make([(0, "source")])
-    with pytest.raises(ValueError, match="incompatible"):
-        reparameterize(o1, o2, 0)
-    with pytest.raises(ValueError, match="incompatible"):
-        reparameterize(o1, Orientation.make([]), 0)
-
-
-def test_reparameterize_preserves_order_and_inverts():
-    rng = random.Random(8)
-    o1 = Orientation.make([(-1, "source"), (Fraction(1, 2), "sink"), (3, "source")])
-    o2 = Orientation.make([(0, "source"), (1, "sink"), (2, "source")])
-    for _ in range(80):
-        x = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
-        y = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
-        fx, fy = reparameterize(o1, o2, x), reparameterize(o1, o2, y)
-        assert leq(o1, x, y) == leq(o2, fx, fy)
-        assert reparameterize(o2, o1, fx) == x
 
 
 def _random_orientation(rng):
@@ -243,13 +205,8 @@ def test_direction_rules_match_raw_critical_points():
             lo = max((p for p in pos if p <= x), default=NEG_INF)
             hi = min((p for p in pos if p > x), default=POS_INF)
             assert segment_index(o, x) == Segment(lo, hi, right), (o, x)
-            if x in pos:
-                left_lo = max((p for p in pos if p < x), default=NEG_INF)
-                want = [Segment(left_lo, x, left), Segment(x, hi, right)]
-            else:
+            if x not in pos:
                 assert left == right
-                want = [Segment(lo, hi, right)]
-            assert segments_touching(o, x) == want, (o, x)
             for y in points:
                 a, b = min(x, y), max(x, y)
                 inc = increasing_beside(o, a, "right")
@@ -305,16 +262,3 @@ def test_reverse_is_cached_and_involutive():
         assert (hash(fresh), str(fresh), repr(fresh)) == before
         assert fresh == Orientation.make(o.criticals, o.empty_direction)
         assert len({fresh, Orientation.make(o.criticals, o.empty_direction)}) == 1
-
-
-def test_injective_forms_match_reference():
-    # realize_injective and classify_injective read the cached reverse; the
-    # references build it afresh and realize through reference_down_set
-    ivs = all_intervals()
-    for o in all_orientations():
-        for a in [NEG_INF, POS_INF] + QUARTER_POINTS:
-            for form in (POINT, OPEN_RIGHT, OPEN_LEFT) if is_finite(a) else (POINT,):
-                label = InjectiveLabel(form, a)
-                assert realize_injective(o, label) == reference_realize_injective(o, label), (o, label)
-        for iv in ivs:
-            assert classify_injective(o, iv) == reference_classify_injective(o, iv), (o, iv)

@@ -16,14 +16,13 @@ from conftest import (POSITIONS, cell_representative, dual_cokernel, random_bars
 from oracle import increasing_beside
 from aquiver import jsonio, tamerep
 from aquiver.decompose import decompose, iso
-from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF, is_finite
+from aquiver.intervals import BarMultiset, Interval, NEG_INF, is_finite
 from aquiver.linalg import Matrix, PrimeField, QQ, random_elementary_ops
 from aquiver.orientation import Orientation
-from aquiver.tamerep import (DOWN, UP, RepMorphism, TameRep, cell_of_point,
-                             cells_to_interval, common_grid, conjugate, direct_sum, dual,
-                             from_bars, image_rep, interval_to_cells, junction_cells,
-                             junction_dirs, kernel_rep, refine, reps_on_common_grid, restrict,
-                             scramble, zero_rep)
+from aquiver.tamerep import (DOWN, UP, RepMorphism, TameRep, cell_of_point, common_grid,
+                             conjugate, dual, from_bars, image_rep, interval_to_cells,
+                             junction_cells, junction_dirs, kernel_rep, refine,
+                             reps_on_common_grid, scramble)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 EMPTY_DESC = Orientation.make([], "descending")
@@ -138,7 +137,7 @@ def test_validation_rejects_missing_critical():
 
 
 def test_dim_at_zero_rep():
-    z = zero_rep(EMPTY_DESC)
+    z = from_bars(EMPTY_DESC, BarMultiset())
     for x in (-3, 0, 10):
         assert z.dim_at(x) == 0
 
@@ -149,91 +148,6 @@ def test_refine_preserves_decomposition():
     w = refine(v, [Fraction(1, 2), Fraction(5)])
     assert Fraction(1, 2) in w.grid and Fraction(5) in w.grid
     assert decompose(w) == b
-
-
-def test_restrict_examples():
-    b = bars((Interval.make(0, 2, True, False), 1))
-    v = from_bars(EMPTY_DESC, b)
-    assert decompose(restrict(v, Interval(NEG_INF, POS_INF, False, False))) == b
-    r = restrict(v, Interval.make(1, 3, True, False))
-    assert decompose(r) == bars((Interval.make(1, 2, True, False), 1))
-    far = restrict(v, Interval.make(10, 11, True, True))
-    assert far.is_zero()
-
-
-def test_restrict_respects_openness():
-    v = from_bars(EMPTY_DESC, bars((Interval.make(0, 2, True, True), 1)))
-    r = restrict(v, Interval.make(0, 1, False, False))
-    assert decompose(r) == bars((Interval.make(0, 1, False, False), 1))
-
-
-def test_restrict_matches_per_cell_definition():
-    # restrict keeps a cell of the refined grid when it lies in the
-    # interval: a point cell when the interval contains its point, an open
-    # cell when its two ends lie inside the interval's hull
-    rng = random.Random(4242)
-    ends = [NEG_INF, POS_INF] + POSITIONS + [Fraction(7, 3), Fraction(-9, 4)]
-    for i in range(200):
-        o = random_orientation(rng)
-        v = scramble(from_bars(o, random_bars(rng)), 900 + i)
-        lo, hi = sorted(rng.sample(ends, 2))
-        if rng.random() < 0.2 and is_finite(lo):
-            j_iv = Interval.point(lo)
-        else:
-            j_iv = Interval.make(lo, hi, is_finite(lo) and rng.random() < 0.5,
-                                 is_finite(hi) and rng.random() < 0.5)
-        r = restrict(v, j_iv)
-        w = refine(v, [e for e in (j_iv.lo, j_iv.hi) if is_finite(e)])
-        keep = []
-        for c in range(w.ncells):
-            ext = cells_to_interval(w.grid, c, c)
-            keep.append(j_iv.contains(ext.lo) if ext.is_point()
-                        else j_iv.lo <= ext.lo and ext.hi <= j_iv.hi)
-        assert r.grid == w.grid
-        assert r.dims == tuple(d if k else 0 for d, k in zip(w.dims, keep))
-        for j, (m, d) in enumerate(zip(r.maps, w.dirs)):
-            src, tgt = junction_cells(d, j)
-            assert m == (w.maps[j] if keep[src] and keep[tgt]
-                         else Matrix.zero(w.field, r.dims[tgt], r.dims[src]))
-
-
-def test_direct_sum():
-    b1 = bars((Interval.make(0, 1, True, True), 1))
-    b2 = bars((Interval.make(Fraction(1, 2), 2, True, False), 2))
-    v1, v2 = from_bars(EMPTY_DESC, b1), from_bars(EMPTY_DESC, b2)
-    s = direct_sum(v1, v2)
-    for x in (0, Fraction(1, 2), 1, Fraction(3, 2)):
-        assert s.dim_at(x) == v1.dim_at(x) + v2.dim_at(x)
-    assert decompose(s) == b1.union(b2)
-    z = zero_rep(EMPTY_DESC)
-    assert decompose(direct_sum(v1, z)) == b1
-
-
-def _over_den(v, den):
-    """v with each map's integer rows scaled to lie over den."""
-    maps = [Matrix.from_ints(v.field, m.nrows, m.ncols,
-                             [[x * den // m.den for x in row] for row in m.ints], den)
-            for m in v.maps]
-    return TameRep(v.orientation, v.field, v.grid, v.dims, maps)
-
-
-def test_direct_sum_of_maps_over_different_denominators():
-    # each block is the map of its summand, whatever denominators the two
-    # summands' maps are stored over
-    b1 = bars((Interval.make(0, 1, True, True), 1), (Interval.make(0, 1, False, True), 1))
-    b2 = bars((Interval.make(0, 1, True, False), 2))
-    v1, v2 = _over_den(from_bars(EMPTY_DESC, b1), 2), _over_den(from_bars(EMPTY_DESC, b2), 3)
-    assert v1.grid == v2.grid
-    s = direct_sum(v1, v2)
-    for m, ma, mb in zip(s.maps, v1.maps, v2.maps):
-        assert m.rows == ([row + [0] * mb.ncols for row in ma.rows]
-                          + [[0] * ma.ncols + row for row in mb.rows])
-    assert decompose(s) == b1.union(b2)
-
-
-def test_direct_sum_orientation_mismatch():
-    with pytest.raises(ValueError, match="orientation"):
-        direct_sum(zero_rep(EMPTY_DESC), zero_rep(ZIGZAG))
 
 
 def test_dual_involution_and_supports():
@@ -248,7 +162,7 @@ def test_dual_involution_and_supports():
         dd = dual(d)
         assert dd == v
         assert iso(dd, v)
-    assert dual(zero_rep(EMPTY_DESC)).is_zero()
+    assert dual(from_bars(EMPTY_DESC, BarMultiset())).is_zero()
 
 
 def test_dual_preserves_dims():
@@ -272,7 +186,7 @@ def test_scramble_deterministic_and_isomorphic():
     assert s1 == s2
     assert s1.dims == v.dims
     assert decompose(s1) == b
-    assert scramble(zero_rep(EMPTY_DESC), 1).is_zero()
+    assert scramble(from_bars(EMPTY_DESC, BarMultiset()), 1).is_zero()
 
 
 def test_scramble_over_prime_field():
@@ -311,7 +225,7 @@ def _random_maps_rep(rng, field):
 def _parity_reps(field, rng):
     """Edge cases, then random reps: maps of shape 0 x n and n x 0 and, over
     Q, 3 x 3 maps whose denominators have an lcm above 2**64."""
-    reps = [zero_rep(EMPTY_DESC, field), TameRep(EMPTY_DESC, field, [], [2], []),
+    reps = [from_bars(EMPTY_DESC, BarMultiset(), field), TameRep(EMPTY_DESC, field, [], [2], []),
             _filled_rep(EMPTY_DESC, field, [0, 1], [0, 3, 0, 2, 1],
                         lambda: _random_entry(rng, field)),
             scramble(scramble(from_bars(ZIGZAG, bars((Interval.make(-1, 2, True, False), 2),
@@ -395,11 +309,10 @@ def test_scramble_and_from_bars_keep_a_checked_grid(monkeypatch):
         del calls[:]
         assert jsonio.parse_document(text).tame == v
         assert calls == ["check", "dirs"]
-    (v, _), (w, _), (u, _) = packs
+    (v, _), _, (u, _) = packs
     u = refine(u, [Fraction(-7, 3), Fraction(9, 2)])
     del calls[:]
-    copies = [dual(v), direct_sum(v, w), restrict(v, Interval.make(Fraction(1, 3), 3, True, False)),
-              conjugate(v, [Matrix.identity(QQ, d) for d in v.dims]),
+    copies = [dual(v), conjugate(v, [Matrix.identity(QQ, d) for d in v.dims]),
               refine(v, [Fraction(1, 3), 2, 7]), *common_grid(v, u)]
     assert "check" not in calls
     monkeypatch.undo()
@@ -601,7 +514,7 @@ def test_refine_and_refine_morphism_match_cell_reference(field):
     for trial in range(150):
         o = random_orientation(rng)
         if trial % 25 == 0:
-            v = zero_rep(o, field)
+            v = from_bars(o, BarMultiset(), field)
         else:
             v = scramble(from_bars(o, random_bars(rng, max_bars=4, max_mult=2), field), trial)
         pts = _insertions(rng, v)
