@@ -777,3 +777,82 @@ def test_library_assertion_exits_3(runner, tmp_path, monkeypatch, error):
     assert res.exit_code == 3
     assert res.stderr == f"internal invariant violated: {error}\n"
     assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+# How the command line is read: an option takes the next token as its
+# value, even one that begins with "-"; a repeated option keeps its last
+# value; "--" ends the options.
+def test_option_value_may_begin_with_a_dash(runner, tmp_path):
+    f = _write(tmp_path, "o.json", ZIGZAG_ORIENTATION)
+    spaced = runner.invoke(main, ["projectives", f, "--window", "-1:2"])
+    joined = runner.invoke(main, ["projectives", f, "--window=-1:2"])
+    assert spaced.exit_code == joined.exit_code == 0
+    assert spaced.output == joined.output
+    assert "P_0" in spaced.output and "P_b)" in spaced.output
+
+
+def test_a_repeated_option_keeps_its_last_value(runner, tmp_path):
+    f = _write(tmp_path, "o.json", ZIGZAG_ORIENTATION)
+
+    def out(*args):
+        res = runner.invoke(main, list(args))
+        assert res.exit_code == 0
+        return res.output
+
+    assert out("projectives", f, "--window", "5:6", "--window", "0:1") == \
+        out("projectives", f, "--window", "0:1")
+    assert out("projectives", f, "--window", "0:1", "--window", "5:6") == \
+        out("projectives", f, "--window", "5:6")
+    iv = "(1/4,1/2]"
+    assert out("ar", f, iv, "--starting", "--ending") == out("ar", f, iv, "--ending")
+    assert out("ar", f, iv, "--ending", "--starting") == out("ar", f, iv, "--starting")
+    assert out("ar", f, iv, "--ending") != out("ar", f, iv, "--starting")
+
+
+def test_double_dash_ends_the_options(runner, tmp_path):
+    f = _write(tmp_path, "o.json", EMPTY_ORIENTATION)
+    assert runner.invoke(main, ["hom", "--", f, "[0,1)", "[0,1)"]).output == "1\n"
+    assert runner.invoke(main, ["hom", f, "--json", "--", "[0,1)", "[0,1)"]).output == \
+        '{\n  "hom": 1\n}\n'
+    # after "--", "-1" and "--json" are positional intervals, which do not parse
+    for args, bad in ((["-1", "[0,1)"], "-1"), (["[0,1)", "--json"], "--json")):
+        res = runner.invoke(main, ["hom", f, "--", *args])
+        _assert_clean_exit_2(res)
+        assert res.stderr == f"error: cannot parse interval {bad!r}\n"
+
+
+USAGE_ERRORS = [
+    ["hom", "{o}", "[0,1)", "[0,1)", "--nope"],
+    ["hom", "{o}", "[0,1)"],
+    ["hom", "{o}", "[0,1)", "[0,1)", "extra"],
+    ["hom", "{o}", "-1", "[0,1)"],
+    ["hom", "{o}", "[0,1)", "[0,1)", "-h"],
+    ["hom", "{o}", "[0,1)", "[0,1)", "--json=1"],
+    ["scramble", "{o}", "--seed", "x"],
+    ["scramble", "{o}", "--seed", "1.5"],
+    ["scramble", "{o}"],
+    ["projectives", "{o}", "--window"],
+    ["--json", "hom", "{o}", "[0,1)", "[0,1)"],
+    ["nope"],
+    [],
+]
+USAGE_IDS = ["unknown-option", "missing-positional", "extra-positional", "dash-positional",
+             "short-help", "flag-with-value", "seed-x", "seed-1.5", "seed-missing",
+             "window-without-value", "option-before-command", "unknown-command", "no-command"]
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS, ids=USAGE_IDS)
+def test_usage_errors_exit_2(runner, tmp_path, args):
+    f = _write(tmp_path, "o.json", EMPTY_ORIENTATION)
+    res = runner.invoke(main, [a.format(o=f) for a in args])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+
+
+def test_help_lists_the_commands(runner):
+    res = runner.invoke(main, ["--help"])
+    assert res.exit_code == 0
+    for name in ("decompose", "hom", "ext", "present", "projectives", "ar", "scramble"):
+        assert name in res.stdout
+    res = runner.invoke(main, ["hom", "--help"])
+    assert res.exit_code == 0 and "--field" in res.stdout
