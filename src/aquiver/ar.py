@@ -10,7 +10,6 @@ guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import islice
@@ -21,6 +20,7 @@ from .homological import hom_dim
 from .intervals import Interval, compare, is_finite
 from .linalg import QQ, rank
 from .orientation import Orientation, locate, segment_index
+from .record import record
 from .tamerep import RepMorphism, overlap_morphism, reps_on_common_grid
 
 EXISTS = "exists"
@@ -28,7 +28,7 @@ PROVEN_NONEXISTENT = "proven_nonexistent"
 OUT_OF_PAPER_SCOPE = "out_of_scope"
 
 
-@dataclass
+@record
 class ARSequence:
     left: Interval
     middle: list[Interval]
@@ -37,7 +37,7 @@ class ARSequence:
     g: RepMorphism  # middle sum -> right, the [1 -1] row
 
 
-@dataclass
+@record
 class ARAnswer:
     status: str
     sequence: Optional[ARSequence] = None

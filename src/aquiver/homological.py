@@ -22,7 +22,6 @@ projective exactly when it has one generator and no relation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -32,6 +31,7 @@ from .intervals import (ExtReal, Interval, NEG_INF, POS_INF, compare,
 from .linalg import Matrix, QQ, rank
 from .orientation import (Orientation, Segment, down_set, down_set_limit,
                           locate, up_set)
+from .record import record
 from .tamerep import (DOWN, RepMorphism, TameRep, cell_of_point,
                       cells_to_interval, interval_to_cells, kernel_rep,
                       overlap_morphism, reps_on_common_grid)
@@ -41,7 +41,7 @@ OPEN_RIGHT = "open_right"   # the "x < a" half of the down-set at a
 OPEN_LEFT = "open_left"     # the "x > a" half
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProjectiveLabel:
     form: str
     a: ExtReal
@@ -209,7 +209,7 @@ def _segment_of_hull(o: Orientation, hull: Interval) -> Segment:
 # ---------------------------------------------------------------------------
 # minimal projective presentations
 
-@dataclass
+@record
 class ProjPresentation:
     p1: list[ProjectiveLabel]
     p0: list[ProjectiveLabel]

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 from typing import Iterable, Iterator, Union
+
+from .record import record
 
 ExtReal = Union[Fraction, float]
 
@@ -115,7 +116,7 @@ def format_extreal(x: ExtReal) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Interval:
     lo: ExtReal
     hi: ExtReal

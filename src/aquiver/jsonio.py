@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .intervals import MALFORMED, BarMultiset, Interval, parse_extreal, parse_integer
 from .linalg import PrimeField, QQ
 from .orientation import (Orientation, orientation_from_json,
                           orientation_to_json)
+from .record import record
 from .tamerep import TameRep, from_bars, tame_from_json, tame_to_json
 
 
@@ -76,7 +76,7 @@ def parse_field(obj) -> object:
     raise SchemaError(f"unknown field kind {obj['kind']!r}")
 
 
-@dataclass
+@record
 class Document:
     orientation: Orientation
     field: object

@@ -19,7 +19,6 @@ interior-critical lookups of homological and ar all go through it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
@@ -27,6 +26,7 @@ from typing import Literal, Optional
 
 from .intervals import (ExtReal, Interval, NEG_INF, POS_INF, format_extreal,
                         is_finite, parse_rational)
+from .record import record
 
 Kind = Literal["sink", "source"]
 
@@ -34,7 +34,7 @@ SINK: Kind = "sink"
 SOURCE: Kind = "source"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Segment:
     """A maximal stretch between consecutive critical points (or infinity).
 
@@ -47,7 +47,7 @@ class Segment:
     increasing: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Orientation:
     criticals: tuple[tuple[Fraction, Kind], ...]
     empty_direction: Literal["descending", "ascending"] = "descending"

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -154,6 +157,47 @@ def count_rows_reads(monkeypatch, counted: list) -> None:
             return real_rows.__get__(m, owner)
 
     monkeypatch.setattr(Matrix, "rows", CountingRows())
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved as written
+    exception: BaseException | None  # None after exit 0
+
+
+class _Tee(io.StringIO):
+    """A StringIO that also writes everything to a shared one."""
+
+    def __init__(self, both: io.StringIO):
+        super().__init__()
+        self.both = both
+
+    def write(self, s):
+        self.both.write(s)
+        return super().write(s)
+
+
+class InProcessRunner:
+    """Runs a command line's main(args) in this process, with stdout and
+    stderr captured, and reads the exit code off SystemExit.  Any other
+    exception ends the run with code 1 and is kept."""
+
+    @staticmethod
+    def invoke(main, args) -> CliResult:
+        both = io.StringIO()
+        out, err = _Tee(both), _Tee(both)
+        code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(list(args))
+            except SystemExit as e:
+                code = e.code if isinstance(e.code, int) else (0 if e.code is None else 1)
+                exception = e if code else None
+            except Exception as e:
+                code, exception = 1, e
+        return CliResult(code, out.getvalue(), err.getvalue(), both.getvalue(), exception)
 
 
 @pytest.fixture

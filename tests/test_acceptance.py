@@ -10,10 +10,8 @@ import random
 import time
 from fractions import Fraction
 
-from click.testing import CliRunner
-
-from conftest import (dense_hom_space_dim, interval_in_segment, random_bars,
-                      random_interval, random_orientation)
+from conftest import (InProcessRunner, dense_hom_space_dim, interval_in_segment,
+                      random_bars, random_interval, random_orientation)
 from oracle import enumerate_f2_instances, hom_basis, oracle_decompose
 from aquiver.ar import EXISTS, PROVEN_NONEXISTENT, ar_ending_at, standard_probes, verify_almost_split
 from aquiver.cli import main as cli_main
@@ -105,7 +103,7 @@ def test_criterion_4_ext_bound_and_presentation():
 
 
 def test_criterion_5_projectives_table_golden():
-    runner = CliRunner()
+    runner = InProcessRunner()
     orientation = ('{"criticals":[{"pos":"0","kind":"sink"},'
                    '{"pos":"1","kind":"source"}],"empty_direction":"descending"}')
     import tempfile

@@ -1,15 +1,16 @@
+import errno
 import hashlib
+import io
 import json
 import os
 import random
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from click.testing import CliRunner
-
-from conftest import random_bars, random_orientation
+from conftest import InProcessRunner, random_bars, random_orientation
 from aquiver import ar, cli, homological, jsonio
 from aquiver.cli import main
 from aquiver.decompose import InternalInvariantError
@@ -38,7 +39,7 @@ BARS_DOC = {
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return InProcessRunner()
 
 
 def _write(tmp_path, name, obj):
@@ -844,9 +845,7 @@ USAGE_IDS = ["unknown-option", "missing-positional", "extra-positional", "dash-p
 @pytest.mark.parametrize("args", USAGE_ERRORS, ids=USAGE_IDS)
 def test_usage_errors_exit_2(runner, tmp_path, args):
     f = _write(tmp_path, "o.json", EMPTY_ORIENTATION)
-    res = runner.invoke(main, [a.format(o=f) for a in args])
-    assert res.exit_code == 2
-    assert "Traceback" not in res.output
+    _assert_clean_exit_2(runner.invoke(main, [a.format(o=f) for a in args]))
 
 
 def test_help_lists_the_commands(runner):
@@ -856,3 +855,40 @@ def test_help_lists_the_commands(runner):
         assert name in res.stdout
     res = runner.invoke(main, ["hom", "--help"])
     assert res.exit_code == 0 and "--field" in res.stdout
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, s):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_closed_pipe_and_interrupt_exit_1(tmp_path, monkeypatch):
+    # a reader that stops early (`aquiver scramble ... | head`) gets no
+    # traceback and no message, only exit 1
+    f = _write(tmp_path, "doc.json", BARS_DOC)
+    for args in (["scramble", f, "--seed", "1"], ["decompose", f]):
+        err = io.StringIO()
+        with redirect_stdout(ClosedPipe()), redirect_stderr(err), \
+                pytest.raises(SystemExit) as exit_:
+            main(args)
+        assert exit_.value.code == 1 and err.getvalue() == ""
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "hom_dim", interrupted)
+    res = InProcessRunner().invoke(main, ["hom", _write(tmp_path, "o.json", EMPTY_ORIENTATION),
+                                          "[0,1)", "[0,1)"])
+    assert res.exit_code == 1 and "Traceback" not in res.stderr
+
+
+def test_scramble_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # the pinned bytes again, from `python -m aquiver.cli` under two string
+    # hash seeds, so no set or dict order of strings reaches the output
+    f = _write(tmp_path, "doc.json", BARS_DOC)
+    for hash_seed in ("0", "1"):
+        res = subprocess.run([sys.executable, "-m", "aquiver.cli", "scramble", f, "--seed", "11"],
+                             env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed),
+                             capture_output=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(res.stdout).hexdigest() == SCRAMBLE_SHA256["Q"]

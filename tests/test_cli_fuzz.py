@@ -9,9 +9,9 @@ derandomized, so a run is deterministic and its cost bounded.
 
 import json
 
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import InProcessRunner
 from aquiver.cli import main
 
 FUZZ = settings(max_examples=120, derandomize=True, deadline=None, database=None,
@@ -99,7 +99,7 @@ def _write(tmp_path, text):
                                 ["scramble", "--seed", "3"]]))
 def test_any_document(tmp_path, doc, command):
     f = _write(tmp_path, json.dumps(doc))
-    _assert_clean(CliRunner().invoke(main, [command[0], f] + command[1:]))
+    _assert_clean(InProcessRunner().invoke(main, [command[0], f] + command[1:]))
 
 
 @FUZZ
@@ -107,7 +107,7 @@ def test_any_document(tmp_path, doc, command):
 def test_any_maps_on_a_valid_grid(tmp_path, maps, dims):
     # the grid, dims and maps count are valid, so every draw reaches the maps
     doc = {"orientation": {"criticals": []}, "tame": {"grid": ["0"], "dims": dims, "maps": maps}}
-    _assert_clean(CliRunner().invoke(main, ["decompose", _write(tmp_path, json.dumps(doc))]))
+    _assert_clean(InProcessRunner().invoke(main, ["decompose", _write(tmp_path, json.dumps(doc))]))
 
 
 WINDOW = st.one_of(st.builds(lambda lo, hi: f"{lo}:{hi}", NUMBER_TEXT, NUMBER_TEXT),
@@ -121,14 +121,14 @@ def test_any_interval_literal(tmp_path, orientation, i, j, window, command):
     f = _write(tmp_path, json.dumps(orientation))
     args = {"hom": [i, j], "ext": [i, j], "present": [i], "ar": [i],
             "projectives": ["--window", window]}[command]
-    _assert_clean(CliRunner().invoke(main, [command, f] + args))
+    _assert_clean(InProcessRunner().invoke(main, [command, f] + args))
 
 
 @FUZZ
 @given(spec=FIELD_SPEC, doc=st.one_of(st.none(), DOCUMENT))
 def test_any_field_string(tmp_path, spec, doc):
     o = _write(tmp_path, json.dumps({"criticals": [{"pos": "0", "kind": "sink"}]}))
-    _assert_clean(CliRunner().invoke(main, ["hom", o, "[0,1)", "(-1,0]", "--field", spec]))
+    _assert_clean(InProcessRunner().invoke(main, ["hom", o, "[0,1)", "(-1,0]", "--field", spec]))
     if doc is not None:
         f = _write(tmp_path, json.dumps(doc))
-        _assert_clean(CliRunner().invoke(main, ["decompose", f, "--field", spec]))
+        _assert_clean(InProcessRunner().invoke(main, ["decompose", f, "--field", spec]))

@@ -6,8 +6,8 @@ an attribute, ``x.name``; any other function or class counts where its
 name is loaded, read as an attribute, or imported.  Parameters, keyword
 arguments and the names locals are stored under are not uses (a local
 that is loaded still counts for a function of its name, since scopes are
-not resolved).  Dunder methods are called by the interpreter, and click
-commands are reached through the command group, so both are exempt.  A
+not resolved).  Dunder methods are called by the interpreter, so they
+are exempt; the CLI's command functions are read by its dispatch table.  A
 name counts as used by the library when it is used so in src/aquiver
 outside __init__.py; every defined name is, or is one of the few that
 only tests call, each listed with a test that needs it and the reason it
@@ -21,7 +21,8 @@ code it checks.  No library module outside the two field classes asks
 which field it holds.  No library module reads a matrix's field-scalar
 view ``rows``, except linalg in the view itself, ``column``, ``scale``
 and ``__repr__``.  Every name the benchmark's tracer wraps exists, and
-importing aquiver.cli loads every module the benchmark reaches into.
+importing aquiver.cli loads every module the benchmark reaches into, and
+none of click, dataclasses and inspect.
 """
 
 import ast
@@ -35,12 +36,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "aquiver"
-
-
-def _is_click_command(node) -> bool:
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-               and d.func.attr in ("command", "group")
-               for d in node.decorator_list)
 
 
 METHOD, FUNCTION = "method", "function"
@@ -57,8 +52,6 @@ def _definitions() -> dict[str, set[str]]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = node.name
                 if name.startswith("__") and name.endswith("__"):
-                    continue
-                if _is_click_command(node):
                     continue
                 defs.setdefault(name, set()).add(METHOD if id(node) in in_class else FUNCTION)
     return defs
@@ -311,12 +304,17 @@ def test_cli_import_loads_what_the_benchmark_reads():
     # and Tracer.install looks each traced module up in sys.modules;
     # bench/workloads.py calls aq.decompose(...), which a lazily imported
     # submodule of the same name would shadow.  A fresh interpreter shows
-    # what the import alone loads.
-    code = ("import sys, aquiver, aquiver.cli\n"
+    # what the import alone loads.  It loads none of click, dataclasses and
+    # inspect, which cost every command line process milliseconds.
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import aquiver, aquiver.cli\n"
             "mods = ('linalg', 'jsonio', 'tamerep', 'decompose', 'homological', 'ar')\n"
             "missing = [m for m in mods if 'aquiver.' + m not in sys.modules]\n"
             "assert not missing, f'not loaded by import aquiver.cli: {missing}'\n"
-            "assert callable(aquiver.decompose), type(aquiver.decompose)\n")
+            "assert callable(aquiver.decompose), type(aquiver.decompose)\n"
+            "heavy = sorted({'click', 'dataclasses', 'inspect'} & (set(sys.modules) - before))\n"
+            "assert not heavy, f'loaded by import aquiver.cli: {heavy}'\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60)
