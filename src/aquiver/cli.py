@@ -14,7 +14,6 @@ library alone: the CLI needs no package outside it.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from itertools import islice
 
@@ -339,15 +338,7 @@ def _run(argv: list[str], prog: str) -> int:
     except AssertionError as e:  # InternalInvariantError is one too
         print(f"internal invariant violated: {e}", file=sys.stderr)
         return 3
-    except BrokenPipeError:
-        # The reader closed the pipe.  Point stdout at the null device, so
-        # the flush at exit writes what is still buffered nowhere instead
-        # of failing a second time.
-        try:
-            out = sys.stdout.fileno()
-        except (OSError, ValueError):  # not a file descriptor: nothing flushes at exit
-            return 1
-        os.dup2(os.open(os.devnull, os.O_WRONLY), out)
+    except BrokenPipeError:  # the reader closed the pipe early, as `| head` does
         return 1
     except KeyboardInterrupt:
         print("aborted", file=sys.stderr)

@@ -862,7 +862,7 @@ class ClosedPipe(io.StringIO):
         raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
 
-def test_closed_pipe_and_interrupt_exit_1(tmp_path, monkeypatch):
+def test_closed_pipe_and_interrupt_exit_1(runner, tmp_path, monkeypatch):
     # a reader that stops early (`aquiver scramble ... | head`) gets no
     # traceback and no message, only exit 1
     f = _write(tmp_path, "doc.json", BARS_DOC)
@@ -872,13 +872,25 @@ def test_closed_pipe_and_interrupt_exit_1(tmp_path, monkeypatch):
                 pytest.raises(SystemExit) as exit_:
             main(args)
         assert exit_.value.code == 1 and err.getvalue() == ""
+    # in a process, the flush at exit must not fail on what is still buffered
+    big = _write(tmp_path, "big.json", dict(BARS_DOC, bars=[
+        {"lo": str(i), "lo_closed": True, "hi": str(i + 5), "hi_closed": False, "mult": 3}
+        for i in range(30)]))
+    proc = subprocess.Popen([sys.executable, "-m", "aquiver.cli", "scramble", big, "--seed", "1"],
+                            env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "hom_dim", interrupted)
-    res = InProcessRunner().invoke(main, ["hom", _write(tmp_path, "o.json", EMPTY_ORIENTATION),
-                                          "[0,1)", "[0,1)"])
+    res = runner.invoke(main, ["hom", _write(tmp_path, "o.json", EMPTY_ORIENTATION),
+                               "[0,1)", "[0,1)"])
     assert res.exit_code == 1 and "Traceback" not in res.stderr
 
 
