@@ -8,7 +8,10 @@ on stderr), 3 internal invariant violation (a computed value
 contradicting a structural bound, which is always a bug worth a report).
 
 The command line is read by one table, COMMANDS, with the standard
-library alone: the CLI needs no package outside it.
+library alone: the CLI needs no package outside it.  Each command's
+handler returns its answer, as a JSON object and as the lines of its
+pretty form (None for scramble, which has no pretty form), and _run alone
+prints it: the JSON with --json or without a pretty form, else the lines.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from itertools import islice
 from .ar import (EXISTS, PROVEN_NONEXISTENT, ar_ending_at, ar_starting_at,
                  standard_probes, verify_almost_split)
 from .decompose import InternalInvariantError, decompose
-from .homological import (ProjectiveLabel, ext_dim, hom_dim, proj_presentation,
-                          projectives_table, realize_projective)
+from .homological import (ext_dim, hom_dim, proj_presentation, projectives_table,
+                          realize_projective)
 from .intervals import MALFORMED, format_extreal, parse_rational
 from .jsonio import (SchemaError, Document, document_to_json,
                      parse_document, parse_field, parse_interval,
@@ -55,14 +58,6 @@ def _read(path: str) -> str:
         raise SchemaError(str(e))
 
 
-def _pick_field(field_spec, doc=None):
-    if field_spec is not None:
-        return parse_field(field_spec)
-    if doc is not None:
-        return doc.field
-    return parse_field("Q")
-
-
 def _squared_dims(doc) -> int:
     """The sum over cells of the squared dimension of the document's
     representation.  For a bars document it is read off one slot per
@@ -75,92 +70,74 @@ def _squared_dims(doc) -> int:
 
 
 def _document_rep(doc, field_spec):
-    """The document's representation over --field.  A bars document is built
-    over it; a tame document was parsed over its own field, which --field
-    may only repeat.  A representation past MAX_SQUARED_DIMS is refused
-    before a bars document expands any copy of a bar."""
-    field = _pick_field(field_spec, doc)
+    """The document's representation over --field, by default its own
+    field.  A bars document is built over it; a tame document was parsed
+    over its own field, which --field may only repeat.  A representation
+    past MAX_SQUARED_DIMS is refused before a bars document expands any
+    copy of a bar."""
+    field = doc.field if field_spec is None else parse_field(field_spec)
     if doc.tame is not None and field != doc.field:
         raise SchemaError(f"--field {field_spec} differs from the tame document's field {doc.field}")
     size = _squared_dims(doc)
     if size > MAX_SQUARED_DIMS:
         raise SchemaError(f"representation too large: its squared cell dimensions sum to "
                           f"{size}, above {MAX_SQUARED_DIMS}")
-    doc.field = field
-    return doc.rep()
+    return Document(doc.orientation, field, doc.bars, doc.tame).rep()
 
 
-def cmd_decompose(file, field_spec=None, as_json=False):
+def cmd_decompose(file, field_spec=None):
     """Decompose the representation in FILE into its interval summands."""
     doc = parse_document(_read(file))
     bars = decompose(_document_rep(doc, field_spec))
-    if as_json:
-        _echo_json({"bars": bars.to_json()})
-    else:
-        if not bars:
-            print("(empty)")
-        for iv, mult in bars.items():
-            suffix = f"  x{mult}" if mult > 1 else ""
-            print(f"{iv}{suffix}")
+    lines = [f"{iv}  x{mult}" if mult > 1 else str(iv) for iv, mult in bars.items()]
+    return {"bars": bars.to_json()}, lines or ["(empty)"]
 
 
-def cmd_hom(orientation_file, interval_i, interval_j, field_spec=None, as_json=False):
+def cmd_hom(orientation_file, interval_i, interval_j, field_spec=None):
     """Dimension of Hom between the interval summands on I and J."""
     o = parse_orientation_file(_read(orientation_file))
-    field = _pick_field(field_spec)
-    d = hom_dim(o, parse_interval(interval_i), parse_interval(interval_j), field)
-    if as_json:
-        _echo_json({"hom": d})
-    else:
-        print(d)
+    parse_field(field_spec)  # checked, though the dimension is the same over every field
+    d = hom_dim(o, parse_interval(interval_i), parse_interval(interval_j))
+    return {"hom": d}, [str(d)]
 
 
-def cmd_ext(orientation_file, interval_v, interval_w, field_spec=None, as_json=False):
+def cmd_ext(orientation_file, interval_v, interval_w, field_spec=None):
     """Dimension of Ext^1 between the interval summands on V and W."""
     o = parse_orientation_file(_read(orientation_file))
-    field = _pick_field(field_spec)
-    d = ext_dim(o, parse_interval(interval_v), parse_interval(interval_w), field)
-    if as_json:
-        _echo_json({"ext": d})
-    else:
-        print(d)
+    parse_field(field_spec)  # checked, though the dimension is the same over every field
+    d = ext_dim(o, parse_interval(interval_v), parse_interval(interval_w))
+    return {"ext": d}, [str(d)]
 
 
-def _label_json(o, label: ProjectiveLabel) -> dict:
-    sup = realize_projective(o, label)
-    return {"form": label.form, "a": format_extreal(label.a),
-            "support": sup.to_json() if sup else None}
-
-
-def cmd_present(orientation_file, interval_v, field_spec=None, as_json=False):
+def cmd_present(orientation_file, interval_v, field_spec=None):
     """Minimal projective presentation of the interval summand on V."""
     o = parse_orientation_file(_read(orientation_file))
-    field = _pick_field(field_spec)
+    field = parse_field(field_spec)
     iv = parse_interval(interval_v)
     pres = proj_presentation(o, iv, field)
-    if as_json:
-        realized = pres.realized
-        _echo_json({
-            "p1": [_label_json(o, l) for l in pres.p1],
-            "p0": [_label_json(o, l) for l in pres.p0],
-            "realized": {
-                "grid": [format_extreal(g) for g in realized.dom.grid],
-                "p1_dims": list(realized.dom.dims),
-                "p0_dims": list(realized.cod.dims),
-                "cells": [m.to_json() for m in realized.mats],
-            },
-        })
-    else:
-        def side(labels):
-            if not labels:
-                return "0"
-            return " + ".join(f"{l} = {realize_projective(o, l)}" for l in labels)
-        print(f"module : {iv}")
-        print(f"P1     : {side(pres.p1)}")
-        print(f"P0     : {side(pres.p0)}")
+    p1, p0 = ([(l, realize_projective(o, l)) for l in labels] for labels in (pres.p1, pres.p0))
+    realized = pres.realized
+
+    def label_json(label, sup):
+        return {"form": label.form, "a": format_extreal(label.a),
+                "support": sup.to_json() if sup else None}
+
+    def side(pairs):
+        return " + ".join(f"{l} = {sup}" for l, sup in pairs) or "0"
+
+    return {
+        "p1": [label_json(*pair) for pair in p1],
+        "p0": [label_json(*pair) for pair in p0],
+        "realized": {
+            "grid": [format_extreal(g) for g in realized.dom.grid],
+            "p1_dims": list(realized.dom.dims),
+            "p0_dims": list(realized.cod.dims),
+            "cells": [m.to_json() for m in realized.mats],
+        },
+    }, [f"module : {iv}", f"P1     : {side(p1)}", f"P0     : {side(p0)}"]
 
 
-def cmd_projectives(orientation_file, window=None, as_json=False):
+def cmd_projectives(orientation_file, window=None):
     """Table of all indecomposable projective forms, symbolic per segment."""
     o = parse_orientation_file(_read(orientation_file))
     win = None
@@ -173,43 +150,35 @@ def cmd_projectives(orientation_file, window=None, as_json=False):
         if win[0] > win[1]:
             raise SchemaError(f"bad window {window!r}: lo exceeds hi")
     rows = projectives_table(o, win)
-    if as_json:
-        _echo_json({"projectives": [{"support": s, "label": l} for s, l, _ in rows]})
-    else:
-        width = max((len(s) for s, _, _ in rows), default=0)
-        for s, l, _ in rows:
-            print(f"{s.ljust(width)}  {l}")
+    width = max((len(s) for s, _, _ in rows), default=0)
+    return ({"projectives": [{"support": s, "label": l} for s, l, _ in rows]},
+            [f"{s.ljust(width)}  {l}" for s, l, _ in rows])
 
 
-def cmd_ar(orientation_file, interval, ending=True, field_spec=None, as_json=False):
+def cmd_ar(orientation_file, interval, ending=True, field_spec=None):
     """Almost-split sequence ending (or starting) at the given summand.  A
     sequence is checked against the standard probes before it is printed."""
     o = parse_orientation_file(_read(orientation_file))
-    field = _pick_field(field_spec)
+    field = parse_field(field_spec)
     iv = parse_interval(interval)
     ans = (ar_ending_at if ending else ar_starting_at)(o, iv, field)
-    if ans.status == EXISTS and not verify_almost_split(ans.sequence,
-                                                       standard_probes(o, ans.sequence)):
+    seq = ans.sequence
+    if ans.status == EXISTS and not verify_almost_split(seq, standard_probes(o, seq)):
         raise InternalInvariantError("the constructed sequence is not almost split")
-    if as_json:
-        out = {"status": ans.status}
-        if ans.sequence is not None:
-            seq = ans.sequence
-            out["sequence"] = {
-                "left": seq.left.to_json(),
-                "middle": [m.to_json() for m in seq.middle],
-                "right": seq.right.to_json(),
-            }
-        _echo_json(out)
+    out = {"status": ans.status}
+    if seq is not None:
+        out["sequence"] = {
+            "left": seq.left.to_json(),
+            "middle": [m.to_json() for m in seq.middle],
+            "right": seq.right.to_json(),
+        }
+    if ans.status == EXISTS:
+        line = f"0 -> {seq.left} -> {' + '.join(map(str, seq.middle))} -> {seq.right} -> 0"
+    elif ans.status == PROVEN_NONEXISTENT:
+        line = "no almost-split sequence exists at this summand"
     else:
-        if ans.status == EXISTS:
-            seq = ans.sequence
-            mid = " + ".join(str(m) for m in seq.middle)
-            print(f"0 -> {seq.left} -> {mid} -> {seq.right} -> 0")
-        elif ans.status == PROVEN_NONEXISTENT:
-            print("no almost-split sequence exists at this summand")
-        else:
-            print("outside the established classification")
+        line = "outside the established classification"
+    return out, [line]
 
 
 def cmd_scramble(file, seed=None, field_spec=None):
@@ -224,11 +193,10 @@ def cmd_scramble(file, seed=None, field_spec=None):
     doc = parse_document(_read(file))
     v = scramble_rep(_document_rep(doc, field_spec), seed)
     try:
-        out = document_to_json(Document(doc.orientation, v.field, tame=v))
+        return document_to_json(Document(doc.orientation, v.field, tame=v)), None
     except ValueError:  # str() refuses an entry the change of basis grew too long
         raise SchemaError(f"a scrambled entry is longer than the "
                           f"{sys.get_int_max_str_digits()}-digit limit on printed integers")
-    _echo_json(out)
 
 
 FIELD = {"--field": "field_spec"}
@@ -251,7 +219,8 @@ COMMANDS = {
 OPTION_HELP = {
     "--field": "Q|Fp:<p>  coefficient field [default: Q, or the document's field]",
     "--json": "machine-readable JSON instead of the pretty listing",
-    "--window": "LO:HI  restrict the table to labels in lo:hi (rationals)",
+    "--window": ("LO:HI  keep the labels in [lo, hi] and the families on segments "
+                 "meeting it (rationals); the rows at -inf and +inf are in every window"),
     "--ending": "INTERVAL names the right end [default]",
     "--starting": "INTERVAL names the left end",
     "--seed": "N  seed for the change of basis; required",
@@ -330,7 +299,13 @@ def _run(argv: list[str], prog: str) -> int:
         parsed = _parse(argv, prog)
         if parsed is not None:
             handler, args, kwargs = parsed
-            handler(*args, **kwargs)
+            as_json = kwargs.pop("as_json", False)
+            obj, lines = handler(*args, **kwargs)
+            if as_json or lines is None:
+                _echo_json(obj)
+            else:
+                for line in lines:
+                    print(line)
         sys.stdout.flush()
     except SchemaError as e:
         print(f"error: {e}", file=sys.stderr)

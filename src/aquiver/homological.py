@@ -41,7 +41,7 @@ OPEN_RIGHT = "open_right"   # the "x < a" half of the down-set at a
 OPEN_LEFT = "open_left"     # the "x > a" half
 
 
-@record(frozen=True)
+@record
 class ProjectiveLabel:
     form: str
     a: ExtReal
@@ -114,7 +114,7 @@ def hom_space_dim(v: TameRep, w: TameRep) -> int:
 
 def hom_dim(o: Orientation, i_iv: Interval, j_iv: Interval, field=QQ) -> int:
     """dim Hom(M_I, M_J), 0 or 1 over every field, so field is accepted
-    but unused; callers, the benchmark among them, pass it positionally.
+    but unused; the benchmark passes it positionally.
     A morphism is one scalar on K = I n J.  The junction just outside a
     finite end of K forces it to 0 when its map runs from I outside K into
     K, or from K into J outside K.  Below K that junction lies in the
@@ -323,9 +323,8 @@ def proj_presentation(o: Orientation, iv: Interval, field=QQ) -> ProjPresentatio
     return ProjPresentation([lab for lab, _ in p1], [lab for lab, _ in p0], realized)
 
 
-def ext_dim(o: Orientation, v_iv: Interval, w_iv: Interval, field=QQ) -> int:
-    """dim Ext^1(M_V, M_W), 0 or 1 over every field, so field is accepted
-    but unused, as in hom_dim.  V has the minimal
+def ext_dim(o: Orientation, v_iv: Interval, w_iv: Interval) -> int:
+    """dim Ext^1(M_V, M_W), 0 or 1 over every field.  V has the minimal
     presentation 0 -> P1 -> P0 -> M_V -> 0 and the category is hereditary,
     so 0 -> Hom(V, W) -> Hom(P0, W) -> Hom(P1, W) -> Ext^1(V, W) -> 0
     is exact and Ext^1 is its alternating sum of dimensions; each
@@ -373,18 +372,15 @@ def projectives_table(o: Orientation, window: Optional[tuple] = None) -> list[tu
     """All indecomposable projective forms: one row per label at an infinite
     end or a critical point and one symbolic row per family over each open
     segment.  Returns (support string, label string, sort proxy interval)
-    rows, sorted by the canonical interval order."""
+    rows, sorted by the canonical interval order.  A window (lo, hi) keeps
+    the rows of the critical points in [lo, hi] and the family rows of the
+    open segments that meet it; the rows at -inf and +inf are in every
+    window."""
     rows = []
-
-    def in_window(x) -> bool:
-        if window is None:
-            return True
-        lo, hi = window
-        return lo <= x <= hi
-
+    w_lo, w_hi = (NEG_INF, POS_INF) if window is None else window
     for p in (NEG_INF, POS_INF) + o.positions:
         finite = is_finite(p)
-        if finite and not in_window(p):
+        if finite and (compare(p, w_lo) < 0 or compare(p, w_hi) > 0):
             continue
         for form in (POINT, OPEN_RIGHT, OPEN_LEFT) if finite else (POINT,):
             lab = ProjectiveLabel(form, p)
@@ -393,6 +389,8 @@ def projectives_table(o: Orientation, window: Optional[tuple] = None) -> list[tu
                 rows.append((str(sup), str(lab), sup))
     for si, seg in enumerate(o.segments):
         lo, hi = seg.lo, seg.hi
+        if compare(lo, w_hi) >= 0 or compare(hi, w_lo) <= 0:
+            continue
         q, r = divmod(si, len(_LETTERS))
         letter = _LETTERS[r] + (str(q) if q else "")  # a, ..., z, a1, ..., z1, a2, ...
         if is_finite(lo) and is_finite(hi):
@@ -403,8 +401,6 @@ def projectives_table(o: Orientation, window: Optional[tuple] = None) -> list[tu
             t0 = Fraction(hi) - 1
         else:
             t0 = Fraction(0)
-        if not in_window(t0):
-            continue
         for form in (POINT, OPEN_RIGHT, OPEN_LEFT):
             lab = ProjectiveLabel(form, t0)
             sup = realize_projective(o, lab)

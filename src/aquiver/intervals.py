@@ -116,7 +116,7 @@ def format_extreal(x: ExtReal) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@record(frozen=True)
+@record
 class Interval:
     lo: ExtReal
     hi: ExtReal

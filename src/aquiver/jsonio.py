@@ -78,6 +78,9 @@ def parse_field(obj) -> object:
 
 @record
 class Document:
+    """A parsed document: an orientation, a field and exactly one of a
+    barcode (bars) or a tame representation over that field (tame).  It is
+    a value; a document read over another field is a new Document."""
     orientation: Orientation
     field: object
     bars: Optional[BarMultiset] = None
@@ -101,20 +104,17 @@ def parse_document(text: str) -> Document:
     has_tame = "tame" in obj
     if has_bars and has_tame:
         raise SchemaError("document must carry exactly one of \"bars\" or \"tame\"")
-    doc = Document(o, field)
     if has_bars:
         try:
-            doc.bars = BarMultiset.from_json(obj["bars"])
+            return Document(o, field, bars=BarMultiset.from_json(obj["bars"]))
         except MALFORMED as e:
             raise SchemaError(f"bad bars: {e}")
-    elif has_tame:
+    if has_tame:
         try:
-            doc.tame = tame_from_json(o, obj["tame"], field)
+            return Document(o, field, tame=tame_from_json(o, obj["tame"], field))
         except ValueError as e:
             raise SchemaError(str(e))
-    else:
-        raise SchemaError("document needs \"bars\" or \"tame\"")
-    return doc
+    raise SchemaError("document needs \"bars\" or \"tame\"")
 
 
 def parse_orientation_file(text: str) -> Orientation:

@@ -34,7 +34,7 @@ SINK: Kind = "sink"
 SOURCE: Kind = "source"
 
 
-@record(frozen=True)
+@record
 class Segment:
     """A maximal stretch between consecutive critical points (or infinity).
 
@@ -47,7 +47,7 @@ class Segment:
     increasing: bool
 
 
-@record(frozen=True)
+@record
 class Orientation:
     criticals: tuple[tuple[Fraction, Kind], ...]
     empty_direction: Literal["descending", "ascending"] = "descending"

@@ -187,6 +187,12 @@ def test_projectives_window(runner, tmp_path):
     assert res.exit_code == 0
     assert "P_c" not in res.output
     assert "P_b" in res.output and "P_0" in res.output
+    # a family is listed when its open segment meets the window, wherever
+    # its sample point lies; the rows at -inf and +inf are in every window
+    far = runner.invoke(main, ["projectives", f, "--window", "5:6"])
+    assert far.exit_code == 0
+    assert far.output == runner.invoke(main, ["projectives", f, "--window", "2:3"]).output
+    assert far.output == "(-inf, 0]  P_-inf\n[c, +inf)  P_c\n(c, +inf)  P_(c\n"
 
 
 def test_ar_command(runner, tmp_path):
