@@ -8,16 +8,30 @@ just outside each end of K can force it to vanish, depending on which way
 the orientation runs there (hom_dim).  K is never built: its ends are read
 off I's and J's with intervals.compare, on Python ints, and each junction
 is found with orientation.locate.  Hom between representations is
-bilinear over their barcodes (hom_space_dim).  The category is
-hereditary, so Ext^1 between interval summands follows from the minimal
-presentation and Yoneda (ext_dim): Hom(P, M_W) from a projective P is
-hom_dim from P's support.  Presentations follow the generator/relation
-recipe for interval summands: generators sit at interior sources and at
-the ends of the interval, relations at interior sinks and at the
-overshoots of the generators, realized with a fixed alternating +-1
-scheme.  Projectivity is read off the same presentation: an interval is
-projective exactly when it has one generator and no relation
-(classify_projective).
+bilinear over their barcodes (hom_space_dim).
+
+Presentations follow the generator/relation recipe for interval
+summands: generators sit at interior sources and at the ends of the
+interval, relations at interior sinks and at the overshoots of the
+generators.  _presentation_terms states that recipe once, read off one
+locate of each finite end (which critical point or which way its segment
+runs decides the half-open forms that are nonzero there, and whether the
+up-set there meets the interval), and builds no label, down-set or
+Interval.  _presentation_labels realizes its terms for proj_presentation,
+with a fixed alternating +-1 scheme, and projectivity is read off the
+same presentation: an interval is projective exactly when it has one
+generator and no relation (classify_projective).
+
+Ext reads the same terms, so the two cannot drift apart.  The category is
+hereditary, so Ext^1(M_V, M_W) is the alternating sum
+hom(V, W) - hom(P0, W) + hom(P1, W), and by Yoneda each Hom(P, M_W) is
+W's dimension at P's label point, decided by intervals.compare on W's
+ends (_yoneda); the interior critical points of V that lie in W form one
+alternating run, of which only its parity and first kind count
+(ext_dim).  An earlier Yoneda rule, _hom_from_projective, was removed
+because it was a second path beside hom_dim on the projective's support.
+_yoneda now takes that support evaluation's place inside ext_dim, so Ext
+still has one path, and it realizes nothing per (V, W) pair.
 """
 
 from __future__ import annotations
@@ -27,10 +41,10 @@ from typing import Optional
 
 from .decompose import InternalInvariantError, decompose
 from .intervals import (ExtReal, Interval, NEG_INF, POS_INF, compare,
-                        format_extreal, intersect, is_finite)
+                        format_extreal, is_finite)
 from .linalg import Matrix, QQ, rank
-from .orientation import (Orientation, Segment, down_set, down_set_limit,
-                          locate, up_set)
+from .orientation import (SINK, SOURCE, Orientation, Segment, down_set,
+                          down_set_limit, locate)
 from .record import record
 from .tamerep import (DOWN, RepMorphism, TameRep, cell_of_point,
                       cells_to_interval, interval_to_cells, kernel_rep,
@@ -225,59 +239,82 @@ def _label_position(label: ProjectiveLabel):
     return (Fraction(label.a), side)
 
 
+def _reach(o: Orientation, i: int, critical: bool) -> tuple[bool, bool]:
+    """Whether the down-set at the point locate placed as (i, critical)
+    reaches left and right of it (its open-right and open-left forms are
+    nonzero): both at a source, neither at a sink, else the side of the
+    segment's sink end.  The up-set reaches exactly the other sides."""
+    if critical:
+        both = o.criticals[i - 1][1] == SOURCE
+        return both, both
+    increasing = o.segments[i].increasing
+    return increasing, not increasing
+
+
+def _finite_end(closed: bool, inward_reach: bool, outward_reach: bool,
+                inward: str, outward: str) -> tuple:
+    """The (relation, form) terms at a finite end of a non-point interval.
+    At an open end the inward form is a generator when nonzero; otherwise
+    the up-set reaches into the interval and the point form is a relation.
+    At a closed end the point form is a generator when the down-set
+    reaches inward, and the nonzero outward form is a relation."""
+    if not closed:
+        return ((False, inward),) if inward_reach else ((True, POINT),)
+    terms = ((False, POINT),) if inward_reach else ()
+    return terms + ((True, outward),) if outward_reach else terms
+
+
+def _presentation_terms(o: Orientation, iv: Interval) -> tuple[int, int, tuple]:
+    """The minimal presentation of the interval summand on iv, unrealized,
+    as (first, last, ends), from one locate per finite end.  The critical
+    points o.criticals[first:last] lie strictly inside iv; each source is a
+    generator (P0) and each sink a relation (P1).  ends holds (a, terms)
+    for iv's ends, lo before hi (a point once), with the (relation, form)
+    pairs of the labels at a.  A point generates with its point form and
+    is related by each nonzero half-open form; an infinite end generates
+    when the end segment's sink side lies there (down_set_limit)."""
+    segs = o.segments
+    lo, hi = iv.lo, iv.hi
+    if is_finite(lo):
+        first, critical = locate(o, lo)
+        left, right = _reach(o, first, critical)
+        if compare(lo, hi) == 0:
+            terms = ((False, POINT),) + ((True, OPEN_RIGHT),) * left + ((True, OPEN_LEFT),) * right
+            return 0, 0, ((lo, terms),)
+        lo_terms = _finite_end(iv.lo_closed, right, left, OPEN_LEFT, OPEN_RIGHT)
+    else:
+        first = 0
+        lo_terms = () if segs[0].increasing else ((False, POINT),)
+    if is_finite(hi):
+        last, critical = locate(o, hi)
+        left, right = _reach(o, last, critical)
+        last -= critical
+        hi_terms = _finite_end(iv.hi_closed, left, right, OPEN_RIGHT, OPEN_LEFT)
+    else:
+        last = len(o.criticals)
+        hi_terms = ((False, POINT),) if segs[-1].increasing else ()
+    return first, last, ((lo, lo_terms), (hi, hi_terms))
+
+
 def _presentation_labels(o: Orientation, iv: Interval) -> tuple[list, list]:
     """Relation (P1) and generator (P0) labels of the minimal presentation
     of the interval summand on iv, each paired with its projective's
-    support.  Every interval gets one: a projective interval gets P1 = []
-    and P0 = [its own label].  Each label is realized once, and all forms
-    at a finite point are read off the one down-set there."""
+    support, as _presentation_terms lists them.  Every interval gets one: a
+    projective interval gets P1 = [] and P0 = [its own label].  Each label
+    is realized once, and all forms at a finite end are read off the one
+    down-set there."""
+    first, last, ends = _presentation_terms(o, iv)
     p0: list[tuple[ProjectiveLabel, Interval]] = []
     p1: list[tuple[ProjectiveLabel, Interval]] = []
-
-    if iv.is_point():
-        a = Fraction(iv.lo)
-        ds = down_set(o, a)
-        p0.append((ProjectiveLabel(POINT, a), ds))
-        for form in (OPEN_RIGHT, OPEN_LEFT):
-            sup = _form_support(ds, form, a)
-            if sup is not None:
-                p1.append((ProjectiveLabel(form, a), sup))
-        return p1, p0
-
-    # the critical points strictly inside iv: those after the ones <= lo
-    # and before the ones >= hi
-    first = locate(o, iv.lo)[0] if is_finite(iv.lo) else 0
-    last = len(o.criticals)
-    if is_finite(iv.hi):
-        last, critical = locate(o, iv.hi)
-        last -= critical
     for p, kind in o.criticals[first:last]:
-        (p0 if kind == "source" else p1).append((ProjectiveLabel(POINT, p), down_set(o, p)))
-
-    # each end with its closedness and the half-open forms pointing into
-    # and out of the interval there, lo before hi.  A form pointing into
-    # the interval meets it whenever it is nonzero, and one pointing out
-    # of a closed end never does.
-    for end, closed, inward, outward in ((iv.lo, iv.lo_closed, OPEN_LEFT, OPEN_RIGHT),
-                                         (iv.hi, iv.hi_closed, OPEN_RIGHT, OPEN_LEFT)):
-        if not is_finite(end):
-            sup = down_set_limit(o, end)
-            if sup is not None:
-                p0.append((ProjectiveLabel(POINT, end), sup))
+        (p0 if kind == SOURCE else p1).append((ProjectiveLabel(POINT, p), down_set(o, p)))
+    for a, terms in ends:
+        if not terms:
             continue
-        ds = down_set(o, end)
-        into = _form_support(ds, inward, end)
-        if not closed:
-            if into is not None:
-                p0.append((ProjectiveLabel(inward, end), into))
-            if intersect(up_set(o, end), iv) is not None:
-                p1.append((ProjectiveLabel(POINT, end), ds))
-        else:
-            if into is not None:
-                p0.append((ProjectiveLabel(POINT, end), ds))
-            out = _form_support(ds, outward, end)
-            if out is not None:
-                p1.append((ProjectiveLabel(outward, end), out))
+        ds = down_set(o, a) if is_finite(a) else None
+        for relation, form in terms:
+            sup = down_set_limit(o, a) if ds is None else _form_support(ds, form, a)
+            (p1 if relation else p0).append((ProjectiveLabel(form, a), sup))
     return p1, p0
 
 
@@ -327,17 +364,46 @@ def ext_dim(o: Orientation, v_iv: Interval, w_iv: Interval) -> int:
     """dim Ext^1(M_V, M_W), 0 or 1 over every field.  V has the minimal
     presentation 0 -> P1 -> P0 -> M_V -> 0 and the category is hereditary,
     so 0 -> Hom(V, W) -> Hom(P0, W) -> Hom(P1, W) -> Ext^1(V, W) -> 0
-    is exact and Ext^1 is its alternating sum of dimensions; each
-    Hom(P, W) is hom_dim from the projective's support, which
-    _presentation_labels hands back with each label, so nothing is
-    realized twice."""
-    p1, p0 = _presentation_labels(o, v_iv)
-    ext = hom_dim(o, v_iv, w_iv) + sum(
-        sign * hom_dim(o, sup, w_iv)
-        for sign, pairs in ((-1, p0), (1, p1)) for _, sup in pairs)
+    is exact and Ext^1 is its alternating sum of dimensions.  Each
+    Hom(P, M_W) is W's dimension at P's label point (_yoneda), for the
+    terms of _presentation_terms, which nothing realizes.  The interior
+    critical points of V that lie in W are one run of alternating sinks
+    (relations) and sources (generators), its ends read off a locate of
+    each finite end of W: an even run adds 0, an odd one +1 when it
+    starts at a sink and -1 at a source."""
+    first, last, ends = _presentation_terms(o, v_iv)
+    ext = hom_dim(o, v_iv, w_iv)
+    for a, terms in ends:
+        for relation, form in terms:
+            if _yoneda(form, a, w_iv):
+                ext += 1 if relation else -1
+    if first < last:
+        if is_finite(w_iv.lo):
+            i, critical = locate(o, w_iv.lo)
+            first = max(first, i - (critical and w_iv.lo_closed))
+        if is_finite(w_iv.hi):
+            i, critical = locate(o, w_iv.hi)
+            last = min(last, i - (critical and not w_iv.hi_closed))
+        if first < last and (last - first) % 2:
+            ext += 1 if o.criticals[first][1] == SINK else -1
     if ext not in (0, 1):
         raise InternalInvariantError(f"Ext dimension {ext} outside {{0,1}}")
     return ext
+
+
+def _yoneda(form: str, a: ExtReal, w_iv: Interval) -> bool:
+    """dim Hom(P, M_W) for the nonzero projective P of the form at a: W's
+    dimension at a (the point form), just left of a (open-right), just
+    right of a (open-left), or at the infinite end a."""
+    if not is_finite(a):
+        return not is_finite(w_iv.lo if a == NEG_INF else w_iv.hi)
+    lo = compare(w_iv.lo, a)
+    hi = compare(a, w_iv.hi)
+    if form == POINT:
+        return (lo < 0 or (lo == 0 and w_iv.lo_closed)) and (hi < 0 or (hi == 0 and w_iv.hi_closed))
+    if form == OPEN_RIGHT:
+        return lo < 0 and hi <= 0
+    return lo <= 0 and hi < 0
 
 
 def kernel_of_projective_map(f: RepMorphism) -> TameRep:

@@ -153,6 +153,8 @@ def parse_interval(text: str) -> Interval:
             return Interval.point(x)
         if hi_s is None:
             raise SchemaError(f"interval {text!r} needs two endpoints")
+        if rb == "}":
+            raise SchemaError(f"interval {text!r} closes with '}}' but does not open with '{{'")
         lo = parse_extreal(lo_s)
         hi = parse_extreal(hi_s)
         return Interval(lo, hi, lb == "[", rb == "]")

@@ -1,15 +1,20 @@
 """Interval-level rules in their earlier, separate forms, kept as references
 for the parity tests.  The library now reads each from one rule:
-projectivity from the minimal presentation, Hom from a projective through
-hom_dim on its support, the order from down_set, and down_set, hom_dim
-and standard_probes from exact comparisons on Python ints
-(intervals.compare, orientation.locate).
+projectivity from the minimal presentation, the presentation and Ext from
+one per-end recipe read off a locate of each end, the order from
+down_set, and down_set, hom_dim and standard_probes from exact
+comparisons on Python ints (intervals.compare, orientation.locate).
 
 - ``reference_classify_projective`` tries seven kinds of candidate label
   and keeps the first whose support is the interval;
 - ``reference_hom_from_projective`` is Yoneda spelled out: the dimension
   of M_W at the label's point, just left or right of it, or at an
   infinite end;
+- ``reference_presentation_labels`` realizes the minimal presentation
+  with a down-set at each end, an up-set intersected with the interval
+  at each open end, and a down-set per interior critical point, and
+  ``reference_ext_dims_by_supports`` reads each Hom(P, W) off it as
+  hom_dim on the projective's support;
 - ``reference_leq`` bisects the critical points between x and y and reads
   the direction of the segment they share;
 - ``reference_locate`` and ``reference_down_set`` bisect the Fraction
@@ -27,9 +32,9 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from aquiver.homological import (OPEN_LEFT, OPEN_RIGHT, POINT, ProjectiveLabel,
-                                 _presentation_labels, hom_dim)
-from aquiver.intervals import Interval, NEG_INF, POS_INF, is_finite
-from aquiver.orientation import Orientation, down_set_limit
+                                 _form_support, hom_dim)
+from aquiver.intervals import Interval, NEG_INF, POS_INF, intersect, is_finite
+from aquiver.orientation import Orientation, down_set, down_set_limit, locate, up_set
 
 
 def reference_classify_projective(o, iv):
@@ -76,9 +81,63 @@ def reference_ext_dims(o, v, ws):
     rule above."""
     if reference_classify_projective(o, v) is not None:
         return [0] * len(ws)
-    p1, p0 = _presentation_labels(o, v)
+    p1, p0 = reference_presentation_labels(o, v)
     return [hom_dim(o, v, w) - sum(reference_hom_from_projective(l, w) for l, _ in p0)
             + sum(reference_hom_from_projective(l, w) for l, _ in p1) for w in ws]
+
+
+def reference_presentation_labels(o, iv):
+    """Relation (P1) and generator (P0) labels of the minimal presentation
+    of the interval summand on iv, each with its projective's support."""
+    p0, p1 = [], []
+    if iv.is_point():
+        a = Fraction(iv.lo)
+        ds = down_set(o, a)
+        p0.append((ProjectiveLabel(POINT, a), ds))
+        for form in (OPEN_RIGHT, OPEN_LEFT):
+            sup = _form_support(ds, form, a)
+            if sup is not None:
+                p1.append((ProjectiveLabel(form, a), sup))
+        return p1, p0
+    # the critical points strictly inside iv
+    first = locate(o, iv.lo)[0] if is_finite(iv.lo) else 0
+    last = len(o.criticals)
+    if is_finite(iv.hi):
+        last, critical = locate(o, iv.hi)
+        last -= critical
+    for p, kind in o.criticals[first:last]:
+        (p0 if kind == "source" else p1).append((ProjectiveLabel(POINT, p), down_set(o, p)))
+    # each end with the half-open forms pointing into and out of iv there
+    for end, closed, inward, outward in ((iv.lo, iv.lo_closed, OPEN_LEFT, OPEN_RIGHT),
+                                         (iv.hi, iv.hi_closed, OPEN_RIGHT, OPEN_LEFT)):
+        if not is_finite(end):
+            sup = down_set_limit(o, end)
+            if sup is not None:
+                p0.append((ProjectiveLabel(POINT, end), sup))
+            continue
+        ds = down_set(o, end)
+        into = _form_support(ds, inward, end)
+        if not closed:
+            if into is not None:
+                p0.append((ProjectiveLabel(inward, end), into))
+            if intersect(up_set(o, end), iv) is not None:
+                p1.append((ProjectiveLabel(POINT, end), ds))
+        else:
+            if into is not None:
+                p0.append((ProjectiveLabel(POINT, end), ds))
+            out = _form_support(ds, outward, end)
+            if out is not None:
+                p1.append((ProjectiveLabel(outward, end), out))
+    return p1, p0
+
+
+def reference_ext_dims_by_supports(o, v, ws):
+    """dim Ext^1(M_V, M_W) for each W of ws: the alternating sum
+    hom(V, W) - hom(P0, W) + hom(P1, W), each Hom(P, W) read as hom_dim
+    from the projective's support in reference_presentation_labels."""
+    p1, p0 = reference_presentation_labels(o, v)
+    return [hom_dim(o, v, w) - sum(hom_dim(o, sup, w) for _, sup in p0)
+            + sum(hom_dim(o, sup, w) for _, sup in p1) for w in ws]
 
 
 def reference_leq(o, x, y):

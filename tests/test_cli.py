@@ -15,8 +15,8 @@ from conftest import (InProcessRunner, interval_in_segment, random_bars, random_
 from aquiver import ar, cli, homological, jsonio
 from aquiver.cli import main
 from aquiver.decompose import InternalInvariantError
-from aquiver.intervals import is_finite
-from aquiver.jsonio import Document, SchemaError, document_to_json
+from aquiver.intervals import Interval, is_finite
+from aquiver.jsonio import Document, SchemaError, document_to_json, parse_interval
 from aquiver.linalg import PrimeField, QQ
 from aquiver.orientation import orientation_to_json
 from aquiver.tamerep import from_bars, scramble
@@ -256,10 +256,20 @@ def test_large_prime_field_accepted(runner, tmp_path):
 
 @pytest.mark.parametrize("args", [["hom", "[0,1/0)", "[0,1)"], ["hom", "[0,1)", "(1/0,2]"],
                                   ["present", "{-inf}"], ["present", "{+inf}"],
-                                  ["present", "{1/0}"]])
+                                  ["present", "{1/0}"], ["hom", "[0,1}", "[0,1)"],
+                                  ["ext", "[0,1)", "(0,1}"]])
 def test_bad_interval_literal_exits_2(runner, tmp_path, args):
     f = _write(tmp_path, "o.json", EMPTY_ORIENTATION)
     _assert_clean_exit_2(runner.invoke(main, [args[0], f] + args[1:]))
+
+
+@pytest.mark.parametrize("text", ["[0,1}", "(0,1}", "(-inf,1}", "{0]"])
+def test_parse_interval_refuses_a_closer_that_does_not_match(text):
+    # "}" closes only a point, and a point only closes with "}"
+    with pytest.raises(SchemaError):
+        parse_interval(text)
+    assert parse_interval("[0,1)") == Interval.make(0, 1, True, False)
+    assert parse_interval("{0}") == Interval.point(0)
 
 
 @pytest.mark.parametrize("orientation", [[1], "descending", 3, None])

@@ -98,6 +98,9 @@ TEST_ONLY = {
     "hom_space_dim": "test_homological.py::test_hom_against_zero; bench/workloads.py calls it",
     "image_rep": "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",
     "injective_composites_criterion": "test_acceptance.py::test_criterion_6_projectivity_criterion",
+    "intersect": "test_homological.py::test_presentation_labels_match_reference_exhaustively "
+                 "(reference_presentation_labels meets each open end's up-set with the interval); "
+                 "test_intervals.py::test_intersect_examples",
     "iso": "test_acceptance.py::test_criterion_7_duality",
     "kernel_of_projective_map": "test_acceptance.py::test_criterion_9_hereditary_kernels",
     "leq": "test_orientation.py::test_leq_matches_reference_bisection (the paper's induced order)",
@@ -106,6 +109,9 @@ TEST_ONLY = {
     "solve_linear_system": "test_linalg.py::test_solve_examples; bench/tracing.py wraps it",
     "sub": "test_linalg.py::test_row_echelon_matches_textbook (textbook_rref); "
            "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",
+    "up_set": "test_homological.py::test_presentation_labels_match_reference_exhaustively "
+              "(reference_presentation_labels reads the up-set at each open end); "
+              "test_orientation.py::test_up_set_examples",
     "total_dim": "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",
 }
 
