@@ -13,7 +13,8 @@ from interval_reference import (reference_classify_projective, reference_ext_dim
 from oracle import hom_basis
 from aquiver.decompose import decompose
 from aquiver.homological import (OPEN_LEFT, OPEN_RIGHT, POINT, ProjectiveLabel,
-                                 _presentation_labels, classify_projective, ext_dim, hom_dim, hom_space_dim,
+                                 _presentation_labels, classify_projective, ext_dim,
+                                 hom_dim, hom_space_dim,
                                  injective_composites_criterion, is_projective_rep,
                                  kernel_of_projective_map, proj_presentation,
                                  projectives_table, realize_projective)
