@@ -18,10 +18,10 @@ from typing import Optional, Sequence
 from .decompose import decompose
 from .homological import hom_dim
 from .intervals import Interval, compare, is_finite
-from .linalg import QQ, rank
+from .linalg import QQ
 from .orientation import Orientation, locate, segment_index
 from .record import record
-from .tamerep import RepMorphism, overlap_morphism, reps_on_common_grid
+from .tamerep import RepMorphism, is_short_exact, overlap_morphism, reps_on_common_grid
 
 EXISTS = "exists"
 PROVEN_NONEXISTENT = "proven_nonexistent"
@@ -116,19 +116,9 @@ def verify_almost_split(seq: ARSequence, probes: Sequence[Interval] = ()) -> boo
     hom is a sum of interval homs over the decomposed terms.  The
     sequence splits exactly when the identity of R lifts through g."""
     f, g = seq.f, seq.g
-    lrep, mrep, rrep = f.dom, f.cod, g.cod
-    # exactness, cellwise
-    for c in range(lrep.ncells):
-        fr = rank(f.mats[c])
-        gr = rank(g.mats[c])
-        if fr < lrep.dims[c]:
-            return False
-        if gr < rrep.dims[c]:
-            return False
-        if mrep.dims[c] - gr != fr:
-            return False
-    if not g.compose(f).is_zero():
+    if not is_short_exact(f, g):
         return False
+    lrep, mrep, rrep = f.dom, f.cod, g.cod
     # indecomposable ends
     terms = [decompose(r) for r in (lrep, mrep, rrep)]
     if terms[0].total() != 1 or terms[2].total() != 1:

@@ -25,7 +25,7 @@ from .ar import (EXISTS, PROVEN_NONEXISTENT, ar_ending_at, ar_starting_at,
 from .decompose import InternalInvariantError, decompose
 from .homological import (ext_dim, hom_dim, proj_presentation, projectives_table,
                           realize_projective)
-from .intervals import MALFORMED, format_extreal, parse_rational
+from .intervals import MALFORMED, format_extreal, parse_integer, parse_rational
 from .jsonio import (SchemaError, Document, document_to_json,
                      parse_document, parse_field, parse_interval,
                      parse_orientation_file)
@@ -187,7 +187,7 @@ def cmd_scramble(file, seed=None, field_spec=None):
     if seed is None:
         raise SchemaError("missing option --seed")
     try:
-        seed = int(seed)
+        seed = parse_integer(seed)
     except ValueError:
         raise SchemaError(f"--seed {seed!r} is not an integer")
     doc = parse_document(_read(file))

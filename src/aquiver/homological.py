@@ -18,9 +18,11 @@ locate of each finite end (which critical point or which way its segment
 runs decides the half-open forms that are nonzero there, and whether the
 up-set there meets the interval), and builds no label, down-set or
 Interval.  _presentation_labels realizes its terms for proj_presentation,
-with a fixed alternating +-1 scheme, and projectivity is read off the
-same presentation: an interval is projective exactly when it has one
-generator and no relation (classify_projective).
+with a fixed alternating +-1 scheme that is checked, not trusted: with
+the map from P0 onto M_V, 0 -> P1 -> P0 -> M_V -> 0 must be exact
+(tamerep.is_short_exact, the check ar.verify_almost_split also makes).
+Projectivity is read off the same presentation: an interval is projective
+exactly when it has one generator and no relation (classify_projective).
 
 Ext reads the same terms, so the two cannot drift apart.  The category is
 hereditary, so Ext^1(M_V, M_W) is the alternating sum
@@ -47,7 +49,7 @@ from .orientation import (SINK, SOURCE, Orientation, Segment, down_set,
                           down_set_limit, locate)
 from .record import record
 from .tamerep import (DOWN, RepMorphism, TameRep, cell_of_point,
-                      cells_to_interval, interval_to_cells, kernel_rep,
+                      cells_to_interval, is_short_exact, kernel_rep,
                       overlap_morphism, reps_on_common_grid)
 
 POINT = "point"
@@ -320,43 +322,35 @@ def _presentation_labels(o: Orientation, iv: Interval) -> tuple[list, list]:
 
 def proj_presentation(o: Orientation, iv: Interval, field=QQ) -> ProjPresentation:
     """Minimal projective presentation of the interval summand supported on
-    iv: an injective map between sums of projectives whose cokernel is it.
-    Two checks guard the realized map: it is injective on every cell, and
-    dim P0_c - dim P1_c is 1 on iv's cells and 0 elsewhere, the cokernel's
-    dimension vector.  They are necessary but not sufficient: a map with
-    the right ranks can still have a cokernel other than M_iv."""
+    iv: an injective map P1 -> P0 between sums of projectives whose
+    cokernel is it.  The labels sorted by position alternate between
+    generators and relations, and each relation maps with +1 to the
+    generator before it and -1 to the one after it, where there is one.
+    The map is checked,
+    not trusted: with e: P0 -> M_iv sending every generator to 1,
+    0 -> P1 -> P0 -> M_iv -> 0 must be exact (is_short_exact), so its
+    cokernel is M_iv."""
     p1, p0 = _presentation_labels(o, iv)
-    dom_pack, cod_pack = reps_on_common_grid(
-        o, [[sup for _, sup in p1], [sup for _, sup in p0]], field)
-    chain = sorted(
-        [(lab, _label_position(lab), 1, i) for i, (lab, _) in enumerate(p1)]
-        + [(lab, _label_position(lab), 0, i) for i, (lab, _) in enumerate(p0)],
-        key=lambda t: t[1])
-    pairs = {}
+    dom_pack, cod_pack, iv_pack = reps_on_common_grid(
+        o, [[sup for _, sup in p1], [sup for _, sup in p0], [iv]], field)
+    chain = sorted([(_label_position(lab), True, i) for i, (lab, _) in enumerate(p1)]
+                   + [(_label_position(lab), False, k) for k, (lab, _) in enumerate(p0)],
+                   key=lambda t: t[0])
     one = field.one()
-    for pos, (lab, _, which, i) in enumerate(chain):
-        if which != 1:
-            continue
-        for left in range(pos - 1, -1, -1):
-            if chain[left][2] == 0:
-                pairs[(i, chain[left][3])] = one
-                break
-        for right in range(pos + 1, len(chain)):
-            if chain[right][2] == 0:
-                pairs[(i, chain[right][3])] = field.neg(one)
-                break
-    realized = overlap_morphism(dom_pack, cod_pack, pairs)
-    p1_dims, p0_dims = realized.dom.dims, realized.cod.dims
-    for c in range(realized.dom.ncells):
-        if rank(realized.mats[c]) < p1_dims[c]:
-            raise InternalInvariantError("presentation map is not injective cellwise")
+    pairs = {}
+    for pos, (_, relation, i) in enumerate(chain):
+        if relation:
+            if pos:
+                pairs[(i, chain[pos - 1][2])] = one
+            if pos + 1 < len(chain):
+                pairs[(i, chain[pos + 1][2])] = field.neg(one)
     try:
-        lo, hi = interval_to_cells(realized.dom.grid, iv)
-    except ValueError:  # an end of iv is no grid point, so no union of cells is iv
-        lo = hi = None
-    if lo is None or any(d0 - d1 != (lo <= c <= hi)
-                         for c, (d1, d0) in enumerate(zip(p1_dims, p0_dims))):
-        raise InternalInvariantError("presentation's cokernel has the wrong dimension vector")
+        realized = overlap_morphism(dom_pack, cod_pack, pairs)
+        onto = overlap_morphism(cod_pack, iv_pack, {(k, 0): one for k in range(len(p0))})
+    except ValueError as e:  # a square does not commute
+        raise InternalInvariantError(f"presentation: {e}")
+    if not is_short_exact(realized, onto):
+        raise InternalInvariantError("0 -> P1 -> P0 -> M_V -> 0 is not exact")
     return ProjPresentation([lab for lab, _ in p1], [lab for lab, _ in p0], realized)
 
 

@@ -57,7 +57,7 @@ def parse_field(obj) -> object:
     if isinstance(obj, str):
         if obj == "Q":
             return QQ
-        m = re.fullmatch(r"Fp:(\d+)", obj)
+        m = re.fullmatch(r"Fp:([0-9]+)", obj)
         if m:
             try:
                 return PrimeField(int(m.group(1)))

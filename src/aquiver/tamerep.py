@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 from .intervals import (MALFORMED, BarMultiset, Interval, NEG_INF, POS_INF, format_extreal,
                         is_finite, parse_integer, parse_rational)
 from .linalg import (Matrix, QQ, change_basis, column_space_basis, invert,
-                     kernel_basis, random_elementary_ops, solve_matrix)
+                     kernel_basis, random_elementary_ops, rank, solve_matrix)
 from .orientation import Orientation, reverse
 
 DOWN = "down"
@@ -507,6 +507,18 @@ class RepMorphism:
         for _ in range(n):
             out = self.compose(out)
         return out
+
+
+def is_short_exact(f: RepMorphism, g: RepMorphism) -> bool:
+    """Whether 0 -> A -f-> B -g-> C -> 0 is exact: on every cell rank f is
+    dim A, rank g is dim C and dim B - rank g is rank f, and g f = 0, so
+    f is injective, g is onto and the image of f is the kernel of g."""
+    a, b, c = f.dom.dims, f.cod.dims, g.cod.dims
+    for k, (fm, gm) in enumerate(zip(f.mats, g.mats)):
+        fr, gr = rank(fm), rank(gm)
+        if fr != a[k] or gr != c[k] or b[k] - gr != fr:
+            return False
+    return g.compose(f).is_zero()
 
 
 def identity_morphism(v: TameRep) -> RepMorphism:

@@ -138,6 +138,16 @@ def test_scramble_requires_seed(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("seed", ["٥", "1_0", " 7 "], ids=["arabic-indic-5", "underscore", "spaces"])
+def test_scramble_seed_is_ascii_digits(runner, tmp_path, seed):
+    # int() reads each of these as a number; the seed, like every integer
+    # the CLI reads, must be ASCII digits with an optional sign
+    f = _write(tmp_path, "doc.json", BARS_DOC)
+    res = runner.invoke(main, ["scramble", f, "--seed", seed])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == f"error: --seed {seed!r} is not an integer\n"
+
+
 def test_scramble_prime_field(runner, tmp_path):
     doc = dict(BARS_DOC)
     doc["field"] = {"kind": "Fp", "p": 5}
@@ -241,8 +251,8 @@ def _assert_clean_exit_2(res):
 
 
 @pytest.mark.parametrize("spec", ["Fp:1", "Fp:4", "Fp:561", "Fp:" + str(10**24),
-                                  "Fp:" + str(10**400 + 1)],
-                         ids=["1", "4", "561", "1e24", "1e400+1"])
+                                  "Fp:" + str(10**400 + 1), "Fp:٥"],
+                         ids=["1", "4", "561", "1e24", "1e400+1", "arabic-indic-5"])
 def test_bad_prime_field_exits_2(runner, tmp_path, spec):
     f = _write(tmp_path, "o.json", EMPTY_ORIENTATION)
     _assert_clean_exit_2(runner.invoke(main, ["hom", f, "[0,1)", "[0,1)", "--field", spec]))
@@ -765,8 +775,9 @@ def test_ar_exits_3_when_the_sequence_fails_its_check(runner, tmp_path, monkeypa
 def test_present_exits_3_when_a_relation_is_missing(runner, tmp_path, monkeypatch,
                                                     orientation, interval):
     # without its first relation, at 0, the presentation is still injective,
-    # but its cokernel is not the interval: over the empty orientation 0
-    # leaves the grid, and over the zigzag the cokernel is nonzero at 0
+    # but its cokernel is not the interval, so 0 -> P1 -> P0 -> M_V -> 0 is
+    # not exact: the cokernel is nonzero on (-inf, 0) over the empty
+    # orientation, where no relation is left, and at 0 over the zigzag
     real = homological._presentation_labels
 
     def dropped(o, iv):
@@ -777,8 +788,39 @@ def test_present_exits_3_when_a_relation_is_missing(runner, tmp_path, monkeypatc
     f = _write(tmp_path, "o.json", orientation)
     res = runner.invoke(main, ["present", f, interval, "--json"])
     assert res.exit_code == 3 and res.stdout == ""
+    assert res.stderr == "internal invariant violated: 0 -> P1 -> P0 -> M_V -> 0 is not exact\n"
+
+
+@pytest.mark.parametrize("interval", ["(-1,1/2)", "[-1,2]"])
+@pytest.mark.parametrize("field", ["Q", "Fp:5"])
+def test_present_exits_3_when_a_relation_sign_is_flipped(runner, tmp_path, monkeypatch,
+                                                         interval, field):
+    # the relation at the sink 0 lies between two generators; mapped with +1
+    # to both it is still injective with the right dimensions, but its image
+    # is not the kernel of P0 -> M_V, so the cokernel is not the interval
+    real = homological.overlap_morphism
+
+    def unsigned(dom_pack, cod_pack, pairs):
+        return real(dom_pack, cod_pack, dict.fromkeys(pairs, dom_pack[0].field.one()))
+
+    monkeypatch.setattr(homological, "overlap_morphism", unsigned)
+    f = _write(tmp_path, "o.json", ZIGZAG_ORIENTATION)
+    res = runner.invoke(main, ["present", f, interval, "--field", field])
+    assert res.exit_code == 3 and res.stdout == ""
+    assert res.stderr == "internal invariant violated: 0 -> P1 -> P0 -> M_V -> 0 is not exact\n"
+
+
+def test_present_exits_3_when_a_presentation_map_does_not_commute(runner, tmp_path,
+                                                                  monkeypatch):
+    # with generators and relations swapped, (-1, 0] would map onto {0} over
+    # the zigzag, but its maps run into the sink 0, so no such morphism exists
+    real = homological._presentation_labels
+    monkeypatch.setattr(homological, "_presentation_labels", lambda o, iv: real(o, iv)[::-1])
+    f = _write(tmp_path, "o.json", ZIGZAG_ORIENTATION)
+    res = runner.invoke(main, ["present", f, "(-1,1/2)"])
+    assert res.exit_code == 3 and res.stdout == ""
     assert res.stderr == ("internal invariant violated: "
-                          "presentation's cokernel has the wrong dimension vector\n")
+                          "presentation: non-commuting squares: not a morphism\n")
 
 
 def test_equal_window_ends_accepted(runner, tmp_path):

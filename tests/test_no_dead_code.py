@@ -98,6 +98,8 @@ TEST_ONLY = {
     "hom_space_dim": "test_homological.py::test_hom_against_zero; bench/workloads.py calls it",
     "image_rep": "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",
     "injective_composites_criterion": "test_acceptance.py::test_criterion_6_projectivity_criterion",
+    "interval_to_cells": "test_tamerep.py::test_reps_on_common_grid_matches_per_cell_definition; "
+                         "bench/workloads.py calls it",
     "intersect": "test_homological.py::test_presentation_labels_match_reference_exhaustively "
                  "(reference_presentation_labels meets each open end's up-set with the interval); "
                  "test_intervals.py::test_intersect_examples",

@@ -21,8 +21,8 @@ from aquiver.linalg import Matrix, PrimeField, QQ, random_elementary_ops
 from aquiver.orientation import Orientation
 from aquiver.tamerep import (DOWN, UP, RepMorphism, TameRep, cell_of_point, common_grid,
                              conjugate, dual, from_bars, image_rep, interval_to_cells,
-                             junction_cells, junction_dirs, kernel_rep, refine,
-                             reps_on_common_grid, scramble)
+                             is_short_exact, junction_cells, junction_dirs, kernel_rep,
+                             overlap_morphism, refine, reps_on_common_grid, scramble)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 EMPTY_DESC = Orientation.make([], "descending")
@@ -399,6 +399,32 @@ def test_morphism_validation():
     mats[c] = Matrix.zero(QQ, 1, 1)
     with pytest.raises(ValueError, match="non-commuting"):
         RepMorphism(v, v, mats)
+
+
+CLOSED_01 = Interval.make(0, 1, True, True)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("groups, f_pairs, g_pairs, exact", [
+    # 0 -> X -> X + X -> X -> 0 by [1;1] and [1 -1]
+    ([[CLOSED_01], [CLOSED_01] * 2, [CLOSED_01]], {(0, 0): 1, (0, 1): 1},
+     {(0, 0): 1, (1, 0): -1}, True),
+    # over the descending line [0,2] maps onto [1,2] with kernel [0,1)
+    ([[Interval.make(0, 1, True, False)], [Interval.make(0, 2, True, True)],
+      [Interval.make(1, 2, True, True)]], {(0, 0): 1}, {(0, 0): 1}, True),
+    # each failure below breaks one condition and keeps the others
+    ([[CLOSED_01]] * 3, {}, {(0, 0): 1}, False),
+    ([[CLOSED_01]] * 3, {(0, 0): 1}, {}, False),
+    ([[], [CLOSED_01], []], {}, {}, False),
+    ([[CLOSED_01], [CLOSED_01] * 2, [CLOSED_01]], {(0, 0): 1, (0, 1): 1},
+     {(0, 0): 1, (1, 0): 1}, False),
+], ids=["split", "nonsplit", "f-not-injective", "g-not-onto", "dims-do-not-add-up",
+        "composite-nonzero"])
+def test_is_short_exact(field, groups, f_pairs, g_pairs, exact):
+    a, b, c = reps_on_common_grid(EMPTY_DESC, groups, field)
+    f = overlap_morphism(a, b, {k: field.from_int(x) for k, x in f_pairs.items()})
+    g = overlap_morphism(b, c, {k: field.from_int(x) for k, x in g_pairs.items()})
+    assert is_short_exact(f, g) is exact
 
 
 def _overlap_map(v, w):
