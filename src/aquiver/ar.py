@@ -136,7 +136,7 @@ def verify_almost_split(seq: ARSequence, probes: Sequence[Interval] = ()) -> boo
 
     if lifts(seq.right):
         return False  # split
-    return all((x_iv == seq.right or lifts(x_iv)) and (x_iv == seq.left or colifts(x_iv))
+    return all((lifts(x_iv) or x_iv == seq.right) and (colifts(x_iv) or x_iv == seq.left)
                for x_iv in probes)
 
 

@@ -14,11 +14,12 @@ Presentations follow the generator/relation recipe for interval
 summands: generators sit at interior sources and at the ends of the
 interval, relations at interior sinks and at the overshoots of the
 generators.  _presentation_terms states that recipe once, read off one
-locate of each finite end (which critical point or which way its segment
-runs decides the half-open forms that are nonzero there, and whether the
-up-set there meets the interval), and builds no label, down-set or
-Interval.  _presentation_labels realizes its terms for proj_presentation,
-with a fixed alternating +-1 scheme that is checked, not trusted: with
+locate of each finite end (orientation.reach says which half-open forms
+are nonzero there, and whether the up-set there meets the interval), and
+builds no label, down-set or Interval.  _presentation_labels realizes
+each of its terms through realize_projective, the one path from a label
+to its support, and proj_presentation joins them with a fixed
+alternating +-1 scheme that is checked, not trusted: with
 the map from P0 onto M_V, 0 -> P1 -> P0 -> M_V -> 0 must be exact
 (tamerep.is_short_exact, the check ar.verify_almost_split also makes).
 Projectivity is read off the same presentation: an interval is projective
@@ -45,8 +46,7 @@ from .decompose import InternalInvariantError, decompose
 from .intervals import (ExtReal, Interval, NEG_INF, POS_INF, compare,
                         format_extreal, is_finite)
 from .linalg import Matrix, QQ, rank
-from .orientation import (SINK, SOURCE, Orientation, Segment, down_set,
-                          down_set_limit, locate)
+from .orientation import SINK, Orientation, Segment, down_set, down_set_limit, locate, reach
 from .record import record
 from .tamerep import (DOWN, RepMorphism, TameRep, cell_of_point,
                       cells_to_interval, is_short_exact, kernel_rep,
@@ -241,18 +241,6 @@ def _label_position(label: ProjectiveLabel):
     return (Fraction(label.a), side)
 
 
-def _reach(o: Orientation, i: int, critical: bool) -> tuple[bool, bool]:
-    """Whether the down-set at the point locate placed as (i, critical)
-    reaches left and right of it (its open-right and open-left forms are
-    nonzero): both at a source, neither at a sink, else the side of the
-    segment's sink end.  The up-set reaches exactly the other sides."""
-    if critical:
-        both = o.criticals[i - 1][1] == SOURCE
-        return both, both
-    increasing = o.segments[i].increasing
-    return increasing, not increasing
-
-
 def _finite_end(closed: bool, inward_reach: bool, outward_reach: bool,
                 inward: str, outward: str) -> tuple:
     """The (relation, form) terms at a finite end of a non-point interval.
@@ -279,7 +267,7 @@ def _presentation_terms(o: Orientation, iv: Interval) -> tuple[int, int, tuple]:
     lo, hi = iv.lo, iv.hi
     if is_finite(lo):
         first, critical = locate(o, lo)
-        left, right = _reach(o, first, critical)
+        left, right = reach(o, first, critical)
         if compare(lo, hi) == 0:
             terms = ((False, POINT),) + ((True, OPEN_RIGHT),) * left + ((True, OPEN_LEFT),) * right
             return 0, 0, ((lo, terms),)
@@ -289,7 +277,7 @@ def _presentation_terms(o: Orientation, iv: Interval) -> tuple[int, int, tuple]:
         lo_terms = () if segs[0].increasing else ((False, POINT),)
     if is_finite(hi):
         last, critical = locate(o, hi)
-        left, right = _reach(o, last, critical)
+        left, right = reach(o, last, critical)
         last -= critical
         hi_terms = _finite_end(iv.hi_closed, left, right, OPEN_RIGHT, OPEN_LEFT)
     else:
@@ -301,22 +289,17 @@ def _presentation_terms(o: Orientation, iv: Interval) -> tuple[int, int, tuple]:
 def _presentation_labels(o: Orientation, iv: Interval) -> tuple[list, list]:
     """Relation (P1) and generator (P0) labels of the minimal presentation
     of the interval summand on iv, each paired with its projective's
-    support, as _presentation_terms lists them.  Every interval gets one: a
-    projective interval gets P1 = [] and P0 = [its own label].  Each label
-    is realized once, and all forms at a finite end are read off the one
-    down-set there."""
+    support, as _presentation_terms lists them: the interior critical
+    points, then the ends.  Every interval gets one: a projective interval
+    gets P1 = [] and P0 = [its own label].  Each label is realized once,
+    by realize_projective."""
     first, last, ends = _presentation_terms(o, iv)
-    p0: list[tuple[ProjectiveLabel, Interval]] = []
-    p1: list[tuple[ProjectiveLabel, Interval]] = []
-    for p, kind in o.criticals[first:last]:
-        (p0 if kind == SOURCE else p1).append((ProjectiveLabel(POINT, p), down_set(o, p)))
-    for a, terms in ends:
-        if not terms:
-            continue
-        ds = down_set(o, a) if is_finite(a) else None
-        for relation, form in terms:
-            sup = down_set_limit(o, a) if ds is None else _form_support(ds, form, a)
-            (p1 if relation else p0).append((ProjectiveLabel(form, a), sup))
+    terms = [(kind == SINK, POINT, p) for p, kind in o.criticals[first:last]]
+    terms += [(relation, form, a) for a, end in ends for relation, form in end]
+    p0, p1 = [], []
+    for relation, form, a in terms:
+        label = ProjectiveLabel(form, a)
+        (p1 if relation else p0).append((label, realize_projective(o, label)))
     return p1, p0
 
 
@@ -418,9 +401,10 @@ def kernel_of_projective_map(f: RepMorphism) -> TameRep:
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _symbolic_interval(iv: Interval, t0: Fraction, letter: str) -> str:
-    lo_s = letter if iv.lo == t0 else format_extreal(iv.lo)
-    hi_s = letter if iv.hi == t0 else format_extreal(iv.hi)
+def _symbolic_interval(iv: Interval, a: ExtReal, name: str) -> str:
+    """iv as text, with an end at a spelled name."""
+    lo_s = name if iv.lo == a else format_extreal(iv.lo)
+    hi_s = name if iv.hi == a else format_extreal(iv.hi)
     if iv.is_point():
         return "{%s}" % lo_s
     lb = "[" if iv.lo_closed else "("
@@ -432,21 +416,15 @@ def projectives_table(o: Orientation, window: Optional[tuple] = None) -> list[tu
     """All indecomposable projective forms: one row per label at an infinite
     end or a critical point and one symbolic row per family over each open
     segment.  Returns (support string, label string, sort proxy interval)
-    rows, sorted by the canonical interval order.  A window (lo, hi) keeps
-    the rows of the critical points in [lo, hi] and the family rows of the
-    open segments that meet it; the rows at -inf and +inf are in every
-    window."""
-    rows = []
+    rows, sorted by the canonical interval order.  Each point is named
+    once, an infinite end or a critical point by its value and a family's
+    point t0 by its segment's letter, and one loop spells every row with
+    that name.  A window (lo, hi) keeps the rows of the critical points in
+    [lo, hi] and the family rows of the open segments that meet it; the
+    rows at -inf and +inf are in every window."""
     w_lo, w_hi = (NEG_INF, POS_INF) if window is None else window
-    for p in (NEG_INF, POS_INF) + o.positions:
-        finite = is_finite(p)
-        if finite and (compare(p, w_lo) < 0 or compare(p, w_hi) > 0):
-            continue
-        for form in (POINT, OPEN_RIGHT, OPEN_LEFT) if finite else (POINT,):
-            lab = ProjectiveLabel(form, p)
-            sup = realize_projective(o, lab)
-            if sup is not None:
-                rows.append((str(sup), str(lab), sup))
+    named = [(p, format_extreal(p)) for p in (NEG_INF, POS_INF) + o.positions
+             if not is_finite(p) or (compare(p, w_lo) >= 0 and compare(p, w_hi) <= 0)]
     for si, seg in enumerate(o.segments):
         lo, hi = seg.lo, seg.hi
         if compare(lo, w_hi) >= 0 or compare(hi, w_lo) <= 0:
@@ -461,11 +439,12 @@ def projectives_table(o: Orientation, window: Optional[tuple] = None) -> list[tu
             t0 = Fraction(hi) - 1
         else:
             t0 = Fraction(0)
-        for form in (POINT, OPEN_RIGHT, OPEN_LEFT):
-            lab = ProjectiveLabel(form, t0)
-            sup = realize_projective(o, lab)
+        named.append((t0, letter))
+    rows = []
+    for p, name in named:
+        for form in (POINT, OPEN_RIGHT, OPEN_LEFT) if is_finite(p) else (POINT,):
+            sup = realize_projective(o, ProjectiveLabel(form, p))
             if sup is not None:
-                rows.append((_symbolic_interval(sup, t0, letter),
-                             _format_label(form, letter), sup))
+                rows.append((_symbolic_interval(sup, p, name), _format_label(form, name), sup))
     rows.sort(key=lambda r: r[2].sort_key())
     return rows

@@ -12,8 +12,10 @@ All positions are exact rationals; irrational critical points are not
 representable by design.  Each orientation also keeps its positions as
 Python ints, scaled by the lcm of their denominators, so that locate finds
 a rational among them with one divmod and one int bisect, and no Fraction
-comparison.  down_set, segment_index, is_critical, and the junction and
-interior-critical lookups of homological and ar all go through it.
+comparison.  down_set, segment_index, is_critical, tamerep's junction
+directions, and the junction and interior-critical lookups of homological
+and ar all go through it.  Which sides of a point its down-set reaches is
+decided once, by reach, for down_set and for homological's presentations.
 """
 
 from __future__ import annotations
@@ -136,23 +138,30 @@ def segment_index(o: Orientation, x) -> Segment:
     return o.segments[locate(o, Fraction(x))[0]]
 
 
+def reach(o: Orientation, i: int, critical: bool) -> tuple[bool, bool]:
+    """Whether the down-set at the point locate placed as (i, critical)
+    reaches left and right of it: both at a source, neither at a sink,
+    else the side of the segment's sink end.  The up-set reaches exactly
+    the other sides."""
+    if critical:
+        both = o.criticals[i - 1][1] == SOURCE
+        return both, both
+    increasing = o.segments[i].increasing
+    return increasing, not increasing
+
+
 def down_set(o: Orientation, a) -> Interval:
     """{x : x precedes a} as an interval, closed at finite ends.  One
-    locate says whether a is critical and of which kind, and picks its
-    segments from o.segments."""
+    locate places a; on each side where reach says the down-set reaches,
+    it runs out to the end of the segment there, and otherwise it stops
+    at a."""
     if type(a) is not Fraction:
         a = Fraction(a)
     i, critical = locate(o, a)
-    segs = o.segments
-    if critical:
-        if o.criticals[i - 1][1] == SINK:
-            return Interval(a, a, True, True)
-        lo, hi = segs[i - 1].lo, segs[i].hi
-        return Interval(lo, hi, is_finite(lo), is_finite(hi))
-    seg = segs[i]
-    if seg.increasing:
-        return Interval(seg.lo, a, is_finite(seg.lo), True)
-    return Interval(a, seg.hi, True, is_finite(seg.hi))
+    left, right = reach(o, i, critical)
+    lo = o.segments[i - critical].lo if left else a
+    hi = o.segments[i].hi if right else a
+    return Interval(lo, hi, is_finite(lo), is_finite(hi))
 
 
 def up_set(o: Orientation, a) -> Interval:

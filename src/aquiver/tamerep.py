@@ -32,7 +32,7 @@ from .intervals import (MALFORMED, BarMultiset, Interval, NEG_INF, POS_INF, form
                         is_finite, parse_integer, parse_rational)
 from .linalg import (Matrix, QQ, change_basis, column_space_basis, invert,
                      kernel_basis, random_elementary_ops, rank, solve_matrix)
-from .orientation import Orientation, reverse
+from .orientation import Orientation, locate, reverse
 
 DOWN = "down"
 UP = "up"
@@ -104,20 +104,17 @@ def cells_to_interval(grid: Sequence[Fraction], b: int, d: int) -> Interval:
 
 
 def junction_dirs(o: Orientation, grid: Sequence[Fraction]) -> list[str]:
-    """Direction of every junction of a strictly increasing grid, in one
-    walk over the grid and ``o.segments``.  Junction j lies between cells j
-    and j+1; it is "down" when its segment increases (maps run toward
-    smaller reals).  The two junctions of a critical grid point lie in the
-    segments on either side of it; the two of any other point lie in the
-    segment that contains it."""
-    pos, segs = o.positions, o.segments
+    """Direction of every junction of a strictly increasing grid, from one
+    locate per grid point.  Junction j lies between cells j and j+1; it is
+    "down" when its segment increases (maps run toward smaller reals).  The
+    two junctions of a critical grid point lie in the segments on either
+    side of it; the two of any other point lie in the segment that
+    contains it."""
+    segs = o.segments
     dirs = []
-    i = 0  # number of critical points <= the current grid point
     for c in grid:
-        while i < len(pos) and pos[i] <= c:
-            i += 1
-        left = segs[i - 1] if i and pos[i - 1] == c else segs[i]
-        dirs += (DOWN if left.increasing else UP, DOWN if segs[i].increasing else UP)
+        i, critical = locate(o, c)
+        dirs += (DOWN if segs[i - critical].increasing else UP, DOWN if segs[i].increasing else UP)
     return dirs
 
 

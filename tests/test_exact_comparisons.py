@@ -5,7 +5,7 @@ conftest orientations and intervals and on cases chosen for exactness:
 positions whose denominators have an lcm above 2**64, ends 1/10**30 away
 from a critical point, point intervals at critical points, infinite ends
 and both empty orientations.  The last test counts the Fraction
-comparisons these rules make, which is none."""
+comparisons these rules and tamerep.junction_dirs make, which is none."""
 
 from fractions import Fraction
 from math import lcm
@@ -17,6 +17,7 @@ from aquiver.ar import EXISTS, ARSequence, ar_ending_at, standard_probes
 from aquiver.homological import hom_dim
 from aquiver.intervals import Interval, NEG_INF, POS_INF, compare, is_finite
 from aquiver.orientation import Orientation, down_set, locate, segment_index
+from aquiver.tamerep import junction_dirs
 
 TINY = Fraction(1, 10 ** 30)
 # three denominators with an lcm above 2**64
@@ -167,6 +168,7 @@ def test_interval_rules_make_no_fraction_comparison(monkeypatch):
     for a in pts:
         locate(o, a)
         down_set(o, a)
+    junction_dirs(o, pts)
     for seq in (real, ARSequence(touching, [], touching, None, None)):
         standard_probes(o, seq, 100)
     assert calls == []

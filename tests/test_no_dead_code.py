@@ -4,9 +4,10 @@ Uses are read from the syntax tree of src/aquiver and tests.  A method (a
 function defined in a class body) counts as used only where it is read as
 an attribute, ``x.name``; any other function or class counts where its
 name is loaded, read as an attribute, or imported.  Parameters, keyword
-arguments and the names locals are stored under are not uses (a local
-that is loaded still counts for a function of its name, since scopes are
-not resolved).  Dunder methods are called by the interpreter, so they
+arguments and the names locals are stored under are not uses, and
+neither is a load of a name that an enclosing function binds as a
+parameter or by assignment: that is the local, not the library
+function.  Dunder methods are called by the interpreter, so they
 are exempt; the CLI's command functions are read by its dispatch table.  A
 name counts as used by the library when it is used so in src/aquiver
 outside __init__.py; every defined name is, or is one of the few that
@@ -57,17 +58,63 @@ def _definitions() -> dict[str, set[str]]:
     return defs
 
 
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _local_names(fn) -> set[str]:
+    """The names a function binds itself: its parameters and the names it
+    stores, outside nested functions and classes, less the ones it declares
+    global or nonlocal.  A def or an import is no such binding."""
+    a = fn.args
+    params = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x}
+    stored, declared = set(), set()
+    todo = [fn.body] if isinstance(fn, ast.Lambda) else list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            stored.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared |= set(node.names)
+        if not isinstance(node, SCOPES + (ast.ClassDef,)):
+            todo += ast.iter_child_nodes(node)
+    return (params | stored) - declared
+
+
+def _free_loads(tree) -> set[str]:
+    """The names loaded where no enclosing function binds them
+    (_local_names).  A function's defaults, annotations and decorators are
+    read in the scope around it."""
+    found = set()
+
+    def visit(node, bound):
+        if isinstance(node, SCOPES):
+            outer = [node.args] + getattr(node, "decorator_list", []) + [getattr(node, "returns", None)]
+            for part in filter(None, outer):
+                visit(part, bound)
+            inner = bound | _local_names(node)
+            for part in [node.body] if isinstance(node, ast.Lambda) else node.body:
+                visit(part, inner)
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+            found.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(tree, frozenset())
+    return found
+
+
 def _unused(defs: dict[str, set[str]], paths) -> list[str]:
     """The defined names with a kind that no file of paths uses: a METHOD
-    needs an attribute read, a FUNCTION an attribute read, a loaded name or
-    an import."""
+    needs an attribute read, a FUNCTION an attribute read, an import or a
+    loaded name that is not a local of an enclosing function."""
     attrs, names = set(), set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names |= _free_loads(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attrs.add(node.attr)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
     return sorted(name for name, kinds in defs.items()
@@ -332,14 +379,24 @@ def test_cli_import_loads_what_the_benchmark_reads():
 def test_scan_counts_attribute_reads_loads_and_imports_only(tmp_path):
     # a method needs an attribute read, so a local, a parameter or a
     # keyword argument of its name is no use of it; a parameter or a
-    # keyword argument is no use of a function either.  Scopes are not
-    # resolved: a loaded local counts for a function of the same name.
+    # keyword argument is no use of a function either.  Scopes are
+    # resolved for functions: a loaded name that the function or one
+    # around it binds as a parameter or by assignment is its local, not
+    # the library function of that name, unless it is declared global.
+    # Defaults and decorators are read outside the function.
     src = tmp_path / "sample.py"
     src.write_text("from m import imported\n"
-                   "def f(scale, helper=None):\n"
+                   "def f(scale, helper=None, fallback=default):\n"
                    "    local = scale * 2\n"
                    "    g(helper=local, other=loaded)\n"
-                   "    return obj.attr\n", encoding="utf-8")
+                   "    inner = lambda: helper(closure)\n"
+                   "    closure = 1\n"
+                   "    return obj.attr\n"
+                   "def h():\n"
+                   "    global shared\n"
+                   "    shared = 1\n"
+                   "    return shared\n", encoding="utf-8")
     defs = {"scale": {METHOD}, "helper": {FUNCTION}, "local": {FUNCTION}, "attr": {METHOD},
-            "loaded": {FUNCTION}, "imported": {FUNCTION}, "both": {METHOD, FUNCTION}}
-    assert _unused(defs, [src]) == ["both", "helper", "scale"]
+            "loaded": {FUNCTION}, "imported": {FUNCTION}, "both": {METHOD, FUNCTION},
+            "default": {FUNCTION}, "closure": {FUNCTION}, "shared": {FUNCTION}}
+    assert _unused(defs, [src]) == ["both", "closure", "helper", "local", "scale"]

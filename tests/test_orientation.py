@@ -9,7 +9,8 @@ from conftest import ENDPOINTS, all_orientations
 from interval_reference import reference_down_set, reference_leq, reference_up_set
 from oracle import increasing_beside
 from aquiver.homological import projectives_table
-from aquiver.intervals import Interval, NEG_INF, POS_INF, format_extreal, is_finite
+from aquiver.intervals import (Interval, NEG_INF, POS_INF, format_extreal, is_finite,
+                               parse_rational)
 from aquiver.orientation import (Orientation, Segment, down_set, down_set_limit,
                                  leq, reverse, segment_index, up_set)
 from aquiver.tamerep import DOWN, UP, junction_dirs
@@ -224,6 +225,36 @@ def test_direction_rules_match_raw_critical_points():
             DOWN if increasing_beside(o, points[j // 2], "left" if j % 2 == 0 else "right")
             else UP for j in range(2 * len(points))]
         assert sorted(r[:2] for r in projectives_table(o)) == _reference_table(o), o
+
+
+def test_windowed_projectives_table_filters_the_full_one():
+    # a window (lo, hi) keeps the rows at -inf and +inf, the rows of the
+    # critical points in [lo, hi], and the family rows (named a, b, ... by
+    # segment, left to right) whose open segment meets the window
+    rng = random.Random(3030)
+    orientations = [ZIGZAG, EMPTY_DESC, Orientation.make([], "ascending")]
+    orientations += [_random_orientation(rng) for _ in range(150)]
+    windows = [(Fraction(lo), Fraction(hi)) for lo, hi in
+               ((-10, 10), (0, 1), (-1, Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 4)),
+                (Fraction(-1, 2), Fraction(-1, 2)), (-3, Fraction(-5, 2)), (5, 6))]
+    dropped = set()
+    for o in orientations:
+        full = projectives_table(o)
+        for lo, hi in windows:
+
+            def kept(name):
+                if name in ("-inf", "+inf"):
+                    return True
+                if name.isalpha():
+                    seg = o.segments["abcde".index(name)]
+                    return seg.lo < hi and seg.hi > lo
+                return lo <= parse_rational(name) <= hi
+
+            names = [label[2:].lstrip("(").rstrip(")") for _, label, _ in full]
+            want = [row for row, name in zip(full, names) if kept(name)]
+            assert projectives_table(o, (lo, hi)) == want, (o, lo, hi)
+            dropped |= {name.isalpha() for name in names if not kept(name)}
+    assert dropped == {False, True}  # both critical and family rows fall out
 
 
 # Quarter-integer points land on, beside and between the critical points of
