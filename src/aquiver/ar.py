@@ -113,8 +113,12 @@ def verify_almost_split(seq: ARSequence, probes: Sequence[Interval] = ()) -> boo
     g_*: Hom(X, M) -> Hom(X, R) has dimension hom(X, M) - hom(X, L), and
     that of f^*: Hom(M, X) -> Hom(L, X) has dimension hom(M, X) - hom(R, X).
     Every probe map factors exactly when these maps are onto, and each
-    hom is a sum of interval homs over the decomposed terms.  The
-    sequence splits exactly when the identity of R lifts through g."""
+    hom is a sum of interval homs over the decomposed terms.  The image
+    of g_* lies in Hom(X, R), so hom(X, M) - hom(X, L) <= hom(X, R), and a
+    probe with hom(X, R) = 0 lifts whatever the other two counts are;
+    dually, one with hom(L, X) = 0 extends.  So hom(X, R) and hom(L, X)
+    are computed first, and the other counts only when they are nonzero.
+    The sequence splits exactly when the identity of R lifts through g."""
     f, g = seq.f, seq.g
     if not is_short_exact(f, g):
         return False
@@ -124,15 +128,18 @@ def verify_almost_split(seq: ARSequence, probes: Sequence[Interval] = ()) -> boo
     if terms[0].total() != 1 or terms[2].total() != 1:
         return False
     o = lrep.orientation
-    bars = [t.items() for t in terms]  # listed once, not once per probe
+    (left,), (right,) = terms[0].intervals(), terms[2].intervals()
+    middle = terms[1].items()  # listed once, not once per probe
 
     def lifts(x_iv: Interval) -> bool:
-        hl, hm, hr = (sum(m * hom_dim(o, x_iv, iv) for iv, m in t) for t in bars)
-        return hm - hl == hr
+        hr = hom_dim(o, x_iv, right)
+        return not hr or (sum(m * hom_dim(o, x_iv, iv) for iv, m in middle)
+                          - hom_dim(o, x_iv, left) == hr)
 
     def colifts(x_iv: Interval) -> bool:
-        hl, hm, hr = (sum(m * hom_dim(o, iv, x_iv) for iv, m in t) for t in bars)
-        return hm - hr == hl
+        hl = hom_dim(o, left, x_iv)
+        return not hl or (sum(m * hom_dim(o, iv, x_iv) for iv, m in middle)
+                          - hom_dim(o, right, x_iv) == hl)
 
     if lifts(seq.right):
         return False  # split

@@ -29,10 +29,14 @@ the integer rows its ``Matrix`` stores, ``ints``, one nonzero scalar
 times the map (over ``den``).  Each line is an integer vector, and the
 integer elimination loops (``integer_row_echelon``,
 ``bottom_column_echelon``) leave every vector a nonzero multiple of the
-one field arithmetic would give.  Backward, B is never divided out: it is
-read off the eliminated [A | M] as integer rows over one scale
-(``linalg.reduced_block``), and column k of [I ; B] is taken times that
-scale.  A nonzero multiple of M has the kernel, the image and the
+one field arithmetic would give.  Backward, B is never divided out: row r
+of the eliminated [A | M] is its pivot entry p_r times row r of [I | B],
+so column k is read as e_k over column k of the eliminated rows' M part,
+[I ; B] e_k with B's row r scaled by p_r.  Scaling one coordinate of
+every column alike keeps each column's lowest nonzero row and the ratio
+that eliminating at it divides, so the column reduction picks the same
+pivots and the same moves, and each carried vector changes only by a
+nonzero scalar.  A nonzero multiple of M has the kernel, the image and the
 column-reduction pivots of M, so each junction reads the same ranks;
 equally, scaling each map by its own scalar gives an isomorphic
 representation, since a zigzag is a tree.  A line scaled by a nonzero
@@ -44,7 +48,7 @@ its unscaled form would be.
 from __future__ import annotations
 
 from .intervals import BarMultiset
-from .linalg import bottom_column_echelon, integer_row_echelon, reduced_block
+from .linalg import bottom_column_echelon, integer_row_echelon
 from .tamerep import DOWN, TameRep, cells_to_interval
 
 
@@ -74,10 +78,10 @@ def _cell_bars(v: TameRep) -> list[tuple[int, int]]:
     return dead
 
 
-def _unit(d: int, i: int, c: int = 1) -> list:
-    """c times the i-th unit vector of length d."""
+def _unit(d: int, i: int) -> list:
+    """The i-th unit vector of length d."""
     vec = [0] * d
-    vec[i] = c
+    vec[i] = 1
     return vec
 
 
@@ -108,9 +112,8 @@ def _backward(field, vecs, rows, d_next):
     ech, pivots = integer_row_echelon(field, aug)
     if len(vecs) != n or pivots != list(range(n)):
         raise InternalInvariantError("alive vectors stopped spanning the cell")
-    # B is block over scale; column k of [I ; B] is taken times scale
-    block, scale = reduced_block(field, ech, pivots, n)
-    cols = [_unit(d_next, k, scale) + [row[k] for row in block] for k in range(d_next)]
+    # row r of ech is its pivot entry times row r of [I | B]
+    cols = [_unit(d_next, k) + [row[n + k] for row in ech] for k in range(d_next)]
     nxt, born = [None] * n, []
     for col, low in zip(cols, bottom_column_echelon(field, cols)):
         if low >= d_next:

@@ -46,7 +46,7 @@ from .decompose import InternalInvariantError, decompose
 from .intervals import (ExtReal, Interval, NEG_INF, POS_INF, compare,
                         format_extreal, is_finite)
 from .linalg import Matrix, QQ, rank
-from .orientation import SINK, Orientation, Segment, down_set, down_set_limit, locate, reach
+from .orientation import SINK, Orientation, down_set, down_set_limit, locate, reach
 from .record import record
 from .tamerep import (DOWN, RepMorphism, TameRep, cell_of_point,
                       cells_to_interval, is_short_exact, kernel_rep,
@@ -186,11 +186,20 @@ def injective_composites_criterion(v: TameRep) -> bool:
     nz = [i for i, d in enumerate(v.dims) if d > 0]
     if not nz:
         return True
+    o = v.orientation
     hull = cells_to_interval(v.grid, nz[0], nz[-1])
-    for p, _ in v.orientation.criticals:
-        if hull.lo < p < hull.hi:
-            raise ValueError("support spans more than one segment")
-    seg = _segment_of_hull(v.orientation, hull)
+    # i critical points lie at or below hull.lo and k below hull.hi, so
+    # k - i lie strictly inside; a point hull at a critical point gets
+    # k = i - 1, and segment k is the left one
+    i = locate(o, hull.lo)[0] if is_finite(hull.lo) else 0
+    if is_finite(hull.hi):
+        k, critical = locate(o, hull.hi)
+        k -= critical
+    else:
+        k = len(o.criticals)
+    if k > i:
+        raise ValueError("support spans more than one segment")
+    seg = o.segments[k]
     if seg.increasing:  # sink end at the left
         target = cell_of_point(v.grid, seg.lo) if is_finite(seg.lo) else 0
         order = list(range(target, nz[-1] + 1))
@@ -214,12 +223,6 @@ def _composite_ranks(v: TameRep, order: list[int]) -> list[int]:
         comp = comp.matmul(v.maps[j])
         ranks.append(rank(comp))
     return ranks
-
-
-def _segment_of_hull(o: Orientation, hull: Interval) -> Segment:
-    """The first segment that contains the hull (the left one for a point
-    hull at a critical point)."""
-    return next(s for s in o.segments if s.lo <= hull.lo and hull.hi <= s.hi)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ distinct int once.
 ``integer_row_echelon`` is the one elimination loop, behind every rank,
 kernel, solve and column-space basis and behind the decomposition sweep's
 backward solve; ``reduced_block`` reads a block of its reduced form, each
-row divided by its pivot, as integer rows over one scale.
+row divided by its pivot, as integer rows over one scale, for kernel and
+solve (the sweep reads the unscaled rows, see ``decompose``).
 ``bottom_column_echelon``, the sweep's column reduction, is the one other
 loop.  Both eliminate by cross-multiplying (``eliminate``): a vector
 holding a where the pivot vector holds p becomes a multiple of vector -

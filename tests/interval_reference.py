@@ -25,16 +25,20 @@ comparisons on Python ints (intervals.compare, orientation.locate).
 - ``reference_hom_dim`` builds K = I n J through ``reference_intersect``
   and bisects the Fraction positions for the junctions beside it;
 - ``reference_standard_probes`` builds every probe, drops repeats through
-  a set and sorts the rest by the interval sort key.
+  a set and sorts the rest by the interval sort key;
+- ``reference_verify_almost_split`` computes all six Hom counts of every
+  probe, summed over each decomposed term, before it compares them.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
+from aquiver.decompose import decompose
 from aquiver.homological import (OPEN_LEFT, OPEN_RIGHT, POINT, ProjectiveLabel,
                                  _form_support, hom_dim)
 from aquiver.intervals import Interval, NEG_INF, POS_INF, intersect, is_finite
 from aquiver.orientation import Orientation, down_set, down_set_limit, locate, up_set
+from aquiver.tamerep import is_short_exact
 
 
 def reference_classify_projective(o, iv):
@@ -272,3 +276,30 @@ def reference_standard_probes(o, seq, count=50):
             uniq.append(iv)
     uniq.sort(key=lambda iv: iv.sort_key())
     return uniq[:count]
+
+
+def reference_verify_almost_split(seq, probes=()):
+    """Exactness, indecomposable ends, non-splitness, and every probe's
+    lift and extension read off hom(X, M) - hom(X, L) == hom(X, R) and
+    hom(M, X) - hom(R, X) == hom(L, X), all six counts computed."""
+    f, g = seq.f, seq.g
+    if not is_short_exact(f, g):
+        return False
+    terms = [decompose(r) for r in (f.dom, f.cod, g.cod)]
+    if terms[0].total() != 1 or terms[2].total() != 1:
+        return False
+    o = f.dom.orientation
+    bars = [t.items() for t in terms]
+
+    def lifts(x_iv):
+        hl, hm, hr = (sum(m * hom_dim(o, x_iv, iv) for iv, m in t) for t in bars)
+        return hm - hl == hr
+
+    def colifts(x_iv):
+        hl, hm, hr = (sum(m * hom_dim(o, iv, x_iv) for iv, m in t) for t in bars)
+        return hm - hr == hl
+
+    if lifts(seq.right):
+        return False
+    return all((lifts(x_iv) or x_iv == seq.right) and (colifts(x_iv) or x_iv == seq.left)
+               for x_iv in probes)

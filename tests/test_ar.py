@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import interval_in_segment, random_interval, random_orientation
+from interval_reference import reference_verify_almost_split
 from oracle import hom_basis
 from aquiver.ar import (EXISTS, OUT_OF_PAPER_SCOPE, PROVEN_NONEXISTENT, _realize_sequence,
                         ar_ending_at, ar_starting_at, standard_probes, verify_almost_split)
@@ -220,3 +221,61 @@ def test_count_matches_rank_of_induced_hom_maps(field):
             not_onto += (into[1] - into[0] != into[2]) + (out[1] - out[2] != out[0])
         checked += 1
     assert not_onto >= 20
+
+
+# ---------------------------------------------------------------------------
+# the pruned probe check against the all-counts reference
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_verdict_matches_all_counts_reference(field):
+    # the verifier skips a probe's other counts once hom(X, R) or
+    # hom(L, X) reads 0; the reference computes all six of every probe
+    rng = random.Random(3737 if field == QQ else 3738)
+    for _ in range(10):
+        o = random_orientation(rng, max_criticals=3)
+        iv = interval_in_segment(rng, o)
+        inc = segment_index(o, iv.lo).increasing
+        ans = ar_ending_at(o, Interval(iv.lo, iv.hi, not inc, inc), field)
+        assert ans.status == EXISTS
+        probes = standard_probes(o, ans.sequence, 50)
+        assert verify_almost_split(ans.sequence, probes)
+        assert reference_verify_almost_split(ans.sequence, probes)
+    checked = failed = 0
+    while checked < 60:
+        o = random_orientation(rng, max_criticals=3)
+        seq = _candidate(rng, o, field)
+        if seq is None or not _exact(seq):
+            continue
+        p, r = seq.middle[0].lo, seq.middle[0].hi
+        probes = []
+        for _ in range(6):
+            lo, hi = sorted(rng.sample([p - 1, p, (p + r) / 2, r, r + 1], 2))
+            probes.append(Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+        verdict = verify_almost_split(seq, probes)
+        assert verdict == reference_verify_almost_split(seq, probes), (o, seq.middle, probes)
+        checked += 1
+        failed += not verdict
+    # both verdicts are compared, failing probes included
+    assert 20 <= failed <= 40
+
+
+def test_probe_with_no_map_to_the_right_or_from_the_left_costs_two_homs(monkeypatch):
+    # Hom(X, -) is left exact, so hom(X, R) = 0 decides the lift and
+    # hom(L, X) = 0 the extension; nothing else is counted for such a probe
+    calls = []
+
+    def counting(o, i_iv, j_iv):
+        calls.append((i_iv, j_iv))
+        return hom_dim(o, i_iv, j_iv)
+
+    # where ar imported it
+    monkeypatch.setattr("aquiver.ar.hom_dim", counting)
+    seq = ar_ending_at(ZIGZAG, Interval.make(Fraction(1, 4), Fraction(1, 2), False, True)).sequence
+    far = Interval.make(5, 6, True, True)
+    assert hom_dim(ZIGZAG, far, seq.right) == hom_dim(ZIGZAG, seq.left, far) == 0
+    assert verify_almost_split(seq, [])
+    base = len(calls)
+    calls.clear()
+    assert verify_almost_split(seq, [far])
+    assert len(calls) == base + 2
+    assert calls[base:] == [(far, seq.right), (seq.left, far)]

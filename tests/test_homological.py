@@ -337,6 +337,28 @@ def test_criterion_agreement_on_single_segment(rng):
     assert agree == 100
 
 
+def test_criterion_at_a_critical_point_and_across_one():
+    # a point hull at a critical point lies in the segments on both sides
+    # of it: a point at a sink is projective, one at a source is not
+    for i, o in enumerate(all_orientations(2)):
+        for p, kind in o.criticals:
+            v = scramble(from_bars(o, bars((Interval.point(p), 2))), 300 + i)
+            assert injective_composites_criterion(v) == is_projective_rep(v) == (kind == "sink"), \
+                (o, p)
+    # a hull with an end at a critical point lies in one segment
+    half = Fraction(1, 2)
+    for iv, projective in ((Interval.make(0, half, True, True), True),
+                           (Interval.make(half, 1, False, False), False),
+                           (Interval.make(0, 1, True, False), True),
+                           (Interval(1, POS_INF, False, False), True)):
+        v = one_bar(ZIGZAG, iv)
+        assert injective_composites_criterion(v) == is_projective_rep(v) == projective, iv
+    for iv in (Interval.make(-1, Fraction(1, 2), True, False),
+               Interval(NEG_INF, Fraction(1, 2), False, True)):
+        with pytest.raises(ValueError, match="more than one segment"):
+            injective_composites_criterion(one_bar(ZIGZAG, iv))
+
+
 # ---------------------------------------------------------------------------
 # presentations
 
