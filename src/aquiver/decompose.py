@@ -1,26 +1,36 @@
 """Decomposition of a tame representation into interval summands.
 
 A tame representation is a finite zigzag of vector spaces, one per grid
-cell.  The decomposer sweeps the cells left to right carrying one list of
-alive lines, each a (birth cell, vector) pair.  A block is a run of lines
-with one birth cell, and the list keeps the blocks in the one-directional
-hom order between one-sided interval summands: a block born at a forward
-junction is maximal among the bars alive at its birth and goes last, one
-born at a backward junction is minimal and goes first.  The alive vectors,
-in list order, are the columns of a basis A of the cell, and each junction
-map M is read in those coordinates by one column reduction
+cell.  The decomposer sweeps the cells left to right in one loop over the
+junctions, carrying the alive lines as two parallel lists, their birth
+cells and their vectors.  A block is a run of lines with one birth cell,
+and the lists keep the blocks in the one-directional hom order between
+one-sided interval summands: a block born at a forward junction is
+maximal among the bars alive at its birth and goes last, one born at a
+backward junction is minimal and goes first.  The alive vectors, in list
+order, are the columns of a basis A of the cell, and each junction map M
+is read in those coordinates by one column reduction
 (``bottom_column_echelon``), in which a line absorbs only earlier lines,
-the moves the block order allows.  Forward, the columns of MA: a line
-whose column reduces to zero dies, the others push forward as their
-reduced columns (M applied to the line after its absorptions), and the
-unit vectors at no column's pivot row are born last.  Backward, the
-columns [e_k ; B e_k] with B = A^-1 M from one elimination of [A | M]: a
-column whose pivot lies in B's part keeps that line alive, with its
-e-part as a preimage, and the lines no column reaches die; the e-parts of
-the columns with no pivot in B's part span ker M and are born first.  The
-multiset of (birth, death) cell ranges that falls out is the barcode,
-whatever bases the reduction picks: the incremental compatible-basis form
-of zigzag persistence (Carlsson and de Silva, 2010).
+the moves the block order allows.  Forward, the columns of MA, each built
+from its line's first nonzero coordinate on: a line whose column reduces
+to zero dies, the others push forward as their reduced columns (M applied
+to the line after its absorptions), and the unit vectors at no column's
+pivot row are born last.  Backward, the columns [e_k ; B e_k] with
+B = A^-1 M from one elimination of [A | M]: a column whose pivot lies in
+B's part keeps that line alive, with its e-part as a preimage, and the
+lines no column reaches die; the e-parts of the columns with no pivot in
+B's part span ker M and are born first.  The multiset of (birth, death)
+cell ranges that falls out is the barcode, whatever bases the reduction
+picks: the incremental compatible-basis form of zigzag persistence
+(Carlsson and de Silva, 2010).
+
+The barcode is built from the int pairs: ``decompose`` counts the
+(birth cell, death cell) pairs, sorts the distinct pairs as ints and
+builds one ``Interval`` per pair.  On one grid a cell range maps to its
+interval monotonically, lexicographic (birth, death) order being the
+canonical bar order (``Interval.sort_key``), so
+``BarMultiset.from_sorted_counts`` takes the bars in that order as they
+come, with no Fraction comparison and one hash per distinct bar.
 
 The sweep runs on Python ints from the first cell to the last; it builds
 no Fraction and no Matrix, and it leaves every field-specific step to the
@@ -47,6 +57,8 @@ its unscaled form would be.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .intervals import BarMultiset
 from .linalg import bottom_column_echelon, integer_row_echelon
 from .tamerep import DOWN, TameRep, cells_to_interval
@@ -60,74 +72,77 @@ def _cell_bars(v: TameRep) -> list[tuple[int, int]]:
     """The (birth_cell, death_cell) multiset of the sweep."""
     field = v.field
     dead: list[tuple[int, int]] = []
-    lines = [(0, _unit(v.dims[0], i)) for i in range(v.dims[0])]
+    d = v.dims[0]
+    births = [0] * d
+    vecs = [[int(i == k) for i in range(d)] for k in range(d)]
     for j in range(v.ncells - 1):
-        fwd = v.dirs[j] != DOWN
         rows = v.maps[j].ints
-        step = _forward if fwd else _backward
-        nxt, born = step(field, [vec for _, vec in lines], rows, v.dims[j + 1])
-        kept = []
-        for (birth, _), vec in zip(lines, nxt):
-            if vec is None:
-                dead.append((birth, j))
-            else:
-                kept.append((birth, vec))
-        born = [(j + 1, vec) for vec in born]
-        lines = kept + born if fwd else born + kept
-    dead.extend((birth, v.ncells - 1) for birth, _ in lines)
-    return dead
-
-
-def _unit(d: int, i: int) -> list:
-    """The i-th unit vector of length d."""
-    vec = [0] * d
-    vec[i] = 1
-    return vec
-
-
-def _forward(field, vecs, rows, d_next):
-    """The junction map, given by its integer rows, read in the coordinates
-    of the alive lines vecs: each line's vector in the next cell (None
-    where the line dies) and the vectors of the lines born there."""
-    cols = list(zip(*rows))
-    images = []
-    for vec in vecs:
-        image = [0] * d_next
-        for x, col in zip(vec, cols):
-            if x:
-                image = [y + x * a for y, a in zip(image, col)]
-        images.append(image)
-    lows = bottom_column_echelon(field, images)
-    taken = set(lows)
-    return ([col if low != -1 else None for col, low in zip(images, lows)],
-            [_unit(d_next, i) for i in range(d_next) if i not in taken])
-
-
-def _backward(field, vecs, rows, d_next):
-    """As ``_forward``, for a junction map into this cell from the next,
-    through B = A^-1 M from one elimination of [A | M], where A has the
-    columns vecs."""
-    n = len(rows)
-    aug = [[vec[i] for vec in vecs] + row for i, row in enumerate(rows)]
-    ech, pivots = integer_row_echelon(field, aug)
-    if len(vecs) != n or pivots != list(range(n)):
-        raise InternalInvariantError("alive vectors stopped spanning the cell")
-    # row r of ech is its pivot entry times row r of [I | B]
-    cols = [_unit(d_next, k) + [row[n + k] for row in ech] for k in range(d_next)]
-    nxt, born = [None] * n, []
-    for col, low in zip(cols, bottom_column_echelon(field, cols)):
-        if low >= d_next:
-            nxt[low - d_next] = col[:d_next]
+        d_next = v.dims[j + 1]
+        kept_births, kept_vecs = [], []
+        if v.dirs[j] != DOWN:
+            # the columns of MA, each started at its line's first nonzero
+            # coordinate; a map into a zero cell has no rows to zip
+            cols = list(zip(*rows)) if d_next else [()] * len(vecs)
+            images = []
+            for vec in vecs:
+                image = None
+                for x, col in zip(vec, cols):
+                    if x:
+                        if image is None:
+                            image = [x * a for a in col]
+                        else:
+                            image = [y + x * a for y, a in zip(image, col)]
+                images.append(image)
+            lows = bottom_column_echelon(field, images)
+            for birth, image, low in zip(births, images, lows):
+                if low == -1:
+                    dead.append((birth, j))
+                else:
+                    kept_births.append(birth)
+                    kept_vecs.append(image)
+            taken = set(lows)
+            for i in range(d_next):
+                if i not in taken:
+                    unit = [0] * d_next
+                    unit[i] = 1
+                    kept_births.append(j + 1)
+                    kept_vecs.append(unit)
         else:
-            born.append(col[:d_next])
-    return nxt, born
+            n = len(rows)
+            aug = [[vec[i] for vec in vecs] + row for i, row in enumerate(rows)]
+            ech, pivots = integer_row_echelon(field, aug)
+            if len(vecs) != n or pivots != list(range(n)):
+                raise InternalInvariantError("alive vectors stopped spanning the cell")
+            # row r of ech is its pivot entry times row r of [I | B]
+            cols = []
+            for k in range(d_next):
+                col = [0] * d_next
+                col[k] = 1
+                col += [row[n + k] for row in ech]
+                cols.append(col)
+            reached = [None] * n
+            for col, low in zip(cols, bottom_column_echelon(field, cols)):
+                if low >= d_next:
+                    reached[low - d_next] = col[:d_next]
+                else:
+                    kept_births.append(j + 1)
+                    kept_vecs.append(col[:d_next])
+            for birth, vec in zip(births, reached):
+                if vec is None:
+                    dead.append((birth, j))
+                else:
+                    kept_births.append(birth)
+                    kept_vecs.append(vec)
+        births, vecs = kept_births, kept_vecs
+    dead.extend((birth, v.ncells - 1) for birth in births)
+    return dead
 
 
 def decompose(v: TameRep) -> BarMultiset:
     """The barcode: from_bars(orientation, result) is isomorphic to v."""
-    bars = _cell_bars(v)
-    return BarMultiset.from_intervals(
-        cells_to_interval(v.grid, b, d) for b, d in bars)
+    grid = v.grid
+    return BarMultiset.from_sorted_counts(
+        (cells_to_interval(grid, b, d), m) for (b, d), m in sorted(Counter(_cell_bars(v)).items()))
 
 
 def iso(a: TameRep, b: TameRep) -> bool:
@@ -135,4 +150,3 @@ def iso(a: TameRep, b: TameRep) -> bool:
     if a.orientation != b.orientation:
         raise ValueError("orientation mismatch")
     return decompose(a) == decompose(b)
-

@@ -179,10 +179,13 @@ def is_projective_rep(v: TameRep) -> bool:
 
 
 def injective_composites_criterion(v: TameRep) -> bool:
-    """Direct test for representations supported in a single segment: every
-    composite map into the segment's sink end must be injective.  An
-    infinite sink end is read off the unbounded grid cell, which carries
-    the colimit of a tame representation."""
+    """Direct test for representations supported in a single segment.  One
+    that is nonzero at a source is not projective: the down-set of a
+    source reaches both sides of it, so every nonzero projective there
+    spans two segments.  For any other, every composite map into the
+    segment's sink end must be injective.  An infinite sink end is read off
+    the unbounded grid cell, which carries the colimit of a tame
+    representation."""
     nz = [i for i, d in enumerate(v.dims) if d > 0]
     if not nz:
         return True
@@ -191,14 +194,15 @@ def injective_composites_criterion(v: TameRep) -> bool:
     # i critical points lie at or below hull.lo and k below hull.hi, so
     # k - i lie strictly inside; a point hull at a critical point gets
     # k = i - 1, and segment k is the left one
-    i = locate(o, hull.lo)[0] if is_finite(hull.lo) else 0
-    if is_finite(hull.hi):
-        k, critical = locate(o, hull.hi)
-        k -= critical
-    else:
-        k = len(o.criticals)
+    lo_at = locate(o, hull.lo) if is_finite(hull.lo) else (0, False)
+    hi_at = locate(o, hull.hi) if is_finite(hull.hi) else (len(o.criticals), False)
+    i, k = lo_at[0], hi_at[0] - hi_at[1]
     if k > i:
         raise ValueError("support spans more than one segment")
+    # only a closed end of the hull can sit at a source it is nonzero at
+    for closed, (at, critical) in ((hull.lo_closed, lo_at), (hull.hi_closed, hi_at)):
+        if closed and critical and all(reach(o, at, critical)):
+            return False
     seg = o.segments[k]
     if seg.increasing:  # sink end at the left
         target = cell_of_point(v.grid, seg.lo) if is_finite(seg.lo) else 0

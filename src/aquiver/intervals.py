@@ -236,6 +236,15 @@ class BarMultiset:
     def from_intervals(intervals: Iterable[Interval]) -> "BarMultiset":
         return BarMultiset((iv, 1) for iv in intervals)
 
+    @classmethod
+    def from_sorted_counts(cls, items: Iterable[tuple[Interval, int]]) -> "BarMultiset":
+        """The multiset of items taken as given: distinct intervals, in
+        canonical order, each with a positive multiplicity.  Nothing is
+        sorted or merged, so each interval is hashed once."""
+        out = cls.__new__(cls)
+        out._counts = dict(items)
+        return out
+
     def items(self) -> list[tuple[Interval, int]]:
         return list(self._counts.items())
 

@@ -542,13 +542,6 @@ def invert(m: Matrix) -> Matrix:
     return out
 
 
-def _last_nonzero(col: list) -> int:
-    for i in range(len(col) - 1, -1, -1):
-        if col[i]:
-            return i
-    return -1
-
-
 def bottom_column_echelon(field, cols: list) -> list[int]:
     """Column-reduce integer columns, left to right, so that each has a
     distinct lowest nonzero row; returns the list of those pivot rows
@@ -559,19 +552,26 @@ def bottom_column_echelon(field, cols: list) -> list[int]:
     earlier column's pivot p by a nonzero multiple of column - (a/p) *
     earlier column.  cols[j] is replaced by its reduced column, a nonzero
     multiple of the one the textbook reduction, with pivots normalized to
-    1, gives; the pivot entries are left as they fall."""
+    1, gives; the pivot entries are left as they fall.  Each column is
+    scanned once, from its last row toward row 0: eliminating at the
+    lowest nonzero row l zeroes row l, and the rows past l were zero
+    already, so the search for the next lowest nonzero row goes on at
+    l - 1, with one lookup of the pivot table per nonzero row."""
     canonical, eliminate = field.canonical, field.eliminate
     used: dict[int, list] = {}  # pivot row -> its reduced column
     pivots = [-1] * len(cols)
     for j, col in enumerate(cols):
         col = canonical(col)
-        while (low := _last_nonzero(col)) != -1:
-            if low not in used:
-                used[low] = col
-                pivots[j] = low
-                break
-            prow = used[low]
-            col = eliminate(col, prow, col[low], prow[low])
+        low = len(col) - 1
+        while low >= 0:
+            if col[low]:
+                prow = used.get(low)
+                if prow is None:
+                    used[low] = col
+                    pivots[j] = low
+                    break
+                col = eliminate(col, prow, col[low], prow[low])
+            low -= 1
         cols[j] = col
     return pivots
 

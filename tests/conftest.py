@@ -1,49 +1,15 @@
-import contextlib
-import io
 import itertools
 import random
 from fractions import Fraction
-from typing import NamedTuple
 
 import pytest
 
 from oracle import hom_basis
-from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF, is_finite
+from random_inputs import ENDPOINTS
+from aquiver.intervals import Interval, NEG_INF, POS_INF, is_finite
 from aquiver.linalg import _ADD, _SWAP, Matrix, random_elementary_ops
 from aquiver.orientation import Orientation
 from aquiver.tamerep import RepMorphism, TameRep, dual, kernel_rep
-
-POSITIONS = [Fraction(s) for s in
-             ("-2", "-3/2", "-1", "-1/2", "0", "1/2", "1", "3/2", "2", "5/2", "3")]
-ENDPOINTS = [Fraction(e) for e in (-2, -1, 0, 1, 2, 3)]
-
-
-def random_orientation(rng: random.Random, max_criticals: int = 4) -> Orientation:
-    k = rng.randint(0, max_criticals)
-    if k == 0:
-        return Orientation.make([], rng.choice(["descending", "ascending"]))
-    pos = sorted(rng.sample(POSITIONS, k))
-    first = rng.choice(["sink", "source"])
-    other = "source" if first == "sink" else "sink"
-    kinds = [first if i % 2 == 0 else other for i in range(k)]
-    return Orientation.make(list(zip(pos, kinds)))
-
-
-def random_interval(rng: random.Random, allow_infinite: bool = True) -> Interval:
-    while True:
-        lo = rng.choice(([NEG_INF] if allow_infinite else []) + ENDPOINTS)
-        hi = rng.choice(ENDPOINTS + ([POS_INF] if allow_infinite else []))
-        if lo == NEG_INF or hi == POS_INF:
-            lo_c = False if lo == NEG_INF else rng.random() < 0.5
-            hi_c = False if hi == POS_INF else rng.random() < 0.5
-            if lo == NEG_INF and hi == POS_INF and rng.random() < 0.8:
-                continue  # keep the full line rare
-            return Interval(lo, hi, lo_c, hi_c)
-        if lo > hi:
-            continue
-        if lo == hi:
-            return Interval(lo, hi, True, True)
-        return Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
 
 
 def all_orientations(max_criticals: int = 3) -> list[Orientation]:
@@ -72,29 +38,6 @@ def all_intervals() -> list[Interval]:
             for hi_c in (False, True) if is_finite(hi) else (False,):
                 out.append(Interval(lo, hi, lo_c, hi_c))
     return out
-
-
-def random_bars(rng: random.Random, max_bars: int = 8, max_mult: int = 3) -> BarMultiset:
-    n = rng.randint(1, max_bars)
-    return BarMultiset((random_interval(rng), rng.randint(1, max_mult))
-                       for _ in range(n))
-
-
-def interval_in_segment(rng: random.Random, o: Orientation) -> Interval:
-    """A random interval strictly inside one segment of the orientation."""
-    pos = o.positions
-    bounds = [(NEG_INF, pos[0] if pos else POS_INF)]
-    for a, b in zip(pos, pos[1:]):
-        bounds.append((a, b))
-    if pos:
-        bounds.append((pos[-1], POS_INF))
-    lo_b, hi_b = rng.choice(bounds)
-    lo_ref = Fraction(lo_b) if lo_b != NEG_INF else Fraction(hi_b) - 2 if hi_b != POS_INF else Fraction(-1)
-    hi_ref = Fraction(hi_b) if hi_b != POS_INF else lo_ref + 2
-    width = hi_ref - lo_ref
-    a = lo_ref + width * Fraction(rng.randint(1, 3), 8)
-    b = lo_ref + width * Fraction(rng.randint(5, 7), 8)
-    return Interval(a, b, rng.random() < 0.5, rng.random() < 0.5)
 
 
 def dense_hom_space_dim(v, w) -> int:
@@ -157,47 +100,6 @@ def count_rows_reads(monkeypatch, counted: list) -> None:
             return real_rows.__get__(m, owner)
 
     monkeypatch.setattr(Matrix, "rows", CountingRows())
-
-
-class CliResult(NamedTuple):
-    exit_code: int
-    stdout: str
-    stderr: str
-    output: str  # stdout and stderr interleaved as written
-    exception: BaseException | None  # None after exit 0
-
-
-class _Tee(io.StringIO):
-    """A StringIO that also writes everything to a shared one."""
-
-    def __init__(self, both: io.StringIO):
-        super().__init__()
-        self.both = both
-
-    def write(self, s):
-        self.both.write(s)
-        return super().write(s)
-
-
-class InProcessRunner:
-    """Runs a command line's main(args) in this process, with stdout and
-    stderr captured, and reads the exit code off SystemExit.  Any other
-    exception ends the run with code 1 and is kept."""
-
-    @staticmethod
-    def invoke(main, args) -> CliResult:
-        both = io.StringIO()
-        out, err = _Tee(both), _Tee(both)
-        code, exception = 0, None
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                main(list(args))
-            except SystemExit as e:
-                code = e.code if isinstance(e.code, int) else (0 if e.code is None else 1)
-                exception = e if code else None
-            except Exception as e:
-                code, exception = 1, e
-        return CliResult(code, out.getvalue(), err.getvalue(), both.getvalue(), exception)
 
 
 @pytest.fixture

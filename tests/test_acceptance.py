@@ -10,8 +10,9 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import (InProcessRunner, dense_hom_space_dim, interval_in_segment,
-                      random_bars, random_interval, random_orientation)
+from cli_corpus import InProcessRunner
+from conftest import dense_hom_space_dim
+from random_inputs import interval_in_segment, random_bars, random_interval, random_orientation
 from oracle import enumerate_f2_instances, hom_basis, oracle_decompose
 from aquiver.ar import EXISTS, PROVEN_NONEXISTENT, ar_ending_at, standard_probes, verify_almost_split
 from aquiver.cli import main as cli_main

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import interval_in_segment, random_interval, random_orientation
+from random_inputs import interval_in_segment, random_interval, random_orientation
 from interval_reference import reference_verify_almost_split
 from oracle import hom_basis
 from aquiver.ar import (EXISTS, OUT_OF_PAPER_SCOPE, PROVEN_NONEXISTENT, _realize_sequence,

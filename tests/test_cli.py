@@ -10,16 +10,15 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from conftest import (InProcessRunner, interval_in_segment, random_bars, random_interval,
-                      random_orientation)
+from cli_corpus import CORPUS_SHA256, InProcessRunner, corpus_digest
+from random_inputs import random_bars, random_orientation
 from aquiver import ar, cli, homological, jsonio
 from aquiver.cli import main
 from aquiver.decompose import InternalInvariantError
 from aquiver.intervals import Interval, is_finite
-from aquiver.jsonio import Document, SchemaError, document_to_json, parse_interval
-from aquiver.linalg import PrimeField, QQ
-from aquiver.orientation import orientation_to_json
-from aquiver.tamerep import from_bars, scramble
+from aquiver.jsonio import Document, SchemaError, parse_interval
+from aquiver.linalg import QQ
+from aquiver.tamerep import from_bars
 
 HERE = os.path.dirname(__file__)
 SRC = os.path.join(os.path.dirname(HERE), "src")
@@ -969,86 +968,5 @@ def test_scramble_bytes_do_not_depend_on_the_hash_seed(tmp_path):
         assert hashlib.sha256(res.stdout).hexdigest() == SCRAMBLE_SHA256["Q"]
 
 
-# A seeded corpus of command lines, run in process, pins what every command
-# writes: stdout, stderr and the exit code, pretty and --json, for documents
-# over Q and F_5 (bars and tame), --field overrides, and malformed
-# intervals, fields, seeds and files, some lines with two faults at once.
-# Each file is hashed by its name, and no line names a missing file, so no
-# hashed byte depends on where the files live.  --window is left to the
-# projectives tests above.
-CORPUS_SHA256 = "d5cd694a110ea562d9b7a87268fbe9bfc42354edde9c77135f0ade22f906b036"
-BAD_INTERVALS = ["[0,zz)", "[2,1]", "{1,2}", "(0", "[1/0,2)", "{+inf}", "", "[-inf,0)",
-                 "[0,1/3/4)", "(1,1)", "[0,+inf]", "[0;1)"]
-BAD_FIELDS = ["Fp:4", "R", "Fp:", "Fp:1"]
-BAD_SEEDS = ["x", "1.5", "", "-", "0x10"]
-F5 = {"kind": "Fp", "p": 5}
-F5_FIELD = PrimeField(5)
-
-
-def _corpus_files(rng, k, o):
-    """The files of the k-th orientation of the corpus, by name."""
-    q_bars, f_bars = random_bars(rng, 5, 2), random_bars(rng, 5, 2)
-    o_json = orientation_to_json(o)
-    return {
-        f"o{k}": o_json,
-        f"q{k}": {"orientation": o_json, "bars": q_bars.to_json()},
-        f"f{k}": {"orientation": o_json, "field": F5, "bars": f_bars.to_json()},
-        f"e{k}": {"orientation": o_json, "bars": []},
-        f"tq{k}": document_to_json(Document(o, QQ, tame=scramble(from_bars(o, q_bars, QQ), k))),
-        f"tf{k}": document_to_json(Document(o, F5_FIELD,
-                                            tame=scramble(from_bars(o, f_bars, F5_FIELD), k))),
-    }
-
-
-def _corpus_lines(rng, k, orientation):
-    """The command lines of the k-th orientation of the corpus; a file is
-    named as in _corpus_files."""
-    o, q, f, e, tq, tf = (f"{x}{k}" for x in ("o", "q", "f", "e", "tq", "tf"))
-    iv = lambda: str(random_interval(rng))  # noqa: E731
-    lines = []
-    for doc in (q, f, e, tq, tf):
-        lines += [["decompose", doc], ["decompose", doc, "--json"]]
-    lines += [["decompose", q, "--field", "Fp:5"], ["decompose", f, "--field", "Q", "--json"],
-              ["decompose", tq, "--field", "Fp:5"], ["decompose", tf, "--field", "Q"],
-              ["decompose", tf, "--field", "Fp:5"], ["decompose", o],
-              ["decompose", q, "--field", rng.choice(BAD_FIELDS)]]
-    lines += [["scramble", q, "--seed", str(k)], ["scramble", f, "--seed", str(k + 1)],
-              ["scramble", q, "--seed", str(k), "--field", "Fp:5"],
-              ["scramble", tf, "--seed", "7"], ["scramble", tq, "--seed", "7", "--field", "Fp:5"],
-              ["scramble", q, "--seed", rng.choice(BAD_SEEDS)], ["scramble", q]]
-    for command in ("hom", "ext"):
-        for _ in range(3):
-            lines.append([command, o, iv(), iv()] + rng.choice([[], ["--json"]])
-                         + rng.choice([[], ["--field", "Fp:5"], ["--field", "Q"]]))
-        lines += [[command, o, rng.choice(BAD_INTERVALS), iv()],
-                  [command, o, iv(), rng.choice(BAD_INTERVALS), "--json"],
-                  [command, o, rng.choice(BAD_INTERVALS), iv(), "--field",
-                   rng.choice(BAD_FIELDS)],
-                  [command, "bad", rng.choice(BAD_INTERVALS), iv()]]
-    for _ in range(2):
-        lines += [["present", o, iv()], ["present", o, iv(), "--json"],
-                  ["present", o, iv(), "--field", "Fp:5", "--json"]]
-    lines += [["present", o, rng.choice(BAD_INTERVALS)],
-              ["present", o, rng.choice(BAD_INTERVALS), "--field", rng.choice(BAD_FIELDS)],
-              ["projectives", o], ["projectives", o, "--json"], ["projectives", "bad"]]
-    inside = lambda: str(interval_in_segment(rng, orientation))  # noqa: E731
-    for end in ("--ending", "--starting"):
-        lines += [["ar", o, iv(), end], ["ar", o, iv(), end, "--json", "--field", "Fp:5"],
-                  ["ar", o, inside(), end], ["ar", o, inside(), end, "--json"]]
-    lines += [["ar", o, rng.choice(BAD_INTERVALS)], ["ar", "bad", iv(), "--starting"]]
-    return lines
-
-
-def test_command_line_corpus_bytes_are_pinned(runner, tmp_path):
-    rng = random.Random(20261020)
-    paths = {"bad": _write(tmp_path, "bad.json", {"criticals": 3})}
-    digest = hashlib.sha256()
-    for k in range(50):
-        o = random_orientation(rng)
-        for name, obj in _corpus_files(rng, k, o).items():
-            paths[name] = _write(tmp_path, f"{name}.json", obj)
-        for line in _corpus_lines(rng, k, o):
-            res = runner.invoke(main, [paths.get(a, a) for a in line])
-            assert res.exit_code in (0, 2), (line, res.output)
-            digest.update(json.dumps([line, res.exit_code, res.stdout, res.stderr]).encode())
-    assert digest.hexdigest() == CORPUS_SHA256
+def test_command_line_corpus_bytes_are_pinned(tmp_path):
+    assert corpus_digest(tmp_path) == CORPUS_SHA256

@@ -11,7 +11,7 @@ import json
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import InProcessRunner
+from cli_corpus import InProcessRunner
 from aquiver.cli import main
 
 FUZZ = settings(max_examples=120, derandomize=True, deadline=None, database=None,

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (cell_representative, count_rows_reads, random_bars, random_invertible,
-                      random_orientation)
+from conftest import cell_representative, count_rows_reads, random_invertible
 from oracle import enumerate_f2_instances, oracle_decompose
+from random_inputs import random_bars, random_orientation
 from sweep_reference import reference_cell_bars
 from aquiver import linalg
 from aquiver.decompose import _cell_bars, decompose, iso
@@ -15,7 +15,8 @@ from aquiver.intervals import BarMultiset, Interval
 from aquiver.jsonio import Document, document_to_json, parse_document
 from aquiver.linalg import Matrix, PrimeField, QQ, RationalField
 from aquiver.orientation import Orientation
-from aquiver.tamerep import DOWN, UP, TameRep, conjugate, dual, from_bars, scramble
+from aquiver.tamerep import (DOWN, UP, TameRep, cells_to_interval, conjugate, dual, from_bars,
+                             scramble)
 
 EMPTY_DESC = Orientation.make([], "descending")
 F5 = PrimeField(5)
@@ -248,6 +249,40 @@ def test_sweep_does_no_fraction_or_matrix_work(monkeypatch):
     for got, (v, b) in zip(bars, cases):
         assert sorted(got) == sorted(reference_cell_bars(v))
         assert decompose(v) == b
+
+
+def test_cell_pair_order_is_the_canonical_bar_order():
+    # decompose sorts (birth cell, death cell) pairs as ints and lists the
+    # bars in that order, so on one grid the pairs b <= d must sort under
+    # Interval.sort_key exactly as they sort as pairs
+    rng = random.Random(58)
+    grids = [[]] + [sorted(rng.sample([Fraction(k, 4) for k in range(-12, 13)], rng.randint(1, 7)))
+                    for _ in range(40)]
+    for grid in grids:
+        pairs = [(b, d) for d in range(2 * len(grid) + 1) for b in range(d + 1)]
+        rng.shuffle(pairs)
+        ivs = {bd: cells_to_interval(grid, *bd) for bd in pairs}
+        assert len(set(ivs.values())) == len(pairs)
+        assert sorted(pairs, key=lambda bd: ivs[bd].sort_key()) == sorted(pairs), grid
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_barcode_lists_bars_as_from_intervals_does(field):
+    # BarMultiset == ignores order, so the listing and the JSON are
+    # compared with the multiset the sorting constructor builds from the
+    # same bars
+    rng = random.Random(59)
+    repeated = 0
+    for i in range(60):
+        o = random_orientation(rng)
+        v = scramble(from_bars(o, random_bars(rng), field), 1000 + i)
+        got = decompose(v)
+        want = BarMultiset.from_intervals(cells_to_interval(v.grid, b, d)
+                                          for b, d in _cell_bars(v))
+        assert list(got) == list(want)
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        repeated += any(m > 1 for _, m in got)
+    assert repeated >= 20
 
 
 def test_barcode_round_trip_reads_no_fraction_rows(monkeypatch):

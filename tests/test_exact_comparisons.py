@@ -10,9 +10,10 @@ comparisons these rules and tamerep.junction_dirs make, which is none."""
 from fractions import Fraction
 from math import lcm
 
-from conftest import ENDPOINTS, all_intervals, all_orientations
+from conftest import all_intervals, all_orientations
 from interval_reference import (reference_down_set, reference_hom_dim, reference_locate,
                                 reference_standard_probes)
+from random_inputs import ENDPOINTS
 from aquiver.ar import EXISTS, ARSequence, ar_ending_at, standard_probes
 from aquiver.homological import hom_dim
 from aquiver.intervals import Interval, NEG_INF, POS_INF, compare, is_finite

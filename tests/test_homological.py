@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import time
@@ -5,12 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (all_intervals, all_orientations, dense_hom_space_dim,
-                      dual_cokernel, interval_in_segment, random_bars,
-                      random_interval, random_orientation)
+from conftest import all_intervals, all_orientations, dense_hom_space_dim, dual_cokernel
 from interval_reference import (reference_classify_projective, reference_ext_dims,
                                 reference_ext_dims_by_supports, reference_presentation_labels)
 from oracle import hom_basis
+from random_inputs import interval_in_segment, random_bars, random_interval, random_orientation
 from aquiver.decompose import decompose
 from aquiver.homological import (OPEN_LEFT, OPEN_RIGHT, POINT, ProjectiveLabel,
                                  _presentation_labels, classify_projective, ext_dim,
@@ -357,6 +357,36 @@ def test_criterion_at_a_critical_point_and_across_one():
                Interval(NEG_INF, Fraction(1, 2), False, True)):
         with pytest.raises(ValueError, match="more than one segment"):
             injective_composites_criterion(one_bar(ZIGZAG, iv))
+
+
+def test_criterion_matches_projectivity_on_every_single_bar_support():
+    # every single bar the criterion accepts over the orientations with at
+    # most two critical points, with ends at the critical points and at the
+    # halves in [-3/2, 5/2], open and closed: a closed end at a source is
+    # where the composites alone would answer True for a non-projective
+    halves = [Fraction(k, 2) for k in range(-3, 6)]
+    cases = closed_at_source = 0
+    for o in all_orientations(2):
+        ends = sorted(set(halves) | set(o.positions))
+        sources = {p for p, kind in o.criticals if kind == "source"}
+        ivs = [Interval.point(p) for p in ends]
+        for lo, hi in itertools.combinations([NEG_INF] + ends + [POS_INF], 2):
+            for lo_c in (False, True) if lo in ends else (False,):
+                for hi_c in (False, True) if hi in ends else (False,):
+                    ivs.append(Interval(lo, hi, lo_c, hi_c))
+        for iv in ivs:
+            v = one_bar(o, iv)
+            try:
+                criterion = injective_composites_criterion(v)
+            except ValueError:
+                continue
+            assert criterion == is_projective_rep(v), (o, iv)
+            cases += 1
+            closed_at_source += (iv.lo_closed and iv.lo in sources) or (
+                iv.hi_closed and iv.hi in sources)
+    assert cases == 6150 and closed_at_source > 0
+    for iv in (Interval.make(0, 1, True, True), Interval(Fraction(1), POS_INF, True, False)):
+        assert injective_composites_criterion(one_bar(ZIGZAG, iv)) is False
 
 
 # ---------------------------------------------------------------------------

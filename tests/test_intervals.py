@@ -123,7 +123,7 @@ def test_extreal_parse_format():
 
 
 def _random_iv(rng):
-    from conftest import random_interval
+    from random_inputs import random_interval
     return random_interval(rng)
 
 

@@ -141,6 +141,9 @@ TEST_ONLY = {
     "dim_at": "test_tamerep.py::test_from_bars_overlap_count",
     "dual": "test_acceptance.py::test_criterion_7_duality",
     "from_int": "test_linalg.py::test_rank_examples (mat)",
+    "from_intervals": "test_decompose.py::test_barcode_lists_bars_as_from_intervals_does "
+                      "(the order decompose's listing is checked against); "
+                      "bench/workloads.py calls it",
     "from_rows": "test_linalg.py::test_rank_examples",
     "hom_space_dim": "test_homological.py::test_hom_against_zero; bench/workloads.py calls it",
     "image_rep": "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ENDPOINTS, all_orientations
+from conftest import all_orientations
 from interval_reference import reference_down_set, reference_leq, reference_up_set
 from oracle import increasing_beside
+from random_inputs import ENDPOINTS
 from aquiver.homological import projectives_table
 from aquiver.intervals import (Interval, NEG_INF, POS_INF, format_extreal, is_finite,
                                parse_rational)

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (POSITIONS, cell_representative, dual_cokernel, random_bars,
-                      random_interval, random_invertible, random_orientation)
+from conftest import cell_representative, dual_cokernel, random_invertible
 from oracle import increasing_beside
+from random_inputs import POSITIONS, random_bars, random_interval, random_orientation
 from aquiver import jsonio, tamerep
 from aquiver.decompose import decompose, iso
 from aquiver.intervals import BarMultiset, Interval, NEG_INF, is_finite
