@@ -199,7 +199,8 @@ def injective_composites_criterion(v: TameRep) -> bool:
     i, k = lo_at[0], hi_at[0] - hi_at[1]
     if k > i:
         raise ValueError("support spans more than one segment")
-    # only a closed end of the hull can sit at a source it is nonzero at
+    # the support is nonzero at a critical end of its hull exactly when the
+    # hull is closed there
     for closed, (at, critical) in ((hull.lo_closed, lo_at), (hull.hi_closed, hi_at)):
         if closed and critical and all(reach(o, at, critical)):
             return False
