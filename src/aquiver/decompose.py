@@ -109,17 +109,15 @@ def _cell_bars(v: TameRep) -> list[tuple[int, int]]:
                     kept_vecs.append(unit)
         else:
             n = len(rows)
-            aug = [[vec[i] for vec in vecs] + row for i, row in enumerate(rows)]
+            aug = [[*a, *row] for a, row in zip(zip(*vecs), rows)]
             ech, pivots = integer_row_echelon(field, aug)
             if len(vecs) != n or pivots != list(range(n)):
                 raise InternalInvariantError("alive vectors stopped spanning the cell")
-            # row r of ech is its pivot entry times row r of [I | B]
-            cols = []
-            for k in range(d_next):
-                col = [0] * d_next
+            # row r of ech is its pivot entry times row r of [I | B]; a
+            # map into a zero cell has no rows to zip
+            cols = [[0] * d_next + list(b) for b in (list(zip(*ech))[n:] if n else [()] * d_next)]
+            for k, col in enumerate(cols):
                 col[k] = 1
-                col += [row[n + k] for row in ech]
-                cols.append(col)
             reached = [None] * n
             for col, low in zip(cols, bottom_column_echelon(field, cols)):
                 if low >= d_next:

@@ -447,8 +447,10 @@ def integer_row_echelon(field, ints: list) -> tuple[list, list]:
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if ints[i][c]), None)
-        if pr is None:
+        for pr in range(r, nrows):
+            if ints[pr][c]:
+                break
+        else:
             continue
         ints[r], ints[pr] = ints[pr], ints[r]
         prow = ints[r]

@@ -28,8 +28,8 @@ from itertools import chain
 from math import lcm
 from typing import Iterable, Sequence
 
-from .intervals import (MALFORMED, BarMultiset, Interval, NEG_INF, POS_INF, format_extreal,
-                        is_finite, parse_integer, parse_rational)
+from .intervals import (MALFORMED, BarMultiset, Interval, NEG_INF, POS_INF, compare,
+                        format_extreal, is_finite, parse_integer, parse_rational)
 from .linalg import (Matrix, QQ, change_basis, column_space_basis, invert,
                      kernel_basis, random_elementary_ops, rank, solve_matrix)
 from .orientation import Orientation, locate, reverse
@@ -145,7 +145,7 @@ def check_grid_and_dims(o: Orientation, grid, dims) -> tuple[str, ...]:
     nonnegative dimension per cell of it, and every critical point of o
     inside the grid's hull is a grid point; then return the junction
     directions (junction_dirs)."""
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if any(compare(a, b) >= 0 for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     if len(dims) != num_cells(grid):
         raise ValueError(f"tame object needs {num_cells(grid)} dims for {len(grid)} grid points")
@@ -158,11 +158,14 @@ def check_grid_and_dims(o: Orientation, grid, dims) -> tuple[str, ...]:
 
 
 def _criticals_off_grid(o: Orientation, grid) -> list[Fraction]:
-    """The critical points of o inside the sorted grid's hull but off it, in order."""
+    """The critical points of o inside the sorted grid's hull but off it, in
+    order, read off one locate per grid point: those above grid[0] and up
+    to grid[-1] that no grid point is."""
     if not grid:
         return []
-    on_grid = set(grid)
-    return [p for p in o.positions if grid[0] <= p <= grid[-1] and p not in on_grid]
+    places = [locate(o, g) for g in grid]
+    on_grid = {i - 1 for i, critical in places if critical}
+    return [o.positions[k] for k in range(places[0][0], places[-1][0]) if k not in on_grid]
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +244,38 @@ def reps_on_common_grid(o: Orientation, groups: Sequence[Sequence[Interval]],
     group gets the same grid: the finite endpoints of all the intervals
     plus each critical point inside the hull of all of them.  Returns, per
     group, the representation and, per cell, the list of the group's
-    interval indices occupying its slots.  Each bar's ends are placed
-    through one dict from grid point to index, and each junction map is
-    read off a slot -> column dict of its source cell, as 0/1 integer rows
-    over den 1 (``Matrix.from_ints``).  The grid is sorted from a set and
-    holds every critical point inside its hull, so it passes
+    interval indices occupying its slots.  The grid is built on integer
+    keys: each end and critical point is scaled, by its integer ratio, to
+    the lcm of all their denominators, and the keys are deduplicated and
+    sorted as ints, so no Fraction is compared or hashed.  Each bar's ends
+    are placed through one dict from integer ratio to grid index, and each
+    junction map is read off a slot -> column dict of its source cell, as
+    0/1 integer rows over den 1 (``Matrix.from_ints``).  The grid holds
+    every critical point inside its hull, so it passes
     ``check_grid_and_dims`` by construction and is not checked again."""
     family = [iv for group in groups for iv in group]
-    pts = {Fraction(e) for iv in family for e in (iv.lo, iv.hi) if is_finite(e)}
+    ends = {e.as_integer_ratio(): e for iv in family for e in (iv.lo, iv.hi) if is_finite(e)}
+    crits = {p.as_integer_ratio(): p for p in o.positions}
+    den = lcm(*{q for _, q in chain(ends, crits)})
+    point = {n * (den // q): e if type(e) is Fraction else Fraction(e)
+             for (n, q), e in ends.items()}
     if family:
-        lo_h, hi_h = min(iv.lo for iv in family), max(iv.hi for iv in family)
-        pts.update(p for p in o.positions if lo_h <= p <= hi_h)
-    grid = tuple(sorted(pts))
-    index = {g: i for i, g in enumerate(grid)}.__getitem__
+        # the hull's ends: an infinite end takes every critical point on its side
+        lo = NEG_INF if any(not is_finite(iv.lo) for iv in family) else min(point)
+        hi = POS_INF if any(not is_finite(iv.hi) for iv in family) else max(point)
+        for (n, q), p in crits.items():
+            if lo <= (k := n * (den // q)) <= hi:
+                point.setdefault(k, p)
+    keys = sorted(point)
+    # from a list, not an iterator: CPython grows a tuple read from an
+    # iterator, and freed grown tuples pile up in its per-size free lists
+    grid = tuple([point[k] for k in keys])
+    at = {k: i for i, k in enumerate(keys)}
+    where = {(n, q): at[n * (den // q)] for n, q in ends}
+
+    def index(e):
+        return where[e.as_integer_ratio()]
+
     dirs = tuple(junction_dirs(o, grid))
     out = []
     for group in groups:
@@ -400,7 +422,13 @@ def _array(obj, key: str) -> list:
 
 def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
     """The TameRep a tame JSON object spells over field; ValueError names
-    the first fault, in the module docstring's order."""
+    the first fault, in the module docstring's order.  Each map is integer
+    rows over the lcm of its entries' denominators, read through one entry
+    table per document: a distinct string is parsed once, at its first
+    occurrence (so errors keep document order), into table (str -> (n, q))
+    and, when q is 1, into whole (str -> n).  A map whose distinct entries
+    are all in whole reads its rows off whole over den 1; a map holding a
+    non-string parses each entry, since 1 and 1.0 are equal keys."""
     try:
         grid = tuple(parse_rational(s) for s in _array(obj, "grid"))
         dims = tuple(parse_integer(d) for d in _array(obj, "dims"))
@@ -410,19 +438,17 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
     dirs = check_grid_and_dims(o, grid, dims)
     if len(maps_json) != 2 * len(grid):
         raise ValueError(f"tame object needs {2 * len(grid)} maps")
-    parse = field.parse
-    # Each map is integer rows over the lcm of its entries' denominators.
-    # A distinct string is parsed once, at its first occurrence (errors keep
-    # document order), through a memo keyed by str; a map holding non-strings
-    # parses each entry, since 1 and 1.0 are equal keys.
-    memo = {}
+    parse, flat = field.parse, chain.from_iterable
+    table, whole = {}, {}
 
     def ratio(x):
         if type(x) is not str:
             return parse(x).as_integer_ratio()
-        y = memo.get(x)
+        y = table.get(x)
         if y is None:
-            y = memo[x] = parse(x).as_integer_ratio()
+            y = table[x] = parse(x).as_integer_ratio()
+            if y[1] == 1:
+                whole[x] = y[0]
         return y
 
     maps = []
@@ -440,9 +466,17 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
         if (not isinstance(entries, list) or len(entries) != nrows
                 or any(not isinstance(r, list) or len(r) != ncols for r in entries)):
             raise ValueError(f"map {j}: entries must be {nrows}x{ncols}")
-        flat = list(chain.from_iterable(entries))
-        distinct = dict.fromkeys(flat) if {str}.issuperset(map(type, flat)) else flat
+        keyed = {str}.issuperset(map(type, flat(entries)))
+        distinct = dict.fromkeys(flat(entries)) if keyed else flat(entries)
         try:
+            if keyed:
+                for x in distinct:
+                    if x not in table:
+                        ratio(x)
+                if distinct.keys() <= whole.keys():
+                    rows = [list(map(whole.__getitem__, r)) for r in entries]
+                    maps.append(Matrix.from_ints(field, nrows, ncols, rows))
+                    continue
             ratios = {x: ratio(x) for x in distinct}
         except MALFORMED as e:
             raise ValueError(f"map {j}: {e}")

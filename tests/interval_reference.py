@@ -27,7 +27,11 @@ comparisons on Python ints (intervals.compare, orientation.locate).
 - ``reference_standard_probes`` builds every probe, drops repeats through
   a set and sorts the rest by the interval sort key;
 - ``reference_verify_almost_split`` computes all six Hom counts of every
-  probe, summed over each decomposed term, before it compares them.
+  probe, summed over each decomposed term, before it compares them;
+- ``reference_common_grid`` collects the family's finite ends as a set of
+  Fractions, adds each critical point inside the hull by Fraction
+  comparisons, and sorts the set; ``reference_criticals_off_grid`` tests
+  each critical point against the grid's ends and a set of its points.
 """
 
 from bisect import bisect_left, bisect_right
@@ -161,6 +165,23 @@ def reference_locate(o, a):
     """(bisect_right of a in the positions, whether a is critical)."""
     i = bisect_right(o.positions, a)
     return i, i > 0 and o.positions[i - 1] == a
+
+
+def reference_common_grid(o, family):
+    """The grid reps_on_common_grid builds for the family of intervals."""
+    pts = {Fraction(e) for iv in family for e in (iv.lo, iv.hi) if is_finite(e)}
+    if family:
+        lo_h, hi_h = min(iv.lo for iv in family), max(iv.hi for iv in family)
+        pts.update(p for p in o.positions if lo_h <= p <= hi_h)
+    return tuple(sorted(pts))
+
+
+def reference_criticals_off_grid(o, grid):
+    """The critical points inside the sorted grid's hull but off it, in order."""
+    if not grid:
+        return []
+    on_grid = set(grid)
+    return [p for p in o.positions if grid[0] <= p <= grid[-1] and p not in on_grid]
 
 
 def reference_down_set(o, a):

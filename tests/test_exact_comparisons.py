@@ -4,21 +4,25 @@ standard_probes) against their Fraction-compared references, on the
 conftest orientations and intervals and on cases chosen for exactness:
 positions whose denominators have an lcm above 2**64, ends 1/10**30 away
 from a critical point, point intervals at critical points, infinite ends
-and both empty orientations.  The last test counts the Fraction
-comparisons these rules and tamerep.junction_dirs make, which is none."""
+and both empty orientations.  The last tests count the Fraction
+comparisons these rules and tamerep.junction_dirs make, and the Fraction
+comparisons and hashes of the grid layer (from_bars, reps_on_common_grid,
+check_grid_and_dims), which are none."""
 
 from fractions import Fraction
 from math import lcm
 
 from conftest import all_intervals, all_orientations
-from interval_reference import (reference_down_set, reference_hom_dim, reference_locate,
+from interval_reference import (reference_common_grid, reference_criticals_off_grid,
+                                reference_down_set, reference_hom_dim, reference_locate,
                                 reference_standard_probes)
 from random_inputs import ENDPOINTS
 from aquiver.ar import EXISTS, ARSequence, ar_ending_at, standard_probes
 from aquiver.homological import hom_dim
-from aquiver.intervals import Interval, NEG_INF, POS_INF, compare, is_finite
+from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF, compare, is_finite
 from aquiver.orientation import Orientation, down_set, locate, segment_index
-from aquiver.tamerep import junction_dirs
+from aquiver.tamerep import (_criticals_off_grid, check_grid_and_dims, from_bars, junction_dirs,
+                             reps_on_common_grid)
 
 TINY = Fraction(1, 10 ** 30)
 # three denominators with an lcm above 2**64
@@ -147,6 +151,23 @@ def test_standard_probes_match_reference():
             assert standard_probes(o, seq, count) == full[:count], (o, seq.right, count)
 
 
+COMPARISONS = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+
+
+def _count_fraction_protocol(monkeypatch, names) -> list:
+    """Wrap the named Fraction methods to record each call by name."""
+    calls = []
+    for name in names:
+        method = getattr(Fraction, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
 def test_interval_rules_make_no_fraction_comparison(monkeypatch):
     o = Orientation.make([(Fraction(-1), "sink"), (Fraction(1, 3), "source"), (Fraction(2), "sink")])
     pts = _points(o)
@@ -154,15 +175,7 @@ def test_interval_rules_make_no_fraction_comparison(monkeypatch):
     assert any(not is_finite(iv.lo) for iv in ivs) and any(not is_finite(iv.hi) for iv in ivs)
     real = ar_ending_at(o, Interval(Fraction(-1, 2), Fraction(0), False, True)).sequence
     touching = Interval(Fraction(0), Fraction(1, 3), False, True)
-    calls = []
-    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
-        method = getattr(Fraction, name)
-
-        def counted(self, other, _method=method, _name=name):
-            calls.append(_name)
-            return _method(self, other)
-
-        monkeypatch.setattr(Fraction, name, counted)
+    calls = _count_fraction_protocol(monkeypatch, COMPARISONS)
     for i_iv in ivs:
         for j_iv in ivs:
             hom_dim(o, i_iv, j_iv)
@@ -175,3 +188,63 @@ def test_interval_rules_make_no_fraction_comparison(monkeypatch):
     assert calls == []
     assert Fraction(1) < Fraction(2)
     assert calls == ["__lt__"]  # the counters are live
+
+
+def test_grid_layer_makes_no_fraction_comparison_or_hash(monkeypatch):
+    # the grids of from_bars and reps_on_common_grid, and the order and
+    # missing-critical checks of check_grid_and_dims, on the exact
+    # orientations: ends at +-inf, point intervals at and beside critical
+    # points, and denominators whose lcm is above 2**64
+    whole = Interval(NEG_INF, POS_INF, False, False)
+    cases = []
+    for o in EXACT_ORIENTATIONS:
+        pts = _points(o)
+        ivs = _intervals(pts)
+        at_critical = [Interval.point(p) for p in o.positions[:1]]
+        families = [[ivs[::29], ivs[7::31] + [whole, Interval.point(pts[1])], [], ivs[13::37]],
+                    [[whole]], [[Interval.point(pts[1])] + at_critical], [ivs[-40::9]],
+                    [[Interval(pts[2], pts[3], False, False)],
+                     [Interval(NEG_INF, pts[0], False, True)]],
+                    [[Interval(NEG_INF, pts[-2], False, True)]],
+                    [[Interval(pts[1], POS_INF, True, False)]]]
+        bars = BarMultiset.from_intervals(ivs[3::17] + ivs[3::34])
+        grids = [tuple(pts), tuple(pts[::2]), tuple(pts[1::3]), tuple(o.positions),
+                 tuple(p for p in pts if p not in o.positions), ()]
+        unordered = [tuple(pts[:2][::-1] + pts[2:]), tuple(pts[:1] + pts)]
+        cases.append((o, families, bars, grids, unordered))
+    family_ivs = [(o, iv) for o, families, *_ in cases for f in families for g in f for iv in g]
+    assert any(not is_finite(iv.lo) for _, iv in family_ivs)
+    assert any(not is_finite(iv.hi) for _, iv in family_ivs)
+    assert any(iv.is_point() and iv.lo in o.positions for o, iv in family_ivs)
+
+    calls = _count_fraction_protocol(monkeypatch, COMPARISONS + ("__hash__",))
+    got = []
+    for o, families, bars, grids, unordered in cases:
+        packs = [reps_on_common_grid(o, groups) for groups in families]
+        checked = []
+        for grid in grids + unordered:
+            try:
+                checked.append(check_grid_and_dims(o, grid, [0] * (2 * len(grid) + 1)))
+            except ValueError as e:
+                checked.append(str(e))
+        got.append((from_bars(o, bars).grid, packs, checked,
+                    [_criticals_off_grid(o, grid) for grid in grids]))
+    assert calls == []
+    assert Fraction(1) < Fraction(2) and hash(Fraction(1, 3))
+    assert calls == ["__lt__", "__hash__"]  # the counters are live
+    monkeypatch.undo()
+
+    for (o, families, bars, grids, unordered), (bars_grid, packs, checked, off) in zip(cases, got):
+        assert bars_grid == reference_common_grid(o, bars.intervals())
+        for groups, reps in zip(families, packs):
+            grid = reference_common_grid(o, [iv for g in groups for iv in g])
+            assert all(rep.grid == grid and all(type(g) is Fraction for g in rep.grid)
+                       for rep, _ in reps), (o, groups)
+        for grid, result, missing in zip(grids, checked, off):
+            assert missing == reference_criticals_off_grid(o, grid), (o, grid)
+            want = (f"critical point {missing[0]} inside the hull is missing from the grid"
+                    if missing else tuple(junction_dirs(o, grid)))
+            assert result == want, (o, grid)
+        assert checked[len(grids):] == ["grid must be strictly increasing"] * len(unordered)
+    # some grids miss critical points and some do not
+    assert {bool(m) for _, _, _, off in got for m in off} == {False, True}

@@ -473,6 +473,71 @@ def test_json_roundtrip_tame():
     assert v2 == v
 
 
+
+# Maps over the descending line on the grid 0, 1/2, 1, 3/2, where every
+# junction runs down: map j is dims[j] x dims[j + 1].  Over Q the maps mix
+# JSON integers and strings, spell 1/2 four ways, and repeat "3" in maps
+# over the denominators 6, 1 and 3; over F_5 they spell 2 five ways.
+_TABLE_DIMS = [0, 2, 3, 2, 2, 2, 2, 1, 0]
+_TABLE_MAPS = {
+    QQ: [[], [["1/2", "2/4", 1], ["0.5", "5e-1", "3"]], [["3", "1/3"], ["2/4", -2], [0, "7"]],
+         [["3", "3"], ["-2", "0"]], [["0.5", "1/2"], ["2/4", "5e-1"]], [["1/3", "3"], ["3", "-2"]],
+         [[7], ["7"]], [[]]],
+    PrimeField(5): [[], [["2", "7", 1], ["-3", "+2", "3"]], [["3", 12], ["007", -2], [0, "7"]],
+                    [["3", "3"], ["-2", "0"]], [["2", "7"], ["-3", "+2"]], [["12", "3"], ["3", 4]],
+                    [[7], ["7"]], [[]]],
+}
+
+
+def _table_doc(maps):
+    return {"grid": ["0", "1/2", "1", "3/2"], "dims": _TABLE_DIMS,
+            "maps": [{"dir": DOWN, "entries": m} for m in maps]}
+
+
+def _per_entry_parse(field, entries):
+    """(ints, den) of a map parsed entry by entry: its integer rows over the
+    lcm of the entries' denominators."""
+    ratios = [[field.parse(x).as_integer_ratio() for x in r] for r in entries]
+    den = lcm(*(q for r in ratios for _, q in r))
+    return [[n * (den // q) for n, q in r] for r in ratios], den
+
+
+def _first_bad_entry(field, maps):
+    """The message naming the first entry, in document order, the field does
+    not read."""
+    for j, m in enumerate(maps):
+        for x in itertools.chain.from_iterable(m):
+            try:
+                field.parse(x)
+            except (ValueError, ZeroDivisionError) as e:
+                return f"map {j}: {e}"
+    return None
+
+
+@pytest.mark.parametrize("field", list(_TABLE_MAPS), ids=["Q", "F5"])
+def test_entry_table_reads_what_per_entry_parsing_reads(field):
+    from aquiver.tamerep import tame_from_json
+    maps = _TABLE_MAPS[field]
+    v = tame_from_json(EMPTY_DESC, _table_doc(maps), field)
+    assert [(m.ints, m.den) for m in v.maps] == [_per_entry_parse(field, m) for m in maps]
+    if field == QQ:
+        assert [m.den for m in v.maps] == [1, 2, 6, 1, 2, 3, 1, 1]
+    # a malformed string is named at its first occurrence in document
+    # order, whichever maps hold it and whatever was parsed before it
+    bad = "x" if field == QQ else "1/2"
+    for places in ([(4, 0, 1, "1/0"), (5, 1, 0, bad)], [(5, 1, 0, bad)],
+                   [(2, 2, 1, bad), (3, 0, 0, bad)], [(3, 1, 1, "1/0"), (3, 0, 1, bad)],
+                   [(6, 1, 0, "3.5.1"), (1, 1, 2, "3.5.1")], [(3, 1, 0, bad), (4, 1, 1, "0")]):
+        broken = [[list(r) for r in m] for m in maps]
+        for j, r, c, x in places:
+            broken[j][r][c] = x
+        want = _first_bad_entry(field, broken)
+        assert want is not None and want.startswith(f"map {min(j for j, *_ in places)}:")
+        with pytest.raises(ValueError) as e:
+            tame_from_json(EMPTY_DESC, _table_doc(broken), field)
+        assert str(e.value) == want, places
+
+
 # ---------------------------------------------------------------------------
 # grid geometry against per-junction and per-cell references
 
