@@ -120,18 +120,17 @@ def junction_dirs(o: Orientation, grid: Sequence[Fraction]) -> list[str]:
 
 def refined_cells(old: Sequence[Fraction], new: Sequence[Fraction]) -> list[int]:
     """For each cell of the sorted grid ``new``, which contains the sorted
-    grid ``old``, the cell of ``old`` that contains it; one walk over
-    ``new``."""
-    where = {g: i for i, g in enumerate(old)}
+    grid ``old``, the cell of ``old`` that contains it; one walk over both
+    grids (intervals.compare)."""
     cells = [0]
-    k = 0  # the open cell of old that the walk is in
+    k = i = 0  # the open cell of old that the walk is in, and old's next point
     for p in new:
-        i = where.get(p)
-        if i is None:
-            cells += (k, k)
-        else:
-            k = 2 * i + 2
+        if i < len(old) and compare(p, old[i]) == 0:
+            i += 1
+            k = 2 * i
             cells += (k - 1, k)
+        else:
+            cells += (k, k)
     return cells
 
 
@@ -144,28 +143,52 @@ def check_grid_and_dims(o: Orientation, grid, dims) -> tuple[str, ...]:
     """Raise ValueError unless grid strictly increases, dims are one
     nonnegative dimension per cell of it, and every critical point of o
     inside the grid's hull is a grid point; then return the junction
-    directions (junction_dirs)."""
+    directions (junction_dirs).  A missing critical point is the first
+    point where _grid's grid differs from grid."""
     if any(compare(a, b) >= 0 for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     if len(dims) != num_cells(grid):
         raise ValueError(f"tame object needs {num_cells(grid)} dims for {len(grid)} grid points")
     if any(d < 0 for d in dims):
         raise ValueError("negative dimension")
-    missing = _criticals_off_grid(o, grid)
-    if missing:
-        raise ValueError(f"critical point {missing[0]} inside the hull is missing from the grid")
+    full, _ = _grid(o, grid)
+    if len(full) > len(grid):
+        missing = next(p for p, g in zip(full, grid) if compare(p, g))
+        raise ValueError(f"critical point {missing} inside the hull is missing from the grid")
     return tuple(junction_dirs(o, grid))
 
 
-def _criticals_off_grid(o: Orientation, grid) -> list[Fraction]:
-    """The critical points of o inside the sorted grid's hull but off it, in
-    order, read off one locate per grid point: those above grid[0] and up
-    to grid[-1] that no grid point is."""
-    if not grid:
-        return []
-    places = [locate(o, g) for g in grid]
-    on_grid = {i - 1 for i, critical in places if critical}
-    return [o.positions[k] for k in range(places[0][0], places[-1][0]) if k not in on_grid]
+def _grid(o: Orientation, ends) -> tuple[tuple[Fraction, ...], dict]:
+    """The one grid rule: (grid, where) for a family of ends.  grid is the
+    sorted, distinct finite ends plus every critical point of o inside
+    their hull, which an infinite end stretches to its side; where maps
+    each finite end's integer ratio to its grid index.  Ends and critical
+    points are keyed as ints over the lcm of their denominators, so no
+    Fraction is compared or hashed."""
+    ratios, below, above = {}, False, False
+    for e in ends:
+        if is_finite(e):
+            ratios[e.as_integer_ratio()] = e
+        elif e < 0:
+            below = True
+        else:
+            above = True
+    crits = {p.as_integer_ratio(): p for p in o.positions}
+    den = lcm(*{q for _, q in chain(ratios, crits)})
+    point = {n * (den // q): e if type(e) is Fraction else Fraction(e)
+             for (n, q), e in ratios.items()}
+    # the hull's ends; with no finite end on a side it is empty there
+    lo = NEG_INF if below else min(point, default=POS_INF)
+    hi = POS_INF if above else max(point, default=NEG_INF)
+    for (n, q), p in crits.items():
+        if lo <= (k := n * (den // q)) <= hi:
+            point.setdefault(k, p)
+    keys = sorted(point)
+    # from a list, not an iterator: CPython grows a tuple read from an
+    # iterator, and freed grown tuples pile up in its per-size free lists
+    grid = tuple([point[k] for k in keys])
+    at = {k: i for i, k in enumerate(keys)}
+    return grid, {(n, q): at[n * (den // q)] for n, q in ratios}
 
 
 # ---------------------------------------------------------------------------
@@ -232,46 +255,21 @@ class TameRep:
         return f"TameRep(grid={[str(g) for g in self.grid]}, dims={self.dims})"
 
 
-def _close_under_criticals(o: Orientation, grid: list[Fraction]) -> list[Fraction]:
-    extra = _criticals_off_grid(o, grid)
-    return sorted(set(grid).union(extra)) if extra else grid
-
-
 def reps_on_common_grid(o: Orientation, groups: Sequence[Sequence[Interval]],
                         field=QQ) -> list[tuple[TameRep, list[list[int]]]]:
     """For each group of intervals, the direct sum of the one-dimensional
     representations supported on them, with identity transitions.  Every
     group gets the same grid: the finite endpoints of all the intervals
-    plus each critical point inside the hull of all of them.  Returns, per
-    group, the representation and, per cell, the list of the group's
-    interval indices occupying its slots.  The grid is built on integer
-    keys: each end and critical point is scaled, by its integer ratio, to
-    the lcm of all their denominators, and the keys are deduplicated and
-    sorted as ints, so no Fraction is compared or hashed.  Each bar's ends
-    are placed through one dict from integer ratio to grid index, and each
-    junction map is read off a slot -> column dict of its source cell, as
-    0/1 integer rows over den 1 (``Matrix.from_ints``).  The grid holds
-    every critical point inside its hull, so it passes
-    ``check_grid_and_dims`` by construction and is not checked again."""
-    family = [iv for group in groups for iv in group]
-    ends = {e.as_integer_ratio(): e for iv in family for e in (iv.lo, iv.hi) if is_finite(e)}
-    crits = {p.as_integer_ratio(): p for p in o.positions}
-    den = lcm(*{q for _, q in chain(ends, crits)})
-    point = {n * (den // q): e if type(e) is Fraction else Fraction(e)
-             for (n, q), e in ends.items()}
-    if family:
-        # the hull's ends: an infinite end takes every critical point on its side
-        lo = NEG_INF if any(not is_finite(iv.lo) for iv in family) else min(point)
-        hi = POS_INF if any(not is_finite(iv.hi) for iv in family) else max(point)
-        for (n, q), p in crits.items():
-            if lo <= (k := n * (den // q)) <= hi:
-                point.setdefault(k, p)
-    keys = sorted(point)
-    # from a list, not an iterator: CPython grows a tuple read from an
-    # iterator, and freed grown tuples pile up in its per-size free lists
-    grid = tuple([point[k] for k in keys])
-    at = {k: i for i, k in enumerate(keys)}
-    where = {(n, q): at[n * (den // q)] for n, q in ends}
+    plus each critical point inside the hull of all of them (_grid, given
+    every end of every interval).  Returns, per group, the representation
+    and, per cell, the list of the group's interval indices occupying its
+    slots.  Each bar's ends are placed through _grid's dict from integer
+    ratio to grid index, and each junction map is read off a slot -> column
+    dict of its source cell, as 0/1 integer rows over den 1
+    (``Matrix.from_ints``).  The grid holds every critical point inside its
+    hull, so it passes ``check_grid_and_dims`` by construction and is not
+    checked again."""
+    grid, where = _grid(o, [e for group in groups for iv in group for e in (iv.lo, iv.hi)])
 
     def index(e):
         return where[e.as_integer_ratio()]
@@ -323,16 +321,16 @@ def from_bars(o: Orientation, bars: BarMultiset, field=QQ) -> TameRep:
 
 
 def refine(v: TameRep, points: Iterable) -> TameRep:
-    """Insert grid points (plus any critical points pulled into the hull);
-    the representation is unchanged as a representation."""
-    pts = sorted(set(v.grid) | {Fraction(p) for p in points})
-    pts = _close_under_criticals(v.orientation, pts)
-    if len(pts) == len(v.grid):  # pts contains v.grid
+    """Insert grid points, each read by Fraction(), plus the critical points
+    pulled into the hull (_grid); the representation itself is unchanged."""
+    o = v.orientation
+    grid, _ = _grid(o, [*v.grid, *map(Fraction, points)])
+    if len(grid) == len(v.grid):  # grid contains v.grid
         return v
-    cells = refined_cells(v.grid, pts)
+    cells = refined_cells(v.grid, grid)
     dims = [v.dims[c] for c in cells]
     maps = []
-    for t in range(len(pts)):
+    for t in range(len(grid)):
         c = cells[2 * t + 1]
         if c % 2:
             # an old grid point keeps the maps at both of its junctions
@@ -340,9 +338,9 @@ def refine(v: TameRep, points: Iterable) -> TameRep:
         else:
             # a new point inside old cell c: identities on either side
             maps += (Matrix.identity(v.field, v.dims[c]), Matrix.identity(v.field, v.dims[c]))
-    # pts is sorted from a set and closed under criticals, and dims are v's
-    return TameRep._on_checked_grid(v.orientation, v.field, tuple(pts), tuple(dims),
-                                    tuple(junction_dirs(v.orientation, pts)), maps)
+    # the grid holds its critical points, and dims are v's
+    return TameRep._on_checked_grid(o, v.field, grid, tuple(dims),
+                                    tuple(junction_dirs(o, grid)), maps)
 
 
 def common_grid(a: TameRep, b: TameRep) -> tuple[TameRep, TameRep]:
@@ -350,8 +348,7 @@ def common_grid(a: TameRep, b: TameRep) -> tuple[TameRep, TameRep]:
         raise ValueError("orientation mismatch")
     if a.field != b.field:
         raise ValueError("field mismatch")
-    pts = set(a.grid) | set(b.grid)
-    return refine(a, pts), refine(b, pts)
+    return refine(a, b.grid), refine(b, a.grid)
 
 
 def dual(v: TameRep) -> TameRep:

@@ -7,22 +7,24 @@ from a critical point, point intervals at critical points, infinite ends
 and both empty orientations.  The last tests count the Fraction
 comparisons these rules and tamerep.junction_dirs make, and the Fraction
 comparisons and hashes of the grid layer (from_bars, reps_on_common_grid,
-check_grid_and_dims), which are none."""
+check_grid_and_dims, refine, common_grid and refined_cells), which are
+none."""
 
 from fractions import Fraction
 from math import lcm
 
-from conftest import all_intervals, all_orientations
+from conftest import all_intervals, all_orientations, cell_representative
 from interval_reference import (reference_common_grid, reference_criticals_off_grid,
                                 reference_down_set, reference_hom_dim, reference_locate,
                                 reference_standard_probes)
 from random_inputs import ENDPOINTS
+from test_tamerep import _reference_refine
 from aquiver.ar import EXISTS, ARSequence, ar_ending_at, standard_probes
 from aquiver.homological import hom_dim
 from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF, compare, is_finite
 from aquiver.orientation import Orientation, down_set, locate, segment_index
-from aquiver.tamerep import (_criticals_off_grid, check_grid_and_dims, from_bars, junction_dirs,
-                             reps_on_common_grid)
+from aquiver.tamerep import (cell_of_point, check_grid_and_dims, common_grid, from_bars,
+                             junction_dirs, refine, refined_cells, reps_on_common_grid)
 
 TINY = Fraction(1, 10 ** 30)
 # three denominators with an lcm above 2**64
@@ -191,10 +193,11 @@ def test_interval_rules_make_no_fraction_comparison(monkeypatch):
 
 
 def test_grid_layer_makes_no_fraction_comparison_or_hash(monkeypatch):
-    # the grids of from_bars and reps_on_common_grid, and the order and
-    # missing-critical checks of check_grid_and_dims, on the exact
-    # orientations: ends at +-inf, point intervals at and beside critical
-    # points, and denominators whose lcm is above 2**64
+    # the grids of from_bars and reps_on_common_grid, the order and
+    # missing-critical checks of check_grid_and_dims, and refine,
+    # common_grid and refined_cells, on the exact orientations: ends at
+    # +-inf, point intervals at and beside critical points, and
+    # denominators whose lcm is above 2**64
     whole = Interval(NEG_INF, POS_INF, False, False)
     cases = []
     for o in EXACT_ORIENTATIONS:
@@ -211,15 +214,21 @@ def test_grid_layer_makes_no_fraction_comparison_or_hash(monkeypatch):
         grids = [tuple(pts), tuple(pts[::2]), tuple(pts[1::3]), tuple(o.positions),
                  tuple(p for p in pts if p not in o.positions), ()]
         unordered = [tuple(pts[:2][::-1] + pts[2:]), tuple(pts[:1] + pts)]
-        cases.append((o, families, bars, grids, unordered))
+        # a two-point grid below the first critical point, and points
+        # inside its hull, outside it, and just past each critical point
+        beside = BarMultiset.from_intervals([Interval(pts[0], pts[1], False, True)] * 2)
+        insertions = [[], [(pts[0] + pts[1]) / 2], [pts[0] - 1, 2 * pts[-1] + 3],
+                      [p + TINY / 2 for p in o.positions], [pts[1], pts[-1], 4]]
+        cases.append((o, families, bars, grids, unordered, beside, insertions))
     family_ivs = [(o, iv) for o, families, *_ in cases for f in families for g in f for iv in g]
     assert any(not is_finite(iv.lo) for _, iv in family_ivs)
     assert any(not is_finite(iv.hi) for _, iv in family_ivs)
     assert any(iv.is_point() and iv.lo in o.positions for o, iv in family_ivs)
+    reps = [(from_bars(o, bars), from_bars(o, beside)) for o, _, bars, _, _, beside, _ in cases]
 
     calls = _count_fraction_protocol(monkeypatch, COMPARISONS + ("__hash__",))
     got = []
-    for o, families, bars, grids, unordered in cases:
+    for (o, families, bars, grids, unordered, _, insertions), (v, u) in zip(cases, reps):
         packs = [reps_on_common_grid(o, groups) for groups in families]
         checked = []
         for grid in grids + unordered:
@@ -227,24 +236,37 @@ def test_grid_layer_makes_no_fraction_comparison_or_hash(monkeypatch):
                 checked.append(check_grid_and_dims(o, grid, [0] * (2 * len(grid) + 1)))
             except ValueError as e:
                 checked.append(str(e))
-        got.append((from_bars(o, bars).grid, packs, checked,
-                    [_criticals_off_grid(o, grid) for grid in grids]))
+        refined = [refine(w, pts) for w in (v, u) for pts in insertions]
+        cells = [refined_cells(w.grid, r.grid) for w, r in zip([v] * 5 + [u] * 5, refined)]
+        got.append((from_bars(o, bars).grid, packs, checked, refined, cells, common_grid(v, u)))
     assert calls == []
     assert Fraction(1) < Fraction(2) and hash(Fraction(1, 3))
     assert calls == ["__lt__", "__hash__"]  # the counters are live
     monkeypatch.undo()
 
-    for (o, families, bars, grids, unordered), (bars_grid, packs, checked, off) in zip(cases, got):
+    pulled_in = 0
+    for (o, families, bars, grids, unordered, _, insertions), (v, u), found in zip(cases, reps, got):
+        bars_grid, packs, checked, refined, cells, (a, b) = found
         assert bars_grid == reference_common_grid(o, bars.intervals())
-        for groups, reps in zip(families, packs):
+        for groups, rep_packs in zip(families, packs):
             grid = reference_common_grid(o, [iv for g in groups for iv in g])
             assert all(rep.grid == grid and all(type(g) is Fraction for g in rep.grid)
-                       for rep, _ in reps), (o, groups)
-        for grid, result, missing in zip(grids, checked, off):
-            assert missing == reference_criticals_off_grid(o, grid), (o, grid)
+                       for rep, _ in rep_packs), (o, groups)
+        for grid, result in zip(grids, checked):
+            missing = reference_criticals_off_grid(o, grid)
             want = (f"critical point {missing[0]} inside the hull is missing from the grid"
                     if missing else tuple(junction_dirs(o, grid)))
             assert result == want, (o, grid)
         assert checked[len(grids):] == ["grid must be strictly increasing"] * len(unordered)
-    # some grids miss critical points and some do not
-    assert {bool(m) for _, _, _, off in got for m in off} == {False, True}
+        for w, pts, r, c in zip([v] * 5 + [u] * 5, insertions * 2, refined, cells):
+            assert (r.grid, r.dims, r.maps, r.dirs) == _reference_refine(w, pts), (o, w.grid, pts)
+            assert c == [cell_of_point(w.grid, cell_representative(r.grid, k))
+                         for k in range(2 * len(r.grid) + 1)], (o, w.grid, pts)
+            pulled_in += bool(set(r.grid) - set(w.grid) - set(pts))
+        assert (a.grid, a.dims, a.maps, a.dirs) == _reference_refine(v, u.grid), o
+        assert (b.grid, b.dims, b.maps, b.dirs) == _reference_refine(u, v.grid), o
+    # some grids miss critical points and some do not, and refine pulls
+    # critical points in
+    assert {bool(reference_criticals_off_grid(o, grid)) for o, _, _, grids, *_ in cases
+            for grid in grids} == {False, True}
+    assert pulled_in > 3

@@ -16,7 +16,7 @@ from oracle import increasing_beside
 from random_inputs import POSITIONS, random_bars, random_interval, random_orientation
 from aquiver import jsonio, tamerep
 from aquiver.decompose import decompose, iso
-from aquiver.intervals import BarMultiset, Interval, NEG_INF, is_finite
+from aquiver.intervals import BarMultiset, Interval, NEG_INF, POS_INF, is_finite
 from aquiver.linalg import Matrix, PrimeField, QQ, random_elementary_ops
 from aquiver.orientation import Orientation
 from aquiver.tamerep import (DOWN, UP, RepMorphism, TameRep, cell_of_point, common_grid,
@@ -148,6 +148,26 @@ def test_refine_preserves_decomposition():
     w = refine(v, [Fraction(1, 2), Fraction(5)])
     assert Fraction(1, 2) in w.grid and Fraction(5) in w.grid
     assert decompose(w) == b
+
+
+def test_refine_reads_each_point_as_a_fraction():
+    # ZIGZAG has a sink at 0 and a source at 1; v's grid is 2, 3
+    v = from_bars(ZIGZAG, bars((Interval.make(2, 3, True, False), 1)))
+    assert v.grid == (2, 3)
+    half = (Fraction(1, 2), 1, 2, 3)
+    for pts in ([Fraction(1, 2)], ["1/2"], ["0.5"], ["1/2", Fraction(1, 2), "2/4"]):
+        assert refine(v, pts).grid == half, pts
+    assert refine(v, [5]).grid == refine(v, ["5"]).grid == (2, 3, 5)
+    assert refine(v, [-1, "3"]).grid == (-1, 0, 1, 2, 3)
+    assert all(type(g) is Fraction for g in refine(v, ["1/2", -1, 5]).grid)
+    # an infinite point is no grid point, and stretches no hull over the
+    # critical points on its side
+    for inf in (float("inf"), float("-inf"), NEG_INF, POS_INF):
+        with pytest.raises(OverflowError):
+            refine(v, [inf])
+        with pytest.raises(OverflowError):
+            refine(v, [Fraction(5), inf])
+    assert v.grid == (2, 3)
 
 
 def test_dual_involution_and_supports():
