@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import islice
 from typing import Optional, Sequence
 
 from .decompose import decompose
@@ -56,11 +55,8 @@ def _strictly_inside_segment(o: Orientation, a: Fraction, b: Fraction) -> Option
 def _realize_sequence(o: Orientation, left: Interval, middle: list[Interval],
                       right: Interval, field) -> ARSequence:
     lpack, mpack, rpack = reps_on_common_grid(o, [[left], middle, [right]], field)
-    one = field.one()
-    f_pairs = {(0, 0): one, (0, 1): one}
-    g_pairs = {(0, 0): one, (1, 0): field.neg(one)}
-    f = overlap_morphism(lpack, mpack, f_pairs)
-    g = overlap_morphism(mpack, rpack, g_pairs)
+    f = overlap_morphism(lpack, mpack, {(0, 0): 1, (0, 1): 1})
+    g = overlap_morphism(mpack, rpack, {(0, 0): 1, (1, 0): -1})
     return ARSequence(left, middle, right, f, g)
 
 
@@ -157,7 +153,8 @@ def standard_probes(o: Orientation, seq: ARSequence, count: int = 50) -> list[In
     point {lo} or the four intervals with those ends.  Ascending lo, then
     closed before open at lo, ascending hi, and open before closed at hi is
     the canonical order, so the family is emitted in it and never sorted;
-    it stops once count intervals are out."""
+    it is cut as a list slice [:count] cuts, before any Interval is
+    built."""
     a, b = Fraction(seq.right.lo), Fraction(seq.right.hi)
     seg = segment_index(o, a)
     lo_out = (Fraction(seg.lo) + a) / 2 if is_finite(seg.lo) else a - 1
@@ -169,13 +166,10 @@ def standard_probes(o: Orientation, seq: ARSequence, count: int = 50) -> list[In
 
     def family():
         for n, lo in enumerate(points):
-            yield Interval(lo, lo, True, True)
+            yield lo, lo, True, True
             for lo_closed in (True, False):
                 for hi in points[n + 1:]:
-                    yield Interval(lo, hi, lo_closed, False)
-                    yield Interval(lo, hi, lo_closed, True)
+                    yield lo, hi, lo_closed, False
+                    yield lo, hi, lo_closed, True
 
-    # k points give k + 4 * k(k - 1) / 2 intervals; keep as many as a
-    # slice [:count] of the whole family would, negative counts included
-    total = len(points) * (2 * len(points) - 1)
-    return list(islice(family(), len(range(total)[:count])))
+    return [Interval(*ends) for ends in list(family())[:count]]

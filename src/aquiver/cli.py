@@ -325,9 +325,8 @@ def main(args=None, prog_name=None):
     """Run the command line args (default sys.argv[1:]) and exit with its
     code: sys.exit is called on every path.
 
-    The benchmark drives main as it drove the click group this replaced:
     bench/cli_child.py reads the code from SystemExit, and the cli
-    workload's set-up calls it through click.testing.CliRunner, which
+    workload's set-up calls main through click.testing.CliRunner, which
     reads main.name and calls main.main(args=..., prog_name=...).  Those
     two attributes, set below, serve only that caller."""
     sys.exit(_run(sys.argv[1:] if args is None else list(args), prog_name or "aquiver"))

@@ -31,10 +31,7 @@ hom(V, W) - hom(P0, W) + hom(P1, W), and by Yoneda each Hom(P, M_W) is
 W's dimension at P's label point, decided by intervals.compare on W's
 ends (_yoneda); the interior critical points of V that lie in W form one
 alternating run, of which only its parity and first kind count
-(ext_dim).  An earlier Yoneda rule, _hom_from_projective, was removed
-because it was a second path beside hom_dim on the projective's support.
-_yoneda now takes that support evaluation's place inside ext_dim, so Ext
-still has one path, and it realizes nothing per (V, W) pair.
+(ext_dim).  Nothing is realized per (V, W) pair.
 """
 
 from __future__ import annotations
@@ -327,17 +324,16 @@ def proj_presentation(o: Orientation, iv: Interval, field=QQ) -> ProjPresentatio
     chain = sorted([(_label_position(lab), True, i) for i, (lab, _) in enumerate(p1)]
                    + [(_label_position(lab), False, k) for k, (lab, _) in enumerate(p0)],
                    key=lambda t: t[0])
-    one = field.one()
     pairs = {}
     for pos, (_, relation, i) in enumerate(chain):
         if relation:
             if pos:
-                pairs[(i, chain[pos - 1][2])] = one
+                pairs[(i, chain[pos - 1][2])] = 1
             if pos + 1 < len(chain):
-                pairs[(i, chain[pos + 1][2])] = field.neg(one)
+                pairs[(i, chain[pos + 1][2])] = -1
     try:
         realized = overlap_morphism(dom_pack, cod_pack, pairs)
-        onto = overlap_morphism(cod_pack, iv_pack, {(k, 0): one for k in range(len(p0))})
+        onto = overlap_morphism(cod_pack, iv_pack, {(k, 0): 1 for k in range(len(p0))})
     except ValueError as e:  # a square does not commute
         raise InternalInvariantError(f"presentation: {e}")
     if not is_short_exact(realized, onto):

@@ -16,10 +16,13 @@ of these scales a vector by a nonzero scalar, which keeps its span, its
 pivots and its zeros.
 
 A ``Matrix`` stores one form: integer rows ``ints`` over one nonzero
-denominator ``den`` (over F_p the ints are reduced mod p).  ``rows``, the
-row lists of field scalars, is a read-only view built from them on first
-read, for callers at the API edge; every operation here reads and builds
-the integer form.  ``Matrix.to_json`` spells the entries from it, each
+denominator ``den`` (over F_p the ints are reduced mod p), and its one
+constructor takes that form as it is stored.  Field scalars come in only
+at the API edge, through ``from_rows``, ``from_columns`` and ``scale``,
+which turn them into ints with ``integer_rows``.  ``rows``, the row lists
+of field scalars, is a read-only view built from the ints on first read,
+for callers at the same edge; every operation here reads and builds the
+integer form.  ``Matrix.to_json`` spells the entries from it, each
 distinct int once.
 
 ``integer_row_echelon`` is the one elimination loop, behind every rank,
@@ -68,12 +71,6 @@ class RationalField:
     """The field of rationals; scalars are Fraction.  Its integer form is
     primitive integer vectors: eliminating divides the content out."""
 
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
     def from_int(self, n: int):
         return Fraction(n)
 
@@ -85,9 +82,6 @@ class RationalField:
 
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         """1 / a as a Fraction, for an int or a Fraction a; raises
@@ -211,12 +205,6 @@ class PrimeField:
             raise ValueError(f"not a prime: {p}")
         self.p = p
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def from_int(self, n: int):
         return n % self.p
 
@@ -228,9 +216,6 @@ class PrimeField:
 
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -305,28 +290,19 @@ QQ = RationalField()
 
 class Matrix:
     """Immutable-by-convention dense matrix over a field, stored as integer
-    rows ``ints`` over one nonzero denominator ``den`` (module docstring).
-    ``rows``, the same map as row lists of field scalars, is a view built
-    on first read.  Zero-row / zero-column matrices are legal and show up
-    constantly (zero-dimensional cells).
+    rows ``ints`` over one nonzero denominator ``den`` (module docstring);
+    ``Matrix(field, nrows, ncols, ints, den=1)`` is the one constructor, and
+    ``from_rows``, ``from_columns`` and ``scale`` build one from field
+    scalars.  ``rows``, the same map as row lists of field scalars, is a
+    view built on first read.  Zero-row / zero-column matrices are legal
+    and show up constantly (zero-dimensional cells).
     """
 
     __slots__ = ("field", "nrows", "ncols", "ints", "den", "_rows")
 
-    def __init__(self, field, nrows: int, ncols: int, rows):
-        """The matrix with the given rows of field scalars, converted once
-        to the integer form by ``field.integer_rows``."""
-        self._store(field, nrows, ncols, *field.integer_rows(rows))
-
-    @classmethod
-    def from_ints(cls, field, nrows: int, ncols: int, ints: list, den: int = 1) -> "Matrix":
+    def __init__(self, field, nrows: int, ncols: int, ints: list, den: int = 1):
         """The matrix whose rows are the integer rows ints over the nonzero
         den, stored as given: over F_p the ints must lie in range(p)."""
-        m = cls.__new__(cls)
-        m._store(field, nrows, ncols, ints, den)
-        return m
-
-    def _store(self, field, nrows: int, ncols: int, ints: list, den: int) -> None:
         if len(ints) != nrows or any(map(ncols.__ne__, map(len, ints))):
             raise ValueError("inconsistent matrix shape")
         self.field, self.nrows, self.ncols = field, nrows, ncols
@@ -344,28 +320,28 @@ class Matrix:
     def from_rows(field, rows: Sequence[Sequence]) -> "Matrix":
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
-        return Matrix(field, len(rows), ncols, rows)
+        return Matrix(field, len(rows), ncols, *field.integer_rows(rows))
 
     @staticmethod
     def zero(field, nrows: int, ncols: int) -> "Matrix":
-        return Matrix.from_ints(field, nrows, ncols, [[0] * ncols for _ in range(nrows)])
+        return Matrix(field, nrows, ncols, [[0] * ncols for _ in range(nrows)])
 
     @staticmethod
     def identity(field, n: int) -> "Matrix":
-        return Matrix.from_ints(field, n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+        return Matrix(field, n, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def from_columns(field, dim: int, cols: Sequence[Sequence]) -> "Matrix":
         rows = [[col[i] for col in cols] for i in range(dim)]
-        return Matrix(field, dim, len(cols), rows)
+        return Matrix(field, dim, len(cols), *field.integer_rows(rows))
 
     def column(self, j: int) -> list:
         return [r[j] for r in self.rows]
 
     def transpose(self) -> "Matrix":
         ints = self.ints
-        return Matrix.from_ints(self.field, self.ncols, self.nrows,
-                                [[row[j] for row in ints] for j in range(self.ncols)], self.den)
+        return Matrix(self.field, self.ncols, self.nrows,
+                      [[row[j] for row in ints] for j in range(self.ncols)], self.den)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         """self @ other on the integer rows, over the product of the two
@@ -383,7 +359,7 @@ class Matrix:
                         orow[j] += a * b
             out.append(orow)
         f = self.field
-        return Matrix.from_ints(f, self.nrows, n, f.reduce_rows(out), self.den * other.den)
+        return Matrix(f, self.nrows, n, f.reduce_rows(out), self.den * other.den)
 
     def common_den(self, other: "Matrix") -> tuple[list, list, int]:
         """(self's integer rows, other's, den): both matrices as integer
@@ -399,13 +375,13 @@ class Matrix:
     def add(self, other: "Matrix") -> "Matrix":
         f = self.field
         a, b, den = self.common_den(other)
-        return Matrix.from_ints(f, self.nrows, self.ncols,
-                                f.reduce_rows([[x + y for x, y in zip(r1, r2)]
-                                               for r1, r2 in zip(a, b)]), den)
+        ints = f.reduce_rows([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)])
+        return Matrix(f, self.nrows, self.ncols, ints, den)
 
     def scale(self, c) -> "Matrix":
         f = self.field
-        return Matrix(f, self.nrows, self.ncols, [[f.mul(c, a) for a in r] for r in self.rows])
+        return Matrix(f, self.nrows, self.ncols,
+                      *f.integer_rows([[f.mul(c, a) for a in r] for r in self.rows]))
 
     def is_zero(self) -> bool:
         return not any(map(any, self.ints))
@@ -497,7 +473,7 @@ def kernel_basis(m: Matrix) -> Matrix:
         out[fc] = [scale if i == k else 0 for i in range(len(free))]
     for row, pc in zip(block, pivots):
         out[pc] = [-row[fc] for fc in free]
-    return Matrix.from_ints(f, m.ncols, len(free), f.reduce_rows(out), scale)
+    return Matrix(f, m.ncols, len(free), f.reduce_rows(out), scale)
 
 
 def solve_linear_system(a: Matrix, b: Sequence) -> tuple[Optional[list], int]:
@@ -523,7 +499,7 @@ def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
     out = [[0] * b.ncols for _ in range(n)]
     for row, pc in zip(block, pivots):
         out[pc] = [a.den * x for x in row]
-    return Matrix.from_ints(f, n, b.ncols, f.reduce_rows(out), scale * b.den)
+    return Matrix(f, n, b.ncols, f.reduce_rows(out), scale * b.den)
 
 
 def column_space_basis(m: Matrix) -> Matrix:
@@ -531,8 +507,8 @@ def column_space_basis(m: Matrix) -> Matrix:
     of its reduced row echelon form, which are the columns a greedy left to
     right scan keeps."""
     _, pivots = integer_row_echelon(m.field, list(m.ints))
-    return Matrix.from_ints(m.field, m.nrows, len(pivots),
-                            [[row[j] for j in pivots] for row in m.ints], m.den)
+    return Matrix(m.field, m.nrows, len(pivots),
+                  [[row[j] for j in pivots] for row in m.ints], m.den)
 
 
 def invert(m: Matrix) -> Matrix:

@@ -265,10 +265,9 @@ def reps_on_common_grid(o: Orientation, groups: Sequence[Sequence[Interval]],
     and, per cell, the list of the group's interval indices occupying its
     slots.  Each bar's ends are placed through _grid's dict from integer
     ratio to grid index, and each junction map is read off a slot -> column
-    dict of its source cell, as 0/1 integer rows over den 1
-    (``Matrix.from_ints``).  The grid holds every critical point inside its
-    hull, so it passes ``check_grid_and_dims`` by construction and is not
-    checked again."""
+    dict of its source cell, as 0/1 integer rows over den 1.  The grid
+    holds every critical point inside its hull, so it passes
+    ``check_grid_and_dims`` by construction and is not checked again."""
     grid, where = _grid(o, [e for group in groups for iv in group for e in (iv.lo, iv.hi)])
 
     def index(e):
@@ -295,7 +294,7 @@ def reps_on_common_grid(o: Orientation, groups: Sequence[Sequence[Interval]],
                 if col is not None:
                     row[col] = 1
                 ints.append(row)
-            maps.append(Matrix.from_ints(field, dims[tgt], width, ints))
+            maps.append(Matrix(field, dims[tgt], width, ints))
         out.append((TameRep._on_checked_grid(o, field, grid, dims, dirs, maps), slots))
     return out
 
@@ -303,13 +302,14 @@ def reps_on_common_grid(o: Orientation, groups: Sequence[Sequence[Interval]],
 def overlap_morphism(dom_pack, cod_pack, pairs) -> RepMorphism:
     """The morphism between two (representation, slots) packs of
     reps_on_common_grid that sends the dom group's interval i to the cod
-    group's interval k with the scalar pairs[(i, k)] wherever both occupy a
-    cell, and is zero elsewhere."""
+    group's interval k with the int coefficient pairs[(i, k)] wherever both
+    occupy a cell, and is zero elsewhere; over F_p the ints are reduced, so
+    -1 is p - 1."""
     (dom, dom_slots), (cod, cod_slots) = dom_pack, cod_pack
-    z = dom.field.zero()
-    mats = [Matrix(dom.field, len(cod_slots[c]), len(dom_slots[c]),
-                   [[pairs.get((i, k), z) for i in dom_slots[c]] for k in cod_slots[c]])
-            for c in range(dom.ncells)]
+    f = dom.field
+    mats = [Matrix(f, len(ks), len(js), f.reduce_rows([[pairs.get((i, k), 0) for i in js]
+                                                       for k in ks]))
+            for js, ks in zip(dom_slots, cod_slots)]
     return RepMorphism(dom, cod, mats)
 
 
@@ -383,7 +383,7 @@ def scramble(v: TameRep, seed: int) -> TameRep:
     inverse operations on its columns (``change_basis``).  These run on
     M's integer form, its integer rows over one denominator (``m.ints`` and
     ``m.den``), and each new map is built from the integer rows they give,
-    over the same denominator (``Matrix.from_ints``); no scalar is divided.
+    over the same denominator; no scalar is divided.
     Over Q that is exact, because every operation has an integer
     coefficient and an integer inverse: adds by +-1 or +-2 (undone by the
     opposite add), swaps, and scalings by +-1.  The copy keeps v's grid,
@@ -398,7 +398,7 @@ def scramble(v: TameRep, seed: int) -> TameRep:
     for j, m in enumerate(v.maps):
         src, tgt = junction_cells(v.dirs[j], j)
         ints, den = change_basis(field, m.ints, m.den, ops[tgt], ops[src])
-        maps.append(Matrix.from_ints(field, m.nrows, m.ncols, ints, den))
+        maps.append(Matrix(field, m.nrows, m.ncols, ints, den))
     return TameRep._on_checked_grid(v.orientation, field, v.grid, v.dims, v.dirs, maps)
 
 
@@ -472,15 +472,14 @@ def tame_from_json(o: Orientation, obj: dict, field) -> TameRep:
                         ratio(x)
                 if distinct.keys() <= whole.keys():
                     rows = [list(map(whole.__getitem__, r)) for r in entries]
-                    maps.append(Matrix.from_ints(field, nrows, ncols, rows))
+                    maps.append(Matrix(field, nrows, ncols, rows))
                     continue
             ratios = {x: ratio(x) for x in distinct}
         except MALFORMED as e:
             raise ValueError(f"map {j}: {e}")
         den = lcm(*{q for _, q in ratios.values()})
         scaled = {x: n * (den // q) for x, (n, q) in ratios.items()}
-        maps.append(Matrix.from_ints(field, nrows, ncols,
-                                     [[scaled[x] for x in r] for r in entries], den))
+        maps.append(Matrix(field, nrows, ncols, [[scaled[x] for x in r] for r in entries], den))
     return TameRep._on_checked_grid(o, field, grid, dims, dirs, maps)
 
 

@@ -84,7 +84,7 @@ def random_invertible(field, n: int, rng) -> Matrix:
             rows[i], rows[k] = rows[k], rows[i]
         else:
             rows[i] = [field.mul(c, a) if a else a for a in rows[i]]
-    return Matrix(field, n, n, rows)
+    return Matrix.from_rows(field, rows)
 
 
 def count_rows_reads(monkeypatch, counted: list) -> None:

@@ -39,7 +39,7 @@ def hom_basis(v: TameRep, w: TameRep) -> list[RepMorphism]:
         offs.append(total)
         total += w.dims[c] * v.dims[c]
     rows = []
-    z = field.zero()
+    z = field.from_int(0)
     for j, (mv, mw) in enumerate(zip(v.maps, w.maps)):
         d = v.dirs[j]
         src, tgt = (j + 1, j) if d == DOWN else (j, j + 1)
@@ -57,7 +57,7 @@ def hom_basis(v: TameRep, w: TameRep) -> list[RepMorphism]:
                         idx = offs[src] + s * v.dims[src] + cc
                         row[idx] = field.sub(row[idx], coef)
                 rows.append(row)
-    ker = kernel_basis(Matrix(field, len(rows), total, rows))
+    ker = kernel_basis(Matrix(field, len(rows), total, *field.integer_rows(rows)))
     out = []
     for col in (ker.column(j) for j in range(ker.ncols)):
         mats = []
@@ -65,8 +65,8 @@ def hom_basis(v: TameRep, w: TameRep) -> list[RepMorphism]:
             nr, nc = w.dims[c], v.dims[c]
             base = offs[c]
             mats.append(Matrix(field, nr, nc,
-                               [[col[base + r * nc + s] for s in range(nc)]
-                                for r in range(nr)]))
+                               *field.integer_rows([[col[base + r * nc + s] for s in range(nc)]
+                                                    for r in range(nr)])))
         out.append(RepMorphism(v, w, mats, validate=False))
     return out
 

@@ -800,7 +800,7 @@ def test_present_exits_3_when_a_relation_sign_is_flipped(runner, tmp_path, monke
     real = homological.overlap_morphism
 
     def unsigned(dom_pack, cod_pack, pairs):
-        return real(dom_pack, cod_pack, dict.fromkeys(pairs, dom_pack[0].field.one()))
+        return real(dom_pack, cod_pack, dict.fromkeys(pairs, 1))
 
     monkeypatch.setattr(homological, "overlap_morphism", unsigned)
     f = _write(tmp_path, "o.json", ZIGZAG_ORIENTATION)

@@ -151,7 +151,7 @@ def _mixed_conjugate(v, rng):
         scales = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12))
                   for _ in range(d)]
         g = random_invertible(QQ, d, rng)
-        mats.append(Matrix(QQ, d, d, [[c * x for x in row] for c, row in zip(scales, g.rows)]))
+        mats.append(Matrix.from_rows(QQ, [[c * x for x in row] for c, row in zip(scales, g.rows)]))
     return conjugate(v, mats)
 
 
@@ -310,7 +310,7 @@ def test_barcode_round_trip_reads_no_fraction_rows(monkeypatch):
         got.append(decompose(w))
     assert counted == []
     # both counters see a matrix built from Fraction rows
-    m = Matrix(QQ, 1, 1, [[Fraction(1, 2)]])
+    m = Matrix.from_rows(QQ, [[Fraction(1, 2)]])
     assert m.ints == [[1]] and m.rows == [[Fraction(1, 2)]]
     assert counted == ["integer_rows", "rows"]
     monkeypatch.undo()

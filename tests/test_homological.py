@@ -554,7 +554,7 @@ def _random_map_between_projectives(rng, o, field=QQ):
     mats = [Matrix.zero(field, b.nrows, b.ncols) for b in basis[0].mats]
     for phi in basis:
         c = field.from_int(rng.choice((-1, 0, 1)))
-        if c != field.zero():
+        if c != field.from_int(0):
             mats = [m.add(p.scale(c)) for m, p in zip(mats, phi.mats)]
     return RepMorphism(basis[0].dom, basis[0].cod, mats)
 

@@ -2,12 +2,15 @@
 
 Uses are read from the syntax tree of src/aquiver and tests.  A method (a
 function defined in a class body) counts as used only where it is read as
-an attribute, ``x.name``; any other function or class counts where its
-name is loaded, read as an attribute, or imported.  Parameters, keyword
-arguments and the names locals are stored under are not uses, and
-neither is a load of a name that an enclosing function binds as a
-parameter or by assignment: that is the local, not the library
-function.  Dunder methods are called by the interpreter, so they
+an attribute.  A read ``C.name``, where C is a library class that defines
+methods, counts only for C's own method; any other attribute read,
+``x.name``, counts for every method of that name, since an instance's
+class is not resolved.  Any other function or class counts where its name
+is loaded, read as an attribute other than ``C.name``, or imported.
+Parameters, keyword arguments and the names locals are stored under are
+not uses, and neither is a load of a name that an enclosing function
+binds as a parameter or by assignment: that is the local, not the
+library function.  Dunder methods are called by the interpreter, so they
 are exempt; the CLI's command functions are read by its dispatch table.  A
 name counts as used by the library when it is used so in src/aquiver
 outside __init__.py; every defined name is, or is one of the few that
@@ -21,7 +24,9 @@ name X it imports from another.  tests/oracle.py imports nothing from the
 code it checks.  No library module outside the two field classes asks
 which field it holds.  No library module reads a matrix's field-scalar
 view ``rows``, except linalg in the view itself, ``column``, ``scale``
-and ``__repr__``.  Every name the benchmark's tracer wraps exists, and
+and ``__repr__``, and none turns field scalars into integer rows
+(``integer_rows``) except linalg's ``from_rows``, ``from_columns`` and
+``scale``.  Every name the benchmark's tracer wraps exists, and
 importing aquiver.cli loads every module the benchmark reaches into, and
 none of click, dataclasses and inspect.
 """
@@ -39,22 +44,24 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "aquiver"
 
 
-METHOD, FUNCTION = "method", "function"
+FUNCTION = "function"
 
 
 def _definitions() -> dict[str, set[str]]:
-    """Each function and class name defined in the library, with the kinds
-    it is defined as: METHOD in a class body, FUNCTION anywhere else."""
+    """Each function and class name defined in the library, with where it
+    is defined: the name of the class whose body defines it as a method,
+    or FUNCTION anywhere else."""
     defs: dict[str, set[str]] = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        in_class = {id(b) for n in ast.walk(tree) if isinstance(n, ast.ClassDef) for b in n.body}
+        owner = {id(b): n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
+                 for b in n.body}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = node.name
                 if name.startswith("__") and name.endswith("__"):
                     continue
-                defs.setdefault(name, set()).add(METHOD if id(node) in in_class else FUNCTION)
+                defs.setdefault(name, set()).add(owner.get(id(node), FUNCTION))
     return defs
 
 
@@ -105,20 +112,32 @@ def _free_loads(tree) -> set[str]:
 
 
 def _unused(defs: dict[str, set[str]], paths) -> list[str]:
-    """The defined names with a kind that no file of paths uses: a METHOD
-    needs an attribute read, a FUNCTION an attribute read, an import or a
-    loaded name that is not a local of an enclosing function."""
-    attrs, names = set(), set()
+    """The defined names with a definition that no file of paths uses: a
+    method of class C needs a read ``C.name`` or an attribute read of the
+    name on anything but a class of defs; a FUNCTION such an attribute
+    read, an import or a loaded name that is not a local of an enclosing
+    function."""
+    classes = {owner for owners in defs.values() for owner in owners} - {FUNCTION}
+    attrs, qualified, names = set(), set(), set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names |= _free_loads(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in classes:
+                    qualified.add((node.value.id, node.attr))
+                else:
+                    attrs.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
-    return sorted(name for name, kinds in defs.items()
-                  if name not in attrs and (METHOD in kinds or name not in names))
+
+    def used(name, owner):
+        if owner == FUNCTION:
+            return name in attrs or name in names
+        return name in attrs or (owner, name) in qualified
+
+    return sorted(name for name, owners in defs.items()
+                  if not all(used(name, owner) for owner in owners))
 
 
 def test_every_library_function_and_class_has_a_use():
@@ -156,6 +175,8 @@ TEST_ONLY = {
     "iso": "test_acceptance.py::test_criterion_7_duality",
     "kernel_of_projective_map": "test_acceptance.py::test_criterion_9_hereditary_kernels",
     "leq": "test_orientation.py::test_leq_matches_reference_bisection (the paper's induced order)",
+    "make": "test_tamerep.py::test_from_bars_single_closed_bar (Interval.make; the library "
+            "reads only Orientation.make)",
     "power": "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",
     "scale": "test_acceptance.py::test_criterion_9_hereditary_kernels",
     "solve_linear_system": "test_linalg.py::test_solve_examples; bench/tracing.py wraps it",
@@ -165,6 +186,7 @@ TEST_ONLY = {
               "(reference_presentation_labels reads the up-set at each open end); "
               "test_orientation.py::test_up_set_examples",
     "total_dim": "test_acceptance.py::test_criterion_2_oracle_parity (through oracle.py)",
+    "zero": "test_tamerep.py::test_validation_rejects_missing_critical (Matrix.zero)",
 }
 
 
@@ -296,31 +318,50 @@ def test_only_the_field_classes_tell_q_from_f_p():
 # the functions of linalg.py that may read Matrix.rows: the view itself
 # and the edge methods that hand out field scalars
 ROWS_READERS = ("rows", "column", "scale", "__repr__")
+# the functions of linalg.py that may call integer_rows: the edge methods
+# that take field scalars in
+INTEGER_ROWS_CALLERS = ("from_rows", "from_columns", "scale")
 
 
-def _rows_reads(tree, allowed=()) -> list[int]:
-    """Lines that read an attribute named rows, outside the functions
+def _reads(tree, attr, allowed=()) -> list[int]:
+    """Lines that read an attribute named attr, outside the functions
     named in allowed."""
     skip = {id(n) for f in ast.walk(tree)
             if isinstance(f, ast.FunctionDef) and f.name in allowed for n in ast.walk(f)}
     return sorted(node.lineno for node in ast.walk(tree)
                   if id(node) not in skip and isinstance(node, ast.Attribute)
-                  and node.attr == "rows" and isinstance(node.ctx, ast.Load))
+                  and node.attr == attr and isinstance(node.ctx, ast.Load))
+
+
+def _library_reads(attr, linalg_allowed) -> list[str]:
+    return [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            for line in _reads(ast.parse(path.read_text(encoding="utf-8")), attr,
+                               linalg_allowed if path.name == "linalg.py" else ())]
 
 
 def test_only_the_matrix_edge_reads_field_rows():
     # a Matrix stores integer rows over one denominator, and every
     # operation reads those; the field-scalar rows are a view for callers
     # at the API edge
-    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
-             for line in _rows_reads(ast.parse(path.read_text(encoding="utf-8")),
-                                     ROWS_READERS if path.name == "linalg.py" else ())]
+    found = _library_reads("rows", ROWS_READERS)
     assert not found, f"reads Matrix.rows: {', '.join(found)}"
     sample = ast.parse("def column(self, j):\n    return self.rows[j]\n"
                        "def direct_sum(a):\n    return [list(r) for r in a.rows]\n"
                        "rows = 1\n")
-    assert _rows_reads(sample, ROWS_READERS) == [4]
-    assert _rows_reads(sample) == [2, 4]
+    assert _reads(sample, "rows", ROWS_READERS) == [4]
+    assert _reads(sample, "rows") == [2, 4]
+
+
+def test_only_the_matrix_edge_takes_field_rows_in():
+    # the one Matrix constructor takes integer rows over one denominator;
+    # field scalars come in at the API edge alone, through the methods
+    # that turn them into ints
+    found = _library_reads("integer_rows", INTEGER_ROWS_CALLERS)
+    assert not found, f"calls integer_rows: {', '.join(found)}"
+    sample = ast.parse("def __init__(self, field, rows):\n"
+                       "    self.ints, self.den = field.integer_rows(rows)\n"
+                       "def scale(self, c):\n    return self.field.integer_rows(c)\n")
+    assert _reads(sample, "integer_rows", INTEGER_ROWS_CALLERS) == [2]
 
 
 def test_oracle_imports_nothing_it_checks():
@@ -386,7 +427,9 @@ def test_scan_counts_attribute_reads_loads_and_imports_only(tmp_path):
     # resolved for functions: a loaded name that the function or one
     # around it binds as a parameter or by assignment is its local, not
     # the library function of that name, unless it is declared global.
-    # Defaults and decorators are read outside the function.
+    # Defaults and decorators are read outside the function.  A read C.name
+    # of a class C counts for C's method alone, and for no function; a read
+    # on anything else counts for the method of that name in every class.
     src = tmp_path / "sample.py"
     src.write_text("from m import imported\n"
                    "def f(scale, helper=None, fallback=default):\n"
@@ -398,8 +441,11 @@ def test_scan_counts_attribute_reads_loads_and_imports_only(tmp_path):
                    "def h():\n"
                    "    global shared\n"
                    "    shared = 1\n"
-                   "    return shared\n", encoding="utf-8")
-    defs = {"scale": {METHOD}, "helper": {FUNCTION}, "local": {FUNCTION}, "attr": {METHOD},
-            "loaded": {FUNCTION}, "imported": {FUNCTION}, "both": {METHOD, FUNCTION},
-            "default": {FUNCTION}, "closure": {FUNCTION}, "shared": {FUNCTION}}
-    assert _unused(defs, [src]) == ["both", "closure", "helper", "local", "scale"]
+                   "    return shared\n"
+                   "A.make(B.build, A.plain, obj.attr2)\n", encoding="utf-8")
+    defs = {"scale": {"A"}, "helper": {FUNCTION}, "local": {FUNCTION}, "attr": {"A"},
+            "loaded": {FUNCTION}, "imported": {FUNCTION}, "both": {"A", FUNCTION},
+            "default": {FUNCTION}, "closure": {FUNCTION}, "shared": {FUNCTION},
+            "make": {"A", "B"}, "build": {"B"}, "plain": {FUNCTION}, "attr2": {"A", "B"}}
+    assert _unused(defs, [src]) == ["both", "closure", "helper", "local", "make", "plain",
+                                    "scale"]

@@ -100,7 +100,7 @@ def test_reps_on_common_grid_matches_per_cell_definition(field):
             assert rep.dims == tuple(len(s) for s in slots)
             for j, (m, d) in enumerate(zip(rep.maps, rep.dirs)):
                 src, tgt = junction_cells(d, j)
-                assert m.rows == [[field.one() if i == k else field.zero() for i in slots[src]]
+                assert m.rows == [[field.from_int(int(i == k)) for i in slots[src]]
                                   for k in slots[tgt]]
             seen.update(("empty",) if not group else ())
             seen.update("infinite" for iv in group if not (is_finite(iv.lo) and is_finite(iv.hi)))
@@ -229,7 +229,7 @@ def _filled_rep(o, field, grid, dims, entry):
     for j, d in enumerate(junction_dirs(o, grid)):
         src, tgt = junction_cells(d, j)
         rows = [[entry() for _ in range(dims[src])] for _ in range(dims[tgt])]
-        maps.append(Matrix(field, dims[tgt], dims[src], rows))
+        maps.append(Matrix(field, dims[tgt], dims[src], *field.integer_rows(rows)))
     return TameRep(o, field, grid, dims, maps)
 
 
@@ -442,9 +442,24 @@ CLOSED_01 = Interval.make(0, 1, True, True)
         "composite-nonzero"])
 def test_is_short_exact(field, groups, f_pairs, g_pairs, exact):
     a, b, c = reps_on_common_grid(EMPTY_DESC, groups, field)
-    f = overlap_morphism(a, b, {k: field.from_int(x) for k, x in f_pairs.items()})
-    g = overlap_morphism(b, c, {k: field.from_int(x) for k, x in g_pairs.items()})
+    f = overlap_morphism(a, b, f_pairs)
+    g = overlap_morphism(b, c, g_pairs)
     assert is_short_exact(f, g) is exact
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_overlap_morphism_cells_are_the_field_scalar_matrices(field):
+    # int coefficients, negatives included, give each cell the matrix that
+    # the same coefficients as field scalars give through from_rows; any 2x2
+    # matrix is an endomorphism of the sum of two copies of one interval
+    pairs = {(0, 0): 1, (1, 0): 2, (0, 1): -1, (1, 1): -3}
+    a, b = reps_on_common_grid(ZIGZAG, [[CLOSED_01, CLOSED_01]] * 2, field)
+    phi = overlap_morphism(a, b, pairs)
+    for m, js, ks in zip(phi.mats, a[1], b[1]):
+        want = [[field.from_int(pairs.get((i, k), 0)) for i in js] for k in ks]
+        assert m == Matrix.from_rows(field, want) and m.rows == want
+    full = phi.mats[cell_of_point(a[0].grid, Fraction(1, 2))]
+    assert full.ints == ([[1, 2], [-1, -3]] if field == QQ else [[1, 2], [4, 2]])
 
 
 def _overlap_map(v, w):
